@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -37,6 +36,7 @@ from .states import (
     MemoryState,
     ModeParams,
     _checked_modes,
+    _checked_times,
     log_cosh,
     forgetting_time,
     overlap,
@@ -54,6 +54,7 @@ __all__ = [
     "ForgettingCurve",
     "CodeSpec",
     "ExperimentConfig",
+    "ConfigKind",
     "RegistryError",
     "RegistryVersionError",
     "RegistryFormatError",
@@ -68,6 +69,7 @@ __all__ = [
     "save_registry",
     "load_registry",
     "parse_experiment_config",
+    "CONFIG_KINDS",
 ]
 
 SCHEMA_VERSION = 1
@@ -197,8 +199,8 @@ def _same_time_log_rows(codes: np.ndarray, i: int) -> np.ndarray:
     return np.array([-math.fsum(row) for row in logs], dtype=float)
 
 
-def fidelity_matrix(registry: Registry, t: float, *, staggered: bool = False,
-                    threads: int = 1) -> FidelityMatrix:
+def fidelity_matrix(registry: Registry, t: float, *,
+                    staggered: bool = False) -> FidelityMatrix:
     """Pairwise overlaps of all entries evolved to common evaluation time t.
 
     Same-time mode (default) treats every entry as printed at time 0 and
@@ -207,16 +209,12 @@ def fidelity_matrix(registry: Registry, t: float, *, staggered: bool = False,
     way, making the result exactly t-independent. Staggered mode gives each
     entry its own elapsed time t - printed_at (requires t >= every
     printed_at) and uses the generic trajectory route.
-
-    Rows are computed in parallel when threads > 1; assembly order is fixed,
-    so results do not depend on the thread count.
     """
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError(f"evaluation time must be finite and >= 0, got {t}")
     if not registry.entries:
         raise ValueError("registry has no entries")
-    threads = max(1, int(threads))
     n = len(registry.entries)
 
     if staggered:
@@ -245,15 +243,9 @@ def fidelity_matrix(registry: Registry, t: float, *, staggered: bool = False,
         def row(i: int) -> np.ndarray:
             return _same_time_log_rows(codes, i)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, range(n)))
-    else:
-        rows = [row(i) for i in range(n)]
-
     values = np.ones((n, n), dtype=float)
-    for i, r in enumerate(rows):
-        values[i, i + 1:] = np.exp(r)
+    for i in range(n):
+        values[i, i + 1:] = np.exp(row(i))
         values[i + 1:, i] = values[i, i + 1:]
     return FidelityMatrix(ids=registry.ids, values=values, eval_time=t,
                           staggered=staggered)
@@ -271,7 +263,7 @@ class AssociationGraph:
 
 
 def association_graph(registry: Registry, t: float, threshold: float, *,
-                      staggered: bool = False, threads: int = 1) -> AssociationGraph:
+                      staggered: bool = False) -> AssociationGraph:
     """Edges (i, j) wherever fidelity >= threshold, plus connected clusters.
 
     Clusters are ordered by first member; members keep registry order, so
@@ -280,7 +272,7 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
     threshold = float(threshold)
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    fm = fidelity_matrix(registry, t, staggered=staggered, threads=threads)
+    fm = fidelity_matrix(registry, t, staggered=staggered)
     n = len(fm.ids)
     adj = np.zeros((n, n), dtype=bool)
     edges = []
@@ -412,13 +404,7 @@ def forgetting_curve(code: Code, modes: Iterable[ModeParams], times) -> Forgetti
     nothing is damped).
     """
     ms = _checked_modes(modes)
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size < 1:
-        raise ValueError("time grid needs at least one point")
-    if not np.all(np.isfinite(ts)) or np.any(ts < 0.0):
-        raise ValueError("time grid must be finite and non-negative")
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("time grid must be strictly increasing")
+    ts = _checked_times(times)
     written = MemoryState(ms, code, 0.0)
     self_o, vac_o, occ = [], [], []
     for t in ts:
@@ -433,6 +419,44 @@ def forgetting_curve(code: Code, modes: Iterable[ModeParams], times) -> Forgetti
         total_occupation=tuple(occ),
         tau=forgetting_time(written),
     )
+
+
+# ---------------------------------------------------------------------------
+# strict JSON checks, shared by registry files and experiment configs
+
+
+def _cfg_error(msg: str) -> ValueError:
+    return ValueError(f"invalid experiment config: {msg}")
+
+
+def _check_keys(obj, where: str, required=(), optional=(), one_of=(),
+                error=_cfg_error) -> None:
+    """obj is an object holding every required key, at most the listed keys,
+    and exactly one key of `one_of` when that group is non-empty."""
+    if not isinstance(obj, Mapping):
+        raise error(f"{where} must be an object")
+    got = set(obj)
+    unknown = sorted(got.difference(required, optional, one_of))
+    if unknown:
+        raise error(f"{where}: unknown keys {unknown}")
+    missing = sorted(set(required) - got)
+    if missing:
+        raise error(f"{where}: missing keys {missing}")
+    if one_of and len(got.intersection(one_of)) != 1:
+        raise error(f"{where}: give exactly one of {list(one_of)}")
+
+
+def _number(x, where: str, error=_cfg_error) -> float:
+    """A JSON number as a float; booleans and numeric strings are rejected."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise error(f"{where} must be a number")
+    return float(x)
+
+
+def _integer(x, where: str, error=_cfg_error) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise error(f"{where} must be an integer")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -467,27 +491,6 @@ def save_registry(registry: Registry, path) -> None:
         fh.write(registry_to_json(registry))
 
 
-def _exact_keys(obj: Mapping, keys: set[str], where: str) -> None:
-    if not isinstance(obj, Mapping):
-        raise RegistryFormatError(f"{where} must be an object")
-    got = set(obj.keys())
-    if got != keys:
-        missing = sorted(keys - got)
-        unknown = sorted(got - keys)
-        parts = []
-        if missing:
-            parts.append(f"missing keys {missing}")
-        if unknown:
-            parts.append(f"unknown keys {unknown}")
-        raise RegistryFormatError(f"{where}: " + "; ".join(parts))
-
-
-def _number(x, where: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise RegistryFormatError(f"{where} must be a number, got {type(x).__name__}")
-    return float(x)
-
-
 def load_registry(path) -> Registry:
     """Read a registry file, distinguishing the three failure classes.
 
@@ -501,10 +504,10 @@ def load_registry(path) -> Registry:
     except json.JSONDecodeError as exc:
         raise RegistryFormatError(f"malformed registry file {path}: {exc}") from exc
 
-    _exact_keys(doc, {"schema_version", "modes", "entries"}, "registry document")
-    version = doc["schema_version"]
-    if isinstance(version, bool) or not isinstance(version, int):
-        raise RegistryFormatError("schema_version must be an integer")
+    bad = RegistryFormatError
+    _check_keys(doc, "registry document", ("schema_version", "modes", "entries"),
+                error=bad)
+    version = _integer(doc["schema_version"], "schema_version", bad)
     if version != SCHEMA_VERSION:
         raise RegistryVersionError(
             f"unsupported registry schema_version {version}; this build reads "
@@ -516,15 +519,15 @@ def load_registry(path) -> Registry:
     try:
         modes = []
         for i, m in enumerate(doc["modes"]):
-            _exact_keys(m, {"index", "omega", "gamma"}, f"modes[{i}]")
+            _check_keys(m, f"modes[{i}]", ("index", "omega", "gamma"), error=bad)
             modes.append(ModeParams(
-                index=int(_number(m["index"], f"modes[{i}].index")),
-                omega=_number(m["omega"], f"modes[{i}].omega"),
-                gamma=_number(m["gamma"], f"modes[{i}].gamma"),
+                index=_integer(m["index"], f"modes[{i}].index", bad),
+                omega=_number(m["omega"], f"modes[{i}].omega", bad),
+                gamma=_number(m["gamma"], f"modes[{i}].gamma", bad),
             ))
         entries = []
         for i, e in enumerate(doc["entries"]):
-            _exact_keys(e, {"id", "printed_at", "thetas"}, f"entries[{i}]")
+            _check_keys(e, f"entries[{i}]", ("id", "printed_at", "thetas"), error=bad)
             if not isinstance(e["id"], str):
                 raise RegistryFormatError(f"entries[{i}].id must be a string")
             if not isinstance(e["thetas"], list):
@@ -535,13 +538,13 @@ def load_registry(path) -> Registry:
                     f"registry has {len(modes)} modes"
                 )
             thetas = tuple(
-                _number(x, f"entries[{i}].thetas[{j}]")
+                _number(x, f"entries[{i}].thetas[{j}]", bad)
                 for j, x in enumerate(e["thetas"])
             )
             entries.append(RegistryEntry(
                 entry_id=e["id"],
                 code=Code(thetas),
-                printed_at=_number(e["printed_at"], f"entries[{i}].printed_at"),
+                printed_at=_number(e["printed_at"], f"entries[{i}].printed_at", bad),
             ))
         return Registry(tuple(modes), tuple(entries), version)
     except RegistryError:
@@ -575,7 +578,12 @@ class CodeSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed, validated experiment description; `raw` echoes the source."""
+    """Parsed, validated experiment description; `raw` echoes the source.
+
+    Only the fields named by the kind's row of CONFIG_KINDS are set. `probe`
+    is a registry entry id or a CodeSpec; `entries` holds one
+    (id, CodeSpec, printed_at) triple per memory to print.
+    """
 
     kind: str
     raw: dict
@@ -590,181 +598,189 @@ class ExperimentConfig:
     epsilon: float | None = None
     candidates: int | None = None
     seed: int | None = None
-    out: str | None = None
+    entries: tuple[tuple[str, CodeSpec, float], ...] | None = None
+    probe: str | CodeSpec | None = None
 
 
-_KINDS = (
-    "fidelity-matrix",
-    "capacity-sweep",
-    "forgetting-curve",
-    "association-graph",
-    "thermo-trace",
-)
+@dataclass(frozen=True)
+class ConfigKind:
+    """Schema row of one config kind.
+
+    `command` is the CLI subcommand that runs the kind; `flags` pairs a
+    config key with the CLI option that fills it when the document omits it.
+    """
+
+    command: str
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    one_of: tuple[str, ...] = ()
+    flags: tuple[tuple[str, str], ...] = ()
 
 
-def _cfg_error(msg: str) -> ValueError:
-    return ValueError(f"invalid experiment config: {msg}")
+_TRAJECTORY = ("modes", "code", "times")
+
+CONFIG_KINDS = {
+    "print": ConfigKind("print", ("entries",), one_of=("modes", "registry")),
+    "recall": ConfigKind("recall", ("registry", "probe", "time"), ("staggered",)),
+    "evolve": ConfigKind("evolve", _TRAJECTORY),
+    "forgetting-curve": ConfigKind("forgetting", _TRAJECTORY),
+    "capacity-sweep": ConfigKind(
+        "capacity", ("modes", "theta_range", "epsilon", "candidates", "seed"),
+        flags=(("seed", "seed"), ("epsilon", "epsilon"))),
+    "association-graph": ConfigKind(
+        "associate", ("registry", "time", "threshold"), ("staggered",),
+        flags=(("threshold", "epsilon"),)),
+    "fidelity-matrix": ConfigKind("associate", ("registry", "time"),
+                                  ("staggered", "threshold")),
+    "thermo-trace": ConfigKind("thermo-trace", _TRAJECTORY),
+}
 
 
-def _check_keys(mapping: Mapping, allowed: set[str], required: set[str], where: str) -> None:
-    got = set(mapping.keys())
-    unknown = sorted(got - allowed)
-    if unknown:
-        raise _cfg_error(f"{where}: unknown keys {unknown}")
-    missing = sorted(required - got)
-    if missing:
-        raise _cfg_error(f"{where}: missing keys {missing}")
+def _number_list(obj, where: str) -> tuple[float, ...]:
+    if not isinstance(obj, list):
+        raise _cfg_error(f"{where} must be an array")
+    return tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(obj))
 
 
-def _cfg_number(mapping: Mapping, key: str, where: str) -> float:
-    x = mapping[key]
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise _cfg_error(f"{where}.{key} must be a number")
-    return float(x)
-
-
-def _cfg_int(mapping: Mapping, key: str, where: str) -> int:
-    x = mapping[key]
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise _cfg_error(f"{where}.{key} must be an integer")
+def _in_unit_interval(obj, where: str) -> float:
+    x = _number(obj, where)
+    if not 0.0 < x < 1.0:
+        raise _cfg_error(f"{where} must be in (0, 1)")
     return x
 
 
+def _at_least(minimum: int):
+    def parse(obj, where: str) -> int:
+        n = _integer(obj, where)
+        if n < minimum:
+            raise _cfg_error(f"{where} must be >= {minimum}")
+        return n
+    return parse
+
+
+_parse_seed = _at_least(0)
+
+
+def _parse_time(obj, where: str) -> float:
+    t = _number(obj, where)
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise _cfg_error(f"{where} must be finite and >= 0")
+    return t
+
+
+def _parse_string(obj, where: str) -> str:
+    if not isinstance(obj, str):
+        raise _cfg_error(f"{where} must be a string")
+    return obj
+
+
+def _parse_bool(obj, where: str) -> bool:
+    if not isinstance(obj, bool):
+        raise _cfg_error(f"{where} must be a boolean")
+    return obj
+
+
 def _parse_modes(obj, where: str) -> tuple[ModeParams, ...]:
-    if not isinstance(obj, Mapping):
-        raise _cfg_error(f"{where} must be an object with omega and gamma arrays")
-    _check_keys(obj, {"omega", "gamma"}, {"omega", "gamma"}, where)
-    omega, gamma = obj["omega"], obj["gamma"]
-    if not (isinstance(omega, list) and isinstance(gamma, list)):
-        raise _cfg_error(f"{where}.omega and {where}.gamma must be arrays")
+    _check_keys(obj, where, ("omega", "gamma"))
+    omega = _number_list(obj["omega"], f"{where}.omega")
+    gamma = _number_list(obj["gamma"], f"{where}.gamma")
     if len(omega) != len(gamma) or not omega:
         raise _cfg_error(f"{where}: omega and gamma must be equally sized and non-empty")
     try:
-        return tuple(
-            ModeParams(index=i, omega=float(o), gamma=float(g))
-            for i, (o, g) in enumerate(zip(omega, gamma))
-        )
-    except (TypeError, ValueError) as exc:
+        return tuple(ModeParams(index=i, omega=o, gamma=g)
+                     for i, (o, g) in enumerate(zip(omega, gamma)))
+    except ValueError as exc:
         raise _cfg_error(f"{where}: {exc}") from exc
 
 
-def _parse_code(obj, where: str) -> CodeSpec:
-    if not isinstance(obj, Mapping):
-        raise _cfg_error(f"{where} must be an object")
-    keys = set(obj.keys())
-    if keys == {"thetas"}:
-        if not isinstance(obj["thetas"], list):
-            raise _cfg_error(f"{where}.thetas must be an array")
-        return CodeSpec(thetas=tuple(
-            _cfg_number({"v": x}, "v", f"{where}.thetas") for x in obj["thetas"]
-        ))
-    if keys == {"beta"}:
-        beta = _cfg_number(obj, "beta", where)
+def _parse_code(obj, where: str, one_of=("thetas", "beta", "sample")) -> CodeSpec:
+    _check_keys(obj, where, one_of=one_of)
+    if "thetas" in obj:
+        return CodeSpec(thetas=_number_list(obj["thetas"], f"{where}.thetas"))
+    if "beta" in obj:
+        beta = _number(obj["beta"], f"{where}.beta")
         if beta <= 0.0:
             raise _cfg_error(f"{where}.beta must be positive")
         return CodeSpec(beta=beta)
-    if keys == {"sample"}:
-        sub = obj["sample"]
-        if not isinstance(sub, Mapping):
-            raise _cfg_error(f"{where}.sample must be an object")
-        _check_keys(sub, {"lo", "hi", "seed"}, {"lo", "hi", "seed"}, f"{where}.sample")
-        lo = _cfg_number(sub, "lo", f"{where}.sample")
-        hi = _cfg_number(sub, "hi", f"{where}.sample")
-        seed = _cfg_int(sub, "seed", f"{where}.sample")
-        if not 0.0 <= lo < hi:
-            raise _cfg_error(f"{where}.sample needs 0 <= lo < hi")
-        if seed < 0:
-            raise _cfg_error(f"{where}.sample.seed must be >= 0")
-        return CodeSpec(sample=(lo, hi, seed))
-    raise _cfg_error(
-        f"{where} must contain exactly one of: thetas, beta, sample "
-        f"(got {sorted(keys)})"
-    )
+    sub, at = obj["sample"], f"{where}.sample"
+    _check_keys(sub, at, ("lo", "hi", "seed"))
+    lo = _number(sub["lo"], f"{at}.lo")
+    hi = _number(sub["hi"], f"{at}.hi")
+    if not (0.0 <= lo < hi and math.isfinite(hi)):
+        raise _cfg_error(f"{at} needs 0 <= lo < hi, both finite")
+    return CodeSpec(sample=(lo, hi, _parse_seed(sub["seed"], f"{at}.seed")))
 
 
 def _parse_times(obj, where: str) -> tuple[float, ...]:
-    if not isinstance(obj, Mapping):
-        raise _cfg_error(f"{where} must be an object with start, stop, num")
-    _check_keys(obj, {"start", "stop", "num"}, {"start", "stop", "num"}, where)
-    start = _cfg_number(obj, "start", where)
-    stop = _cfg_number(obj, "stop", where)
-    num = _cfg_int(obj, "num", where)
-    if not (0.0 <= start < stop and math.isfinite(stop)):
-        raise _cfg_error(f"{where}: need 0 <= start < stop")
-    if num < 2:
-        raise _cfg_error(f"{where}.num must be >= 2")
-    return tuple(float(x) for x in np.linspace(start, stop, num))
+    _check_keys(obj, where, ("start", "stop", "num"))
+    start = _number(obj["start"], f"{where}.start")
+    stop = _number(obj["stop"], f"{where}.stop")
+    num = _integer(obj["num"], f"{where}.num")
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            grid = np.linspace(start, stop, max(num, 0))
+        return tuple(float(x) for x in _checked_times(grid, minimum_points=2))
+    except ValueError as exc:
+        raise _cfg_error(f"{where}: {exc}") from exc
+
+
+def _parse_theta_range(obj, where: str) -> tuple[float, float]:
+    pair = _number_list(obj, where)
+    if len(pair) != 2 or not 0.0 <= pair[0] < pair[1]:
+        raise _cfg_error(f"{where} must be a pair [lo, hi] with 0 <= lo < hi")
+    return pair
+
+
+def _parse_entries(obj, where: str) -> tuple[tuple[str, CodeSpec, float], ...]:
+    if not isinstance(obj, list) or not obj:
+        raise _cfg_error(f"{where} must be a non-empty array")
+    entries = []
+    for i, ent in enumerate(obj):
+        at = f"{where}[{i}]"
+        _check_keys(ent, at, ("id",), ("printed_at", "thetas", "beta"))
+        code = {k: v for k, v in ent.items() if k not in ("id", "printed_at")}
+        entries.append((_parse_string(ent["id"], f"{at}.id"),
+                        _parse_code(code, at, one_of=("thetas", "beta")),
+                        _number(ent.get("printed_at", 0.0), f"{at}.printed_at")))
+    return tuple(entries)
+
+
+def _parse_probe(obj, where: str) -> str | CodeSpec:
+    if isinstance(obj, Mapping) and set(obj) == {"entry"}:
+        return _parse_string(obj["entry"], f"{where}.entry")
+    return _parse_code(obj, where)
+
+
+# config key -> parser(value, where); every key of every kind has one
+_FIELDS = {
+    "modes": _parse_modes,
+    "code": _parse_code,
+    "times": _parse_times,
+    "time": _parse_time,
+    "registry": _parse_string,
+    "staggered": _parse_bool,
+    "threshold": _in_unit_interval,
+    "theta_range": _parse_theta_range,
+    "epsilon": _in_unit_interval,
+    "candidates": _at_least(1),
+    "seed": _parse_seed,
+    "entries": _parse_entries,
+    "probe": _parse_probe,
+}
 
 
 def parse_experiment_config(doc: Mapping) -> ExperimentConfig:
-    """Validate a parsed config document; unknown keys anywhere are errors."""
+    """Validate a config document against its kind's row of CONFIG_KINDS.
+
+    Unknown keys anywhere are errors, and numeric fields must be JSON
+    numbers. No file is read: a `registry` value stays a path.
+    """
     if not isinstance(doc, Mapping):
         raise _cfg_error("top level must be an object")
-    if "kind" not in doc:
-        raise _cfg_error("missing key 'kind'")
-    kind = doc["kind"]
-    if kind not in _KINDS:
-        raise _cfg_error(f"unknown kind '{kind}'; expected one of {list(_KINDS)}")
-
-    common_opt = {"kind", "out"}
-    raw = {k: doc[k] for k in doc}
-
-    def finish(**fields) -> ExperimentConfig:
-        out = doc.get("out")
-        if out is not None and not isinstance(out, str):
-            raise _cfg_error("out must be a string path")
-        return ExperimentConfig(kind=kind, raw=raw, out=out, **fields)
-
-    if kind in ("fidelity-matrix", "association-graph"):
-        allowed = common_opt | {"registry", "time", "staggered", "threshold"}
-        required = {"registry", "time"}
-        if kind == "association-graph":
-            required = required | {"threshold"}
-        _check_keys(doc, allowed, required, kind)
-        if not isinstance(doc["registry"], str):
-            raise _cfg_error("registry must be a string path")
-        time = _cfg_number(doc, "time", kind)
-        if time < 0.0 or not math.isfinite(time):
-            raise _cfg_error("time must be finite and >= 0")
-        staggered = doc.get("staggered", False)
-        if not isinstance(staggered, bool):
-            raise _cfg_error("staggered must be a boolean")
-        threshold = None
-        if "threshold" in doc:
-            threshold = _cfg_number(doc, "threshold", kind)
-            if not (0.0 < threshold < 1.0):
-                raise _cfg_error("threshold must be in (0, 1)")
-        return finish(registry=doc["registry"], time=time, staggered=staggered,
-                      threshold=threshold)
-
-    if kind == "capacity-sweep":
-        allowed = common_opt | {"modes", "theta_range", "epsilon", "candidates", "seed"}
-        _check_keys(doc, allowed, allowed - common_opt, kind)
-        modes = _parse_modes(doc["modes"], "modes")
-        tr = doc["theta_range"]
-        if not (isinstance(tr, list) and len(tr) == 2):
-            raise _cfg_error("theta_range must be a two-element array")
-        lo = _cfg_number({"v": tr[0]}, "v", "theta_range[0]")
-        hi = _cfg_number({"v": tr[1]}, "v", "theta_range[1]")
-        if not 0.0 <= lo < hi:
-            raise _cfg_error("theta_range needs 0 <= lo < hi")
-        epsilon = _cfg_number(doc, "epsilon", kind)
-        if not (0.0 < epsilon < 1.0):
-            raise _cfg_error("epsilon must be in (0, 1)")
-        candidates = _cfg_int(doc, "candidates", kind)
-        if candidates < 1:
-            raise _cfg_error("candidates must be >= 1")
-        seed = _cfg_int(doc, "seed", kind)
-        if seed < 0:
-            raise _cfg_error("seed must be >= 0")
-        return finish(modes=modes, theta_range=(lo, hi), epsilon=epsilon,
-                      candidates=candidates, seed=seed)
-
-    # forgetting-curve and thermo-trace share shape: modes + code + times
-    allowed = common_opt | {"modes", "code", "times"}
-    _check_keys(doc, allowed, {"modes", "code", "times"}, kind)
-    return finish(
-        modes=_parse_modes(doc["modes"], "modes"),
-        code=_parse_code(doc["code"], "code"),
-        times=_parse_times(doc["times"], "times"),
-    )
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in CONFIG_KINDS:
+        raise _cfg_error(f"unknown kind {kind!r}; expected one of {list(CONFIG_KINDS)}")
+    spec = CONFIG_KINDS[kind]
+    _check_keys(doc, kind, ("kind",) + spec.required, spec.optional, spec.one_of)
+    fields = {key: _FIELDS[key](value, key) for key, value in doc.items() if key != "kind"}
+    return ExperimentConfig(kind=kind, raw=dict(doc), **fields)

@@ -36,7 +36,8 @@ from . import __version__
 from . import fock
 from . import thermo
 from .capacity import (
-    CodeSpec,
+    CONFIG_KINDS,
+    ExperimentConfig,
     RegistryError,
     association_graph,
     capacity_estimate,
@@ -48,24 +49,9 @@ from .capacity import (
     print_memory,
     registry_to_json,
 )
-from .states import Code, MemoryState, effective_thetas, overlap
+from .states import MemoryState, effective_thetas, overlap
 
 SUMMARY_SCHEMA_VERSION = 1
-
-_COMMANDS = ("print", "recall", "evolve", "forgetting", "capacity",
-             "associate", "thermo-trace", "oracle-verify")
-
-# subcommand -> acceptable config "kind" values; None means no config allowed
-_CONFIG_KINDS = {
-    "print": ("print",),
-    "recall": ("recall",),
-    "evolve": ("evolve",),
-    "forgetting": ("forgetting-curve",),
-    "capacity": ("capacity-sweep",),
-    "associate": ("association-graph", "fidelity-matrix"),
-    "thermo-trace": ("thermo-trace",),
-    "oracle-verify": (),
-}
 
 
 class CliError(Exception):
@@ -89,8 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: current directory)")
     common.add_argument("--seed", type=int, metavar="U64",
                         help="default seed when the config omits one")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker cap for pairwise computations")
     common.add_argument("--epsilon", type=float, metavar="F",
                         help="default distinguishability threshold")
     common.add_argument("--dim", type=int, default=64, metavar="N",
@@ -111,9 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "thermo-trace": "entropy/energy trace with a first-law ledger",
         "oracle-verify": "run the Fock-space residual suite",
     }
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[common], help=helps[name],
-                       description=helps[name])
+    for name, text in helps.items():
+        sub.add_parser(name, parents=[common], help=text, description=text)
     return parser
 
 
@@ -188,59 +171,22 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _merge_flag_defaults(doc: dict, kind: str, args) -> dict:
-    """Flags fill config keys the document omits; config values win."""
-    merged = dict(doc)
-    if kind == "capacity-sweep":
-        if "seed" not in merged and args.seed is not None:
-            merged["seed"] = args.seed
-        if "epsilon" not in merged and args.epsilon is not None:
-            merged["epsilon"] = args.epsilon
-    if kind == "association-graph" and "threshold" not in merged \
-            and args.epsilon is not None:
-        merged["threshold"] = args.epsilon
-    return merged
-
-
-def _require_kind(doc: dict, command: str) -> str:
+def _parse_config(args) -> ExperimentConfig:
+    """Kind check, flag defaults, then the shared schema; config values win."""
+    if args.config is None:
+        raise CliError("usage", f"subcommand '{args.command}' needs --config")
+    doc = _load_config(args.config)
+    kinds = [k for k, spec in CONFIG_KINDS.items() if spec.command == args.command]
     kind = doc.get("kind")
-    allowed = _CONFIG_KINDS[command]
-    if kind not in allowed:
+    if kind not in kinds:
         raise CliError("config",
                        f"config kind {kind!r} does not match subcommand "
-                       f"'{command}' (expected one of {list(allowed)})")
-    return kind
-
-
-def _check_keys(doc: Mapping, allowed: set[str], required: set[str], where: str) -> None:
-    got = set(doc.keys())
-    unknown = sorted(got - allowed)
-    if unknown:
-        raise CliError("config", f"{where}: unknown keys {unknown}")
-    missing = sorted(required - got)
-    if missing:
-        raise CliError("config", f"{where}: missing keys {missing}")
-
-
-def _number(doc: Mapping, key: str, where: str) -> float:
-    x = doc[key]
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise CliError("config", f"{where}.{key} must be a number")
-    return float(x)
-
-
-def _parse_mode_lists(obj, where: str) -> tuple:
-    from .capacity import _parse_modes  # shared strict parser
+                       f"'{args.command}' (expected one of {kinds})")
+    for key, flag in CONFIG_KINDS[kind].flags:
+        if key not in doc and getattr(args, flag) is not None:
+            doc[key] = getattr(args, flag)
     try:
-        return _parse_modes(obj, where)
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
-
-
-def _parse_code_obj(obj, where: str) -> CodeSpec:
-    from .capacity import _parse_code
-    try:
-        return _parse_code(obj, where)
+        return parse_experiment_config(doc)
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
 
@@ -249,88 +195,43 @@ def _parse_code_obj(obj, where: str) -> CodeSpec:
 # subcommand handlers; each returns (artifacts, stdout line, exit code)
 
 
-def _run_print(doc: dict, args) -> tuple[dict[str, str], str, int]:
-    allowed = {"kind", "modes", "registry", "entries", "out"}
-    _check_keys(doc, allowed, {"kind", "entries"}, "print")
-    has_modes = "modes" in doc
-    has_reg = "registry" in doc
-    if has_modes == has_reg:
-        raise CliError("config",
-                       "print: give exactly one of 'modes' (fresh registry) "
-                       "or 'registry' (extend an existing file)")
-    if has_reg:
-        if not isinstance(doc["registry"], str):
-            raise CliError("config", "print.registry must be a string path")
-        registry = load_registry(doc["registry"])
+def _run_print(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
+    if cfg.registry is not None:
+        registry = load_registry(cfg.registry)
     else:
-        registry = new_registry(_parse_mode_lists(doc["modes"], "modes"))
-
-    entries = doc["entries"]
-    if not isinstance(entries, list) or not entries:
-        raise CliError("config", "print.entries must be a non-empty array")
-    for i, ent in enumerate(entries):
-        where = f"entries[{i}]"
-        if not isinstance(ent, Mapping):
-            raise CliError("config", f"{where} must be an object")
-        _check_keys(ent, {"id", "thetas", "beta", "printed_at"}, {"id"}, where)
-        if not isinstance(ent["id"], str):
-            raise CliError("config", f"{where}.id must be a string")
-        printed_at = _number(ent, "printed_at", where) if "printed_at" in ent else 0.0
-        spec_keys = {"thetas", "beta"} & set(ent.keys())
-        if len(spec_keys) != 1:
-            raise CliError("config", f"{where}: give exactly one of thetas, beta")
-        if "thetas" in ent:
-            if not isinstance(ent["thetas"], list):
-                raise CliError("config", f"{where}.thetas must be an array")
-            code = Code(tuple(float(x) for x in ent["thetas"]))
-            registry = print_memory(registry, ent["id"], code,
-                                    printed_at=printed_at)
-        else:
-            registry = print_memory(registry, ent["id"],
-                                    beta=_number(ent, "beta", where),
-                                    printed_at=printed_at)
+        registry = new_registry(cfg.modes)
+    for entry_id, spec, printed_at in cfg.entries:
+        registry = print_memory(registry, entry_id, spec.realize(registry.modes),
+                                printed_at=printed_at)
 
     artifacts = {
         "registry.json": registry_to_json(registry),
-        "summary.json": _summary("print", "print", doc, {
+        "summary.json": _summary("print", cfg.kind, cfg.raw, {
             "entry_count": len(registry.entries),
             "ids": list(registry.ids),
             "mode_count": registry.k,
         }),
     }
-    return artifacts, (f"printed {len(entries)} entries "
+    return artifacts, (f"printed {len(cfg.entries)} entries "
                        f"({len(registry.entries)} total)"), 0
 
 
-def _run_recall(doc: dict, args) -> tuple[dict[str, str], str, int]:
-    allowed = {"kind", "registry", "probe", "time", "staggered", "out"}
-    _check_keys(doc, allowed, {"kind", "registry", "probe", "time"}, "recall")
-    if not isinstance(doc["registry"], str):
-        raise CliError("config", "recall.registry must be a string path")
-    t = _number(doc, "time", "recall")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise CliError("config", "recall.time must be finite and >= 0")
-    staggered = doc.get("staggered", False)
-    if not isinstance(staggered, bool):
-        raise CliError("config", "recall.staggered must be a boolean")
-
-    registry = load_registry(doc["registry"])
-    probe = doc["probe"]
-    if not isinstance(probe, Mapping):
-        raise CliError("config", "recall.probe must be an object")
-    if set(probe.keys()) == {"entry"}:
-        if probe["entry"] not in registry.ids:
+def _run_recall(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
+    t = cfg.time
+    registry = load_registry(cfg.registry)
+    if isinstance(cfg.probe, str):
+        if cfg.probe not in registry.ids:
             raise CliError("config",
-                           f"recall.probe.entry {probe['entry']!r} not in registry")
-        probe_code = registry.entry(probe["entry"]).code
+                           f"recall.probe.entry {cfg.probe!r} not in registry")
+        probe_code = registry.entry(cfg.probe).code
     else:
-        probe_code = _parse_code_obj(probe, "recall.probe").realize(registry.modes)
+        probe_code = cfg.probe.realize(registry.modes)
 
     probe_state = MemoryState(registry.modes, probe_code, t)
     rows = []
     best_id, best_score = None, -1.0
     for ent in registry.entries:
-        elapsed = t - ent.printed_at if staggered else t
+        elapsed = t - ent.printed_at if cfg.staggered else t
         if elapsed < 0.0:
             raise ValueError(
                 f"evaluation time {t} precedes printed_at {ent.printed_at} "
@@ -343,28 +244,20 @@ def _run_recall(doc: dict, args) -> tuple[dict[str, str], str, int]:
 
     artifacts = {
         "recall.csv": _csv_text(["entry_id", "score"], rows),
-        "summary.json": _summary("recall", "recall", doc, {
+        "summary.json": _summary("recall", cfg.kind, cfg.raw, {
             "metric": "overlap",
             "best_id": best_id,
             "best_score": best_score,
             "eval_time": t,
-            "staggered": staggered,
+            "staggered": cfg.staggered,
         }),
     }
     return artifacts, f"best match {best_id} (score {best_score:.6g})", 0
 
 
-def _run_evolve(doc: dict, args) -> tuple[dict[str, str], str, int]:
-    from .capacity import _parse_times
-    allowed = {"kind", "modes", "code", "times", "out"}
-    _check_keys(doc, allowed, {"kind", "modes", "code", "times"}, "evolve")
-    modes = _parse_mode_lists(doc["modes"], "modes")
-    code = _parse_code_obj(doc["code"], "code").realize(modes)
-    try:
-        times = _parse_times(doc["times"], "times")
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
-
+def _run_evolve(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
+    modes, times = cfg.modes, cfg.times
+    code = cfg.code.realize(modes)
     k = len(modes)
     header = (["time"]
               + [f"theta_{i}" for i in range(k)]
@@ -383,7 +276,7 @@ def _run_evolve(doc: dict, args) -> tuple[dict[str, str], str, int]:
 
     artifacts = {
         "evolve.csv": _csv_text(header, rows),
-        "summary.json": _summary("evolve", "evolve", doc, {
+        "summary.json": _summary("evolve", cfg.kind, cfg.raw, {
             "mode_count": k,
             "time_points": len(times),
             "final_entropy": rows[-1][-2],
@@ -393,7 +286,7 @@ def _run_evolve(doc: dict, args) -> tuple[dict[str, str], str, int]:
     return artifacts, f"tabulated {len(times)} points for {k} modes", 0
 
 
-def _run_forgetting(cfg, doc: dict) -> tuple[dict[str, str], str, int]:
+def _run_forgetting(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
     code = cfg.code.realize(cfg.modes)
     curve = forgetting_curve(code, cfg.modes, cfg.times)
     rows = [[t, s, v, n] for t, s, v, n in
@@ -402,7 +295,7 @@ def _run_forgetting(cfg, doc: dict) -> tuple[dict[str, str], str, int]:
     artifacts = {
         "forgetting.csv": _csv_text(
             ["time", "self_overlap", "vacuum_overlap", "total_occupation"], rows),
-        "summary.json": _summary("forgetting", cfg.kind, doc, {
+        "summary.json": _summary("forgetting", cfg.kind, cfg.raw, {
             "tau": curve.tau,
             "time_points": len(curve.times),
             "final_self_overlap": curve.self_overlap[-1],
@@ -412,7 +305,7 @@ def _run_forgetting(cfg, doc: dict) -> tuple[dict[str, str], str, int]:
     return artifacts, f"forgetting time tau = {tau}", 0
 
 
-def _run_capacity(cfg, doc: dict) -> tuple[dict[str, str], str, int]:
+def _run_capacity(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
     report = capacity_estimate(cfg.modes, cfg.theta_range, cfg.epsilon,
                                cfg.candidates, cfg.seed)
     accepted = set(report.accepted_indices)
@@ -421,7 +314,7 @@ def _run_capacity(cfg, doc: dict) -> tuple[dict[str, str], str, int]:
     artifacts = {
         "capacity.csv": _csv_text(["candidate_index", "accepted", "accepted_count"],
                                   rows),
-        "summary.json": _summary("capacity", cfg.kind, doc, {
+        "summary.json": _summary("capacity", cfg.kind, cfg.raw, {
             "accepted_count": report.accepted_count,
             "accepted_indices": list(report.accepted_indices),
             "accepted_codes": [list(c.thetas) for c in report.accepted_codes],
@@ -439,16 +332,15 @@ def _run_capacity(cfg, doc: dict) -> tuple[dict[str, str], str, int]:
     return artifacts, line, 0
 
 
-def _run_associate(cfg, doc: dict, threads: int) -> tuple[dict[str, str], str, int]:
+def _run_associate(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
     registry = load_registry(cfg.registry)
     if cfg.kind == "fidelity-matrix":
-        fm = fidelity_matrix(registry, cfg.time, staggered=cfg.staggered,
-                             threads=threads)
+        fm = fidelity_matrix(registry, cfg.time, staggered=cfg.staggered)
         rows = [[fm.ids[i]] + [float(x) for x in fm.values[i]]
                 for i in range(len(fm.ids))]
         artifacts = {
             "fidelity.csv": _csv_text(["entry_id"] + list(fm.ids), rows),
-            "summary.json": _summary("associate", cfg.kind, doc, {
+            "summary.json": _summary("associate", cfg.kind, cfg.raw, {
                 "ids": list(fm.ids),
                 "eval_time": fm.eval_time,
                 "staggered": fm.staggered,
@@ -458,11 +350,11 @@ def _run_associate(cfg, doc: dict, threads: int) -> tuple[dict[str, str], str, i
         return artifacts, f"fidelity matrix over {len(fm.ids)} entries", 0
 
     graph = association_graph(registry, cfg.time, cfg.threshold,
-                              staggered=cfg.staggered, threads=threads)
+                              staggered=cfg.staggered)
     rows = [[a, b, w] for a, b, w in graph.edges]
     artifacts = {
         "edges.csv": _csv_text(["entry_a", "entry_b", "fidelity"], rows),
-        "summary.json": _summary("associate", cfg.kind, doc, {
+        "summary.json": _summary("associate", cfg.kind, cfg.raw, {
             "ids": list(graph.ids),
             "threshold": graph.threshold,
             "eval_time": graph.eval_time,
@@ -475,7 +367,7 @@ def _run_associate(cfg, doc: dict, threads: int) -> tuple[dict[str, str], str, i
     return artifacts, line, 0
 
 
-def _run_thermo_trace(cfg, doc: dict) -> tuple[dict[str, str], str, int]:
+def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
     code = cfg.code.realize(cfg.modes)
     state = MemoryState(cfg.modes, code, 0.0)
     rows = []
@@ -496,7 +388,7 @@ def _run_thermo_trace(cfg, doc: dict) -> tuple[dict[str, str], str, int]:
         "first_law.csv": _csv_text(
             ["t_left", "t_right", "delta_energy", "heat", "residual", "flagged"],
             led_rows),
-        "summary.json": _summary("thermo-trace", cfg.kind, doc, {
+        "summary.json": _summary("thermo-trace", cfg.kind, cfg.raw, {
             "time_points": len(cfg.times),
             "max_first_law_residual": max_resid,
             "flagged_intervals": int(sum(ledger.flagged)),
@@ -642,6 +534,17 @@ def _manifest(args, argv: list[str], config_echo, seed, wall: float) -> str:
     })
 
 
+_HANDLERS = {
+    "print": _run_print,
+    "recall": _run_recall,
+    "evolve": _run_evolve,
+    "forgetting": _run_forgetting,
+    "capacity": _run_capacity,
+    "associate": _run_associate,
+    "thermo-trace": _run_thermo_trace,
+}
+
+
 def _dispatch(args) -> tuple[dict[str, str], str, int, object, object]:
     """Returns (artifacts, stdout line, exit code, config echo, seed)."""
     if args.command == "oracle-verify":
@@ -650,38 +553,9 @@ def _dispatch(args) -> tuple[dict[str, str], str, int, object, object]:
         artifacts, line, code = _run_oracle_verify(args)
         return artifacts, line, code, {"dim": int(args.dim)}, None
 
-    if args.config is None:
-        raise CliError("usage", f"subcommand '{args.command}' needs --config")
-    doc = _load_config(args.config)
-    kind = _require_kind(doc, args.command)
-
-    if args.command == "print":
-        artifacts, line, code = _run_print(doc, args)
-        return artifacts, line, code, doc, None
-    if args.command == "recall":
-        artifacts, line, code = _run_recall(doc, args)
-        return artifacts, line, code, doc, None
-    if args.command == "evolve":
-        artifacts, line, code = _run_evolve(doc, args)
-        return artifacts, line, code, doc, None
-
-    merged = _merge_flag_defaults(doc, kind, args)
-    try:
-        cfg = parse_experiment_config(merged)
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
-
-    if args.command == "forgetting":
-        artifacts, line, code = _run_forgetting(cfg, merged)
-        return artifacts, line, code, merged, None
-    if args.command == "capacity":
-        artifacts, line, code = _run_capacity(cfg, merged)
-        return artifacts, line, code, merged, cfg.seed
-    if args.command == "associate":
-        artifacts, line, code = _run_associate(cfg, merged, args.threads)
-        return artifacts, line, code, merged, None
-    artifacts, line, code = _run_thermo_trace(cfg, merged)
-    return artifacts, line, code, merged, None
+    cfg = _parse_config(args)
+    artifacts, line, code = _HANDLERS[args.command](cfg)
+    return artifacts, line, code, cfg.raw, cfg.seed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -692,8 +566,6 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:  # --help and friends
             return int(exc.code or 0)
 
-        if args.threads < 1:
-            raise CliError("usage", f"--threads must be >= 1, got {args.threads}")
         if args.seed is not None and not (0 <= args.seed < 2 ** 64):
             raise CliError("usage", f"--seed must fit in a u64, got {args.seed}")
 

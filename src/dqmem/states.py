@@ -99,6 +99,18 @@ def _checked_modes(modes: Iterable[ModeParams]) -> tuple[ModeParams, ...]:
     return ms
 
 
+def _checked_times(times, minimum_points: int = 1) -> np.ndarray:
+    """A time grid as a float array: finite, >= 0 and strictly increasing."""
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or ts.size < minimum_points:
+        raise ValueError(f"time grid needs at least {minimum_points} points")
+    if not np.all(np.isfinite(ts)) or np.any(ts < 0.0):
+        raise ValueError("time grid must be finite and non-negative")
+    if np.any(np.diff(ts) <= 0.0):
+        raise ValueError("time grid must be strictly increasing")
+    return ts
+
+
 @dataclass(frozen=True)
 class Code:
     """A stored code: one squeeze parameter theta >= 0 per pair.

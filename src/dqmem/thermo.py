@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .states import MemoryState, effective_theta, effective_thetas
+from .states import MemoryState, _checked_times, effective_theta, effective_thetas
 
 __all__ = [
     "ThermoSnapshot",
@@ -196,24 +196,13 @@ def _trajectory(state: MemoryState, times: np.ndarray) -> np.ndarray:
     return times[:, None] * gammas[None, :] - thetas[None, :]
 
 
-def _checked_grid(times, minimum_points: int) -> np.ndarray:
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size < minimum_points:
-        raise ValueError(f"time grid needs at least {minimum_points} points")
-    if not np.all(np.isfinite(ts)) or np.any(ts < 0.0):
-        raise ValueError("time grid must be finite and non-negative")
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("time grid must be strictly increasing")
-    return ts
-
-
 def entropy_trace(state: MemoryState, times) -> np.ndarray:
     """Total entropy along the trajectory, one value per grid time.
 
     For a single damped mode the trace falls strictly on (0, theta/gamma),
     hits exactly 0 at the forgetting time, and rises strictly after it.
     """
-    ts = _checked_grid(times, minimum_points=1)
+    ts = _checked_times(times)
     return _entropy_per_mode(_trajectory(state, ts)).sum(axis=1)
 
 
@@ -227,7 +216,7 @@ def first_law_ledger(state: MemoryState, times) -> FirstLawLedger:
     trusted. Residuals on unflagged steps converge to 0 at second order in
     the step size.
     """
-    ts = _checked_grid(times, minimum_points=2)
+    ts = _checked_times(times, minimum_points=2)
     gammas = np.array([m.gamma for m in state.modes], dtype=float)
     energies = _energies(state)
 

@@ -169,12 +169,12 @@ def test_staggered_needs_time_after_last_print():
         fidelity_matrix(reg, 0.5, staggered=True)
 
 
-def test_fidelity_matrix_thread_count_invariant():
+def test_fidelity_matrix_entry_order_invariant():
+    # reversing the registry reverses both axes, bit for bit
     codes = [[0.1 * i, 0.05 * i, 0.2] for i in range(8)]
-    reg = registry_k(3, codes)
-    one = fidelity_matrix(reg, 0.0, threads=1)
-    four = fidelity_matrix(reg, 0.0, threads=4)
-    assert np.array_equal(one.values, four.values)
+    forward = fidelity_matrix(registry_k(3, codes), 0.0)
+    backward = fidelity_matrix(registry_k(3, codes[::-1]), 0.0)
+    assert np.array_equal(forward.values, backward.values[::-1, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +323,13 @@ def test_load_round_trips_all_fields(tmp_path):
 
 
 def test_load_rejects_malformed_json(tmp_path):
+    doc = json.loads(registry_to_json(registry_k(1, [[0.3]])))
+    doc["modes"][0]["index"] = 0.5
     path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(RegistryFormatError):
-        load_registry(path)
+    for text in ("{not json", json.dumps(doc)):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(RegistryFormatError):
+            load_registry(path)
 
 
 def test_load_rejects_legacy_version(tmp_path):

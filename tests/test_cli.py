@@ -194,7 +194,7 @@ def test_associate_graph_and_matrix(tmp_path, registry_path):
     })
     out_m = tmp_path / "matrix_out"
     assert run(["associate", "--config", matrix_cfg, "--out", out_m,
-                "--quiet", "--threads", 2]) == 0
+                "--quiet"]) == 0
     rows = read_csv(out_m / "fidelity.csv")
     assert rows[0] == ["entry_id", "alpha", "beta", "gamma"]
     assert float(rows[1][1]) == 1.0
@@ -240,16 +240,89 @@ def test_exit_1_on_missing_config(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
-def test_exit_1_on_unknown_config_keys(tmp_path, capsys):
-    cfg = write_config(tmp_path, "bad.json", {
+REGISTRY = "<registry>"  # replaced by the fixture registry's path
+
+# kind -> (subcommand, valid config, paths of numeric fields in it)
+VALID_CONFIGS = {
+    "print": ("print", {
+        "kind": "print",
+        "modes": {"omega": [1.0, 1.0], "gamma": [1.0, 0.5]},
+        "entries": [{"id": "a", "thetas": [0.3, 0.5], "printed_at": 0.0}],
+    }, [("entries", 0, "thetas", 0), ("entries", 0, "printed_at"),
+        ("modes", "omega", 0), ("modes", "gamma", 1)]),
+    "recall": ("recall", {
+        "kind": "recall", "registry": REGISTRY,
+        "probe": {"thetas": [0.3, 0.5]}, "time": 0.5,
+    }, [("time",), ("probe", "thetas", 0)]),
+    "evolve": ("evolve", {
+        "kind": "evolve",
+        "modes": {"omega": [1.0], "gamma": [1.0]},
+        "code": {"beta": 2.0},
+        "times": {"start": 0.0, "stop": 1.0, "num": 3},
+    }, [("modes", "gamma", 0), ("code", "beta"), ("times", "stop")]),
+    "forgetting-curve": ("forgetting", {
         "kind": "forgetting-curve",
         "modes": {"omega": [1.0], "gamma": [1.0]},
         "code": {"thetas": [0.5]},
         "times": {"start": 0.0, "stop": 1.0, "num": 5},
-        "typo": True,
-    })
-    assert run(["forgetting", "--config", cfg, "--out", tmp_path / "o"]) == 1
-    assert capsys.readouterr().err.startswith("error: config:")
+    }, [("modes", "omega", 0), ("code", "thetas", 0), ("times", "start")]),
+    "capacity-sweep": ("capacity", {
+        "kind": "capacity-sweep",
+        "modes": {"omega": [1.0], "gamma": [1.0]},
+        "theta_range": [0.0, 1.5], "epsilon": 0.05, "candidates": 5, "seed": 1,
+    }, [("modes", "gamma", 0), ("theta_range", 1), ("epsilon",)]),
+    "fidelity-matrix": ("associate", {
+        "kind": "fidelity-matrix", "registry": REGISTRY, "time": 0.5,
+    }, [("time",)]),
+    "association-graph": ("associate", {
+        "kind": "association-graph", "registry": REGISTRY, "time": 0.5,
+        "threshold": 0.5,
+    }, [("threshold",)]),
+    "thermo-trace": ("thermo-trace", {
+        "kind": "thermo-trace",
+        "modes": {"omega": [1.0], "gamma": [1.0]},
+        "code": {"sample": {"lo": 0.0, "hi": 1.0, "seed": 3}},
+        "times": {"start": 0.0, "stop": 1.0, "num": 5},
+    }, [("modes", "omega", 0), ("code", "sample", "hi")]),
+}
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return doc
+
+
+def test_exit_1_on_unknown_config_keys(tmp_path, registry_path, capsys):
+    # every kind: unknown key, missing key, and a boolean or a numeric string
+    # in each numeric field must each give exit 1 with one config error line
+    cases = []
+    for kind, (command, doc, number_paths) in VALID_CONFIGS.items():
+        doc = json.loads(json.dumps(doc).replace(REGISTRY, str(registry_path)))
+        cases.append((f"{kind} valid", command, doc, 0))
+        cases.append((f"{kind} unknown key", command, dict(doc, typo=1.0), 1))
+        for key in doc:
+            if key != "kind":
+                missing = {k: v for k, v in doc.items() if k != key}
+                cases.append((f"{kind} missing {key}", command, missing, 1))
+        for path in number_paths:
+            for bad in (True, "0.5"):
+                cases.append((f"{kind} {path}={bad!r}", command,
+                              _replaced(doc, path, bad), 1))
+
+    wrong = []
+    for name, command, doc, want in cases:
+        cfg = write_config(tmp_path, "case.json", doc)
+        code = run([command, "--config", cfg, "--out", tmp_path / "o", "--quiet"])
+        err = capsys.readouterr().err
+        ok = (code == 0 and err == "") if want == 0 else (
+            code == 1 and err.startswith("error: config:") and err.count("\n") == 1)
+        if not ok:
+            wrong.append(f"{name}: exit {code}, stderr {err!r}")
+    assert not wrong, "\n".join(wrong)
 
 
 def test_exit_1_on_kind_subcommand_mismatch(tmp_path, capsys):
