@@ -27,9 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.integrate import quad
-from scipy.sparse.csgraph import connected_components
 
 from .states import (
     Code,
@@ -273,20 +271,28 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     fm = fidelity_matrix(registry, t, staggered=staggered)
-    n = len(fm.ids)
-    adj = np.zeros((n, n), dtype=bool)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if fm.values[i, j] >= threshold:
-                edges.append((fm.ids[i], fm.ids[j], float(fm.values[i, j])))
-                adj[i, j] = adj[j, i] = True
-    n_comp, labels = connected_components(sparse.csr_matrix(adj), directed=False)
-    clusters = tuple(
-        tuple(fm.ids[i] for i in range(n) if labels[i] == c) for c in range(n_comp)
-    )
+    rows, cols = np.triu(fm.values >= threshold, 1).nonzero()  # row-major
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    edges = tuple((fm.ids[i], fm.ids[j], v)
+                  for (i, j), v in zip(pairs, fm.values[rows, cols].tolist()))
+    # union-find; grouping in registry order lists each cluster from its first member
+    root = list(range(len(fm.ids)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, j in pairs:
+        a, b = find(i), find(j)
+        root[max(a, b)] = min(a, b)
+    members: dict[int, list[str]] = {}
+    for i, entry_id in enumerate(fm.ids):
+        members.setdefault(find(i), []).append(entry_id)
     return AssociationGraph(ids=fm.ids, threshold=threshold, eval_time=float(t),
-                            edges=tuple(edges), clusters=clusters)
+                            edges=edges,
+                            clusters=tuple(tuple(m) for m in members.values()))
 
 
 @dataclass(frozen=True)
@@ -306,29 +312,62 @@ class CapacityReport:
     expected_pair_overlap: float
 
 
+def _candidate_block(thetas) -> np.ndarray:
+    """Candidates as a finite (n, K) float array; ValueError otherwise."""
+    try:
+        cands = np.asarray(thetas, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"candidate codes must form an (n, K) array: {exc}") from None
+    if cands.size == 0 and cands.ndim == 1:
+        return cands.reshape(0, 0)
+    if cands.ndim != 2:
+        raise ValueError(
+            f"candidate codes must form an (n, K) array, got shape {cands.shape}"
+        )
+    if not np.isfinite(cands).all():
+        raise ValueError("candidate codes must be finite")
+    return cands
+
+
 def greedy_pack(thetas: Sequence[Sequence[float]], epsilon: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Greedy mutual-distinguishability packing over candidate codes.
 
     Accepts a candidate iff its overlap with every already accepted code is
-    strictly below epsilon; overlaps are compared in the log domain with
-    compensated per-mode sums. Returns (accepted indices, acceptance curve),
-    the curve being the accepted count after each candidate.
+    strictly below epsilon, that is iff fsum_k ln cosh(gap_k) > -ln epsilon
+    for every accepted code, the sum taken by math.fsum (correctly rounded).
+    Returns (accepted indices, acceptance curve), the curve being the
+    accepted count after each candidate.
+
+    Each candidate is screened against the whole accepted block at once:
+    s = log_cosh(c - accepted).sum(axis=1) differs from the fsum of the same
+    row by at most 4 (K + 2) eps (|s| + K eps), eps the float64 machine
+    epsilon: the terms are >= 0 up to a few eps each, and the K eps floor
+    covers those near s = 0. A row that clears -ln epsilon by more than
+    that bound is decided by s alone; any other row is re-decided by the
+    exact fsum rule on its own. The accepted set is therefore the one the per-pair
+    fsum loop gives, bit for bit. Candidates must form a finite (n, K)
+    array; an empty sequence packs to ((), ()).
     """
     epsilon = float(epsilon)
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     log_eps = math.log(epsilon)
-    cands = [np.asarray(c, dtype=float) for c in thetas]
+    cands = _candidate_block(thetas)
+    k = cands.shape[1]
+    machine_eps = np.finfo(float).eps
+    acc = np.empty_like(cands)
     accepted: list[int] = []
     curve: list[int] = []
     for idx, cand in enumerate(cands):
-        ok = True
-        for j in accepted:
-            if -math.fsum(log_cosh(cand - cands[j])) >= log_eps:
-                ok = False
-                break
-        if ok:
-            accepted.append(idx)
+        block = acc[:len(accepted)]
+        s = log_cosh(cand - block).sum(axis=1)
+        bound = 4.0 * (k + 2) * machine_eps * (np.abs(s) + k * machine_eps)
+        # s +- bound brackets each row's fsum; reject iff some fsum <= -ln epsilon
+        if not np.any(s + bound <= -log_eps):
+            unsure = np.flatnonzero(s - bound <= -log_eps)
+            if all(-math.fsum(log_cosh(cand - block[j])) < log_eps for j in unsure):
+                acc[len(accepted)] = cand
+                accepted.append(idx)
         curve.append(len(accepted))
     return tuple(accepted), tuple(curve)
 

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .states import MemoryState, _checked_times, effective_theta, effective_thetas
 
@@ -47,9 +46,23 @@ __all__ = [
 
 
 def _entropy_per_mode(thetas: np.ndarray) -> np.ndarray:
-    """s(Theta) elementwise, with the x ln x -> 0 limit at Theta = 0."""
+    """s(Theta) = ln(1 + x) + x ln(1 + 1/x) elementwise, x = sinh^2 Theta.
+
+    Both terms are >= 0, so nothing cancels; the textbook form
+    (1 + x) ln(1 + x) - x ln x subtracts two terms of size x ln x and has
+    lost every digit by |Theta| ~ 20. Below x = 1 the second term is taken
+    as x (ln(1 + x) - ln x), so a subnormal x never forms 1/x = inf, and
+    Theta = 0 gives exactly 0.
+    """
     x = np.sinh(np.asarray(thetas, dtype=float)) ** 2
-    return (1.0 + x) * np.log1p(x) - xlogy(x, x)
+    head = np.log1p(x)
+    small = x < 1.0
+    tail = np.where(
+        small,
+        x * (head - np.log(np.where(x > 0.0, x, 1.0))),
+        x * np.log1p(1.0 / np.where(small, 1.0, x)),
+    )
+    return head + tail
 
 
 def _beta_energy(thetas: np.ndarray) -> np.ndarray:

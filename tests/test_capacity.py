@@ -32,7 +32,7 @@ from dqmem.capacity import (
     registry_to_json,
     save_registry,
 )
-from dqmem.states import Code, MemoryState, ModeParams, overlap
+from dqmem.states import Code, MemoryState, ModeParams, log_cosh, overlap
 
 ACOSH_2 = 1.3169578969248166
 
@@ -201,6 +201,85 @@ def test_greedy_pack_loose_epsilon_accepts_all():
     assert accepted == (0, 1, 2)
 
 
+def per_pair_fsum_pack(thetas, epsilon):
+    """The per-pair fsum loop greedy_pack must reproduce decision for decision."""
+    epsilon = float(epsilon)
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    log_eps = math.log(epsilon)
+    cands = [np.asarray(c, dtype=float) for c in thetas]
+    accepted: list[int] = []
+    curve: list[int] = []
+    for idx, cand in enumerate(cands):
+        ok = True
+        for j in accepted:
+            if -math.fsum(log_cosh(cand - cands[j])) >= log_eps:
+                ok = False
+                break
+        if ok:
+            accepted.append(idx)
+        curve.append(len(accepted))
+    return tuple(accepted), tuple(curve)
+
+
+@given(k=st.integers(1, 64), n=st.integers(0, 200),
+       epsilon=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       width=st.floats(0.0, 4.0), lattice=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_greedy_pack_matches_per_pair_fsum_loop(k, n, epsilon, width, lattice, seed):
+    cands = np.random.default_rng(seed).uniform(0.0, width, size=(n, k))
+    if lattice:  # repeated codes and exactly equal gaps
+        cands = np.round(cands * 2.0) / 2.0
+    assert greedy_pack(cands, epsilon) == per_pair_fsum_pack(cands, epsilon)
+
+
+def count_fsum_calls(monkeypatch):
+    calls = []
+    fsum = math.fsum
+
+    def counting(xs):
+        calls.append(1)
+        return fsum(xs)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_greedy_pack_near_tie_takes_exact_fallback(monkeypatch, k):
+    # K equal gaps d with K ln cosh d = -ln epsilon: the block sum lands
+    # within a few ulps of the threshold, so only fsum can decide
+    epsilon = 0.05
+    d = math.acosh(math.exp(-math.log(epsilon) / k))
+    decisions = set()
+    for gap in (d + i * math.ulp(d) for i in range(-8, 9)):
+        cands = [[0.0] * k, [gap] * k]
+        expected = per_pair_fsum_pack(cands, epsilon)
+        calls = count_fsum_calls(monkeypatch)
+        assert greedy_pack(cands, epsilon) == expected
+        assert len(calls) == 1
+        monkeypatch.undo()
+        decisions.add(expected[0])
+    assert decisions == {(0,), (0, 1)}  # the scan straddles the threshold
+
+
+def test_greedy_pack_screen_decides_clear_rows_without_fsum(monkeypatch):
+    cands = np.random.default_rng(3).uniform(0.0, 3.0, size=(150, 16))
+    expected = per_pair_fsum_pack(cands, 0.05)
+    calls = count_fsum_calls(monkeypatch)
+    assert greedy_pack(cands, 0.05) == expected
+    assert len(expected[0]) > 20 and calls == []
+
+
+def test_greedy_pack_rejects_non_finite_or_ragged_candidates():
+    for bad in ([[0.0], [math.nan], [5.0]], [[0.0], [math.inf]],
+                [[0.0, 1.0], [2.0]], [0.0, 5.0], [[[0.0]]], [["x"]]):
+        with pytest.raises(ValueError, match="candidate codes"):
+            greedy_pack(bad, 0.05)
+    assert greedy_pack([], 0.05) == ((), ())
+
+
 def test_capacity_estimate_deterministic():
     a = capacity_estimate(modes_k(4), (0.0, 1.5), 0.05, 100, seed=7)
     b = capacity_estimate(modes_k(4), (0.0, 1.5), 0.05, 100, seed=7)
@@ -292,6 +371,38 @@ def test_association_shrinking_mode_count_adds_edges():
     thr = 0.3  # 1/cosh(1.2) ~ 0.552; 0.552^4 ~ 0.093
     assert len(association_graph(small, 0.0, thr).edges) == 1
     assert len(association_graph(big, 0.0, thr).edges) == 0
+
+
+def loop_association_graph(registry, t, threshold):
+    """Edges by a double loop and clusters by scipy, as association_graph had them."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    fm = fidelity_matrix(registry, t)
+    n = len(fm.ids)
+    adj = np.zeros((n, n), dtype=bool)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if fm.values[i, j] >= threshold:
+                edges.append((fm.ids[i], fm.ids[j], float(fm.values[i, j])))
+                adj[i, j] = adj[j, i] = True
+    n_comp, labels = connected_components(sparse.csr_matrix(adj), directed=False)
+    clusters = tuple(
+        tuple(fm.ids[i] for i in range(n) if labels[i] == c) for c in range(n_comp)
+    )
+    return tuple(edges), clusters
+
+
+def test_association_graph_matches_loop_and_connected_components():
+    rng = np.random.default_rng(5)
+    centres = rng.uniform(0.0, 8.0, size=(6, 3))
+    codes = centres[rng.integers(0, 6, size=80)] + rng.normal(0.0, 0.2, size=(80, 3))
+    reg = registry_k(3, np.abs(codes).tolist(), ids=[f"e{j:02d}" for j in rng.permutation(80)])
+    for threshold in (0.05, 0.3, 0.5, 0.8, 0.99):
+        g = association_graph(reg, 0.0, threshold)
+        assert (g.edges, g.clusters) == loop_association_graph(reg, 0.0, threshold)
+    assert 1 < len(association_graph(reg, 0.0, 0.5).clusters) < 80
 
 
 def test_association_graph_threshold_validated():

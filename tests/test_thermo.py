@@ -30,10 +30,15 @@ def make_state(theta, t=0.0, gamma=1.0, omega=1.0):
 
 
 def entropy_closed(theta_eff):
+    # ln(1 + x) + x ln(1 + 1/x): both terms >= 0, unlike the cancelling
+    # (1 + x) ln(1 + x) - x ln x, which is off by ~1e-11 already at |Theta| ~ 6;
+    # below x = 1, x ln(1 + 1/x) = x (ln(1 + x) - ln x) avoids 1/x = inf
     x = math.sinh(theta_eff) ** 2
     if x == 0.0:
         return 0.0
-    return (1.0 + x) * math.log1p(x) - x * math.log(x)
+    if x < 1.0:
+        return math.log1p(x) + x * (math.log1p(x) - math.log(x))
+    return math.log1p(x) + x * math.log1p(1.0 / x)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +80,24 @@ def test_entropy_matches_closed_form(theta, t):
     total, _ = thermo.entropy(make_state(theta, t=t))
     assert total == pytest.approx(entropy_closed(t - theta), rel=1e-11,
                                   abs=1e-13)
+
+
+def test_entropy_large_theta_asymptote():
+    # s = 2|Theta| + 1 - 2 ln 2 + O(|Theta| e^{-2|Theta|}): exact to round-off
+    # from |Theta| = 20; the cancelling form returned 0.0 at Theta = 29
+    thetas = np.array([20.0, -29.0, 29.0, 57.5, -150.0, 350.0])
+    s = thermo._entropy_per_mode(thetas)
+    assert np.allclose(s, 2.0 * np.abs(thetas) + 1.0 - 2.0 * math.log(2.0),
+                       rtol=1e-14, atol=0.0)
+    trace = thermo.entropy_trace(make_state(0.5, gamma=1.0), np.array([29.5]))
+    assert trace[0] == pytest.approx(2.0 * 29.0 + 1.0 - 2.0 * math.log(2.0),
+                                     rel=1e-14)
+
+
+def test_entropy_tiny_theta_finite_and_zero_at_origin():
+    s = thermo._entropy_per_mode(np.array([0.0, 5e-324, 1e-160, 1e-3]))
+    assert s[0] == 0.0 and s[1] == 0.0
+    assert np.all(np.isfinite(s)) and 0.0 < s[2] < s[3]
 
 
 # ---------------------------------------------------------------------------
