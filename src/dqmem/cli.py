@@ -2,24 +2,28 @@
 
 Every run writes its outputs into ``--out`` as a set of files plus a
 ``manifest.json`` recording the exact invocation (config echo, seed,
-library versions, wall time). Outputs are buffered in memory and written
-atomically at the end of a successful run, so a crashed run leaves at
-worst ``*.partial`` files and never a truncated artifact.
+library versions, import and wall time). Outputs are buffered in memory
+and written atomically at the end of a successful run, so a crashed run
+leaves at worst ``*.partial`` files and never a truncated artifact.
 
-Exit codes: 0 success, 1 usage/config/domain/io errors (one machine
-parsable line on stderr, ``error: <category>: <message>``), 2 when
-``oracle-verify`` finds residuals over tolerance (the residual table is
-still written).
+Exit codes: 0 success, 1 usage/config/domain/registry/io/dependency
+errors (one machine parsable line on stderr,
+``error: <category>: <message>``), 2 when ``oracle-verify`` finds
+residuals over tolerance (the residual table is still written).
 
 Numbers in CSV cells are ``repr()`` of Python floats, so artifacts are
 byte-stable across reruns; ``manifest.json`` differs only in its
-``wall_time_s`` field.
+``import_s`` and ``wall_time_s`` fields.
+
+Only ``oracle-verify`` imports `dqmem.fock`, and with it scipy; every other
+subcommand runs on numpy alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.metadata
 import io
 import json
 import math
@@ -30,10 +34,8 @@ import time
 from collections.abc import Mapping
 
 import numpy as np
-import scipy
 
-from . import __version__
-from . import fock
+from . import _IMPORT_STARTED, __version__
 from . import thermo
 from .capacity import (
     CONFIG_KINDS,
@@ -405,6 +407,12 @@ def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
 
 def _verify_rows(dim: int) -> list[list]:
     """Residual suite rows: [check, detail, value, lo, hi, status]."""
+    try:
+        from . import fock
+    except ImportError as exc:
+        raise CliError("dependency",
+                       f"oracle-verify needs scipy (pip install 'dqmem[oracle]'): "
+                       f"{exc}") from exc
     rows: list[list] = []
 
     def add(check: str, detail: str, value: float, lo: float, hi: float):
@@ -515,6 +523,13 @@ def _run_oracle_verify(args) -> tuple[dict[str, str], str, int]:
 # driver
 
 
+def _version(package: str) -> str:
+    try:
+        return importlib.metadata.version(package)
+    except importlib.metadata.PackageNotFoundError:
+        return "not installed"
+
+
 def _manifest(args, argv: list[str], config_echo, seed, wall: float) -> str:
     return _json_text({
         "command": args.command,
@@ -527,9 +542,10 @@ def _manifest(args, argv: list[str], config_echo, seed, wall: float) -> str:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _version("scipy"),
             "dqmem": __version__,
         },
+        "import_s": _IMPORT_S,
         "wall_time_s": wall,
     })
 
@@ -596,6 +612,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: io: {msg}\n")
         return 1
 
+
+# from the first line of dqmem/__init__.py to here, where main can start
+_IMPORT_S = time.perf_counter() - _IMPORT_STARTED
 
 if __name__ == "__main__":
     sys.exit(main())

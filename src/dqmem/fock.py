@@ -35,6 +35,11 @@ commutation relations necessarily break, so operator-identity checks are
 restricted to the interior {n < dim-1, ntil < dim-1}. State constructions
 refuse parameters whose discarded tail tanh(theta)^(2 dim) exceeds an
 explicit budget rather than truncating silently.
+
+This is the only module that needs scipy, and it loads lazily: `import
+dqmem` leaves it (and scipy) unloaded until `dqmem.fock` or one of the
+names the package re-exports from it is first used, and the CLI imports it
+for `oracle-verify` only. Install it with the `dqmem[oracle]` extra.
 """
 
 from __future__ import annotations

@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import MemoryState, _checked_times, effective_theta, effective_thetas
+from .states import (
+    MemoryState,
+    _checked_times,
+    effective_theta,
+    effective_thetas,
+    log_cosh,
+)
 
 __all__ = [
     "ThermoSnapshot",
@@ -52,15 +58,21 @@ def _entropy_per_mode(thetas: np.ndarray) -> np.ndarray:
     (1 + x) ln(1 + x) - x ln x subtracts two terms of size x ln x and has
     lost every digit by |Theta| ~ 20. Below x = 1 the second term is taken
     as x (ln(1 + x) - ln x), so a subnormal x never forms 1/x = inf, and
-    Theta = 0 gives exactly 0.
+    Theta = 0 gives exactly 0. Where x overflows (|Theta| > ~355.7) the
+    first term is 2 ln cosh Theta and the second its limit 1, so s stays
+    finite: 2|Theta| + 1 - 2 ln 2.
     """
-    x = np.sinh(np.asarray(thetas, dtype=float)) ** 2
-    head = np.log1p(x)
+    thetas = np.asarray(thetas, dtype=float)
+    with np.errstate(over="ignore"):
+        x = np.sinh(thetas) ** 2
+    finite = np.isfinite(x)
+    head = np.where(finite, np.log1p(x), 2.0 * log_cosh(thetas))
     small = x < 1.0
+    large = np.where(small | ~finite, 1.0, x)
     tail = np.where(
         small,
         x * (head - np.log(np.where(x > 0.0, x, 1.0))),
-        x * np.log1p(1.0 / np.where(small, 1.0, x)),
+        np.where(finite, large * np.log1p(1.0 / large), 1.0),
     )
     return head + tail
 

@@ -8,12 +8,14 @@ overlap to the K-th power.
 import json
 import math
 import pathlib
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqmem.capacity import (
+    _expected_log_cosh_gap,
     CodeSpec,
     Registry,
     RegistryCodeLengthError,
@@ -304,6 +306,49 @@ def test_capacity_estimate_report_is_consistent():
     assert 0.0 < rep.expected_pair_overlap <= 1.0
     assert rep.expected_pair_overlap == pytest.approx(
         math.exp(rep.expected_pair_log_overlap), rel=1e-14)
+
+
+PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
+ZETA3_50 = Decimal("1.2020569031595942853997381615114499907649862923405")
+
+
+def expected_log_cosh_gap_li3(width):
+    """E[ln cosh |U1 - U2|] in closed form, to 50 digits.
+
+    (2/w^2) [w^3/6 - w^2 ln2 / 2 + w pi^2/24 - (eta(3) + Li3(-e^{-2w}))/4],
+    eta(3) = (3/4) zeta(3); decimal arithmetic, so the cancellation at small
+    w costs none of the digits that matter.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        w = Decimal(width)
+        q = (-2 * w).exp()
+        li3, k, term = Decimal(0), 1, -q
+        while abs(term) > Decimal("1e-60"):
+            li3 += term / k ** 3
+            k += 1
+            term *= -q
+        bracket = (w ** 3 / 6 - w * w * Decimal(2).ln() / 2 + w * PI_50 ** 2 / 24
+                   - (ZETA3_50 * 3 / 4 + li3) / 4)
+        return float(2 * bracket / (w * w))
+
+
+@pytest.mark.parametrize("width", [0.1, 0.5, 1.0, 1.5, 3.0, 10.0, 19.5, 20.0,
+                                   20.5, 64.0, 1e3, 1e4])
+def test_expected_log_cosh_gap_matches_li3_closed_form(width):
+    assert _expected_log_cosh_gap(width) == pytest.approx(
+        expected_log_cosh_gap_li3(width), rel=1e-12, abs=0.0)
+
+
+def test_expected_pair_overlap_at_huge_width():
+    # w/3 - ln 2 + pi^2/(12 w) + O(e^{-2w}); the old quadrature formed w * w,
+    # which overflowed and reported an overlap of 1.0 at w = 1e300
+    for w in (1e300, 1e308):
+        assert _expected_log_cosh_gap(w) == pytest.approx(
+            w / 3.0 - math.log(2.0) + math.pi ** 2 / (12.0 * w), rel=1e-12)
+    rep = capacity_estimate(modes_k(2), (0.0, 1e300), 0.05, 5, seed=1)
+    assert rep.expected_pair_overlap == 0.0
+    assert rep.expected_pair_log_overlap == pytest.approx(-2e300 / 3.0, rel=1e-12)
 
 
 @given(k=st.integers(min_value=1, max_value=6))

@@ -6,13 +6,17 @@ is wired.
 """
 
 import csv
+import importlib.metadata
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import dqmem
 from dqmem.cli import main
 
 
@@ -115,6 +119,40 @@ def test_evolve_tabulates_observables(tmp_path):
     assert float(last[3]) == pytest.approx(0.0, abs=1e-15)
     first = rows[1]
     assert float(first[2]) == pytest.approx(math.sinh(0.8) ** 2, rel=1e-12)
+
+
+def test_evolve_entropy_finite_where_occupation_overflows(tmp_path):
+    cfg = write_config(tmp_path, "evolve.json", {
+        "kind": "evolve",
+        "modes": {"omega": [1.0], "gamma": [1.0]},
+        "code": {"thetas": [800.0]},
+        "times": {"start": 0.0, "stop": 1.0, "num": 3},
+    })
+    out = tmp_path / "evolve_out"
+    assert run(["evolve", "--config", cfg, "--out", out, "--quiet"]) == 0
+    rows = read_csv(out / "evolve.csv")
+    entropy = [float(r[4]) for r in rows[1:]]
+    # s = 2|Theta| + 1 - 2 ln 2 at Theta = -800, -799.5, -799
+    assert entropy == pytest.approx(
+        [2.0 * a + 1.0 - 2.0 * math.log(2.0) for a in (800.0, 799.5, 799.0)],
+        rel=1e-15)
+
+
+def test_manifest_records_import_time_and_missing_scipy(tmp_path, monkeypatch):
+    real_version = importlib.metadata.version
+
+    def version(package):
+        if package == "scipy":
+            raise importlib.metadata.PackageNotFoundError(package)
+        return real_version(package)
+
+    monkeypatch.setattr(importlib.metadata, "version", version)
+    cfg = write_config(tmp_path, "forget.json", VALID_CONFIGS["forgetting-curve"][1])
+    out = tmp_path / "o"
+    assert run(["forgetting", "--config", cfg, "--out", out, "--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == "not installed"
+    assert 0.0 < manifest["import_s"] < 60.0
 
 
 def test_forgetting_marks_tau(tmp_path):
@@ -451,3 +489,79 @@ def test_infinite_tau_serialized_as_string(tmp_path):
     assert run(["forgetting", "--config", cfg, "--out", out, "--quiet"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["tau"] == "inf"
+
+
+# ---------------------------------------------------------------------------
+# scipy stays on the oracle path
+
+SRC = str(pathlib.Path(dqmem.__file__).resolve().parent.parent)
+
+NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"import of {name} blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def python(code, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env)
+
+
+def test_cli_import_loads_no_scipy():
+    proc = python("import sys, dqmem.cli\n"
+                  "print(sorted(m for m in sys.modules if m == 'scipy'\n"
+                  "             or m.startswith(('scipy.', 'dqmem.fock'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_closed_form_commands_run_without_scipy(tmp_path):
+    cli = NO_SCIPY + "from dqmem.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    printed = write_config(tmp_path, "print.json", VALID_CONFIGS["print"][1])
+    proc = python(cli, "print", "--config", printed, "--out", tmp_path / "reg")
+    assert proc.returncode == 0, proc.stderr
+    registry = str(tmp_path / "reg" / "registry.json")
+    for kind in ("capacity-sweep", "fidelity-matrix", "association-graph",
+                 "forgetting-curve"):
+        command, doc, _ = VALID_CONFIGS[kind]
+        doc = json.loads(json.dumps(doc).replace(REGISTRY, registry))
+        cfg = write_config(tmp_path, f"{kind}.json", doc)
+        proc = python(cli, command, "--config", cfg, "--out", tmp_path / kind)
+        assert (proc.returncode, proc.stderr) == (0, ""), kind
+
+
+def test_oracle_verify_without_scipy_is_one_error_line(tmp_path):
+    cli = NO_SCIPY + "from dqmem.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    proc = python(cli, "oracle-verify", "--out", tmp_path / "o")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: dependency: oracle-verify needs scipy")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_oracle_names_resolve_lazily():
+    proc = python(
+        "import sys, dqmem\n"
+        "assert 'dqmem.fock' not in sys.modules\n"
+        "build = dqmem.build_workspace\n"
+        "assert build is sys.modules['dqmem.fock'].build_workspace\n"
+        "assert dqmem.fock is sys.modules['dqmem.fock']\n"
+        "assert 'build_workspace' not in vars(dqmem)\n"
+        "assert build(8).dim == 8\n")
+    assert proc.returncode == 0, proc.stderr
+    blocked = python(NO_SCIPY + "import dqmem\n"
+                     "try:\n"
+                     "    dqmem.fock\n"
+                     "except ImportError:\n"
+                     "    sys.exit(0)\n"
+                     "sys.exit(1)\n")
+    assert blocked.returncode == 0, blocked.stderr

@@ -94,6 +94,16 @@ def test_entropy_large_theta_asymptote():
                                      rel=1e-14)
 
 
+def test_entropy_finite_where_sinh_squared_overflows():
+    # sinh^2 overflows from |Theta| ~ 355.7; the old forms gave inf * 0 = nan
+    thetas = np.array([356.0, -356.0, 800.0, -800.0, 1e4, -1e4])
+    with np.errstate(over="raise", invalid="raise"):
+        s = thermo._entropy_per_mode(thetas)
+    assert np.all(np.isfinite(s))
+    assert np.allclose(s, 2.0 * np.abs(thetas) + 1.0 - 2.0 * math.log(2.0),
+                       rtol=1e-15, atol=0.0)
+
+
 def test_entropy_tiny_theta_finite_and_zero_at_origin():
     s = thermo._entropy_per_mode(np.array([0.0, 5e-324, 1e-160, 1e-3]))
     assert s[0] == 0.0 and s[1] == 0.0
