@@ -13,9 +13,10 @@ could coexist. In the common same-time mode every entry has been evolved by
 the same damping for the same duration, so per-mode parameter gaps reduce
 to code differences and the matrix is computed directly from those: that
 makes its time invariance exact in floating point, not approximate. The
-generic time-dependent route lives in `dqmem.states.log_overlap` and is
-cross-checked against this one in the tests; the staggered mode (entries
-printed at different times) uses it.
+staggered mode (entries printed at different times) takes each entry's
+parameters at its own age. Both modes, recall and the forgetting curve go
+through one row kernel; `dqmem.states.log_overlap` is the per-state
+reference the tests hold it to, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from .states import (
     _LN2,
     _checked_modes,
     _checked_times,
-    log_cosh,
+    _gammas,
+    _trajectory,
+    effective_thetas,
     forgetting_time,
-    overlap,
+    log_cosh,
     theta_from_beta,
-    total_occupation,
-    vacuum_overlap,
 )
 
 __all__ = [
@@ -190,11 +191,15 @@ class FidelityMatrix:
         self.values.setflags(write=False)
 
 
-def _same_time_log_rows(codes: np.ndarray, i: int) -> np.ndarray:
-    """-sum_k ln cosh(theta_j - theta_i) for all j > i; exact in code gaps."""
-    gaps = codes[i + 1:] - codes[i]
-    logs = log_cosh(gaps)
-    return np.array([-math.fsum(row) for row in logs], dtype=float)
+def _log_overlap_rows(block: np.ndarray, row) -> np.ndarray:
+    """-fsum_k ln cosh(b_k - row_k) for each row b of a Theta block: the
+    value `states.log_overlap` gives for the two rows, bit for bit."""
+    return np.array([-math.fsum(r) for r in log_cosh(block - row)], dtype=float)
+
+
+def _codes(registry: Registry) -> np.ndarray:
+    """The entries' codes as an (n, K) array."""
+    return np.array([e.code.thetas for e in registry.entries]).reshape(-1, registry.k)
 
 
 def fidelity_matrix(registry: Registry, t: float, *,
@@ -206,7 +211,7 @@ def fidelity_matrix(registry: Registry, t: float, *,
     collapses algebraically to theta_b - theta_a, and it is computed that
     way, making the result exactly t-independent. Staggered mode gives each
     entry its own elapsed time t - printed_at (requires t >= every
-    printed_at) and uses the generic trajectory route.
+    printed_at), so each row of parameters is gamma (t - printed_at) - theta.
     """
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
@@ -221,14 +226,8 @@ def fidelity_matrix(registry: Registry, t: float, *,
             raise ValueError(
                 f"evaluation time {t} precedes an entry's printing time {latest}"
             )
-        states = [
-            MemoryState(registry.modes, e.code, t - e.printed_at)
-            for e in registry.entries
-        ]
-        from .states import log_overlap as _lo
-
-        def row(i: int) -> np.ndarray:
-            return np.array([_lo(states[i], s) for s in states[i + 1:]], dtype=float)
+        ages = t - np.array([e.printed_at for e in registry.entries])
+        thetas = _trajectory(_gammas(registry.modes), _codes(registry), ages)
     else:
         stamps = {e.printed_at for e in registry.entries}
         if len(stamps) > 1:
@@ -236,14 +235,11 @@ def fidelity_matrix(registry: Registry, t: float, *,
                 "entries have differing printing times; same-time fidelity "
                 "would misread them — pass staggered=True"
             )
-        codes = np.array([e.code.thetas for e in registry.entries], dtype=float)
-
-        def row(i: int) -> np.ndarray:
-            return _same_time_log_rows(codes, i)
+        thetas = _codes(registry)
 
     values = np.ones((n, n), dtype=float)
     for i in range(n):
-        values[i, i + 1:] = np.exp(row(i))
+        values[i, i + 1:] = np.exp(_log_overlap_rows(thetas[i + 1:], thetas[i]))
         values[i + 1:, i] = values[i, i + 1:]
     return FidelityMatrix(ids=registry.ids, values=values, eval_time=t,
                           staggered=staggered)
@@ -365,7 +361,7 @@ def greedy_pack(thetas: Sequence[Sequence[float]], epsilon: float) -> tuple[tupl
         # s +- bound brackets each row's fsum; reject iff some fsum <= -ln epsilon
         if not np.any(s + bound <= -log_eps):
             unsure = np.flatnonzero(s - bound <= -log_eps)
-            if all(-math.fsum(log_cosh(cand - block[j])) < log_eps for j in unsure):
+            if np.all(_log_overlap_rows(block[unsure], cand) < log_eps):
                 acc[len(accepted)] = cand
                 accepted.append(idx)
         curve.append(len(accepted))
@@ -423,12 +419,14 @@ def capacity_estimate(modes: Iterable[ModeParams], theta_range: tuple[float, flo
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    mean_log = -len(ms) * _expected_log_cosh_gap(hi - lo)
+    if not math.isfinite(mean_log):
+        raise ValueError(f"expected pair log-overlap overflows for {len(ms)} "
+                         f"modes over theta range [{lo}, {hi}]")
 
     rng = np.random.default_rng(seed)
     samples = rng.uniform(lo, hi, size=(candidate_count, len(ms)))
     accepted_idx, curve = greedy_pack(samples, epsilon)
-
-    mean_log = -len(ms) * _expected_log_cosh_gap(hi - lo)
     return CapacityReport(
         modes=ms,
         theta_range=(lo, hi),
@@ -466,17 +464,15 @@ def forgetting_curve(code: Code, modes: Iterable[ModeParams], times) -> Forgetti
     ms = _checked_modes(modes)
     ts = _checked_times(times)
     written = MemoryState(ms, code, 0.0)
-    self_o, vac_o, occ = [], [], []
-    for t in ts:
-        s = MemoryState(ms, code, float(t))
-        self_o.append(overlap(s, written))
-        vac_o.append(vacuum_overlap(s))
-        occ.append(total_occupation(s))
+    traj = _trajectory(_gammas(ms), code.thetas, ts)
+    self_log = _log_overlap_rows(traj, effective_thetas(written))
+    vacuum_log = _log_overlap_rows(traj, 0.0)  # the empty register, Theta = 0
+    # math.exp as in states.overlap: np.exp differs from it in some last bits
     return ForgettingCurve(
-        times=tuple(float(t) for t in ts),
-        self_overlap=tuple(self_o),
-        vacuum_overlap=tuple(vac_o),
-        total_occupation=tuple(occ),
+        times=tuple(ts.tolist()),
+        self_overlap=tuple(math.exp(x) for x in self_log),
+        vacuum_overlap=tuple(math.exp(x) for x in vacuum_log),
+        total_occupation=tuple(math.fsum(r) for r in np.sinh(traj) ** 2),
         tau=forgetting_time(written),
     )
 

@@ -16,7 +16,9 @@ byte-stable across reruns; ``manifest.json`` differs only in its
 ``import_s`` and ``wall_time_s`` fields.
 
 Only ``oracle-verify`` imports `dqmem.fock`, and with it scipy; every other
-subcommand runs on numpy alone.
+subcommand runs on numpy alone, on one Theta array per experiment (a row per
+time point or registry entry) that matches the per-state functions of
+`dqmem.states` and `thermo.thermo_snapshot` bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .capacity import (
     CONFIG_KINDS,
     ExperimentConfig,
     RegistryError,
+    _codes,
+    _log_overlap_rows,
     association_graph,
     capacity_estimate,
     fidelity_matrix,
@@ -51,7 +55,7 @@ from .capacity import (
     print_memory,
     registry_to_json,
 )
-from .states import MemoryState, effective_thetas, overlap
+from .states import MemoryState, _gammas, _trajectory, effective_thetas
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -229,20 +233,23 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
     else:
         probe_code = cfg.probe.realize(registry.modes)
 
-    probe_state = MemoryState(registry.modes, probe_code, t)
+    probe = effective_thetas(MemoryState(registry.modes, probe_code, t))
+    printed = np.array([e.printed_at for e in registry.entries])
+    ages = t - printed if cfg.staggered else np.full(len(printed), t)
+    late = np.flatnonzero(ages < 0.0)
+    if late.size:
+        ent = registry.entries[late[0]]
+        raise ValueError(
+            f"evaluation time {t} precedes printed_at {ent.printed_at} "
+            f"of entry '{ent.entry_id}'")
+    block = _trajectory(_gammas(registry.modes), _codes(registry), ages)
     rows = []
     best_id, best_score = None, -1.0
-    for ent in registry.entries:
-        elapsed = t - ent.printed_at if cfg.staggered else t
-        if elapsed < 0.0:
-            raise ValueError(
-                f"evaluation time {t} precedes printed_at {ent.printed_at} "
-                f"of entry '{ent.entry_id}'")
-        score = overlap(probe_state,
-                        MemoryState(registry.modes, ent.code, elapsed))
-        rows.append([ent.entry_id, float(score)])
+    for ent, log_score in zip(registry.entries, _log_overlap_rows(block, probe)):
+        score = math.exp(log_score)
+        rows.append([ent.entry_id, score])
         if score > best_score:
-            best_id, best_score = ent.entry_id, float(score)
+            best_id, best_score = ent.entry_id, score
 
     artifacts = {
         "recall.csv": _csv_text(["entry_id", "score"], rows),
@@ -259,22 +266,15 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
 
 def _run_evolve(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
     modes, times = cfg.modes, cfg.times
-    code = cfg.code.realize(modes)
+    state = MemoryState(modes, cfg.code.realize(modes))
     k = len(modes)
-    header = (["time"]
-              + [f"theta_{i}" for i in range(k)]
-              + [f"occupation_{i}" for i in range(k)]
-              + ["total_occupation", "entropy", "energy"])
-    rows = []
-    for t in times:
-        state = MemoryState(modes, code, t)
-        thetas = effective_thetas(state)
-        snap = thermo.thermo_snapshot(state)
-        occ = np.sinh(thetas) ** 2
-        rows.append([float(t)]
-                    + [float(x) for x in thetas]
-                    + [float(x) for x in occ]
-                    + [float(np.sum(occ)), snap.entropy, snap.energy])
+    header = ["time", *(f"theta_{i}" for i in range(k)),
+              *(f"occupation_{i}" for i in range(k)),
+              "total_occupation", "entropy", "energy"]
+    traj, occ, entropy, energy = thermo._trace(state, times)
+    rows = [[t, *thetas, *occupations, math.fsum(occupations), s, e]
+            for t, thetas, occupations, s, e
+            in zip(times, traj.tolist(), occ.tolist(), entropy, energy)]
 
     artifacts = {
         "evolve.csv": _csv_text(header, rows),
@@ -370,13 +370,12 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
 
 
 def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
-    code = cfg.code.realize(cfg.modes)
-    state = MemoryState(cfg.modes, code, 0.0)
-    rows = []
-    for t in cfg.times:
-        snap = thermo.thermo_snapshot(MemoryState(cfg.modes, code, float(t)))
-        rows.append([snap.time, snap.entropy, snap.energy,
-                     snap.beta_fit, snap.beta_fit_residual])
+    state = MemoryState(cfg.modes, cfg.code.realize(cfg.modes))
+    traj, _, entropy, energy = thermo._trace(state, cfg.times)
+    energies = thermo._energies(cfg.modes)
+    rows = [[t, s, e, *thermo._beta_fit(y, energies)]
+            for t, s, e, y in zip(cfg.times, entropy, energy,
+                                  thermo._beta_energy(traj))]
     ledger = thermo.first_law_ledger(state, cfg.times)
     led_rows = [
         [ledger.times[i], ledger.times[i + 1], ledger.delta_energy[i],
@@ -464,8 +463,7 @@ def _verify_rows(dim: int) -> list[list]:
                 abs(fock.weight_expectation(ws, v) - math.sinh(big_t) ** 2),
                 0.0, 1e-8)
             if big_t != 0.0:
-                x = math.sinh(big_t) ** 2
-                s_closed = (1.0 + x) * math.log1p(x) - x * math.log(x)
+                s_closed = float(thermo._entropy_per_mode(big_t))
                 add("entropy", f"Theta={big_t:.3g}",
                     abs(fock.entropy_expectation(ws, v, big_t) - s_closed),
                     0.0, 1e-8)

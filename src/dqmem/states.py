@@ -208,13 +208,19 @@ def theta_from_beta(beta: float, energy: float) -> float:
     return math.asinh(math.sqrt(n))
 
 
-def _gamma_array(state: MemoryState) -> np.ndarray:
-    return np.array([m.gamma for m in state.modes], dtype=float)
+def _gammas(modes: Sequence[ModeParams]) -> np.ndarray:
+    return np.array([m.gamma for m in modes], dtype=float)
+
+
+def _trajectory(gammas: np.ndarray, thetas, elapsed) -> np.ndarray:
+    """Theta = gamma * elapsed - theta, (T, K), for one code or a code per row;
+    each row is `effective_thetas` of the state at that age, bit for bit."""
+    return np.asarray(elapsed, dtype=float)[:, None] * gammas - np.asarray(thetas)
 
 
 def effective_thetas(state: MemoryState) -> np.ndarray:
     """All effective parameters Theta_kappa(t) = gamma_kappa t - theta_kappa."""
-    return _gamma_array(state) * state.time - np.asarray(state.code.thetas)
+    return _gammas(state.modes) * state.time - np.asarray(state.code.thetas)
 
 
 def _check_index(state: MemoryState, kappa: int) -> int:

@@ -19,7 +19,9 @@ midpoint rule is second order, and steps in which a damped pair crosses
 Theta = 0 (where beta diverges) are flagged rather than smoothed over.
 
 All functions evaluate the closed-form trajectory Theta(t) = gamma t - theta
-of the written code; time grids are absolute ages since writing.
+of the written code. Time grids are absolute ages since writing, each one
+(T, K) Theta array (`states._trajectory`) whose rows are tested against
+`thermo_snapshot` of the state at that time.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ import numpy as np
 
 from .states import (
     MemoryState,
+    ModeParams,
     _checked_times,
+    _gammas,
+    _trajectory,
     effective_theta,
     effective_thetas,
     log_cosh,
@@ -89,18 +94,8 @@ def _beta_energy(thetas: np.ndarray) -> np.ndarray:
         return 2.0 * (np.log1p(ez) - np.log1p(-ez))
 
 
-def _entropy_slope(thetas: np.ndarray) -> np.ndarray:
-    """ds/dTheta = -sinh(2 Theta) ln tanh^2(Theta), with the 0 limit at 0."""
-    t = np.asarray(thetas, dtype=float)
-    y = _beta_energy(t)
-    out = np.zeros_like(t)
-    mask = t != 0.0
-    out[mask] = np.sinh(2.0 * t[mask]) * y[mask]
-    return out
-
-
-def _energies(state: MemoryState) -> np.ndarray:
-    return np.array([m.omega for m in state.modes], dtype=float)
+def _energies(modes: tuple[ModeParams, ...]) -> np.ndarray:
+    return np.array([m.omega for m in modes], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -188,9 +183,7 @@ def free_energy(state: MemoryState, beta: float) -> float:
     beta = float(beta)
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
-    t = effective_thetas(state)
-    energy = math.fsum(_energies(state) * np.sinh(t) ** 2)
-    total_s, _ = entropy(state)
+    _, _, (total_s,), (energy,) = _trace(state, [state.time])
     return energy - total_s / beta
 
 
@@ -206,7 +199,7 @@ def stationarity_residual(state: MemoryState, beta: float) -> np.ndarray:
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
     t = effective_thetas(state)
-    e = _energies(state)
+    e = _energies(state.modes)
     y = _beta_energy(t)
     out = np.zeros_like(t)
     mask = t != 0.0
@@ -214,11 +207,13 @@ def stationarity_residual(state: MemoryState, beta: float) -> np.ndarray:
     return out
 
 
-def _trajectory(state: MemoryState, times: np.ndarray) -> np.ndarray:
-    """Theta(t) on the grid, shape (len(times), K)."""
-    gammas = np.array([m.gamma for m in state.modes], dtype=float)
-    thetas = np.asarray(state.code.thetas, dtype=float)
-    return times[:, None] * gammas[None, :] - thetas[None, :]
+def _trace(state: MemoryState, times) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """Theta (T, K) on the grid, occupations, and each row's total entropy
+    and energy: the math.fsum thermo_snapshot takes at that time, bit for bit."""
+    traj = _trajectory(_gammas(state.modes), state.code.thetas, times)
+    occ = np.sinh(traj) ** 2
+    return (traj, occ, [math.fsum(r) for r in _entropy_per_mode(traj)],
+            [math.fsum(r) for r in _energies(state.modes) * occ])
 
 
 def entropy_trace(state: MemoryState, times) -> np.ndarray:
@@ -227,8 +222,8 @@ def entropy_trace(state: MemoryState, times) -> np.ndarray:
     For a single damped mode the trace falls strictly on (0, theta/gamma),
     hits exactly 0 at the forgetting time, and rises strictly after it.
     """
-    ts = _checked_times(times)
-    return _entropy_per_mode(_trajectory(state, ts)).sum(axis=1)
+    traj = _trajectory(_gammas(state.modes), state.code.thetas, _checked_times(times))
+    return _entropy_per_mode(traj).sum(axis=1)
 
 
 def first_law_ledger(state: MemoryState, times) -> FirstLawLedger:
@@ -242,15 +237,15 @@ def first_law_ledger(state: MemoryState, times) -> FirstLawLedger:
     the step size.
     """
     ts = _checked_times(times, minimum_points=2)
-    gammas = np.array([m.gamma for m in state.modes], dtype=float)
-    energies = _energies(state)
+    gammas = _gammas(state.modes)
+    energies = _energies(state.modes)
 
-    traj = _trajectory(state, ts)
+    traj = _trajectory(gammas, state.code.thetas, ts)
     occ = np.sinh(traj) ** 2
     total_energy = occ @ energies
     s_per = _entropy_per_mode(traj)
 
-    mid = _trajectory(state, 0.5 * (ts[:-1] + ts[1:]))
+    mid = _trajectory(gammas, state.code.thetas, 0.5 * (ts[:-1] + ts[1:]))
     y_mid = _beta_energy(mid)
     inv_beta_energy_weighted = energies[None, :] / y_mid  # 0 where y = inf
 
@@ -270,23 +265,26 @@ def first_law_ledger(state: MemoryState, times) -> FirstLawLedger:
     )
 
 
+def _beta_fit(y: np.ndarray, energies: np.ndarray) -> tuple[float, float]:
+    """(beta_fit, beta_fit_residual) of ThermoSnapshot for one row y of
+    beta_kappa E_kappa; empty modes (y = inf) are left out."""
+    finite = np.isfinite(y)
+    if not finite.any():
+        return math.inf, 0.0
+    ef, yf = energies[finite], y[finite]
+    beta_fit = float((ef * yf).sum() / (ef * ef).sum())
+    return beta_fit, float(np.linalg.norm(yf - beta_fit * ef))
+
+
 def thermo_snapshot(state: MemoryState) -> ThermoSnapshot:
     """Full thermodynamic readout of the state at its current time."""
     t = effective_thetas(state)
-    e = _energies(state)
+    e = _energies(state.modes)
     per_mode = _entropy_per_mode(t)
     y = _beta_energy(t)
     with np.errstate(invalid="ignore"):
         beta_per_mode = y / e
-    finite = np.isfinite(y)
-    if finite.any():
-        ef = e[finite]
-        yf = y[finite]
-        beta_fit = float((ef * yf).sum() / (ef * ef).sum())
-        beta_fit_residual = float(np.linalg.norm(yf - beta_fit * ef))
-    else:
-        beta_fit = math.inf
-        beta_fit_residual = 0.0
+    beta_fit, beta_fit_residual = _beta_fit(y, e)
     return ThermoSnapshot(
         time=state.time,
         entropy_per_mode=tuple(float(x) for x in per_mode),

@@ -8,6 +8,7 @@ overlap to the K-th power.
 import json
 import math
 import pathlib
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -34,7 +35,16 @@ from dqmem.capacity import (
     registry_to_json,
     save_registry,
 )
-from dqmem.states import Code, MemoryState, ModeParams, log_cosh, overlap
+from dqmem.states import (
+    Code,
+    MemoryState,
+    ModeParams,
+    log_cosh,
+    log_overlap,
+    overlap,
+    total_occupation,
+    vacuum_overlap,
+)
 
 ACOSH_2 = 1.3169578969248166
 
@@ -163,6 +173,21 @@ def test_fidelity_matrix_rejects_mixed_print_times_unless_staggered():
     a = MemoryState(reg.modes, reg.entries[0].code, 2.0)
     b = MemoryState(reg.modes, reg.entries[1].code, 1.0)
     assert fm.values[0, 1] == pytest.approx(overlap(a, b), rel=1e-13)
+
+
+def test_staggered_fidelity_matrix_bit_identical_to_pairwise_log_overlap():
+    modes = tuple(ModeParams(i, 1.0 + 0.1 * i, g)
+                  for i, g in enumerate((1.0, 0.35, 0.0, 1.7)))
+    reg = new_registry(modes)
+    rng = np.random.default_rng(5)
+    for i, at in enumerate((0.0, 0.4, 1.1, 0.25, 2.0, 0.9)):
+        reg = print_memory(reg, f"m{i}", Code(tuple(rng.uniform(0.0, 2.5, 4))),
+                           printed_at=at)
+    t = 2.6
+    states = [MemoryState(modes, e.code, t - e.printed_at) for e in reg.entries]
+    logs = np.array([[log_overlap(a, b) for b in states] for a in states])
+    fm = fidelity_matrix(reg, t, staggered=True)
+    assert np.array_equal(fm.values, np.exp(logs))
 
 
 def test_staggered_needs_time_after_last_print():
@@ -351,6 +376,15 @@ def test_expected_pair_overlap_at_huge_width():
     assert rep.expected_pair_log_overlap == pytest.approx(-2e300 / 3.0, rel=1e-12)
 
 
+def test_capacity_rejects_overflowing_expected_overlap():
+    # K * w / 3 passes the largest float: -K E[ln cosh gap] is -inf, so the
+    # sweep is refused before any packing (and its overflow warnings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="expected pair log-overlap"):
+            capacity_estimate(modes_k(8), (0.0, 1e308), 0.05, 5, seed=1)
+
+
 @given(k=st.integers(min_value=1, max_value=6))
 @settings(max_examples=20, deadline=None)
 def test_capacity_monotone_under_mode_count(k):
@@ -379,6 +413,19 @@ def test_forgetting_curve_undamped_is_flat():
                              np.linspace(0.0, 2.0, 5))
     assert curve.tau == math.inf
     assert set(curve.self_overlap) == {1.0}
+
+
+def test_forgetting_curve_bit_identical_to_per_state_reference():
+    modes = tuple(ModeParams(i, 1.0, g)
+                  for i, g in enumerate((1.0, 0.5, 0.0, 1.3, 0.8)))
+    code = Code((0.8, 0.3, 0.6, 2.0, 0.0))
+    times = np.linspace(0.0, 4.0, 257)
+    curve = forgetting_curve(code, modes, times)
+    written = MemoryState(modes, code)
+    states = [MemoryState(modes, code, t) for t in times]
+    assert curve.self_overlap == tuple(overlap(s, written) for s in states)
+    assert curve.vacuum_overlap == tuple(vacuum_overlap(s) for s in states)
+    assert curve.total_occupation == tuple(total_occupation(s) for s in states)
 
 
 def test_forgetting_curve_rejects_bad_grid():

@@ -17,7 +17,9 @@ import sys
 import pytest
 
 import dqmem
+from dqmem import thermo
 from dqmem.cli import main
+from dqmem.states import Code, MemoryState, ModeParams, overlap
 
 
 def write_config(tmp_path, name, doc):
@@ -265,6 +267,104 @@ def test_oracle_verify_passes(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["failed"] == 0
     assert summary["results"]["checks"] == len(rows) - 1
+
+
+# ---------------------------------------------------------------------------
+# array routes against the per-state references, bit for bit
+
+
+def test_thermo_trace_rows_match_snapshots(tmp_path):
+    # at t = 0.5 modes 0 and 1 sit at exactly Theta = 0 and leave the beta fit
+    omega, gamma, thetas = [1.0, 2.0, 0.7], [1.0, 0.5, 1.0], [0.5, 0.25, 1.2]
+    cfg = write_config(tmp_path, "thermo.json", {
+        "kind": "thermo-trace",
+        "modes": {"omega": omega, "gamma": gamma},
+        "code": {"thetas": thetas},
+        "times": {"start": 0.0, "stop": 2.0, "num": 9},
+    })
+    out = tmp_path / "thermo_out"
+    assert run(["thermo-trace", "--config", cfg, "--out", out, "--quiet"]) == 0
+    rows = read_csv(out / "thermo.csv")[1:]
+    modes = tuple(ModeParams(i, w, g) for i, (w, g) in enumerate(zip(omega, gamma)))
+    snaps = [thermo.thermo_snapshot(MemoryState(modes, Code(tuple(thetas)), float(r[0])))
+             for r in rows]
+    assert snaps[2].time == 0.5 and snaps[2].beta_per_mode[:2] == (math.inf,) * 2
+    assert rows == [[repr(x) for x in (s.time, s.entropy, s.energy, s.beta_fit,
+                                       s.beta_fit_residual)] for s in snaps]
+
+
+@pytest.mark.parametrize("staggered", [False, True])
+def test_recall_scores_match_state_overlap(tmp_path, staggered):
+    omega, gamma = [1.0, 1.5, 0.5], [1.0, 0.3, 0.0]
+    entries = [([0.3, 0.5, 0.9], 0.0), ([1.1, 0.2, 0.4], 0.7),
+               ([0.6, 0.6, 0.1], 1.3), ([0.0, 1.4, 0.8], 0.2)]
+    printed = write_config(tmp_path, "print.json", {
+        "kind": "print",
+        "modes": {"omega": omega, "gamma": gamma},
+        "entries": [{"id": f"e{i}", "thetas": th, "printed_at": at}
+                    for i, (th, at) in enumerate(entries)],
+    })
+    assert run(["print", "--config", printed, "--out", tmp_path / "reg",
+                "--quiet"]) == 0
+    probe, t = [0.5, 0.45, 0.7], 1.9
+    cfg = write_config(tmp_path, "recall.json", {
+        "kind": "recall", "registry": str(tmp_path / "reg" / "registry.json"),
+        "probe": {"thetas": probe}, "time": t, "staggered": staggered,
+    })
+    out = tmp_path / "recall_out"
+    assert run(["recall", "--config", cfg, "--out", out, "--quiet"]) == 0
+    modes = tuple(ModeParams(i, w, g) for i, (w, g) in enumerate(zip(omega, gamma)))
+    probe_state = MemoryState(modes, Code(tuple(probe)), t)
+    want = [overlap(probe_state,
+                    MemoryState(modes, Code(tuple(th)), t - at if staggered else t))
+            for th, at in entries]
+    assert read_csv(out / "recall.csv")[1:] == [
+        [f"e{i}", repr(w)] for i, w in enumerate(want)]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["results"]["best_score"] == max(want)
+
+
+def test_evolve_total_occupation_matches_forgetting(tmp_path):
+    # both columns are the correctly rounded sum of sinh^2 over the modes
+    body = {
+        "modes": {"omega": [1.0] * 16, "gamma": [0.5 + 0.0625 * i for i in range(16)]},
+        "code": {"sample": {"lo": 0.5, "hi": 3.0, "seed": 11}},
+        "times": {"start": 0.0, "stop": 20.0, "num": 400},
+    }
+    columns = {}
+    for command, kind, name, col in (("evolve", "evolve", "evolve.csv", 33),
+                                     ("forgetting", "forgetting-curve",
+                                      "forgetting.csv", 3)):
+        cfg = write_config(tmp_path, f"{kind}.json", dict(body, kind=kind))
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+        rows = read_csv(out / name)
+        assert rows[0][col] == "total_occupation"
+        columns[command] = [r[col] for r in rows[1:]]
+    assert columns["evolve"] == columns["forgetting"]
+
+
+def test_oracle_verify_checks_the_shipped_entropy(tmp_path, monkeypatch):
+    real = thermo._entropy_per_mode
+    monkeypatch.setattr(thermo, "_entropy_per_mode", lambda t: real(t) + 1e-6)
+    out = tmp_path / "verify_out"
+    assert run(["oracle-verify", "--out", out, "--quiet"]) == 2
+    failed = [r for r in read_csv(out / "residuals.csv")[1:] if r[5] == "fail"]
+    assert failed and {r[0] for r in failed} == {"entropy"}
+
+
+def test_capacity_overflowing_expected_overlap_is_one_domain_error(tmp_path):
+    cfg = write_config(tmp_path, "cap.json", {
+        "kind": "capacity-sweep",
+        "modes": {"omega": [1.0] * 8, "gamma": [1.0] * 8},
+        "theta_range": [0.0, 1e308], "epsilon": 0.05, "candidates": 20, "seed": 1,
+    })
+    cli = "import sys\nfrom dqmem.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    proc = python(cli, "capacity", "--config", cfg, "--out", tmp_path / "o")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: domain:")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
