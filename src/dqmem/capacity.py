@@ -37,6 +37,7 @@ from .states import (
     _checked_modes,
     _checked_times,
     _gammas,
+    _row_sums,
     _trajectory,
     effective_thetas,
     forgetting_time,
@@ -191,10 +192,17 @@ class FidelityMatrix:
         self.values.setflags(write=False)
 
 
+_PAIR_CHUNK = 4096  # entry pairs per fidelity_matrix block: 0.5 MB at K = 16
+
+
 def _log_overlap_rows(block: np.ndarray, row) -> np.ndarray:
     """-fsum_k ln cosh(b_k - row_k) for each row b of a Theta block: the
-    value `states.log_overlap` gives for the two rows, bit for bit."""
-    return np.array([-math.fsum(r) for r in log_cosh(block - row)], dtype=float)
+    value `states.log_overlap` gives for the two rows, bit for bit. `row`
+    is one row or a block of rows paired with `block` row by row. The sums
+    are `states._row_sums`, math.fsum's value with no Python call per row;
+    every caller takes overlaps as math.exp of them, as `states.overlap`
+    does."""
+    return -_row_sums(log_cosh(block - row))
 
 
 def _codes(registry: Registry) -> np.ndarray:
@@ -237,10 +245,16 @@ def fidelity_matrix(registry: Registry, t: float, *,
             )
         thetas = _codes(registry)
 
+    # the upper triangle's pairs in row-major order, a bounded chunk at a time
+    rows, cols = np.triu_indices(n, 1)
+    logs = np.empty(rows.size)
+    for a in range(0, rows.size, _PAIR_CHUNK):
+        pairs = slice(a, a + _PAIR_CHUNK)
+        logs[pairs] = _log_overlap_rows(thetas[cols[pairs]], thetas[rows[pairs]])
     values = np.ones((n, n), dtype=float)
-    for i in range(n):
-        values[i, i + 1:] = np.exp(_log_overlap_rows(thetas[i + 1:], thetas[i]))
-        values[i + 1:, i] = values[i, i + 1:]
+    # math.exp as in states.overlap: np.exp differs from it in some last bits
+    values[rows, cols] = list(map(math.exp, logs.tolist()))
+    values[cols, rows] = values[rows, cols]
     return FidelityMatrix(ids=registry.ids, values=values, eval_time=t,
                           staggered=staggered)
 
@@ -360,8 +374,9 @@ def greedy_pack(thetas: Sequence[Sequence[float]], epsilon: float) -> tuple[tupl
         bound = 4.0 * (k + 2) * machine_eps * (np.abs(s) + k * machine_eps)
         # s +- bound brackets each row's fsum; reject iff some fsum <= -ln epsilon
         if not np.any(s + bound <= -log_eps):
-            unsure = np.flatnonzero(s - bound <= -log_eps)
-            if np.all(_log_overlap_rows(block[unsure], cand) < log_eps):
+            unsure = block[s - bound <= -log_eps]
+            # a handful of rows at most: math.fsum beats _row_sums' column loop
+            if all(-math.fsum(r) < log_eps for r in log_cosh(unsure - cand)):
                 acc[len(accepted)] = cand
                 accepted.append(idx)
         curve.append(len(accepted))
@@ -472,7 +487,7 @@ def forgetting_curve(code: Code, modes: Iterable[ModeParams], times) -> Forgetti
         times=tuple(ts.tolist()),
         self_overlap=tuple(math.exp(x) for x in self_log),
         vacuum_overlap=tuple(math.exp(x) for x in vacuum_log),
-        total_occupation=tuple(math.fsum(r) for r in np.sinh(traj) ** 2),
+        total_occupation=tuple(_row_sums(np.sinh(traj) ** 2).tolist()),
         tau=forgetting_time(written),
     )
 

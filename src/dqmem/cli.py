@@ -55,7 +55,7 @@ from .capacity import (
     print_memory,
     registry_to_json,
 )
-from .states import MemoryState, _gammas, _trajectory, effective_thetas
+from .states import MemoryState, _gammas, _row_sums, _trajectory, effective_thetas
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -139,6 +139,24 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     writer.writerow(header)
     for row in rows:
         writer.writerow([repr(c) if isinstance(c, float) else str(c) for c in row])
+    return buf.getvalue()
+
+
+def _csv_cell(text: str) -> str:
+    """One cell as _csv_text writes it inside a row of several cells."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
+    return buf.getvalue()[:-3]  # drop the empty cell's comma and the CRLF
+
+
+def _matrix_csv_text(ids, values: np.ndarray) -> str:
+    """_csv_text of the header ["entry_id", *ids] and one row [id, *values[i]]
+    per id, built a row at a time: only the ids go through csv quoting, as a
+    repr'd float never needs it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(["entry_id", *ids])
+    for entry_id, row in zip(ids, values):
+        buf.write(f"{_csv_cell(entry_id)},{','.join(map(repr, row.tolist()))}\r\n")
     return buf.getvalue()
 
 
@@ -271,10 +289,11 @@ def _run_evolve(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
     header = ["time", *(f"theta_{i}" for i in range(k)),
               *(f"occupation_{i}" for i in range(k)),
               "total_occupation", "entropy", "energy"]
-    traj, occ, entropy, energy = thermo._trace(state, times)
-    rows = [[t, *thetas, *occupations, math.fsum(occupations), s, e]
-            for t, thetas, occupations, s, e
-            in zip(times, traj.tolist(), occ.tolist(), entropy, energy)]
+    traj, occ, _, entropy, energy = thermo._trace(state, times)
+    rows = [[t, *thetas, *occupations, total, s, e]
+            for t, thetas, occupations, total, s, e
+            in zip(times, traj.tolist(), occ.tolist(), _row_sums(occ).tolist(),
+                   entropy.tolist(), energy.tolist())]
 
     artifacts = {
         "evolve.csv": _csv_text(header, rows),
@@ -338,10 +357,8 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
     registry = load_registry(cfg.registry)
     if cfg.kind == "fidelity-matrix":
         fm = fidelity_matrix(registry, cfg.time, staggered=cfg.staggered)
-        rows = [[fm.ids[i]] + [float(x) for x in fm.values[i]]
-                for i in range(len(fm.ids))]
         artifacts = {
-            "fidelity.csv": _csv_text(["entry_id"] + list(fm.ids), rows),
+            "fidelity.csv": _matrix_csv_text(fm.ids, fm.values),
             "summary.json": _summary("associate", cfg.kind, cfg.raw, {
                 "ids": list(fm.ids),
                 "eval_time": fm.eval_time,
@@ -371,12 +388,14 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
 
 def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
     state = MemoryState(cfg.modes, cfg.code.realize(cfg.modes))
-    traj, _, entropy, energy = thermo._trace(state, cfg.times)
+    ts = np.asarray(cfg.times)  # checked by the config parser
+    trace = thermo._trace(state, ts)
+    traj, _, _, entropy, energy = trace
     energies = thermo._energies(cfg.modes)
     rows = [[t, s, e, *thermo._beta_fit(y, energies)]
-            for t, s, e, y in zip(cfg.times, entropy, energy,
+            for t, s, e, y in zip(cfg.times, entropy.tolist(), energy.tolist(),
                                   thermo._beta_energy(traj))]
-    ledger = thermo.first_law_ledger(state, cfg.times)
+    ledger = thermo._ledger(state, ts, trace)
     led_rows = [
         [ledger.times[i], ledger.times[i + 1], ledger.delta_energy[i],
          ledger.entropy_term[i], ledger.residual[i], int(ledger.flagged[i])]

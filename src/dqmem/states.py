@@ -62,6 +62,63 @@ def log_cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax)) - _LN2
 
 
+# rows whose K * max|x| stays below this cannot overflow any partial sum
+_ROW_SUM_LIMIT = 2.0 ** 1020
+
+
+def _two_sum(a, b):
+    """(fl(a + b), error), a + b = sum + error exactly (Knuth's TwoSum)."""
+    s = a + b
+    bp = s - a
+    return s, (a - (s - bp)) + (b - bp)
+
+
+def _row_sums(block) -> np.ndarray:
+    """math.fsum of each row of an (n, K) block, bit for bit.
+
+    One vectorised pass across the columns runs two TwoSum cascades (Ogita,
+    Rump & Oishi, "Accurate sum and dot product", 2005): s collects the
+    float sum, q the first-level errors, and the second-level errors e2 are
+    kept, so every row's exact sum is s + q + sum(e2). With res = fl(s + q)
+    and e3 its TwoSum error, a row is decided without fsum when
+    - every e2 is 0: res is then the correctly rounded exact sum, ties to
+      even included, which is what math.fsum returns; or
+    - |e3| + a float upper bound of sum |e2| stays below half the ulp of
+      res, taking the smaller ulp below a power of two: the exact sum then
+      lies strictly inside res's rounding interval.
+    Every other row is re-summed by math.fsum itself: rows that are not
+    finite or whose K * max|x| reaches 2**1020 (so fsum raises or returns
+    exactly what it always did), rows summing to zero (the sign of a zero
+    sum is fsum's to choose), and the undecided near-ties.
+    """
+    x = np.asarray(block, dtype=float)
+    n, k = x.shape
+    if n == 0 or k == 0:
+        return np.zeros(n)
+    s, q = x[:, 0], np.zeros(n)
+    e2 = np.zeros((k, n))
+    # inf and nan only arise in rows that fsum re-sums, so they warn nowhere
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(1, k):
+            s, e = _two_sum(s, x[:, c])
+            q, e2[c] = _two_sum(q, e)
+        res, e3 = _two_sum(s, q)
+        decided = res != 0.0
+        if not (x.max() * k < _ROW_SUM_LIMIT and x.min() * -k < _ROW_SUM_LIMIT):
+            decided &= np.abs(x).max(axis=1) * k < _ROW_SUM_LIMIT
+    inexact = np.flatnonzero(decided & e2.any(axis=0))
+    if inexact.size:
+        # float sum of k terms >= (1 - 2^-53)^(k-1) times the exact one
+        bound = np.abs(e2[:, inexact]).sum(axis=0) * (1.0 + (k + 1) * 2.0 ** -52)
+        bound += 2.0 ** -1074  # covers the product's underflow
+        ares = np.abs(res[inexact])
+        half_ulp = 0.5 * (ares - np.nextafter(ares, 0.0))
+        decided[inexact] = np.abs(e3[inexact]) + bound < half_ulp
+    for i in np.flatnonzero(~decided).tolist():
+        res[i] = math.fsum(x[i])
+    return res
+
+
 @dataclass(frozen=True)
 class ModeParams:
     """One oscillator pair: position in the register, energy, damping rate.

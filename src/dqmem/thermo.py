@@ -36,6 +36,7 @@ from .states import (
     ModeParams,
     _checked_times,
     _gammas,
+    _row_sums,
     _trajectory,
     effective_theta,
     effective_thetas,
@@ -183,8 +184,8 @@ def free_energy(state: MemoryState, beta: float) -> float:
     beta = float(beta)
     if not (beta > 0.0):
         raise ValueError(f"beta must be positive, got {beta}")
-    _, _, (total_s,), (energy,) = _trace(state, [state.time])
-    return energy - total_s / beta
+    *_, (total_s,), (energy,) = _trace(state, [state.time])
+    return float(energy - total_s / beta)
 
 
 def stationarity_residual(state: MemoryState, beta: float) -> np.ndarray:
@@ -207,13 +208,15 @@ def stationarity_residual(state: MemoryState, beta: float) -> np.ndarray:
     return out
 
 
-def _trace(state: MemoryState, times) -> tuple[np.ndarray, np.ndarray, list, list]:
-    """Theta (T, K) on the grid, occupations, and each row's total entropy
-    and energy: the math.fsum thermo_snapshot takes at that time, bit for bit."""
+def _trace(state: MemoryState, times) -> tuple[np.ndarray, ...]:
+    """Theta (T, K) on the grid, occupations, per-mode entropies, and each
+    row's total entropy and energy (T,): the math.fsum thermo_snapshot takes
+    at that time, bit for bit, summed by `states._row_sums`."""
     traj = _trajectory(_gammas(state.modes), state.code.thetas, times)
     occ = np.sinh(traj) ** 2
-    return (traj, occ, [math.fsum(r) for r in _entropy_per_mode(traj)],
-            [math.fsum(r) for r in _energies(state.modes) * occ])
+    s_per = _entropy_per_mode(traj)
+    return (traj, occ, s_per, _row_sums(s_per),
+            _row_sums(_energies(state.modes) * occ))
 
 
 def entropy_trace(state: MemoryState, times) -> np.ndarray:
@@ -223,7 +226,7 @@ def entropy_trace(state: MemoryState, times) -> np.ndarray:
     hits exactly 0 at the forgetting time, and rises strictly after it.
     """
     traj = _trajectory(_gammas(state.modes), state.code.thetas, _checked_times(times))
-    return _entropy_per_mode(traj).sum(axis=1)
+    return _row_sums(_entropy_per_mode(traj))
 
 
 def first_law_ledger(state: MemoryState, times) -> FirstLawLedger:
@@ -237,14 +240,15 @@ def first_law_ledger(state: MemoryState, times) -> FirstLawLedger:
     the step size.
     """
     ts = _checked_times(times, minimum_points=2)
+    return _ledger(state, ts, _trace(state, ts))
+
+
+def _ledger(state: MemoryState, ts: np.ndarray, trace) -> FirstLawLedger:
+    """first_law_ledger on a checked grid from its `_trace`: delta_energy is
+    the difference of consecutive trace energies, so of thermo.csv's."""
+    traj, _, s_per, _, total_energy = trace
     gammas = _gammas(state.modes)
     energies = _energies(state.modes)
-
-    traj = _trajectory(gammas, state.code.thetas, ts)
-    occ = np.sinh(traj) ** 2
-    total_energy = occ @ energies
-    s_per = _entropy_per_mode(traj)
-
     mid = _trajectory(gammas, state.code.thetas, 0.5 * (ts[:-1] + ts[1:]))
     y_mid = _beta_energy(mid)
     inv_beta_energy_weighted = energies[None, :] / y_mid  # 0 where y = inf

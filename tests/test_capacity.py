@@ -187,7 +187,28 @@ def test_staggered_fidelity_matrix_bit_identical_to_pairwise_log_overlap():
     states = [MemoryState(modes, e.code, t - e.printed_at) for e in reg.entries]
     logs = np.array([[log_overlap(a, b) for b in states] for a in states])
     fm = fidelity_matrix(reg, t, staggered=True)
-    assert np.array_equal(fm.values, np.exp(logs))
+    # math.exp, the exp of states.overlap
+    assert np.array_equal(fm.values, [[math.exp(x) for x in row] for row in logs])
+
+
+@pytest.mark.parametrize("staggered", [False, True])
+def test_fidelity_matrix_is_state_overlap_bit_for_bit(staggered):
+    # one exp for every overlap: each pair's matrix entry is overlap() of the
+    # two states, math.exp of the same log, in the last bit too
+    modes = tuple(ModeParams(i, 1.0, g) for i, g in enumerate((1.0, 0.35, 0.0, 1.7, 0.6)))
+    rng = np.random.default_rng(411)
+    reg = new_registry(modes)
+    for i in range(40):
+        at = float(rng.uniform(0.0, 1.0)) if staggered else 0.0
+        reg = print_memory(reg, f"m{i}", Code(tuple(rng.uniform(0.0, 1.2, 5))),
+                           printed_at=at)
+    t = 1.3
+    fm = fidelity_matrix(reg, t, staggered=staggered)
+    # same-time entries are compared at age 0: the matrix is t-invariant
+    ages = [t - e.printed_at if staggered else 0.0 for e in reg.entries]
+    states = [reg.state(e.entry_id, age) for e, age in zip(reg.entries, ages)]
+    expected = [[overlap(a, b) for b in states] for a in states]
+    assert np.array_equal(fm.values, expected)
 
 
 def test_staggered_needs_time_after_last_print():

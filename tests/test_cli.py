@@ -7,6 +7,7 @@ is wired.
 
 import csv
 import importlib.metadata
+import io
 import json
 import math
 import os
@@ -240,6 +241,33 @@ def test_associate_graph_and_matrix(tmp_path, registry_path):
     assert float(rows[1][1]) == 1.0
 
 
+def test_fidelity_csv_is_the_csv_module_rendering(tmp_path):
+    # ids that need quoting, written the way csv.writer writes every cell
+    ids = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\r", " pad"]
+    cfg = write_config(tmp_path, "print.json", {
+        "kind": "print",
+        "modes": {"omega": [1.0, 2.0], "gamma": [1.0, 0.5]},
+        "entries": [{"id": e, "thetas": [0.2 * i, 1.0 - 0.15 * i]}
+                    for i, e in enumerate(ids)],
+    })
+    assert run(["print", "--config", cfg, "--out", tmp_path / "reg", "--quiet"]) == 0
+    matrix_cfg = write_config(tmp_path, "matrix.json", {
+        "kind": "fidelity-matrix",
+        "registry": str(tmp_path / "reg" / "registry.json"),
+        "time": 0.3,
+    })
+    out = tmp_path / "matrix_out"
+    assert run(["associate", "--config", matrix_cfg, "--out", out, "--quiet"]) == 0
+    modes = (ModeParams(0, 1.0, 1.0), ModeParams(1, 2.0, 0.5))
+    states = [MemoryState(modes, Code((0.2 * i, 1.0 - 0.15 * i))) for i in range(len(ids))]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(["entry_id", *ids])
+    for entry_id, a in zip(ids, states):
+        writer.writerow([entry_id, *(repr(overlap(a, b)) for b in states)])
+    assert (out / "fidelity.csv").read_bytes() == buf.getvalue().encode("utf-8")
+
+
 def test_thermo_trace_artifacts(tmp_path):
     cfg = write_config(tmp_path, "thermo.json", {
         "kind": "thermo-trace",
@@ -291,6 +319,24 @@ def test_thermo_trace_rows_match_snapshots(tmp_path):
     assert snaps[2].time == 0.5 and snaps[2].beta_per_mode[:2] == (math.inf,) * 2
     assert rows == [[repr(x) for x in (s.time, s.entropy, s.energy, s.beta_fit,
                                        s.beta_fit_residual)] for s in snaps]
+
+
+def test_first_law_delta_energy_is_the_thermo_energy_difference(tmp_path):
+    # one energy sum: each ledger step is the difference of thermo.csv's
+    # energies at its two ends, bit for bit
+    cfg = write_config(tmp_path, "thermo.json", {
+        "kind": "thermo-trace",
+        "modes": {"omega": [0.7, 1.3, 1.9, 0.55, 1.1, 1.6],
+                  "gamma": [0.5, 1.4, 0.8, 1.1, 0.0, 0.6]},
+        "code": {"thetas": [2.9, 0.6, 1.7, 2.2, 1.05, 2.5]},
+        "times": {"start": 0.0, "stop": 12.0, "num": 400},
+    })
+    out = tmp_path / "thermo_out"
+    assert run(["thermo-trace", "--config", cfg, "--out", out, "--quiet"]) == 0
+    energy = [float(r[2]) for r in read_csv(out / "thermo.csv")[1:]]
+    ledger = read_csv(out / "first_law.csv")[1:]
+    assert len(ledger) == len(energy) - 1
+    assert [r[2] for r in ledger] == [repr(b - a) for a, b in zip(energy, energy[1:])]
 
 
 @pytest.mark.parametrize("staggered", [False, True])

@@ -7,6 +7,8 @@ arithmetic, not against itself.
 """
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -17,10 +19,12 @@ from dqmem.states import (
     MemoryState,
     ModeParams,
     QuantumNumbers,
+    _row_sums,
     effective_theta,
     effective_thetas,
     evolve,
     forgetting_time,
+    log_cosh,
     log_overlap,
     occupation,
     overlap,
@@ -312,3 +316,122 @@ def test_log_overlap_slope_saturates():
     logs = [log_overlap(MemoryState(modes, s0.code, float(t)), s0) for t in ts]
     slope = np.polyfit(ts, logs, 1)[0]
     assert slope == pytest.approx(-4.0, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# _row_sums: math.fsum of every row, bit for bit
+
+
+def fsum_rows(block):
+    return np.array([math.fsum(r) for r in block], dtype=float).reshape(len(block))
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+_SIGNS = st.sampled_from([1.0, -1.0])
+_ROW_ELEMENTS = {
+    # one binade, so sums of a few terms land on exact half-ulp ties
+    "binade": st.integers(2 ** 52, 2 ** 53 - 1).map(lambda m: m * 2.0 ** -52),
+    # terms a half ulp of 1 and far below it: ties and second-level errors
+    "ties": st.sampled_from([1.0, 1.5, 2.0 ** -52, 2.0 ** -53, 3 * 2.0 ** -54,
+                             2.0 ** -106, 2.0 ** -107, 2.0 ** -160]),
+    "subnormal": st.integers(1, 2 ** 20).map(lambda m: m * 2.0 ** -1074),
+    "wide": st.floats(min_value=1e-300, max_value=1e300),
+    "ln_cosh": st.floats(min_value=0.0, max_value=5.0).map(lambda x: float(log_cosh(x))),
+}
+
+
+@st.composite
+def row_blocks(draw):
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(0, 64))
+    kind = draw(st.sampled_from(sorted(_ROW_ELEMENTS)))
+    signed = draw(st.booleans())
+    element = _ROW_ELEMENTS[kind]
+    if signed:
+        element = st.builds(lambda s, x: s * x, _SIGNS, element)
+    cells = draw(st.lists(element, min_size=n * k, max_size=n * k))
+    return np.array(cells, dtype=float).reshape(n, k)
+
+
+@given(block=row_blocks())
+@settings(max_examples=300, deadline=None)
+def test_row_sums_equal_fsum_bit_for_bit(block):
+    got = _row_sums(block)
+    assert got.shape == (block.shape[0],)
+    assert same_bits(got, fsum_rows(block))
+
+
+def count_fsum_calls(monkeypatch):
+    calls = []
+    fsum = math.fsum
+
+    def counting(xs):
+        calls.append(1)
+        return fsum(xs)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    return calls
+
+
+@pytest.mark.parametrize("row, expected", [
+    # 1 + 2^-53 is a tie the float sum rounds down to 1, and 2^-160 is lost
+    # in the error sum q = 2^-53 (a nonzero second-level error): only the
+    # exact sum sees that the row lies above the midpoint
+    ([1.0, 2.0 ** -53, 2.0 ** -160], 1.0 + 2.0 ** -52),
+    # s + q = 1 - 2^-54 rounds to 1.0: a half ulp above 1 but the whole
+    # half ulp below it, so only the smaller ulp below a power of two sends
+    # this row to fsum
+    ([1.0, -2.0 ** -54, -2.0 ** -160], 1.0 - 2.0 ** -53),
+    # |e3| sits below the half ulp of 1.5 by less than the second-level
+    # errors, so only their bound sends this row to fsum
+    ([1.5, 2.0 ** -107, -2.0 ** -107, 2.0 ** -108, 2.0 ** -53, 2.0 ** -106,
+      -2.0 ** -106], 1.5 + 2.0 ** -52),
+])
+def test_row_sums_fallback_decides_second_level_near_ties(monkeypatch, row, expected):
+    clear = [1.0, 2.0 ** -60, 2.0 ** -160] + [0.0] * (len(row) - 3)
+    calls = count_fsum_calls(monkeypatch)
+    got = _row_sums(np.array([row, clear]))
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert got[0] == math.fsum(row) == expected
+    assert got[1] == math.fsum(clear) == 1.0
+
+
+def test_row_sums_empty_blocks_skip_the_column_loop():
+    for shape in ((0, 0), (0, 5), (3, 0)):
+        assert same_bits(_row_sums(np.zeros(shape)), np.zeros(shape[0]))
+
+
+def test_row_sums_clustered_registry_block_takes_no_fallback(monkeypatch):
+    # clustered K = 16 codes; every pair's ln cosh gaps, as fidelity_matrix sums them
+    rng = np.random.default_rng(411)
+    centers = rng.uniform(0.2, 2.5, size=(10, 16))
+    codes = np.abs(centers[rng.integers(10, size=200)]
+                   + rng.normal(0.0, 0.08, size=(200, 16)))
+    rows, cols = np.triu_indices(len(codes), 1)
+    block = log_cosh(codes[cols] - codes[rows])
+    expected = fsum_rows(block)
+    calls = count_fsum_calls(monkeypatch)
+    got = _row_sums(block)
+    monkeypatch.undo()
+    assert calls == [] and same_bits(got, expected)
+
+
+@pytest.mark.parametrize("row", [
+    [1e308, 1e308, -1e308], [1.7e308, 1.7e308],
+    # the float sums never overflow here, but fsum's partials do
+    [sys.float_info.max, 2.0 ** 969, 2.0 ** 969, -sys.float_info.max],
+    [math.inf, -math.inf], [-math.inf, 2.0, math.inf]])
+def test_row_sums_raise_what_fsum_raises(row):
+    with pytest.raises((OverflowError, ValueError)) as want:
+        math.fsum(row)
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        _row_sums(np.array([[0.5] * len(row), row]))
+
+
+def test_row_sums_pass_infinities_and_nan_through_fsum():
+    block = np.array([[math.inf, 1.0], [1.0, -math.inf], [math.nan, 1.0], [0.5, 0.25]])
+    assert same_bits(_row_sums(block), fsum_rows(block))

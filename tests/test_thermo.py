@@ -317,3 +317,14 @@ def test_snapshot_empty_state_sentinels():
     assert snap.energy == 0.0
     assert snap.beta_fit == math.inf
     assert snap.beta_fit_residual == 0.0
+
+
+def test_ledger_delta_energy_is_the_snapshot_energy_difference():
+    modes = tuple(ModeParams(i, w, g) for i, (w, g)
+                  in enumerate(zip((0.7, 1.3, 1.9, 0.55), (0.5, 1.4, 0.8, 0.0))))
+    state = MemoryState(modes, Code((2.9, 0.6, 1.7, 2.2)))
+    ts = np.linspace(0.0, 10.0, 201)
+    led = thermo.first_law_ledger(state, ts)
+    energy = [thermo.thermo_snapshot(MemoryState(modes, state.code, t)).energy
+              for t in ts.tolist()]
+    assert led.delta_energy == tuple(b - a for a, b in zip(energy, energy[1:]))
