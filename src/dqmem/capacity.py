@@ -25,7 +25,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class Registry:
 
     modes: tuple[ModeParams, ...]
     entries: tuple[RegistryEntry, ...] = ()
-    schema_version: int = SCHEMA_VERSION
+    schema_version: ClassVar[int] = SCHEMA_VERSION  # the one version this build reads
 
     def __post_init__(self):
         object.__setattr__(self, "modes", _checked_modes(self.modes))
@@ -166,11 +166,8 @@ def print_memory(registry: Registry, entry_id: str, code: Code | None = None, *,
     if beta is not None:
         code = Code(tuple(theta_from_beta(beta, m.omega) for m in registry.modes))
     assert code is not None
-    if any(e.entry_id == entry_id for e in registry.entries):
-        raise ValueError(f"duplicate entry id '{entry_id}'")
     entry = RegistryEntry(entry_id=entry_id, code=code, printed_at=printed_at)
-    return Registry(registry.modes, registry.entries + (entry,),
-                    registry.schema_version)
+    return Registry(registry.modes, registry.entries + (entry,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -617,7 +614,7 @@ def load_registry(path) -> Registry:
                 code=Code(thetas),
                 printed_at=_number(e["printed_at"], f"entries[{i}].printed_at", bad),
             ))
-        return Registry(tuple(modes), tuple(entries), version)
+        return Registry(tuple(modes), tuple(entries))
     except RegistryError:
         raise
     except ValueError as exc:
@@ -678,7 +675,8 @@ class ConfigKind:
     """Schema row of one config kind.
 
     `command` is the CLI subcommand that runs the kind; `flags` pairs a
-    config key with the CLI option that fills it when the document omits it.
+    config key with the CLI option that fills it when the document omits it,
+    and a subcommand takes only the options its kinds' flags name.
     """
 
     command: str
@@ -701,8 +699,7 @@ CONFIG_KINDS = {
     "association-graph": ConfigKind(
         "associate", ("registry", "time", "threshold"), ("staggered",),
         flags=(("threshold", "epsilon"),)),
-    "fidelity-matrix": ConfigKind("associate", ("registry", "time"),
-                                  ("staggered", "threshold")),
+    "fidelity-matrix": ConfigKind("associate", ("registry", "time"), ("staggered",)),
     "thermo-trace": ConfigKind("thermo-trace", _TRAJECTORY),
 }
 

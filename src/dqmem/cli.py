@@ -24,16 +24,16 @@ time point or registry entry) that matches the per-state functions of
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.metadata
 import io
+import itertools
 import json
 import math
 import os
 import platform
 import sys
 import time
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -74,38 +74,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("usage", message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="experiment config (JSON)")
-    common.add_argument("--out", metavar="DIR", default=".",
-                        help="output directory (default: current directory)")
-    common.add_argument("--seed", type=int, metavar="U64",
-                        help="default seed when the config omits one")
-    common.add_argument("--epsilon", type=float, metavar="F",
-                        help="default distinguishability threshold")
-    common.add_argument("--dim", type=int, default=64, metavar="N",
-                        help="oracle truncation dimension (oracle-verify)")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress informational stdout")
-
-    parser = _Parser(prog="dqmem",
-                     description="dissipative quantum memory experiments")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    helps = {
-        "print": "write coded memories into a registry file",
-        "recall": "score a probe code against every registry entry",
-        "evolve": "tabulate per-mode state observables over a time grid",
-        "forgetting": "self/vacuum overlap and occupation along decay",
-        "capacity": "greedy count of mutually distinguishable codes",
-        "associate": "fidelity matrix or thresholded association graph",
-        "thermo-trace": "entropy/energy trace with a first-law ledger",
-        "oracle-verify": "run the Fock-space residual suite",
-    }
-    for name, text in helps.items():
-        sub.add_parser(name, parents=[common], help=text, description=text)
-    return parser
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers
 
@@ -132,31 +100,29 @@ def _json_text(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    """RFC-4180 style: CRLF line ends, header row, repr'd floats."""
+def _csv_cell(cell) -> str:
+    text = str(cell)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_text(header: list[str], rows: Iterable) -> str:
+    """RFC-4180 style: CRLF line ends, header row, repr'd floats.
+
+    The bytes are those of csv.writer(lineterminator="\\r\\n") given the
+    str of each cell (a float's is its repr), except that a row of one empty
+    cell stays empty: that dialect quotes a cell, doubling its quotes, exactly
+    when it holds a comma, a quote, CR or LF. A row is joined as is unless its
+    line holds a quote, CR, LF or more commas than separators.
+    """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(c) if isinstance(c, float) else str(c) for c in row])
-    return buf.getvalue()
-
-
-def _csv_cell(text: str) -> str:
-    """One cell as _csv_text writes it inside a row of several cells."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
-    return buf.getvalue()[:-3]  # drop the empty cell's comma and the CRLF
-
-
-def _matrix_csv_text(ids, values: np.ndarray) -> str:
-    """_csv_text of the header ["entry_id", *ids] and one row [id, *values[i]]
-    per id, built a row at a time: only the ids go through csv quoting, as a
-    repr'd float never needs it."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow(["entry_id", *ids])
-    for entry_id, row in zip(ids, values):
-        buf.write(f"{_csv_cell(entry_id)},{','.join(map(repr, row.tolist()))}\r\n")
+    for row in itertools.chain([header], rows):
+        line = ",".join(map(str, row))
+        if line.count(",") >= len(row) or '"' in line or "\r" in line or "\n" in line:
+            line = ",".join(map(_csv_cell, row))
+        buf.write(line)
+        buf.write("\r\n")
     return buf.getvalue()
 
 
@@ -195,17 +161,24 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _kinds(command: str) -> list[str]:
+    return [kind for kind, spec in CONFIG_KINDS.items() if spec.command == command]
+
+
 def _parse_config(args) -> ExperimentConfig:
     """Kind check, flag defaults, then the shared schema; config values win."""
-    if args.config is None:
-        raise CliError("usage", f"subcommand '{args.command}' needs --config")
     doc = _load_config(args.config)
-    kinds = [k for k, spec in CONFIG_KINDS.items() if spec.command == args.command]
+    kinds = _kinds(args.command)
     kind = doc.get("kind")
     if kind not in kinds:
         raise CliError("config",
                        f"config kind {kind!r} does not match subcommand "
                        f"'{args.command}' (expected one of {kinds})")
+    taken = {flag for _, flag in CONFIG_KINDS[kind].flags}
+    unread = [f"--{flag}" for flag in _FLAG_OPTIONS
+              if flag not in taken and vars(args).get(flag) is not None]
+    if unread:
+        raise CliError("usage", f"config kind {kind!r} takes no {', '.join(unread)}")
     for key, flag in CONFIG_KINDS[kind].flags:
         if key not in doc and getattr(args, flag) is not None:
             doc[key] = getattr(args, flag)
@@ -310,12 +283,11 @@ def _run_evolve(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
 def _run_forgetting(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
     code = cfg.code.realize(cfg.modes)
     curve = forgetting_curve(code, cfg.modes, cfg.times)
-    rows = [[t, s, v, n] for t, s, v, n in
-            zip(curve.times, curve.self_overlap, curve.vacuum_overlap,
-                curve.total_occupation)]
     artifacts = {
         "forgetting.csv": _csv_text(
-            ["time", "self_overlap", "vacuum_overlap", "total_occupation"], rows),
+            ["time", "self_overlap", "vacuum_overlap", "total_occupation"],
+            zip(curve.times, curve.self_overlap, curve.vacuum_overlap,
+                curve.total_occupation)),
         "summary.json": _summary("forgetting", cfg.kind, cfg.raw, {
             "tau": curve.tau,
             "time_points": len(curve.times),
@@ -358,7 +330,9 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
     if cfg.kind == "fidelity-matrix":
         fm = fidelity_matrix(registry, cfg.time, staggered=cfg.staggered)
         artifacts = {
-            "fidelity.csv": _matrix_csv_text(fm.ids, fm.values),
+            "fidelity.csv": _csv_text(["entry_id", *fm.ids],
+                                      ([entry_id, *row.tolist()]
+                                       for entry_id, row in zip(fm.ids, fm.values))),
             "summary.json": _summary("associate", cfg.kind, cfg.raw, {
                 "ids": list(fm.ids),
                 "eval_time": fm.eval_time,
@@ -370,9 +344,8 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
 
     graph = association_graph(registry, cfg.time, cfg.threshold,
                               staggered=cfg.staggered)
-    rows = [[a, b, w] for a, b, w in graph.edges]
     artifacts = {
-        "edges.csv": _csv_text(["entry_a", "entry_b", "fidelity"], rows),
+        "edges.csv": _csv_text(["entry_a", "entry_b", "fidelity"], graph.edges),
         "summary.json": _summary("associate", cfg.kind, cfg.raw, {
             "ids": list(graph.ids),
             "threshold": graph.threshold,
@@ -396,18 +369,14 @@ def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
             for t, s, e, y in zip(cfg.times, entropy.tolist(), energy.tolist(),
                                   thermo._beta_energy(traj))]
     ledger = thermo._ledger(state, ts, trace)
-    led_rows = [
-        [ledger.times[i], ledger.times[i + 1], ledger.delta_energy[i],
-         ledger.entropy_term[i], ledger.residual[i], int(ledger.flagged[i])]
-        for i in range(len(ledger.delta_energy))
-    ]
     max_resid = max((abs(r) for r in ledger.residual), default=0.0)
     artifacts = {
         "thermo.csv": _csv_text(
             ["time", "entropy", "energy", "beta_fit", "beta_fit_residual"], rows),
         "first_law.csv": _csv_text(
             ["t_left", "t_right", "delta_energy", "heat", "residual", "flagged"],
-            led_rows),
+            zip(ledger.times, ledger.times[1:], ledger.delta_energy,
+                ledger.entropy_term, ledger.residual, map(int, ledger.flagged))),
         "summary.json": _summary("thermo-trace", cfg.kind, cfg.raw, {
             "time_points": len(cfg.times),
             "max_first_law_residual": max_resid,
@@ -513,8 +482,7 @@ def _verify_rows(dim: int) -> list[list]:
     return rows
 
 
-def _run_oracle_verify(args) -> tuple[dict[str, str], str, int]:
-    dim = int(args.dim)
+def _run_oracle_verify(dim: int) -> tuple[dict[str, str], str, int]:
     if dim < 64:
         raise CliError("usage",
                        f"--dim must be >= 64 for oracle-verify, got {dim}")
@@ -551,7 +519,7 @@ def _manifest(args, argv: list[str], config_echo, seed, wall: float) -> str:
     return _json_text({
         "command": args.command,
         "argv": argv,
-        "config_path": args.config,
+        "config_path": vars(args).get("config"),
         "config": config_echo,
         "out": args.out,
         "seed": seed,
@@ -567,28 +535,65 @@ def _manifest(args, argv: list[str], config_echo, seed, wall: float) -> str:
     })
 
 
-_HANDLERS = {
-    "print": _run_print,
-    "recall": _run_recall,
-    "evolve": _run_evolve,
-    "forgetting": _run_forgetting,
-    "capacity": _run_capacity,
-    "associate": _run_associate,
-    "thermo-trace": _run_thermo_trace,
+# subcommand -> (help, handler); a handler takes the parsed config, or the
+# --dim of oracle-verify, the one subcommand that no config kind names
+_COMMANDS = {
+    "print": ("write coded memories into a registry file", _run_print),
+    "recall": ("score a probe code against every registry entry", _run_recall),
+    "evolve": ("tabulate per-mode state observables over a time grid", _run_evolve),
+    "forgetting": ("self/vacuum overlap and occupation along decay", _run_forgetting),
+    "capacity": ("greedy count of mutually distinguishable codes", _run_capacity),
+    "associate": ("fidelity matrix or thresholded association graph", _run_associate),
+    "thermo-trace": ("entropy/energy trace with a first-law ledger", _run_thermo_trace),
+    "oracle-verify": ("run the Fock-space residual suite", _run_oracle_verify),
 }
+
+
+def _u64(text: str) -> int:
+    """argparse type of --seed; a ValueError from int() reads as an invalid value."""
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must fit in a u64, got {value}")
+    return value
+
+
+# option -> argparse settings; a subcommand takes those its kinds' flags name
+_FLAG_OPTIONS = {
+    "seed": {"type": _u64, "metavar": "U64", "help": "seed when the config omits one"},
+    "epsilon": {"type": float, "metavar": "F",
+                "help": "distinguishability threshold when the config omits it"},
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes --out, --quiet and only the options it reads."""
+    parser = _Parser(prog="dqmem", description="dissipative quantum memory experiments")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (text, _) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text, description=text)
+        kinds = _kinds(name)
+        if kinds:
+            cmd.add_argument("--config", required=True, metavar="PATH",
+                             help=f"JSON config of kind {' or '.join(kinds)}")
+        else:
+            cmd.add_argument("--dim", type=int, default=64, metavar="N",
+                             help="oracle truncation dimension (at least 64)")
+        cmd.add_argument("--out", metavar="DIR", default=".",
+                         help="output directory (default: current directory)")
+        for flag in dict.fromkeys(f for k in kinds for _, f in CONFIG_KINDS[k].flags):
+            cmd.add_argument(f"--{flag}", **_FLAG_OPTIONS[flag])
+        cmd.add_argument("--quiet", action="store_true",
+                         help="suppress informational stdout")
+    return parser
 
 
 def _dispatch(args) -> tuple[dict[str, str], str, int, object, object]:
     """Returns (artifacts, stdout line, exit code, config echo, seed)."""
-    if args.command == "oracle-verify":
-        if args.config is not None:
-            raise CliError("usage", "oracle-verify takes no --config")
-        artifacts, line, code = _run_oracle_verify(args)
-        return artifacts, line, code, {"dim": int(args.dim)}, None
-
+    handler = _COMMANDS[args.command][1]
+    if "config" not in args:
+        return (*handler(args.dim), {"dim": args.dim}, None)
     cfg = _parse_config(args)
-    artifacts, line, code = _HANDLERS[args.command](cfg)
-    return artifacts, line, code, cfg.raw, cfg.seed
+    return (*handler(cfg), cfg.raw, cfg.seed)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -599,15 +604,12 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:  # --help and friends
             return int(exc.code or 0)
 
-        if args.seed is not None and not (0 <= args.seed < 2 ** 64):
-            raise CliError("usage", f"--seed must fit in a u64, got {args.seed}")
-
         start = time.perf_counter()
         try:
             artifacts, line, exit_code, echo, seed = _dispatch(args)
         except RegistryError as exc:
             raise CliError("registry", str(exc)) from exc
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: math.fsum
             raise CliError("domain", str(exc)) from exc
         wall = time.perf_counter() - start
 

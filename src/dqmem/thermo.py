@@ -125,8 +125,8 @@ class FirstLawLedger:
     """Discrete first-law bookkeeping over a time grid.
 
     Per step i (between times[i] and times[i+1]):
-    entropy_term[i] = sum_k ds_k / beta_k(midpoint) is the heat dQ by
-    definition, residual[i] = delta_energy[i] - entropy_term[i], and
+    entropy_term[i] = sum_k ds_k / beta_k(midpoint), correctly rounded, is the
+    heat dQ by definition, residual[i] = delta_energy[i] - entropy_term[i], and
     flagged[i] marks steps where a damped mode's Theta changes sign (beta
     diverges inside the step, so the midpoint rule's premise fails there).
     """
@@ -254,7 +254,7 @@ def _ledger(state: MemoryState, ts: np.ndarray, trace) -> FirstLawLedger:
     inv_beta_energy_weighted = energies[None, :] / y_mid  # 0 where y = inf
 
     ds = np.diff(s_per, axis=0)
-    entropy_term = (ds * inv_beta_energy_weighted).sum(axis=1)
+    entropy_term = _row_sums(ds * inv_beta_energy_weighted)
     delta_energy = np.diff(total_energy)
     residual = delta_energy - entropy_term
     crossings = (traj[:-1] * traj[1:] <= 0.0) & (gammas[None, :] > 0.0)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from dqmem.capacity import (
     _expected_log_cosh_gap,
+    SCHEMA_VERSION,
     CodeSpec,
     Registry,
     RegistryCodeLengthError,
@@ -564,6 +565,18 @@ def test_load_rejects_legacy_version(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(RegistryVersionError, match="schema_version 0"):
         load_registry(path)
+
+
+def test_registry_carries_only_the_version_it_reads(tmp_path):
+    # schema_version is a class constant, so no registry can be saved with a
+    # version that load_registry rejects
+    with pytest.raises(TypeError):
+        Registry(modes_k(1), (), 2)
+    reg = registry_k(1, [[0.3]])
+    assert reg.schema_version == Registry.schema_version == SCHEMA_VERSION
+    path = tmp_path / "r.json"
+    save_registry(reg, path)
+    assert load_registry(path) == reg
 
 
 def test_load_rejects_code_length_mismatch(tmp_path):

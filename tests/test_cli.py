@@ -12,6 +12,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -241,8 +242,18 @@ def test_associate_graph_and_matrix(tmp_path, registry_path):
     assert float(rows[1][1]) == 1.0
 
 
+def csv_module_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(c) if isinstance(c, float) else c for c in row])
+    return buf.getvalue().encode("utf-8")
+
+
 def test_fidelity_csv_is_the_csv_module_rendering(tmp_path):
-    # ids that need quoting, written the way csv.writer writes every cell
+    # ids that need quoting, written the way csv.writer writes every cell, in
+    # fidelity.csv, recall.csv and edges.csv
     ids = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\r", " pad"]
     cfg = write_config(tmp_path, "print.json", {
         "kind": "print",
@@ -251,21 +262,31 @@ def test_fidelity_csv_is_the_csv_module_rendering(tmp_path):
                     for i, e in enumerate(ids)],
     })
     assert run(["print", "--config", cfg, "--out", tmp_path / "reg", "--quiet"]) == 0
-    matrix_cfg = write_config(tmp_path, "matrix.json", {
-        "kind": "fidelity-matrix",
-        "registry": str(tmp_path / "reg" / "registry.json"),
-        "time": 0.3,
-    })
-    out = tmp_path / "matrix_out"
-    assert run(["associate", "--config", matrix_cfg, "--out", out, "--quiet"]) == 0
+    registry = str(tmp_path / "reg" / "registry.json")
     modes = (ModeParams(0, 1.0, 1.0), ModeParams(1, 2.0, 0.5))
-    states = [MemoryState(modes, Code((0.2 * i, 1.0 - 0.15 * i))) for i in range(len(ids))]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["entry_id", *ids])
-    for entry_id, a in zip(ids, states):
-        writer.writerow([entry_id, *(repr(overlap(a, b)) for b in states)])
-    assert (out / "fidelity.csv").read_bytes() == buf.getvalue().encode("utf-8")
+
+    def overlaps(t):
+        states = [MemoryState(modes, Code((0.2 * i, 1.0 - 0.15 * i)), t)
+                  for i in range(len(ids))]
+        return [[overlap(a, b) for b in states] for a in states]
+
+    # the same-time matrix comes from the codes, as at t = 0; recall evolves
+    fid, scores = overlaps(0.0), overlaps(0.3)[2]
+    edges = [[ids[i], ids[j], fid[i][j]] for i in range(len(ids))
+             for j in range(i + 1, len(ids)) if fid[i][j] >= 0.9]
+    assert {e for edge in edges for e in edge[:2]} == set(ids)
+    for command, doc, name, header, rows in (
+            ("associate", {"kind": "fidelity-matrix"}, "fidelity.csv",
+             ["entry_id", *ids], [[e, *row] for e, row in zip(ids, fid)]),
+            ("recall", {"kind": "recall", "probe": {"entry": ids[2]}}, "recall.csv",
+             ["entry_id", "score"], [[e, f] for e, f in zip(ids, scores)]),
+            ("associate", {"kind": "association-graph", "threshold": 0.9}, "edges.csv",
+             ["entry_a", "entry_b", "fidelity"], edges)):
+        doc = dict(doc, registry=registry, time=0.3)
+        out = tmp_path / name
+        assert run([command, "--config", write_config(tmp_path, "c.json", doc),
+                    "--out", out, "--quiet"]) == 0
+        assert (out / name).read_bytes() == csv_module_text(header, rows), name
 
 
 def test_thermo_trace_artifacts(tmp_path):
@@ -399,6 +420,22 @@ def test_oracle_verify_checks_the_shipped_entropy(tmp_path, monkeypatch):
     assert failed and {r[0] for r in failed} == {"entropy"}
 
 
+@pytest.mark.parametrize("command", ["evolve", "thermo-trace"])
+def test_overflowing_energy_sum_is_one_domain_error(tmp_path, command):
+    # each mode's energy is finite, their sum overflows inside math.fsum
+    cfg = write_config(tmp_path, "big.json", {
+        "kind": command,
+        "modes": {"omega": [5e3] * 4, "gamma": [1.0] * 4},
+        "code": {"thetas": [351.0] * 4},
+        "times": {"start": 0.0, "stop": 1.0, "num": 2},
+    })
+    script = "import sys\nfrom dqmem.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    proc = python(script, command, "--config", cfg, "--out", tmp_path / "o")
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: domain: intermediate overflow in fsum\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_capacity_overflowing_expected_overlap_is_one_domain_error(tmp_path):
     cfg = write_config(tmp_path, "cap.json", {
         "kind": "capacity-sweep",
@@ -496,6 +533,8 @@ def test_exit_1_on_unknown_config_keys(tmp_path, registry_path, capsys):
             for bad in (True, "0.5"):
                 cases.append((f"{kind} {path}={bad!r}", command,
                               _replaced(doc, path, bad), 1))
+        if kind == "fidelity-matrix":  # only association-graph reads a threshold
+            cases.append((f"{kind} threshold", command, dict(doc, threshold=0.5), 1))
 
     wrong = []
     for name, command, doc, want in cases:
@@ -507,6 +546,55 @@ def test_exit_1_on_unknown_config_keys(tmp_path, registry_path, capsys):
         if not ok:
             wrong.append(f"{name}: exit {code}, stderr {err!r}")
     assert not wrong, "\n".join(wrong)
+
+
+# (subcommand, config kind) -> {option it reads: config key the option fills}
+OPTIONS_READ = {
+    ("print", "print"): {"--config": None},
+    ("recall", "recall"): {"--config": None},
+    ("evolve", "evolve"): {"--config": None},
+    ("forgetting", "forgetting-curve"): {"--config": None},
+    ("capacity", "capacity-sweep"): {"--config": None, "--seed": "seed",
+                                     "--epsilon": "epsilon"},
+    ("associate", "association-graph"): {"--config": None, "--epsilon": "threshold"},
+    ("associate", "fidelity-matrix"): {"--config": None},
+    ("thermo-trace", "thermo-trace"): {"--config": None},
+    ("oracle-verify", None): {"--dim": None},
+}
+
+
+@pytest.mark.parametrize("command, kind", list(OPTIONS_READ))
+def test_each_subcommand_takes_only_the_options_it_reads(
+        tmp_path, registry_path, capsys, monkeypatch, command, kind):
+    # the residual suite itself runs in test_oracle_verify_passes
+    monkeypatch.setattr("dqmem.cli._verify_rows", lambda dim: [])
+    reads = OPTIONS_READ[command, kind]
+    other = write_config(tmp_path, "other.json", VALID_CONFIGS["evolve"][1])
+    values = {"--config": other, "--seed": 7, "--epsilon": 0.25, "--dim": 64}
+    wrong = []
+    for option, value in values.items():
+        out = tmp_path / option
+        args = [command, "--out", out, "--quiet"]
+        if kind is not None:
+            # the flag must fill its key: exit 0 shows that it was read
+            doc = json.loads(json.dumps(VALID_CONFIGS[kind][1]).replace(
+                REGISTRY, str(registry_path)))
+            doc.pop(reads.get(option), None)
+            args += ["--config", write_config(tmp_path, "case.json", doc)]
+        if option != "--config" or kind is None:
+            args += [option, value]
+        code, err = run(args), capsys.readouterr().err
+        ok = (code == 0 and err == "") if option in reads else (
+            code == 1 and err.startswith("error: usage:") and err.count("\n") == 1
+            and not out.exists())
+        if not ok:
+            wrong.append(f"{command} {kind} {option}: exit {code}, stderr {err!r}")
+    assert not wrong, "\n".join(wrong)
+
+    assert run([command, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    read = {o for (c, _), opts in OPTIONS_READ.items() if c == command for o in opts}
+    assert listed == {"--help", "--out", "--quiet", *read}
 
 
 def test_exit_1_on_kind_subcommand_mismatch(tmp_path, capsys):
@@ -677,7 +765,7 @@ def test_closed_form_commands_run_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     registry = str(tmp_path / "reg" / "registry.json")
     for kind in ("capacity-sweep", "fidelity-matrix", "association-graph",
-                 "forgetting-curve"):
+                 "forgetting-curve", "evolve", "thermo-trace", "recall"):
         command, doc, _ = VALID_CONFIGS[kind]
         doc = json.loads(json.dumps(doc).replace(REGISTRY, registry))
         cfg = write_config(tmp_path, f"{kind}.json", doc)

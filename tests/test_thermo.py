@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqmem import thermo
-from dqmem.states import Code, MemoryState, ModeParams, theta_from_beta
+from dqmem.states import Code, MemoryState, ModeParams, effective_thetas, theta_from_beta
 
 # hand-derived: at occupation 1, s = 2 ln(2) - 1 ln(1) = 2 ln 2
 TWO_LN2 = 1.3862943611198906
@@ -328,3 +328,26 @@ def test_ledger_delta_energy_is_the_snapshot_energy_difference():
     energy = [thermo.thermo_snapshot(MemoryState(modes, state.code, t)).energy
               for t in ts.tolist()]
     assert led.delta_energy == tuple(b - a for a, b in zip(energy, energy[1:]))
+
+
+def test_ledger_heat_is_the_fsum_of_its_per_mode_terms():
+    # each step's heat is math.fsum of its per-mode terms ds_k E_k / (beta_k E_k)
+    # at the step midpoint, bit for bit
+    rng = np.random.default_rng(411)
+    k = 16
+    modes = tuple(ModeParams(i, w, g) for i, (w, g)
+                  in enumerate(zip(rng.uniform(0.5, 2.0, k), rng.uniform(0.5, 1.5, k))))
+    code = Code(tuple(rng.uniform(0.5, 3.0, k)))
+    ts = np.linspace(0.0, 20.0, 400).tolist()
+    led = thermo.first_law_ledger(MemoryState(modes, code), ts)
+
+    def thetas(t):
+        return effective_thetas(MemoryState(modes, code, t))
+
+    energies = np.array([m.omega for m in modes])
+    s = [thermo._entropy_per_mode(thetas(t)) for t in ts]
+    want = []
+    for i, (a, b) in enumerate(zip(ts, ts[1:])):
+        weight = energies / thermo._beta_energy(thetas(0.5 * (a + b)))
+        want.append(math.fsum(((s[i + 1] - s[i]) * weight).tolist()))
+    assert led.entropy_term == tuple(want)
