@@ -726,7 +726,12 @@ def _at_least(minimum: int):
     return parse
 
 
-_parse_seed = _at_least(0)
+def _parse_seed(obj, where: str, error=_cfg_error) -> int:
+    """A seed is an integer in [0, 2**64), as a config key or as `--seed`."""
+    seed = _integer(obj, where, error)
+    if not 0 <= seed < 2 ** 64:
+        raise error(f"{where} must be in [0, 2**64)")
+    return seed
 
 
 def _parse_time(obj, where: str) -> float:

@@ -45,6 +45,7 @@ from .capacity import (
     RegistryError,
     _codes,
     _log_overlap_rows,
+    _parse_seed,
     association_graph,
     capacity_estimate,
     fidelity_matrix,
@@ -550,11 +551,9 @@ _COMMANDS = {
 
 
 def _u64(text: str) -> int:
-    """argparse type of --seed; a ValueError from int() reads as an invalid value."""
-    value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError(f"must fit in a u64, got {value}")
-    return value
+    """argparse type of --seed, the `seed` key's rule; a ValueError from int()
+    reads as an invalid value."""
+    return _parse_seed(int(text), "seed", argparse.ArgumentTypeError)
 
 
 # option -> argparse settings; a subcommand takes those its kinds' flags name

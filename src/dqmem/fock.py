@@ -30,6 +30,16 @@ exp(-2 Theta)/4. (The opposite pairing flips the factorization and the
 variance table simultaneously; it is rejected by `check_squeeze_factorization`
 at O(1), which is the point of keeping the check.)
 
+Exponential actions (`expm_action`) are exact Taylor sums run on the
+reachable support of the start vector only, the set of basis states its
+nonzeros reach through the matrix's nonzero pattern; outside that set every
+term is zero. A memory state stays on the dim paired-diagonal states under
+G(theta) and H_int, and a squeezer acting on the vacuum stays on the
+n + ntil even half of the pair space, so the oracle never evolves the full
+dim^2 vector for them. Every exponent the oracle takes is real (-i G(theta),
+-i t H_int and the squeezer generators), and a real exponent acting on a
+real vector is summed in float64.
+
 Truncation policy: the top Fock level of each oscillator is where the
 commutation relations necessarily break, so operator-identity checks are
 restricted to the interior {n < dim-1, ntil < dim-1}. State constructions
@@ -46,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -95,11 +106,27 @@ def _pair_operators(dim: int) -> SimpleNamespace:
     )
 
 
+def _real_csr(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
+    """float64 CSR of a matrix whose entries are all real.
+
+    (.real on the sparse matrix itself raises ComplexWarning; the copy keeps
+    the data contiguous, so no matvec has to copy it again.)
+    """
+    return sparse.csr_matrix((matrix.data.real.copy(), matrix.indices, matrix.indptr),
+                             shape=matrix.shape)
+
+
 def _squeezer_generator(mode: sparse.csr_matrix, r: float) -> sparse.csr_matrix:
     # S(r) = exp(-r/2 (m^2 - mdag^2)); generator is real antisymmetric, so
-    # the exponential is orthogonal and the Taylor stages cannot blow up
+    # the exponential is orthogonal and the Taylor stages cannot blow up.
+    # The adjoint and the scaling are taken in place: this is the largest
+    # matrix the oracle builds, and its temporaries set the run's peak memory
     mm = (mode @ mode).tocsr()
-    return ((-0.5 * r) * (mm - mm.conj().T)).tocsr()
+    mmdag = mm.T.tocsr()
+    np.conjugate(mmdag.data, out=mmdag.data)
+    gen = mm - mmdag
+    gen.data *= -0.5 * r
+    return gen
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +138,10 @@ class FockWorkspace:
     `mirror_number` are the literal products adag@a and atildag@atil (kept
     as products, not rebuilt from integer arrays, so expectation checks
     exercise the same floating arithmetic the identities do), while `h0`,
-    `j3` and `casimir` are built from exact integer diagonals.
+    `j3` and `casimir` are built from exact integer diagonals. The four
+    rotated quadratures are built on first use and then kept, the two real
+    position quadratures as float64 CSR: a product with a complex vector
+    casts their entries back to complex exactly.
     """
 
     dim: int
@@ -141,6 +171,15 @@ class FockWorkspace:
     def size(self) -> int:
         """Dimension of the pair space, dim ** 2."""
         return self.dim * self.dim
+
+    @cached_property
+    def quadratures(self) -> tuple[sparse.csr_matrix, ...]:
+        """Position and momentum of b, then of btil: (x1, y1, x2, y2)."""
+        out = []
+        for mode in (self.b, self.btil):
+            dag = mode.conj().T.tocsr()
+            out += [_real_csr(0.5 * (mode + dag)), ((-0.5j) * (mode - dag)).tocsr()]
+        return tuple(out)
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.size, dtype=np.complex128)
@@ -246,28 +285,82 @@ def build_workspace(dim: int, omega: float = 1.0, gamma: float = 1.0) -> FockWor
     )
 
 
+def _reachable(matrix: sparse.spmatrix, vec: np.ndarray) -> np.ndarray:
+    """Sorted indices of the basis states that `vec` reaches under `matrix`.
+
+    A frontier search over the column pattern: starting from vec's nonzeros,
+    each pass adds the rows stored in the newly reached columns, until no new
+    row appears. The set is closed under `matrix`, so every power of it
+    applied to `vec` vanishes outside the set.
+    """
+    csr = sparse.csr_matrix(matrix)
+    # the pattern alone, so the transpose copies no matrix values
+    csc = sparse.csr_matrix((np.ones(csr.nnz, dtype=bool), csr.indices, csr.indptr),
+                            shape=csr.shape).tocsc()
+    indptr, indices = csc.indptr, csc.indices
+    seen = np.zeros(csc.shape[1], dtype=bool)
+    frontier = np.flatnonzero(vec)
+    seen[frontier] = True
+    while frontier.size:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        # position in `indices` of every entry stored in a frontier column
+        base = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        rows = indices[base + np.arange(base.size)]
+        frontier = np.unique(rows[~seen[rows]])
+        seen[frontier] = True
+    return np.flatnonzero(seen)
+
+
+def _norm(x: np.ndarray) -> float:
+    # 2-norm as an einsum reduction, which never enters BLAS (a complex
+    # vector is read as its interleaved float64 parts)
+    flat = x.view(np.float64)
+    return math.sqrt(np.einsum("i,i->", flat, flat))
+
+
 def expm_action(matrix: sparse.spmatrix, vec: np.ndarray, *, tol: float = 1e-15,
                 stage_norm: float = 4.0, max_terms: int = 120) -> np.ndarray:
     """Apply exp(matrix) to vec by staged Taylor series, deterministically.
 
-    The matrix is split into s stages of 1-norm <= stage_norm; each stage is
-    summed until the term norm drops below tol relative to the partial sum.
-    Deterministic by construction (no norm estimation, no randomness), which
-    is why this exists instead of scipy's expm_multiply: rerun artifacts must
-    be byte-identical.
+    The series runs on the reachable support of vec only: the basis states
+    that vec's nonzeros reach through the column pattern of matrix. That set
+    is closed under matrix, so every Taylor term vanishes outside it and the
+    columns outside it only ever multiply zeros; restricting matrix to it
+    (and embedding the result back into zeros) drops no term. A memory state
+    under G(theta) or H_int stays on the dim paired-diagonal states, and a
+    squeezer acting on the vacuum on the n + ntil even half of the pair space.
+
+    The restricted matrix is split into s stages of 1-norm <= stage_norm;
+    each stage is summed until the term norm drops below tol relative to the
+    partial sum. When matrix and vec are both real, as every exponent the
+    oracle takes is, the series runs in float64; the result is complex128
+    either way. Deterministic by construction (no norm estimation, no
+    randomness, and term norms taken by an einsum reduction rather than
+    BLAS, so no convergence decision depends on the BLAS thread count),
+    which is why this exists instead of scipy's expm_multiply: rerun
+    artifacts must be byte-identical.
 
     Raises RuntimeError if a stage fails to converge within max_terms.
     """
-    norm1 = float(np.max(np.abs(matrix).sum(axis=0))) if matrix.nnz else 0.0
+    vec = np.asarray(vec, dtype=np.complex128)
+    matrix = sparse.csr_matrix(matrix)
+    keep = _reachable(matrix, vec)
+    w = vec[keep]
+    if not (np.any(matrix.data.imag) or np.any(w.imag)):
+        matrix = _real_csr(matrix)
+        w = w.real.copy()
+    if keep.size < vec.size:
+        matrix = matrix[keep][:, keep]
+    norm1 = float(np.max(abs(matrix).sum(axis=0))) if matrix.nnz else 0.0
     stages = max(1, int(math.ceil(norm1 / stage_norm)))
-    w = np.asarray(vec, dtype=np.complex128).copy()
     for _ in range(stages):
         term = w.copy()
         acc = w.copy()
         for k in range(1, max_terms + 1):
             term = matrix.dot(term) / (stages * k)
             acc += term
-            if np.linalg.norm(term) <= tol * np.linalg.norm(acc):
+            if _norm(term) <= tol * _norm(acc):
                 break
         else:
             raise RuntimeError(
@@ -275,7 +368,9 @@ def expm_action(matrix: sparse.spmatrix, vec: np.ndarray, *, tol: float = 1e-15,
                 f"(stage 1-norm {norm1 / stages:.3g})"
             )
         w = acc
-    return w
+    out = np.zeros(vec.shape, dtype=np.complex128)
+    out[keep] = w
+    return out
 
 
 def _tail(theta: float, dim: int) -> float:
@@ -381,13 +476,7 @@ def _variance(op: sparse.csr_matrix, v: np.ndarray) -> float:
 
 def quadrature_variances(ws: FockWorkspace, v: np.ndarray) -> Variances:
     """Position/momentum variances of the rotated pair (b, btil) in state v."""
-    # quadratures are cheap to form on demand; workspaces stay lean
-    bdag = ws.b.conj().T.tocsr()
-    btildag = ws.btil.conj().T.tocsr()
-    x1 = (0.5 * (ws.b + bdag)).tocsr()
-    y1 = ((-0.5j) * (ws.b - bdag)).tocsr()
-    x2 = (0.5 * (ws.btil + btildag)).tocsr()
-    y2 = ((-0.5j) * (ws.btil - btildag)).tocsr()
+    x1, y1, x2, y2 = ws.quadratures
     return Variances(
         dx2=_variance(x1, v),
         dy2=_variance(y1, v),
@@ -527,7 +616,10 @@ def check_squeeze_factorization(ws: FockWorkspace, theta: float, *,
                 f"squeeze factorization budget exceeded at theta={theta}: "
                 f"needs dim {d_pad} > {max_pad_factor} * {ws.dim}"
             )
-    ops = _pair_operators(d_pad)
+    if d_pad == ws.dim:
+        ops = SimpleNamespace(jp=ws.j_plus, jm=ws.j_minus, b=ws.b, btil=ws.btil)
+    else:
+        ops = _pair_operators(d_pad)
     vac = np.zeros(d_pad * d_pad, dtype=np.complex128)
     vac[0] = 1.0
     u = expm_action(((-theta) * (ops.jp - ops.jm)).tocsr(), vac)

@@ -215,8 +215,10 @@ def _trace(state: MemoryState, times) -> tuple[np.ndarray, ...]:
     traj = _trajectory(_gammas(state.modes), state.code.thetas, times)
     occ = np.sinh(traj) ** 2
     s_per = _entropy_per_mode(traj)
-    return (traj, occ, s_per, _row_sums(s_per),
-            _row_sums(_energies(state.modes) * occ))
+    # a mode energy past the float range is inf, as the Python product is
+    with np.errstate(over="ignore"):
+        energy_per = _energies(state.modes) * occ
+    return traj, occ, s_per, _row_sums(s_per), _row_sums(energy_per)
 
 
 def entropy_trace(state: MemoryState, times) -> np.ndarray:

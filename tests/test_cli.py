@@ -39,6 +39,10 @@ def run(args):
     return main([str(a) for a in args])
 
 
+# `python(MAIN, *argv)` runs the command line in a fresh interpreter
+MAIN = "import sys\nfrom dqmem.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
 @pytest.fixture()
 def registry_path(tmp_path):
     cfg = write_config(tmp_path, "print.json", {
@@ -211,6 +215,34 @@ def test_capacity_config_seed_wins_over_flag(tmp_path):
                 "--seed", 999, "--quiet"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["seed"] == 1
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1, 2 ** 64, 2 ** 70, -1, 1.5])
+def test_seed_flag_and_key_take_the_same_values(tmp_path, seed, capsys):
+    doc = {
+        "kind": "capacity-sweep",
+        "modes": {"omega": [1.0], "gamma": [1.0]},
+        "theta_range": [0.0, 1.5],
+        "epsilon": 0.05,
+        "candidates": 5,
+    }
+    flag_cfg = write_config(tmp_path, "flag.json", doc)
+    key_cfg = write_config(tmp_path, "key.json", {**doc, "seed": seed})
+    by_flag = run(["capacity", "--config", flag_cfg, "--seed", seed,
+                   "--out", tmp_path / "flag", "--quiet"])
+    flag_err = capsys.readouterr().err
+    by_key = run(["capacity", "--config", key_cfg, "--out", tmp_path / "key", "--quiet"])
+    key_err = capsys.readouterr().err
+    accepted = isinstance(seed, int) and 0 <= seed < 2 ** 64
+    assert (by_flag, by_key) == ((0, 0) if accepted else (1, 1))
+    if accepted:
+        for name in ("capacity.csv", "summary.json"):
+            assert ((tmp_path / "flag" / name).read_bytes()
+                    == (tmp_path / "key" / name).read_bytes())
+    else:
+        assert flag_err.startswith("error: usage: argument --seed:")
+        assert key_err.startswith("error: config: ")
+        assert flag_err.count("\n") == key_err.count("\n") == 1
 
 
 def test_associate_graph_and_matrix(tmp_path, registry_path):
@@ -429,11 +461,32 @@ def test_overflowing_energy_sum_is_one_domain_error(tmp_path, command):
         "code": {"thetas": [351.0] * 4},
         "times": {"start": 0.0, "stop": 1.0, "num": 2},
     })
-    script = "import sys\nfrom dqmem.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-    proc = python(script, command, "--config", cfg, "--out", tmp_path / "o")
+    proc = python(MAIN, command, "--config", cfg, "--out", tmp_path / "o")
     assert (proc.returncode, proc.stderr) == (
         1, "error: domain: intermediate overflow in fsum\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "thermo-trace"])
+def test_overflowing_mode_energy_warns_nowhere(tmp_path, command):
+    # omega sinh^2 Theta itself overflows: the first row's energy is inf,
+    # which evolve writes and the thermo-trace ledger reports as one error
+    cfg = write_config(tmp_path, "big.json", {
+        "kind": command,
+        "modes": {"omega": [1e4] * 4, "gamma": [1.0] * 4},
+        "code": {"thetas": [351.0] * 4},
+        "times": {"start": 0.0, "stop": 1.0, "num": 2},
+    })
+    proc = python(MAIN, command, "--config", cfg, "--out", tmp_path / "o", "--quiet")
+    if command == "evolve":
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = read_csv(tmp_path / "o" / "evolve.csv")
+        assert rows[1][-1] == "inf"
+        assert float(rows[2][-1]) == math.fsum(1e4 * float(x) for x in rows[2][5:9])
+    else:
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: domain: intermediate overflow in fsum\n")
+        assert not (tmp_path / "o").exists()
 
 
 def test_capacity_overflowing_expected_overlap_is_one_domain_error(tmp_path):
@@ -442,8 +495,7 @@ def test_capacity_overflowing_expected_overlap_is_one_domain_error(tmp_path):
         "modes": {"omega": [1.0] * 8, "gamma": [1.0] * 8},
         "theta_range": [0.0, 1e308], "epsilon": 0.05, "candidates": 20, "seed": 1,
     })
-    cli = "import sys\nfrom dqmem.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-    proc = python(cli, "capacity", "--config", cfg, "--out", tmp_path / "o")
+    proc = python(MAIN, "capacity", "--config", cfg, "--out", tmp_path / "o")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: domain:")
     assert proc.stderr.count("\n") == 1
@@ -681,6 +733,15 @@ def test_rerun_is_byte_identical_outside_manifest(tmp_path):
     mb = json.loads((out_b / "manifest.json").read_text())
     differing = {k for k in ma if ma[k] != mb[k]}
     assert differing <= {"wall_time_s", "argv", "out"}
+
+
+def test_oracle_rerun_is_byte_identical(tmp_path):
+    # two processes, so no state carries over from the first run
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert python(MAIN, "oracle-verify", "--out", out, "--quiet").returncode == 0
+    for name in ("residuals.csv", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_csv_artifacts_use_crlf(tmp_path):

@@ -156,6 +156,65 @@ def test_expm_action_matches_dense_exponential():
     assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("touched", [(1,), (0, 2)])
+def test_expm_action_on_a_permuted_block_diagonal(dtype, touched):
+    # three dense blocks hidden by a permutation: vec's reachable support is
+    # exactly the blocks it touches, and the restricted series stays exact
+    from scipy import sparse
+    from scipy.linalg import expm
+    rng = np.random.default_rng(17)
+    sizes = (6, 9, 5)
+
+    def block(n):
+        b = rng.normal(size=(n, n))
+        if dtype is complex:
+            b = b + 1j * rng.normal(size=(n, n))
+        return 0.4 * b
+
+    perm = rng.permutation(sum(sizes))
+    m = sparse.block_diag([block(n) for n in sizes], format="csr")[perm][:, perm]
+    starts = np.cumsum((0,) + sizes)
+    inside = np.concatenate([np.arange(starts[b], starts[b + 1]) for b in touched])
+    where = np.flatnonzero(np.isin(perm, inside))
+    v = np.zeros(sum(sizes), dtype=dtype)
+    v[where] = rng.normal(size=where.size)
+    if dtype is complex:
+        v[where] += 1j * rng.normal(size=where.size)
+    assert fock._reachable(m, v).tolist() == where.tolist()
+    got = fock.expm_action(m, v)
+    want = expm(m.toarray()).dot(v)
+    assert got.dtype == np.complex128
+    assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
+    assert np.all(got[np.setdiff1d(np.arange(v.size), where)] == 0.0)
+
+
+def test_reachable_support_of_the_oracle_exponents(ws32):
+    # memory states stay on the dim paired-diagonal states under H_int and
+    # G(theta); the squeezers reach exactly the n + ntil even half
+    pairs = np.flatnonzero(ws32.n_index == ws32.ntil_index).tolist()
+    hint = ((-1j) * ws32.h_int).tocsr()
+    assert fock._reachable(hint, fock.memory_vector(ws32, 0.5)).tolist() == pairs
+    gen = ((-1j) * ws32.generator(0.5)).tocsr()
+    assert fock._reachable(gen, ws32.vacuum()).tolist() == pairs
+    assert len(pairs) == ws32.dim
+    even = np.flatnonzero((ws32.n_index + ws32.ntil_index) % 2 == 0).tolist()
+    for mirror in (False, True):
+        sq = ws32.squeezer_generator(0.5, mirror=mirror)
+        assert fock._reachable(sq, ws32.vacuum()).tolist() == even
+
+
+def test_evolve_vector_off_the_paired_diagonal_matches_dense():
+    from scipy.linalg import expm
+    ws = fock.build_workspace(8)
+    v = np.zeros(ws.size, dtype=np.complex128)
+    v[[0, ws.dim]] = 1.0 / math.sqrt(2.0)  # (|0,0> + |1,0>)/sqrt(2)
+    got = fock.evolve_vector(ws, v, 0.3)
+    want = expm((-0.3j) * ws.h_int.toarray()).dot(v)
+    assert np.linalg.norm(got - want) < 1e-12
+    assert np.count_nonzero(got) > ws.dim  # both sectors were evolved
+
+
 # ---------------------------------------------------------------------------
 # dissipative evolution
 
