@@ -183,7 +183,7 @@ class FidelityMatrix:
     values: np.ndarray
     eval_time: float
     staggered: bool
-    metric: str = "overlap"
+    metric: ClassVar[str] = "overlap"  # the one distinguishability metric
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -207,6 +207,19 @@ def _codes(registry: Registry) -> np.ndarray:
     return np.array([e.code.thetas for e in registry.entries]).reshape(-1, registry.k)
 
 
+def _entry_thetas(registry: Registry, t: float, staggered: bool) -> np.ndarray:
+    """The entries' Theta block at time t: each entry at its own age
+    t - printed_at when staggered (a t before an entry's printing is a
+    ValueError naming the first such entry), else every entry at age t."""
+    printed = np.array([e.printed_at for e in registry.entries])
+    if staggered and np.any(printed > t):
+        ent = registry.entries[int(np.argmax(printed > t))]
+        raise ValueError(f"evaluation time {t} precedes printed_at {ent.printed_at} "
+                         f"of entry '{ent.entry_id}'")
+    ages = t - printed if staggered else np.full(len(printed), t)
+    return _trajectory(_gammas(registry.modes), _codes(registry), ages)
+
+
 def fidelity_matrix(registry: Registry, t: float, *,
                     staggered: bool = False) -> FidelityMatrix:
     """Pairwise overlaps of all entries evolved to common evaluation time t.
@@ -226,13 +239,7 @@ def fidelity_matrix(registry: Registry, t: float, *,
     n = len(registry.entries)
 
     if staggered:
-        latest = max(e.printed_at for e in registry.entries)
-        if t < latest:
-            raise ValueError(
-                f"evaluation time {t} precedes an entry's printing time {latest}"
-            )
-        ages = t - np.array([e.printed_at for e in registry.entries])
-        thetas = _trajectory(_gammas(registry.modes), _codes(registry), ages)
+        thetas = _entry_thetas(registry, t, staggered=True)
     else:
         stamps = {e.printed_at for e in registry.entries}
         if len(stamps) > 1:

@@ -43,7 +43,7 @@ from .capacity import (
     CONFIG_KINDS,
     ExperimentConfig,
     RegistryError,
-    _codes,
+    _entry_thetas,
     _log_overlap_rows,
     _parse_seed,
     association_graph,
@@ -56,7 +56,7 @@ from .capacity import (
     print_memory,
     registry_to_json,
 )
-from .states import MemoryState, _gammas, _row_sums, _trajectory, effective_thetas
+from .states import MemoryState, _row_sums, effective_thetas
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -226,15 +226,7 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
         probe_code = cfg.probe.realize(registry.modes)
 
     probe = effective_thetas(MemoryState(registry.modes, probe_code, t))
-    printed = np.array([e.printed_at for e in registry.entries])
-    ages = t - printed if cfg.staggered else np.full(len(printed), t)
-    late = np.flatnonzero(ages < 0.0)
-    if late.size:
-        ent = registry.entries[late[0]]
-        raise ValueError(
-            f"evaluation time {t} precedes printed_at {ent.printed_at} "
-            f"of entry '{ent.entry_id}'")
-    block = _trajectory(_gammas(registry.modes), _codes(registry), ages)
+    block = _entry_thetas(registry, t, cfg.staggered)
     rows = []
     best_id, best_score = None, -1.0
     for ent, log_score in zip(registry.entries, _log_overlap_rows(block, probe)):

@@ -46,6 +46,15 @@ restricted to the interior {n < dim-1, ntil < dim-1}. State constructions
 refuse parameters whose discarded tail tanh(theta)^(2 dim) exceeds an
 explicit budget rather than truncating silently.
 
+Fixed tolerances are module constants, not keyword arguments, so every
+check runs at one setting: an `expm_action` Taylor stage has 1-norm at most
+_STAGE_NORM = 4 and ends once a term is below _EXPM_TOL = 1e-15 of the
+partial sum, within _MAX_TERMS = 120 terms; `evolve_vector` allows a tail of
+_EVOLVE_MAX_TAIL = 1e-17 along its path; `check_squeeze_factorization` pads
+until its tail is _SQUEEZE_GUARD_TAIL = 1e-12, to at most _MAX_PAD_FACTOR = 4
+times dim; the hole-relation and entropy-flow checks refuse |Theta| below
+_MIN_ABS_THETA = 0.05. Only memory_vector's budget (1e-10) is a parameter.
+
 This is the only module that needs scipy, and it loads lazily: `import
 dqmem` leaves it (and scipy) unloaded until `dqmem.fock` or one of the
 names the package re-exports from it is first used, and the CLI imports it
@@ -57,7 +66,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -86,24 +94,14 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-
-def _pair_operators(dim: int) -> SimpleNamespace:
-    """Sparse lowering/pair operators for one mode pair at truncation `dim`."""
-    single = sparse.diags(
-        np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr", dtype=np.complex128
-    )
-    ident = sparse.identity(dim, format="csr", dtype=np.complex128)
-    a = sparse.kron(single, ident, format="csr")
-    atil = sparse.kron(ident, single, format="csr")
-    adag = a.conj().T.tocsr()
-    atildag = atil.conj().T.tocsr()
-    jp = (adag @ atildag).tocsr()
-    jm = (a @ atil).tocsr()
-    b = ((a - atil) / _SQRT2).tocsr()
-    btil = ((a + atil) / _SQRT2).tocsr()
-    return SimpleNamespace(
-        a=a, adag=adag, atil=atil, atildag=atildag, jp=jp, jm=jm, b=b, btil=btil
-    )
+# fixed tolerances, described in the module docstring
+_EXPM_TOL = 1e-15
+_STAGE_NORM = 4.0
+_MAX_TERMS = 120
+_EVOLVE_MAX_TAIL = 1e-17
+_SQUEEZE_GUARD_TAIL = 1e-12
+_MAX_PAD_FACTOR = 4
+_MIN_ABS_THETA = 0.05
 
 
 def _real_csr(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -114,19 +112,6 @@ def _real_csr(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
     """
     return sparse.csr_matrix((matrix.data.real.copy(), matrix.indices, matrix.indptr),
                              shape=matrix.shape)
-
-
-def _squeezer_generator(mode: sparse.csr_matrix, r: float) -> sparse.csr_matrix:
-    # S(r) = exp(-r/2 (m^2 - mdag^2)); generator is real antisymmetric, so
-    # the exponential is orthogonal and the Taylor stages cannot blow up.
-    # The adjoint and the scaling are taken in place: this is the largest
-    # matrix the oracle builds, and its temporaries set the run's peak memory
-    mm = (mode @ mode).tocsr()
-    mmdag = mm.T.tocsr()
-    np.conjugate(mmdag.data, out=mmdag.data)
-    gen = mm - mmdag
-    gen.data *= -0.5 * r
-    return gen
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +147,6 @@ class FockWorkspace:
     number: sparse.csr_matrix
     mirror_number: sparse.csr_matrix
     number_flipped: sparse.csr_matrix
-    mirror_number_flipped: sparse.csr_matrix
     interior: sparse.csr_matrix
     n_index: np.ndarray
     ntil_index: np.ndarray
@@ -191,10 +175,20 @@ class FockWorkspace:
         return ((-1j * theta) * (self.j_plus - self.j_minus)).tocsr()
 
     def squeezer_generator(self, r: float, mirror: bool = False) -> sparse.csr_matrix:
-        """Generator of the single-mode squeezer S(r) on b (or btil)."""
-        return _squeezer_generator(self.btil if mirror else self.b, r)
+        """Generator of the squeezer S(r) = exp(-r/2 (m^2 - mdag^2)) on m = b
+        (btil with `mirror`): real antisymmetric, so the exponential is
+        orthogonal and the Taylor stages cannot blow up."""
+        mode = self.btil if mirror else self.b
+        # the adjoint and the scaling are taken in place: this is the largest
+        # matrix the oracle builds, and its temporaries set the run's peak memory
+        mm = (mode @ mode).tocsr()
+        mmdag = mm.T.tocsr()
+        np.conjugate(mmdag.data, out=mmdag.data)
+        gen = mm - mmdag
+        gen.data *= -0.5 * r
+        return gen
 
-    def entropy_operator(self, theta_eff: float, mirror: bool = False) -> sparse.csr_matrix:
+    def entropy_operator(self, theta_eff: float) -> sparse.csr_matrix:
         """Modular entropy operator of the damped mode at effective Theta.
 
         S(Theta) = -(ndag n ln sinh^2 - n ndag ln cosh^2); its expectation on
@@ -206,8 +200,6 @@ class FockWorkspace:
             raise ValueError("entropy operator is singular at Theta = 0")
         ln_sinh2 = 2.0 * math.log(abs(math.sinh(theta_eff)))
         ln_cosh2 = 2.0 * math.log(math.cosh(theta_eff))
-        if mirror:
-            return (-(ln_sinh2 * self.mirror_number - ln_cosh2 * self.mirror_number_flipped)).tocsr()
         return (-(ln_sinh2 * self.number - ln_cosh2 * self.number_flipped)).tocsr()
 
     def entropy_rate_operator(self, theta_eff: float, gamma: float) -> sparse.csr_matrix:
@@ -237,7 +229,16 @@ def build_workspace(dim: int, omega: float = 1.0, gamma: float = 1.0) -> FockWor
     if not (gamma >= 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
 
-    ops = _pair_operators(dim)
+    single = sparse.diags(
+        np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr", dtype=np.complex128
+    )
+    ident = sparse.identity(dim, format="csr", dtype=np.complex128)
+    a = sparse.kron(single, ident, format="csr")
+    atil = sparse.kron(ident, single, format="csr")
+    adag = a.conj().T.tocsr()
+    atildag = atil.conj().T.tocsr()
+    j_plus = (adag @ atildag).tocsr()
+    j_minus = (a @ atil).tocsr()
     n_index = np.repeat(np.arange(dim), dim)
     ntil_index = np.tile(np.arange(dim), dim)
 
@@ -249,7 +250,7 @@ def build_workspace(dim: int, omega: float = 1.0, gamma: float = 1.0) -> FockWor
     h0 = diag(omega * (n_index - ntil_index).astype(float))
     j3 = diag(0.5 * (n_index + ntil_index + 1).astype(float))
     casimir = diag(0.5 * (n_index - ntil_index).astype(float))
-    h_int = ((1j * gamma) * (ops.jp - ops.jm)).tocsr()
+    h_int = ((1j * gamma) * (j_plus - j_minus)).tocsr()
 
     for name, mat in (("h0", h0), ("h_int", h_int)):
         defect = mat - mat.conj().T
@@ -263,22 +264,21 @@ def build_workspace(dim: int, omega: float = 1.0, gamma: float = 1.0) -> FockWor
         dim=dim,
         omega=omega,
         gamma=gamma,
-        a=ops.a,
-        adag=ops.adag,
-        atil=ops.atil,
-        atildag=ops.atildag,
-        b=ops.b,
-        btil=ops.btil,
-        j_plus=ops.jp,
-        j_minus=ops.jm,
+        a=a,
+        adag=adag,
+        atil=atil,
+        atildag=atildag,
+        b=((a - atil) / _SQRT2).tocsr(),
+        btil=((a + atil) / _SQRT2).tocsr(),
+        j_plus=j_plus,
+        j_minus=j_minus,
         j3=j3,
         casimir=casimir,
         h0=h0,
         h_int=h_int,
-        number=(ops.adag @ ops.a).tocsr(),
-        mirror_number=(ops.atildag @ ops.atil).tocsr(),
-        number_flipped=(ops.a @ ops.adag).tocsr(),
-        mirror_number_flipped=(ops.atil @ ops.atildag).tocsr(),
+        number=(adag @ a).tocsr(),
+        mirror_number=(atildag @ atil).tocsr(),
+        number_flipped=(a @ adag).tocsr(),
         interior=interior,
         n_index=n_index,
         ntil_index=ntil_index,
@@ -319,8 +319,7 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
-def expm_action(matrix: sparse.spmatrix, vec: np.ndarray, *, tol: float = 1e-15,
-                stage_norm: float = 4.0, max_terms: int = 120) -> np.ndarray:
+def expm_action(matrix: sparse.spmatrix, vec: np.ndarray) -> np.ndarray:
     """Apply exp(matrix) to vec by staged Taylor series, deterministically.
 
     The series runs on the reachable support of vec only: the basis states
@@ -331,9 +330,9 @@ def expm_action(matrix: sparse.spmatrix, vec: np.ndarray, *, tol: float = 1e-15,
     under G(theta) or H_int stays on the dim paired-diagonal states, and a
     squeezer acting on the vacuum on the n + ntil even half of the pair space.
 
-    The restricted matrix is split into s stages of 1-norm <= stage_norm;
-    each stage is summed until the term norm drops below tol relative to the
-    partial sum. When matrix and vec are both real, as every exponent the
+    The restricted matrix is split into s stages of 1-norm <= _STAGE_NORM;
+    each stage is summed until the term norm drops below _EXPM_TOL relative
+    to the partial sum. When matrix and vec are both real, as every exponent the
     oracle takes is, the series runs in float64; the result is complex128
     either way. Deterministic by construction (no norm estimation, no
     randomness, and term norms taken by an einsum reduction rather than
@@ -341,7 +340,7 @@ def expm_action(matrix: sparse.spmatrix, vec: np.ndarray, *, tol: float = 1e-15,
     which is why this exists instead of scipy's expm_multiply: rerun
     artifacts must be byte-identical.
 
-    Raises RuntimeError if a stage fails to converge within max_terms.
+    Raises RuntimeError if a stage fails to converge within _MAX_TERMS terms.
     """
     vec = np.asarray(vec, dtype=np.complex128)
     matrix = sparse.csr_matrix(matrix)
@@ -353,18 +352,18 @@ def expm_action(matrix: sparse.spmatrix, vec: np.ndarray, *, tol: float = 1e-15,
     if keep.size < vec.size:
         matrix = matrix[keep][:, keep]
     norm1 = float(np.max(abs(matrix).sum(axis=0))) if matrix.nnz else 0.0
-    stages = max(1, int(math.ceil(norm1 / stage_norm)))
+    stages = max(1, int(math.ceil(norm1 / _STAGE_NORM)))
     for _ in range(stages):
         term = w.copy()
         acc = w.copy()
-        for k in range(1, max_terms + 1):
+        for k in range(1, _MAX_TERMS + 1):
             term = matrix.dot(term) / (stages * k)
             acc += term
-            if _norm(term) <= tol * _norm(acc):
+            if _norm(term) <= _EXPM_TOL * _norm(acc):
                 break
         else:
             raise RuntimeError(
-                f"exponential series did not converge within {max_terms} terms "
+                f"exponential series did not converge within {_MAX_TERMS} terms "
                 f"(stage 1-norm {norm1 / stages:.3g})"
             )
         w = acc
@@ -382,7 +381,7 @@ def _require_budget(tail: float, max_tail: float, what: str) -> None:
     if tail > max_tail:
         raise ValueError(
             f"truncation budget exceeded for {what}: discarded tail {tail:.3e} "
-            f"> budget {max_tail:.3e}; increase dim or loosen the budget"
+            f"> budget {max_tail:.3e}; increase dim"
         )
 
 
@@ -419,22 +418,23 @@ def memory_vector_via_generator(ws: FockWorkspace, theta: float) -> np.ndarray:
 
 
 def evolve_vector(ws: FockWorkspace, v: np.ndarray, t: float, *,
-                  theta: float | None = None, max_tail: float = 1e-17) -> np.ndarray:
+                  theta: float | None = None) -> np.ndarray:
     """Apply exp(-i t H_int) to v by error-controlled series action.
 
     The propagator error is dominated by boundary reflection,
     ~0.7 tanh(|Theta|)^dim at the worst effective parameter touched, which is
-    the square root of the state-tail bound; hence the much stricter default
-    budget here than in memory_vector. Pass `theta` (the code parameter of
-    v) to enforce the budget on both endpoints of the path; with theta=None
-    no budget check is possible and the caller owns the error.
+    the square root of the state-tail bound; hence the much stricter tail
+    budget here (_EVOLVE_MAX_TAIL = 1e-17) than in memory_vector. Pass
+    `theta` (the code parameter of v) to enforce the budget on both endpoints
+    of the path; with theta=None no budget check is possible and the caller
+    owns the error.
     """
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if theta is not None:
         worst = max(abs(float(theta)), abs(ws.gamma * t - float(theta)))
-        _require_budget(_tail(worst, ws.dim), max_tail,
+        _require_budget(_tail(worst, ws.dim), _EVOLVE_MAX_TAIL,
                         f"evolve_vector(theta={theta}, t={t})")
     m = ((-1j * t) * ws.h_int).tocsr()
     return expm_action(m, np.asarray(v, dtype=np.complex128))
@@ -485,10 +485,9 @@ def quadrature_variances(ws: FockWorkspace, v: np.ndarray) -> Variances:
     )
 
 
-def entropy_expectation(ws: FockWorkspace, v: np.ndarray, theta_eff: float,
-                        mirror: bool = False) -> float:
+def entropy_expectation(ws: FockWorkspace, v: np.ndarray, theta_eff: float) -> float:
     """<S(Theta)> in state v; matches the closed-form pair entropy on memory states."""
-    return float(np.vdot(v, ws.entropy_operator(theta_eff, mirror=mirror).dot(v)).real)
+    return float(np.vdot(v, ws.entropy_operator(theta_eff).dot(v)).real)
 
 
 def _fro(m: sparse.spmatrix) -> float:
@@ -569,21 +568,21 @@ def algebra_residuals(ws: FockWorkspace) -> dict[str, float]:
     return out
 
 
-def check_hole_relations(ws: FockWorkspace, v: np.ndarray, theta_eff: float, *,
-                         min_abs_theta: float = 0.05) -> tuple[float, float]:
+def check_hole_relations(ws: FockWorkspace, v: np.ndarray,
+                         theta_eff: float) -> tuple[float, float]:
     """Interior norms of the two hole relations on a memory state at Theta.
 
     Creating a quantum of the damped mode is the same as destroying one of
     its mirror, weighted by cosh/sinh of the effective parameter:
     (adag/cosh - atil/sinh) v and (atildag/cosh - a/sinh) v both vanish on
-    exact memory states. Rejects |Theta| < min_abs_theta where the sinh
-    division degenerates.
+    exact memory states. Rejects |Theta| < _MIN_ABS_THETA (0.05), where the
+    sinh division degenerates.
     """
     theta_eff = float(theta_eff)
-    if abs(theta_eff) < min_abs_theta:
+    if abs(theta_eff) < _MIN_ABS_THETA:
         raise ValueError(
             f"hole relations are degenerate near Theta = 0 "
-            f"(|{theta_eff}| < {min_abs_theta}): sinh division blows up"
+            f"(|{theta_eff}| < {_MIN_ABS_THETA}): sinh division blows up"
         )
     ch = math.cosh(theta_eff)
     sh = math.sinh(theta_eff)
@@ -592,44 +591,38 @@ def check_hole_relations(ws: FockWorkspace, v: np.ndarray, theta_eff: float, *,
     return float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
 
 
-def check_squeeze_factorization(ws: FockWorkspace, theta: float, *,
-                                guard_tail: float = 1e-12,
-                                max_pad_factor: int = 4) -> float:
+def check_squeeze_factorization(ws: FockWorkspace, theta: float) -> float:
     """|| exp(-i G(theta))|0,0> - S_b(theta) S_btil(-theta)|0,0> ||.
 
     The single-mode squeezers spread amplitude across total-number shells
     with tail tanh(|theta|)^d, so computing both routes at the workspace dim
     saturates at that tail instead of testing the identity. The comparison
-    is therefore done in a padded space, dim grown until tanh(|theta|)^d_pad
-    <= guard_tail (capped at max_pad_factor * dim); the returned residual
+    is therefore done in a padded workspace, dim grown until
+    tanh(|theta|)^d_pad <= _SQUEEZE_GUARD_TAIL (1e-12), and refused when that
+    needs more than _MAX_PAD_FACTOR (4) times ws.dim; the returned residual
     then reflects the operator identity itself (~1e-12), while a wrong sign
     convention still fails at O(1).
     """
     theta = float(theta)
     lam = abs(math.tanh(theta))
-    d_pad = ws.dim
     if lam > 0.0:
-        needed = int(math.ceil(math.log(guard_tail) / math.log(lam)))
-        d_pad = max(ws.dim, needed)
-        if d_pad > max_pad_factor * ws.dim:
+        d_pad = int(math.ceil(math.log(_SQUEEZE_GUARD_TAIL) / math.log(lam)))
+        if d_pad > _MAX_PAD_FACTOR * ws.dim:
             raise ValueError(
                 f"squeeze factorization budget exceeded at theta={theta}: "
-                f"needs dim {d_pad} > {max_pad_factor} * {ws.dim}"
+                f"needs dim {d_pad} > {_MAX_PAD_FACTOR} * {ws.dim}"
             )
-    if d_pad == ws.dim:
-        ops = SimpleNamespace(jp=ws.j_plus, jm=ws.j_minus, b=ws.b, btil=ws.btil)
-    else:
-        ops = _pair_operators(d_pad)
-    vac = np.zeros(d_pad * d_pad, dtype=np.complex128)
-    vac[0] = 1.0
-    u = expm_action(((-theta) * (ops.jp - ops.jm)).tocsr(), vac)
-    w = expm_action(_squeezer_generator(ops.btil, -theta), vac)
-    w = expm_action(_squeezer_generator(ops.b, theta), w)
+        if d_pad > ws.dim:
+            ws = build_workspace(d_pad, ws.omega, ws.gamma)
+    vac = ws.vacuum()
+    u = expm_action(((-theta) * (ws.j_plus - ws.j_minus)).tocsr(), vac)
+    w = expm_action(ws.squeezer_generator(-theta, mirror=True), vac)
+    w = expm_action(ws.squeezer_generator(theta), w)
     return float(np.linalg.norm(u - w))
 
 
 def check_entropy_flow(ws: FockWorkspace, theta: float, gamma: float, t: float,
-                       dt: float, *, min_abs_theta: float = 0.05) -> float:
+                       dt: float) -> float:
     """Residual of the entropy-driven flow equation at time t.
 
     The damped pair obeys d/dt v(t) = -1/2 (dS/dt) v(t) with
@@ -637,7 +630,8 @@ def check_entropy_flow(ws: FockWorkspace, theta: float, gamma: float, t: float,
     check builds v(t +/- dt) as exact memory states on the flow (not by
     evolving, so the central difference isolates the operator identity) and
     returns the interior norm of the defect. Second order in dt: halving dt
-    quarters it.
+    quarters it. Rejects |Theta| < _MIN_ABS_THETA (0.05), where coth
+    diverges.
 
     `gamma` parameterizes the flow being tested and need not equal ws.gamma,
     which only enters H_int.
@@ -649,10 +643,10 @@ def check_entropy_flow(ws: FockWorkspace, theta: float, gamma: float, t: float,
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     theta_t = gamma * t - theta
-    if abs(theta_t) < min_abs_theta:
+    if abs(theta_t) < _MIN_ABS_THETA:
         raise ValueError(
             f"entropy flow is singular near Theta = 0 "
-            f"(|{theta_t}| < {min_abs_theta})"
+            f"(|{theta_t}| < {_MIN_ABS_THETA})"
         )
     # state at time s is memory_vector(theta - gamma s): effective parameter
     # gamma s - theta with the write convention's sign

@@ -214,7 +214,8 @@ def test_fidelity_matrix_is_state_overlap_bit_for_bit(staggered):
 
 def test_staggered_needs_time_after_last_print():
     reg = registry_k(1, [[0.3], [0.5]], printed_at=[0.0, 1.0])
-    with pytest.raises(ValueError):
+    # the message names the first entry printed after the evaluation time
+    with pytest.raises(ValueError, match="printed_at 1.0 of entry 'm1'"):
         fidelity_matrix(reg, 0.5, staggered=True)
 
 

@@ -696,7 +696,9 @@ def test_exit_1_on_domain_error(tmp_path, registry_path, capsys):
         "staggered": True,
     })
     assert run(["recall", "--config", cfg2, "--out", tmp_path / "o"]) == 1
-    assert capsys.readouterr().err.startswith("error: domain:")
+    err = capsys.readouterr().err
+    assert err.startswith("error: domain:")
+    assert "printed_at 2.0 of entry 'late'" in err
 
 
 def test_exit_1_on_small_dim(tmp_path, capsys):

@@ -354,6 +354,20 @@ def test_squeeze_factorization(ws64):
         assert fock.check_squeeze_factorization(ws64, theta) < 1e-8
 
 
+def test_squeeze_factorization_refuses_padding_past_four_times_dim(ws64):
+    # tanh(3)^d <= 1e-12 needs d = 5574, far above 4 * 64
+    with pytest.raises(ValueError, match="4 \\* 64"):
+        fock.check_squeeze_factorization(ws64, 3.0)
+
+
+def test_squeeze_factorization_pads_with_a_workspace(ws64):
+    # theta = 1.0 needs dim 102 at dim 64: the padded route is the same
+    # computation as the check on a workspace built at that dim
+    padded = fock.check_squeeze_factorization(ws64, 1.0)
+    direct = fock.check_squeeze_factorization(fock.build_workspace(102), 1.0)
+    assert padded == direct
+
+
 def test_single_mode_squeezer_variances(ws64):
     # S_b(theta)|0>: rotated-mode x-variance stretches, y squeezes
     theta = 0.4
