@@ -411,7 +411,7 @@ def _verify_rows(dim: int) -> list[list]:
         direct = fock.memory_vector(ws, theta)
         via_gen = fock.memory_vector_via_generator(ws, theta)
         add("dual-construction", f"theta={theta}",
-            float(np.linalg.norm(direct - via_gen)), 0.0, 1e-10)
+            fock._norm(direct - via_gen), 0.0, 1e-10)
 
     # dissipative evolution against the closed-form trajectory
     for theta, t in ((0.3, 0.15), (0.5, 0.25), (0.8, 0.4), (0.8, 0.8)):
@@ -419,9 +419,9 @@ def _verify_rows(dim: int) -> list[list]:
         w = fock.evolve_vector(ws, v0, t, theta=theta)
         target = fock.memory_vector(ws, theta - ws.gamma * t)
         add("evolution", f"theta={theta},t={t}",
-            float(np.linalg.norm(w - target)), 0.0, 1e-10)
+            fock._norm(w - target), 0.0, 1e-10)
         add("unitarity", f"theta={theta},t={t}",
-            abs(float(np.linalg.norm(w)) - 1.0), 0.0, 1e-10)
+            abs(fock._norm(w) - 1.0), 0.0, 1e-10)
 
     # closed-form observables against oracle expectations
     for theta in (0.1, 0.3, 0.5, 0.8, 1.0, 1.2):

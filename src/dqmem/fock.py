@@ -229,9 +229,8 @@ def build_workspace(dim: int, omega: float = 1.0, gamma: float = 1.0) -> FockWor
     if not (gamma >= 0.0 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
 
-    single = sparse.diags(
-        np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr", dtype=np.complex128
-    )
+    single = sparse.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr",
+                          dtype=np.complex128)
     ident = sparse.identity(dim, format="csr", dtype=np.complex128)
     a = sparse.kron(single, ident, format="csr")
     atil = sparse.kron(ident, single, format="csr")
@@ -312,11 +311,18 @@ def _reachable(matrix: sparse.spmatrix, vec: np.ndarray) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
+def _re_inner(u: np.ndarray, v: np.ndarray) -> float:
+    """Re <u|v>, the one reduction of the oracle: an einsum over the float64
+    views of the two vectors (a complex vector reads as its interleaved real
+    and imaginary parts). It never enters BLAS, so no result depends on the
+    BLAS thread count."""
+    dtype = np.result_type(u, v, np.float64)
+    return float(np.einsum("i,i->", np.ascontiguousarray(u, dtype).view(np.float64),
+                           np.ascontiguousarray(v, dtype).view(np.float64)))
+
+
 def _norm(x: np.ndarray) -> float:
-    # 2-norm as an einsum reduction, which never enters BLAS (a complex
-    # vector is read as its interleaved float64 parts)
-    flat = x.view(np.float64)
-    return math.sqrt(np.einsum("i,i->", flat, flat))
+    return math.sqrt(_re_inner(x, x))
 
 
 def expm_action(matrix: sparse.spmatrix, vec: np.ndarray) -> np.ndarray:
@@ -332,13 +338,13 @@ def expm_action(matrix: sparse.spmatrix, vec: np.ndarray) -> np.ndarray:
 
     The restricted matrix is split into s stages of 1-norm <= _STAGE_NORM;
     each stage is summed until the term norm drops below _EXPM_TOL relative
-    to the partial sum. When matrix and vec are both real, as every exponent the
-    oracle takes is, the series runs in float64; the result is complex128
+    to the partial sum. When matrix and vec are both real, as every exponent
+    the oracle takes is, the series runs in float64; the result is complex128
     either way. Deterministic by construction (no norm estimation, no
-    randomness, and term norms taken by an einsum reduction rather than
-    BLAS, so no convergence decision depends on the BLAS thread count),
-    which is why this exists instead of scipy's expm_multiply: rerun
-    artifacts must be byte-identical.
+    randomness), which is why this exists instead of scipy's expm_multiply:
+    rerun artifacts must be byte-identical. Every norm and inner product in
+    this module, the term test included, is `_re_inner`, which never enters
+    BLAS, so no result depends on the BLAS thread count either.
 
     Raises RuntimeError if a stage fails to converge within _MAX_TERMS terms.
     """
@@ -372,12 +378,9 @@ def expm_action(matrix: sparse.spmatrix, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail(theta: float, dim: int) -> float:
-    """Discarded norm^2 of the state at squeeze parameter theta: tanh^(2 dim)."""
-    return math.tanh(abs(theta)) ** (2 * dim)
-
-
-def _require_budget(tail: float, max_tail: float, what: str) -> None:
+def _require_budget(theta: float, dim: int, max_tail: float, what: str) -> None:
+    """Refuse a state whose discarded norm^2, tanh(|theta|)^(2 dim), exceeds max_tail."""
+    tail = math.tanh(abs(theta)) ** (2 * dim)
     if tail > max_tail:
         raise ValueError(
             f"truncation budget exceeded for {what}: discarded tail {tail:.3e} "
@@ -398,12 +401,12 @@ def memory_vector(ws: FockWorkspace, theta: float, *, max_tail: float = 1e-10) -
     effective parameter Theta is memory_vector(ws, -Theta).
     """
     theta = float(theta)
-    _require_budget(_tail(theta, ws.dim), max_tail, f"memory_vector(theta={theta})")
+    _require_budget(theta, ws.dim, max_tail, f"memory_vector(theta={theta})")
     ratio = -math.tanh(theta)
     amps = (ratio ** np.arange(ws.dim)) / math.cosh(theta)
     v = np.zeros(ws.size, dtype=np.complex128)
     v[np.arange(ws.dim) * (ws.dim + 1)] = amps
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def memory_vector_via_generator(ws: FockWorkspace, theta: float) -> np.ndarray:
@@ -434,7 +437,7 @@ def evolve_vector(ws: FockWorkspace, v: np.ndarray, t: float, *,
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if theta is not None:
         worst = max(abs(float(theta)), abs(ws.gamma * t - float(theta)))
-        _require_budget(_tail(worst, ws.dim), _EVOLVE_MAX_TAIL,
+        _require_budget(worst, ws.dim, _EVOLVE_MAX_TAIL,
                         f"evolve_vector(theta={theta}, t={t})")
     m = ((-1j * t) * ws.h_int).tocsr()
     return expm_action(m, np.asarray(v, dtype=np.complex128))
@@ -446,16 +449,16 @@ def oracle_overlap(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v)
     if u.shape != v.shape:
         raise ValueError(f"vector dimensions differ: {u.shape} vs {v.shape}")
-    return float(np.vdot(u / np.linalg.norm(u), v / np.linalg.norm(v)).real)
+    return _re_inner(u / _norm(u), v / _norm(v))
 
 
 def occupation_expectation(ws: FockWorkspace, v: np.ndarray) -> float:
     """<adag a> = ||a v||^2, the damped-mode occupation."""
-    return float(np.linalg.norm(ws.a.dot(v)) ** 2)
+    return _norm(ws.a.dot(v)) ** 2
 
 
 def mirror_occupation_expectation(ws: FockWorkspace, v: np.ndarray) -> float:
-    return float(np.linalg.norm(ws.atil.dot(v)) ** 2)
+    return _norm(ws.atil.dot(v)) ** 2
 
 
 def weight_expectation(ws: FockWorkspace, v: np.ndarray) -> float:
@@ -470,8 +473,8 @@ def casimir_expectation(ws: FockWorkspace, v: np.ndarray) -> float:
 
 def _variance(op: sparse.csr_matrix, v: np.ndarray) -> float:
     w = op.dot(v)
-    mean = float(np.vdot(v, w).real)
-    return float(np.linalg.norm(w) ** 2) - mean * mean
+    mean = _re_inner(v, w)
+    return _norm(w) ** 2 - mean * mean
 
 
 def quadrature_variances(ws: FockWorkspace, v: np.ndarray) -> Variances:
@@ -487,7 +490,7 @@ def quadrature_variances(ws: FockWorkspace, v: np.ndarray) -> Variances:
 
 def entropy_expectation(ws: FockWorkspace, v: np.ndarray, theta_eff: float) -> float:
     """<S(Theta)> in state v; matches the closed-form pair entropy on memory states."""
-    return float(np.vdot(v, ws.entropy_operator(theta_eff).dot(v)).real)
+    return _re_inner(v, ws.entropy_operator(theta_eff).dot(v))
 
 
 def _fro(m: sparse.spmatrix) -> float:
@@ -588,7 +591,7 @@ def check_hole_relations(ws: FockWorkspace, v: np.ndarray,
     sh = math.sinh(theta_eff)
     r1 = ws.interior.dot(ws.adag.dot(v) / ch - ws.atil.dot(v) / sh)
     r2 = ws.interior.dot(ws.atildag.dot(v) / ch - ws.a.dot(v) / sh)
-    return float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
+    return _norm(r1), _norm(r2)
 
 
 def check_squeeze_factorization(ws: FockWorkspace, theta: float) -> float:
@@ -606,7 +609,9 @@ def check_squeeze_factorization(ws: FockWorkspace, theta: float) -> float:
     theta = float(theta)
     lam = abs(math.tanh(theta))
     if lam > 0.0:
-        d_pad = int(math.ceil(math.log(_SQUEEZE_GUARD_TAIL) / math.log(lam)))
+        # tanh rounds to 1 beyond |theta| ~ 19, where no padding is enough
+        d_pad = (math.ceil(math.log(_SQUEEZE_GUARD_TAIL) / math.log(lam))
+                 if lam < 1.0 else math.inf)
         if d_pad > _MAX_PAD_FACTOR * ws.dim:
             raise ValueError(
                 f"squeeze factorization budget exceeded at theta={theta}: "
@@ -618,7 +623,7 @@ def check_squeeze_factorization(ws: FockWorkspace, theta: float) -> float:
     u = expm_action(((-theta) * (ws.j_plus - ws.j_minus)).tocsr(), vac)
     w = expm_action(ws.squeezer_generator(-theta, mirror=True), vac)
     w = expm_action(ws.squeezer_generator(theta), w)
-    return float(np.linalg.norm(u - w))
+    return _norm(u - w)
 
 
 def check_entropy_flow(ws: FockWorkspace, theta: float, gamma: float, t: float,
@@ -655,4 +660,4 @@ def check_entropy_flow(ws: FockWorkspace, theta: float, gamma: float, t: float,
     vm = memory_vector(ws, theta - gamma * (t - dt))
     rate = ws.entropy_rate_operator(theta_t, gamma)
     defect = (vp - vm) / (2.0 * dt) + 0.5 * rate.dot(v0)
-    return float(np.linalg.norm(ws.interior.dot(defect)))
+    return _norm(ws.interior.dot(defect))

@@ -746,6 +746,17 @@ def test_oracle_rerun_is_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_oracle_residuals_do_not_depend_on_blas_threads(tmp_path):
+    # the oracle's reductions never enter BLAS, so its thread count moves no bit
+    for threads in ("1", "2"):
+        code = f"import os\nos.environ['OPENBLAS_NUM_THREADS'] = '{threads}'\n" + MAIN
+        proc = python(code, "oracle-verify", "--dim", 128, "--out", tmp_path / threads,
+                      "--quiet")
+        assert proc.returncode == 0, proc.stderr
+    assert ((tmp_path / "1" / "residuals.csv").read_bytes()
+            == (tmp_path / "2" / "residuals.csv").read_bytes())
+
+
 def test_csv_artifacts_use_crlf(tmp_path):
     cfg = write_config(tmp_path, "forget.json", {
         "kind": "forgetting-curve",

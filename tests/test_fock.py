@@ -358,6 +358,9 @@ def test_squeeze_factorization_refuses_padding_past_four_times_dim(ws64):
     # tanh(3)^d <= 1e-12 needs d = 5574, far above 4 * 64
     with pytest.raises(ValueError, match="4 \\* 64"):
         fock.check_squeeze_factorization(ws64, 3.0)
+    # tanh(20) rounds to 1: no dim is enough
+    with pytest.raises(ValueError, match="needs dim inf"):
+        fock.check_squeeze_factorization(ws64, 20.0)
 
 
 def test_squeeze_factorization_pads_with_a_workspace(ws64):
