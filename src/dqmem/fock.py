@@ -342,9 +342,9 @@ def expm_action(matrix: sparse.spmatrix, vec: np.ndarray) -> np.ndarray:
     the oracle takes is, the series runs in float64; the result is complex128
     either way. Deterministic by construction (no norm estimation, no
     randomness), which is why this exists instead of scipy's expm_multiply:
-    rerun artifacts must be byte-identical. Every norm and inner product in
-    this module, the term test included, is `_re_inner`, which never enters
-    BLAS, so no result depends on the BLAS thread count either.
+    rerun artifacts must be byte-identical. Every vector norm and inner
+    product in this module, the term test included, is `_re_inner`, which
+    never enters BLAS, so no result depends on the BLAS thread count either.
 
     Raises RuntimeError if a stage fails to converge within _MAX_TERMS terms.
     """
