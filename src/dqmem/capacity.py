@@ -435,9 +435,7 @@ def capacity_estimate(modes: Iterable[ModeParams], theta_range: tuple[float, flo
     candidate_count = int(candidate_count)
     if candidate_count < 1:
         raise ValueError(f"candidate_count must be >= 1, got {candidate_count}")
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _parse_seed(int(seed), "seed", ValueError)
     mean_log = -len(ms) * _expected_log_cosh_gap(hi - lo)
     if not math.isfinite(mean_log):
         raise ValueError(f"expected pair log-overlap overflows for {len(ms)} "
@@ -576,7 +574,7 @@ def load_registry(path) -> Registry:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits
         raise RegistryFormatError(f"malformed registry file {path}: {exc}") from exc
 
     bad = RegistryFormatError

@@ -2,9 +2,12 @@
 
 Every run writes its outputs into ``--out`` as a set of files plus a
 ``manifest.json`` recording the exact invocation (config echo, seed,
-library versions, import and wall time). Outputs are buffered in memory
-and written atomically at the end of a successful run, so a crashed run
-leaves at worst ``*.partial`` files and never a truncated artifact.
+library versions, import and wall time). ``wall_time_s`` runs from parsing
+the config to rendering the artifacts, not the file writes;
+``versions.scipy`` is the version of the scipy loaded in the process, or
+``"not loaded"``, as in every closed-form run. Outputs are buffered in
+memory and written atomically at the end of a successful run, so a crashed
+run leaves at worst ``*.partial`` files and never a truncated artifact.
 
 Exit codes: 0 success, 1 usage/config/domain/registry/io/dependency
 errors (one machine parsable line on stderr,
@@ -24,7 +27,6 @@ time point or registry entry) that matches the per-state functions of
 from __future__ import annotations
 
 import argparse
-import importlib.metadata
 import io
 import itertools
 import json
@@ -137,16 +139,6 @@ def _write_artifacts(out_dir: str, files: dict[str, str]) -> None:
         os.replace(partial, final)
 
 
-def _summary(command: str, kind: str, config_echo, results: dict) -> str:
-    return _json_text({
-        "command": command,
-        "kind": kind,
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "config": config_echo,
-        "results": results,
-    })
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
 
@@ -155,7 +147,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits
         raise CliError("config", f"malformed config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError("config", f"config {path} must hold a JSON object")
@@ -190,10 +182,12 @@ def _parse_config(args) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (artifacts, stdout line, exit code)
+# subcommand handlers; each returns (artifacts, results, stdout line). An
+# artifact is finished text or a CSV (header, rows); main renders the CSVs and
+# puts the results into summary.json.
 
 
-def _run_print(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
+def _run_print(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     if cfg.registry is not None:
         registry = load_registry(cfg.registry)
     else:
@@ -202,19 +196,16 @@ def _run_print(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
         registry = print_memory(registry, entry_id, spec.realize(registry.modes),
                                 printed_at=printed_at)
 
-    artifacts = {
-        "registry.json": registry_to_json(registry),
-        "summary.json": _summary("print", cfg.kind, cfg.raw, {
-            "entry_count": len(registry.entries),
-            "ids": list(registry.ids),
-            "mode_count": registry.k,
-        }),
+    results = {
+        "entry_count": len(registry.entries),
+        "ids": list(registry.ids),
+        "mode_count": registry.k,
     }
-    return artifacts, (f"printed {len(cfg.entries)} entries "
-                       f"({len(registry.entries)} total)"), 0
+    return ({"registry.json": registry_to_json(registry)}, results,
+            f"printed {len(cfg.entries)} entries ({len(registry.entries)} total)")
 
 
-def _run_recall(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
+def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     t = cfg.time
     registry = load_registry(cfg.registry)
     if isinstance(cfg.probe, str):
@@ -235,20 +226,18 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
         if score > best_score:
             best_id, best_score = ent.entry_id, score
 
-    artifacts = {
-        "recall.csv": _csv_text(["entry_id", "score"], rows),
-        "summary.json": _summary("recall", cfg.kind, cfg.raw, {
-            "metric": "overlap",
-            "best_id": best_id,
-            "best_score": best_score,
-            "eval_time": t,
-            "staggered": cfg.staggered,
-        }),
+    results = {
+        "metric": "overlap",
+        "best_id": best_id,
+        "best_score": best_score,
+        "eval_time": t,
+        "staggered": cfg.staggered,
     }
-    return artifacts, f"best match {best_id} (score {best_score:.6g})", 0
+    return ({"recall.csv": (["entry_id", "score"], rows)}, results,
+            f"best match {best_id} (score {best_score:.6g})")
 
 
-def _run_evolve(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
+def _run_evolve(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     modes, times = cfg.modes, cfg.times
     state = MemoryState(modes, cfg.code.realize(modes))
     k = len(modes)
@@ -261,98 +250,87 @@ def _run_evolve(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
             in zip(times, traj.tolist(), occ.tolist(), _row_sums(occ).tolist(),
                    entropy.tolist(), energy.tolist())]
 
-    artifacts = {
-        "evolve.csv": _csv_text(header, rows),
-        "summary.json": _summary("evolve", cfg.kind, cfg.raw, {
-            "mode_count": k,
-            "time_points": len(times),
-            "final_entropy": rows[-1][-2],
-            "final_energy": rows[-1][-1],
-        }),
+    results = {
+        "mode_count": k,
+        "time_points": len(times),
+        "final_entropy": rows[-1][-2],
+        "final_energy": rows[-1][-1],
     }
-    return artifacts, f"tabulated {len(times)} points for {k} modes", 0
+    return ({"evolve.csv": (header, rows)}, results,
+            f"tabulated {len(times)} points for {k} modes")
 
 
-def _run_forgetting(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
+def _run_forgetting(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     code = cfg.code.realize(cfg.modes)
     curve = forgetting_curve(code, cfg.modes, cfg.times)
     artifacts = {
-        "forgetting.csv": _csv_text(
+        "forgetting.csv": (
             ["time", "self_overlap", "vacuum_overlap", "total_occupation"],
             zip(curve.times, curve.self_overlap, curve.vacuum_overlap,
                 curve.total_occupation)),
-        "summary.json": _summary("forgetting", cfg.kind, cfg.raw, {
-            "tau": curve.tau,
-            "time_points": len(curve.times),
-            "final_self_overlap": curve.self_overlap[-1],
-        }),
+    }
+    results = {
+        "tau": curve.tau,
+        "time_points": len(curve.times),
+        "final_self_overlap": curve.self_overlap[-1],
     }
     tau = "inf" if math.isinf(curve.tau) else f"{curve.tau:.6g}"
-    return artifacts, f"forgetting time tau = {tau}", 0
+    return artifacts, results, f"forgetting time tau = {tau}"
 
 
-def _run_capacity(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
+def _run_capacity(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     report = capacity_estimate(cfg.modes, cfg.theta_range, cfg.epsilon,
                                cfg.candidates, cfg.seed)
     accepted = set(report.accepted_indices)
     rows = [[i, int(i in accepted), c]
             for i, c in enumerate(report.acceptance_curve)]
-    artifacts = {
-        "capacity.csv": _csv_text(["candidate_index", "accepted", "accepted_count"],
-                                  rows),
-        "summary.json": _summary("capacity", cfg.kind, cfg.raw, {
-            "accepted_count": report.accepted_count,
-            "accepted_indices": list(report.accepted_indices),
-            "accepted_codes": [list(c.thetas) for c in report.accepted_codes],
-            "epsilon": report.epsilon,
-            "theta_range": list(report.theta_range),
-            "candidate_count": report.candidate_count,
-            "seed": report.seed,
-            "mode_count": len(report.modes),
-            "expected_pair_overlap": report.expected_pair_overlap,
-            "expected_pair_log_overlap": report.expected_pair_log_overlap,
-        }),
+    results = {
+        "accepted_count": report.accepted_count,
+        "accepted_indices": list(report.accepted_indices),
+        "accepted_codes": [list(c.thetas) for c in report.accepted_codes],
+        "epsilon": report.epsilon,
+        "theta_range": list(report.theta_range),
+        "candidate_count": report.candidate_count,
+        "seed": report.seed,
+        "mode_count": len(report.modes),
+        "expected_pair_overlap": report.expected_pair_overlap,
+        "expected_pair_log_overlap": report.expected_pair_log_overlap,
     }
     line = (f"accepted {report.accepted_count} of {report.candidate_count} "
             f"candidates at epsilon {report.epsilon:g}")
-    return artifacts, line, 0
+    return ({"capacity.csv": (["candidate_index", "accepted", "accepted_count"], rows)},
+            results, line)
 
 
-def _run_associate(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
+def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     registry = load_registry(cfg.registry)
     if cfg.kind == "fidelity-matrix":
         fm = fidelity_matrix(registry, cfg.time, staggered=cfg.staggered)
-        artifacts = {
-            "fidelity.csv": _csv_text(["entry_id", *fm.ids],
-                                      ([entry_id, *row.tolist()]
-                                       for entry_id, row in zip(fm.ids, fm.values))),
-            "summary.json": _summary("associate", cfg.kind, cfg.raw, {
-                "ids": list(fm.ids),
-                "eval_time": fm.eval_time,
-                "staggered": fm.staggered,
-                "metric": fm.metric,
-            }),
+        rows = ([entry_id, *row.tolist()] for entry_id, row in zip(fm.ids, fm.values))
+        results = {
+            "ids": list(fm.ids),
+            "eval_time": fm.eval_time,
+            "staggered": fm.staggered,
+            "metric": fm.metric,
         }
-        return artifacts, f"fidelity matrix over {len(fm.ids)} entries", 0
+        return ({"fidelity.csv": (["entry_id", *fm.ids], rows)}, results,
+                f"fidelity matrix over {len(fm.ids)} entries")
 
     graph = association_graph(registry, cfg.time, cfg.threshold,
                               staggered=cfg.staggered)
-    artifacts = {
-        "edges.csv": _csv_text(["entry_a", "entry_b", "fidelity"], graph.edges),
-        "summary.json": _summary("associate", cfg.kind, cfg.raw, {
-            "ids": list(graph.ids),
-            "threshold": graph.threshold,
-            "eval_time": graph.eval_time,
-            "edge_count": len(graph.edges),
-            "clusters": [list(c) for c in graph.clusters],
-        }),
+    results = {
+        "ids": list(graph.ids),
+        "threshold": graph.threshold,
+        "eval_time": graph.eval_time,
+        "edge_count": len(graph.edges),
+        "clusters": [list(c) for c in graph.clusters],
     }
     line = (f"{len(graph.edges)} association edges, "
             f"{len(graph.clusters)} clusters at threshold {graph.threshold:g}")
-    return artifacts, line, 0
+    return {"edges.csv": (["entry_a", "entry_b", "fidelity"], graph.edges)}, results, line
 
 
-def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
+def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     state = MemoryState(cfg.modes, cfg.code.realize(cfg.modes))
     ts = np.asarray(cfg.times)  # checked by the config parser
     trace = thermo._trace(state, ts)
@@ -364,21 +342,21 @@ def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict[str, str], str, int]:
     ledger = thermo._ledger(state, ts, trace)
     max_resid = max((abs(r) for r in ledger.residual), default=0.0)
     artifacts = {
-        "thermo.csv": _csv_text(
-            ["time", "entropy", "energy", "beta_fit", "beta_fit_residual"], rows),
-        "first_law.csv": _csv_text(
+        "thermo.csv": (["time", "entropy", "energy", "beta_fit", "beta_fit_residual"],
+                       rows),
+        "first_law.csv": (
             ["t_left", "t_right", "delta_energy", "heat", "residual", "flagged"],
             zip(ledger.times, ledger.times[1:], ledger.delta_energy,
                 ledger.entropy_term, ledger.residual, map(int, ledger.flagged))),
-        "summary.json": _summary("thermo-trace", cfg.kind, cfg.raw, {
-            "time_points": len(cfg.times),
-            "max_first_law_residual": max_resid,
-            "flagged_intervals": int(sum(ledger.flagged)),
-            "final_entropy": rows[-1][1],
-            "final_energy": rows[-1][2],
-        }),
     }
-    return artifacts, f"max first-law residual {max_resid:.3e}", 0
+    results = {
+        "time_points": len(cfg.times),
+        "max_first_law_residual": max_resid,
+        "flagged_intervals": int(sum(ledger.flagged)),
+        "final_entropy": rows[-1][1],
+        "final_energy": rows[-1][2],
+    }
+    return artifacts, results, f"max first-law residual {max_resid:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -475,40 +453,30 @@ def _verify_rows(dim: int) -> list[list]:
     return rows
 
 
-def _run_oracle_verify(dim: int) -> tuple[dict[str, str], str, int]:
+def _run_oracle_verify(dim: int) -> tuple[dict, dict, str]:
     if dim < 64:
         raise CliError("usage",
                        f"--dim must be >= 64 for oracle-verify, got {dim}")
     rows = _verify_rows(dim)
-    failed = [r for r in rows if r[5] == "fail"]
-    echo = {"dim": dim}
-    artifacts = {
-        "residuals.csv": _csv_text(
-            ["check", "detail", "value", "lo", "hi", "status"], rows),
-        "summary.json": _summary("oracle-verify", "oracle-verify", echo, {
-            "dim": dim,
-            "checks": len(rows),
-            "failed": len(failed),
-            "failed_checks": [f"{r[0]}[{r[1]}]" for r in failed],
-        }),
+    failed = [f"{r[0]}[{r[1]}]" for r in rows if r[5] == "fail"]
+    results = {
+        "dim": dim,
+        "checks": len(rows),
+        "failed": len(failed),
+        "failed_checks": failed,
     }
-    if failed:
-        return artifacts, f"{len(failed)} of {len(rows)} checks failed", 2
-    return artifacts, f"all {len(rows)} checks within tolerance", 0
+    line = (f"{len(failed)} of {len(rows)} checks failed" if failed
+            else f"all {len(rows)} checks within tolerance")
+    return ({"residuals.csv": (["check", "detail", "value", "lo", "hi", "status"], rows)},
+            results, line)
 
 
 # ---------------------------------------------------------------------------
 # driver
 
 
-def _version(package: str) -> str:
-    try:
-        return importlib.metadata.version(package)
-    except importlib.metadata.PackageNotFoundError:
-        return "not installed"
-
-
 def _manifest(args, argv: list[str], config_echo, seed, wall: float) -> str:
+    scipy = sys.modules.get("scipy")  # only oracle-verify loads it
     return _json_text({
         "command": args.command,
         "argv": argv,
@@ -520,7 +488,7 @@ def _manifest(args, argv: list[str], config_echo, seed, wall: float) -> str:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": _version("scipy"),
+            "scipy": scipy.__version__ if scipy else "not loaded",
             "dqmem": __version__,
         },
         "import_s": _IMPORT_S,
@@ -578,13 +546,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args) -> tuple[dict[str, str], str, int, object, object]:
-    """Returns (artifacts, stdout line, exit code, config echo, seed)."""
+def _dispatch(args) -> tuple[dict, dict, str, str, object, object]:
+    """Returns (artifacts, results, stdout line, kind, config echo, seed)."""
     handler = _COMMANDS[args.command][1]
     if "config" not in args:
-        return (*handler(args.dim), {"dim": args.dim}, None)
+        return (*handler(args.dim), args.command, {"dim": args.dim}, None)
     cfg = _parse_config(args)
-    return (*handler(cfg), cfg.raw, cfg.seed)
+    return (*handler(cfg), cfg.kind, cfg.raw, cfg.seed)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -597,22 +565,32 @@ def main(argv: list[str] | None = None) -> int:
 
         start = time.perf_counter()
         try:
-            artifacts, line, exit_code, echo, seed = _dispatch(args)
+            artifacts, results, line, kind, echo, seed = _dispatch(args)
+            files = {name: art if isinstance(art, str) else _csv_text(*art)
+                     for name, art in artifacts.items()}
         except RegistryError as exc:
             raise CliError("registry", str(exc)) from exc
         except (ValueError, OverflowError) as exc:  # OverflowError: math.fsum
             raise CliError("domain", str(exc)) from exc
+        files["summary.json"] = _json_text({
+            "command": args.command,
+            "kind": kind,
+            "schema_version": SUMMARY_SCHEMA_VERSION,
+            "config": echo,
+            "results": results,
+        })
         wall = time.perf_counter() - start
 
-        artifacts["manifest.json"] = _manifest(args, argv, echo, seed, wall)
-        _write_artifacts(args.out, artifacts)
+        files["manifest.json"] = _manifest(args, argv, echo, seed, wall)
+        _write_artifacts(args.out, files)
 
-        if exit_code == 2:
+        if results.get("failed"):  # oracle-verify's checks over tolerance
             sys.stderr.write(f"error: verify: {line}\n")
-        elif not args.quiet:
+            return 2
+        if not args.quiet:
             print(line)
-            print(f"wrote {len(artifacts)} artifacts to {args.out}")
-        return exit_code
+            print(f"wrote {len(files)} artifacts to {args.out}")
+        return 0
     except CliError as exc:
         msg = " ".join(str(exc).split())
         sys.stderr.write(f"error: {exc.category}: {msg}\n")

@@ -345,6 +345,13 @@ def test_capacity_estimate_rejects_empty_range():
         capacity_estimate(modes_k(2), (-0.5, 1.0), 0.05, 10, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+def test_capacity_estimate_takes_the_config_seed_rule(seed):
+    # the rule of the `seed` key and of --seed: an integer in [0, 2**64)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        capacity_estimate(modes_k(2), (0.0, 1.5), 0.05, 5, seed=seed)
+
+
 def test_capacity_estimate_report_is_consistent():
     rep = capacity_estimate(modes_k(2), (0.0, 1.2), 0.2, 50, seed=3)
     assert rep.accepted_count == len(rep.accepted_indices)

@@ -6,7 +6,6 @@ is wired.
 """
 
 import csv
-import importlib.metadata
 import io
 import json
 import math
@@ -146,21 +145,20 @@ def test_evolve_entropy_finite_where_occupation_overflows(tmp_path):
         rel=1e-15)
 
 
-def test_manifest_records_import_time_and_missing_scipy(tmp_path, monkeypatch):
-    real_version = importlib.metadata.version
+def test_manifest_records_import_time_and_missing_scipy(tmp_path):
+    # versions.scipy is the scipy loaded in the run's process; pytest's own
+    # process may hold one, so each run gets a fresh interpreter
+    import scipy
 
-    def version(package):
-        if package == "scipy":
-            raise importlib.metadata.PackageNotFoundError(package)
-        return real_version(package)
-
-    monkeypatch.setattr(importlib.metadata, "version", version)
     cfg = write_config(tmp_path, "forget.json", VALID_CONFIGS["forgetting-curve"][1])
-    out = tmp_path / "o"
-    assert run(["forgetting", "--config", cfg, "--out", out, "--quiet"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["versions"]["scipy"] == "not installed"
-    assert 0.0 < manifest["import_s"] < 60.0
+    for args, want in ((["forgetting", "--config", cfg], "not loaded"),
+                       (["oracle-verify"], scipy.__version__)):
+        out = tmp_path / args[0]
+        proc = python(MAIN, *args, "--out", out, "--quiet")
+        assert (proc.returncode, proc.stderr) == (0, ""), args[0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["versions"]["scipy"] == want
+        assert 0.0 < manifest["import_s"] < 60.0
 
 
 def test_forgetting_marks_tau(tmp_path):
@@ -649,6 +647,42 @@ def test_each_subcommand_takes_only_the_options_it_reads(
     assert listed == {"--help", "--out", "--quiet", *read}
 
 
+@pytest.mark.parametrize("command, kind", list(OPTIONS_READ))
+def test_summary_is_one_envelope(tmp_path, registry_path, monkeypatch, command, kind):
+    monkeypatch.setattr("dqmem.cli._verify_rows", lambda dim: [])
+    args = [command, "--out", tmp_path / "o", "--quiet"]
+    if kind is not None:
+        doc = json.loads(json.dumps(VALID_CONFIGS[kind][1]).replace(
+            REGISTRY, str(registry_path)))
+        args += ["--config", write_config(tmp_path, "case.json", doc)]
+    assert run(args) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert set(summary) == {"command", "kind", "schema_version", "config", "results"}
+    assert (summary["command"], summary["kind"]) == (command, kind or "oracle-verify")
+    assert summary["config"] == manifest["config"]
+
+
+BAD_JSON = {
+    "byte 0xff": b'{"kind": "print"\xff}',
+    "5000 digits": b'{"kind": ' + b"1" * 5000 + b"}",
+    "100000 levels": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_JSON))
+@pytest.mark.parametrize("where", ["config", "registry"])
+def test_unreadable_json_is_one_error_of_its_file(tmp_path, capsys, bad, where):
+    path = tmp_path / "bad.json"
+    path.write_bytes(BAD_JSON[bad])
+    cfg = str(path) if where == "config" else write_config(tmp_path, "matrix.json", {
+        "kind": "fidelity-matrix", "registry": str(path), "time": 0.0})
+    assert run(["associate", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_1_on_kind_subcommand_mismatch(tmp_path, capsys):
     cfg = write_config(tmp_path, "wrong.json", {
         "kind": "capacity-sweep",
@@ -825,8 +859,11 @@ def python(code, *args):
 
 
 def test_cli_import_loads_no_scipy():
+    # nor importlib.metadata: the manifest reads scipy's version from the
+    # module itself, and only when oracle-verify has loaded it
     proc = python("import sys, dqmem.cli\n"
-                  "print(sorted(m for m in sys.modules if m == 'scipy'\n"
+                  "print(sorted(m for m in sys.modules\n"
+                  "             if m in ('scipy', 'importlib.metadata')\n"
                   "             or m.startswith(('scipy.', 'dqmem.fock'))))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
