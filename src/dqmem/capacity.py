@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Sequence
@@ -435,7 +436,7 @@ def capacity_estimate(modes: Iterable[ModeParams], theta_range: tuple[float, flo
     candidate_count = int(candidate_count)
     if candidate_count < 1:
         raise ValueError(f"candidate_count must be >= 1, got {candidate_count}")
-    seed = _parse_seed(int(seed), "seed", ValueError)
+    seed = _parse_seed(seed, "seed", ValueError)
     mean_log = -len(ms) * _expected_log_cosh_gap(hi - lo)
     if not math.isfinite(mean_log):
         raise ValueError(f"expected pair log-overlap overflows for {len(ms)} "
@@ -527,9 +528,13 @@ def _number(x, where: str, error=_cfg_error) -> float:
 
 
 def _integer(x, where: str, error=_cfg_error) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
+    """An int or a numpy integer, as a Python int; a bool or a float is an error."""
+    if isinstance(x, (bool, np.bool_)):
         raise error(f"{where} must be an integer")
-    return x
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{where} must be an integer") from None
 
 
 # ---------------------------------------------------------------------------

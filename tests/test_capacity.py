@@ -352,6 +352,17 @@ def test_capacity_estimate_takes_the_config_seed_rule(seed):
         capacity_estimate(modes_k(2), (0.0, 1.5), 0.05, 5, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(1.0)])
+def test_capacity_estimate_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        capacity_estimate(modes_k(2), (0.0, 1.5), 0.05, 5, seed=seed)
+
+
+def test_capacity_estimate_takes_a_numpy_integer_seed():
+    assert (capacity_estimate(modes_k(2), (0.0, 1.5), 0.05, 40, seed=np.uint64(7))
+            == capacity_estimate(modes_k(2), (0.0, 1.5), 0.05, 40, seed=7))
+
+
 def test_capacity_estimate_report_is_consistent():
     rep = capacity_estimate(modes_k(2), (0.0, 1.2), 0.2, 50, seed=3)
     assert rep.accepted_count == len(rep.accepted_indices)

@@ -31,20 +31,56 @@ def ws64():
     return fock.build_workspace(64)
 
 
+@pytest.fixture(scope="module")
+def pair32():
+    return fock._pair_space(32)
+
+
+def sector_states(pair, s):
+    """Flat pair-space indices of sector s = n - ntil, in the sector's order."""
+    return np.flatnonzero(pair.n_index - pair.ntil_index == s)
+
+
+def embed(pair, v):
+    """A sector-0 vector placed on the paired diagonal of the pair space."""
+    out = np.zeros(pair.size, dtype=np.complex128)
+    out[sector_states(pair, 0)] = v
+    return out
+
+
+def full_quadratures(pair):
+    """(x1, y1, x2, y2) of the rotated pair on the whole pair space."""
+    out = []
+    for mode in (pair.b, pair.btil):
+        dag = mode.conj().T.tocsr()
+        out += [fock._real_csr(0.5 * (mode + dag)), ((-0.5j) * (mode - dag)).tocsr()]
+    return out
+
+
+def full_variances(pair, v):
+    """<x^2> - <x>^2 of each full-space quadrature in the pair-space state v."""
+    out = []
+    for x in full_quadratures(pair):
+        w = x.dot(v)
+        mean = fock._re_inner(v, w)
+        out.append(fock._re_inner(w, w) - mean * mean)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # operator construction
 
 
-def test_lowering_operator_entries(ws32):
-    a = ws32.a.toarray()
+def test_lowering_operator_entries(pair32):
+    a = pair32.a.toarray()
     # <n-1, m| a |n, m> = sqrt(n); spot-check a few literal entries
-    dim = ws32.dim
+    dim = pair32.dim
     for n, m in ((1, 0), (2, 3), (5, 5)):
         row = (n - 1) * dim + m
         col = n * dim + m
         assert a[row, col] == pytest.approx(math.sqrt(n), rel=1e-15)
     # annihilates the vacuum
-    assert np.linalg.norm(a.dot(ws32.vacuum())) == 0.0
+    assert np.linalg.norm(a.dot(pair32.vacuum())) == 0.0
 
 
 def test_number_operators_are_diagonal_counts(ws32):
@@ -67,12 +103,77 @@ def test_workspace_validation():
         fock.build_workspace(32, gamma=-0.1)
 
 
-def test_weight_operator_counts_both_members(ws32):
+def test_weight_operator_counts_both_members(pair32):
     # j3 = (n + ntil + 1)/2 must be an exact half-integer diagonal
-    j3 = ws32.j3.toarray()
+    j3 = pair32.j3.toarray()
     diag = np.real(np.diagonal(j3))
     assert np.all(2.0 * diag == np.round(2.0 * diag))
     assert diag[0] == 0.5
+
+
+@pytest.mark.parametrize("dim", [16, 32])
+def test_sector_blocks_equal_the_full_space_operators(dim):
+    # each block is the same literal product as its full-space operator, so
+    # every entry of the matching sub-block is equal, not just close
+    ws = fock.build_workspace(dim, omega=1.5, gamma=0.7)
+    pair = fock._pair_space(dim, 1.5, 0.7)
+    minus, zero, plus = (sector_states(pair, s) for s in (-1, 0, 1))
+    side = np.concatenate([minus, plus])
+    blocks = [
+        (ws.a, pair.a, minus), (ws.atildag, pair.atildag, minus),
+        (ws.atil, pair.atil, plus), (ws.adag, pair.adag, plus),
+        (ws.j_plus, pair.j_plus, zero), (ws.j_minus, pair.j_minus, zero),
+        (ws.h_int, pair.h_int, zero), (ws.number, pair.number, zero),
+        (ws.number_flipped, pair.a @ pair.adag, zero),
+    ]
+    blocks += [(q, full, side) for q, full in zip(ws.quadratures, full_quadratures(pair))]
+    for block, full, rows in blocks:
+        want = full.tocsr()[rows][:, zero].toarray()
+        got = block.toarray()
+        assert got.shape == want.shape
+        assert np.all(got == want)
+    inside = pair.interior.diagonal()
+    for s, states in ((-1, minus), (0, zero), (1, plus)):
+        assert np.all(ws.interior[s] == inside[states])
+    # and nothing the blocks leave out: a memory state's images stay in them
+    for full, rows in ((pair.a, minus), (pair.adag, plus), (pair.h_int, zero)):
+        rest = np.setdiff1d(np.arange(pair.size), rows)
+        assert full.tocsr()[rest][:, zero].nnz == 0
+
+
+@pytest.mark.parametrize("dim", [16, 32])
+def test_memory_vector_embeds_as_the_full_space_construction(dim):
+    # the full-space construction: amplitudes on the paired diagonal of the
+    # dim^2 vector, normalized there
+    ws = fock.build_workspace(dim)
+    pair = fock._pair_space(dim)
+    for theta in (-0.4, 0.0, 0.3, 0.7):
+        want = np.zeros(pair.size, dtype=np.complex128)
+        want[sector_states(pair, 0)] = ((-math.tanh(theta)) ** np.arange(dim)
+                                        / math.cosh(theta))
+        want /= fock._norm(want)
+        got = embed(pair, fock.memory_vector(ws, theta, max_tail=1e-2))
+        assert fock._norm(got - want) <= 1e-15
+
+
+def test_sector_expectations_match_the_full_space(ws32, pair32):
+    # every memory-state observable taken on sector 0 equals the literal
+    # full-space expectation on the embedded state to round-off
+    for big_t in (-0.8, 0.3):
+        v = fock.memory_vector(ws32, -big_t)
+        w = embed(pair32, v)
+        assert fock.occupation_expectation(ws32, v) == pytest.approx(
+            fock._norm(pair32.a.dot(w)) ** 2, rel=1e-14)
+        assert fock.mirror_occupation_expectation(ws32, v) == pytest.approx(
+            fock._norm(pair32.atil.dot(w)) ** 2, rel=1e-14)
+        q = fock.quadrature_variances(ws32, v)
+        full = full_variances(pair32, w)
+        assert [q.dx2, q.dy2, q.dx2_mirror, q.dy2_mirror] == pytest.approx(full, rel=1e-14)
+        ch, sh = math.cosh(big_t), math.sinh(big_t)
+        r1 = pair32.interior.dot(pair32.adag.dot(w) / ch - pair32.atil.dot(w) / sh)
+        r2 = pair32.interior.dot(pair32.atildag.dot(w) / ch - pair32.a.dot(w) / sh)
+        got = fock.check_hole_relations(ws32, v, big_t)
+        assert got == pytest.approx((fock._norm(r1), fock._norm(r2)), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +200,13 @@ def test_structural_identities_exact(ws32):
 
 def test_memory_vector_amplitude_law(ws64):
     v = fock.memory_vector(ws64, 0.5)
-    dim = ws64.dim
-    diag = v[[n * (dim + 1) for n in range(6)]]
+    # one amplitude per paired-diagonal state |n, n>: nothing off it
+    assert v.shape == (ws64.dim,)
     # amplitudes (-tanh theta)^n sech theta on the paired diagonal
     for n in range(6):
         want = ((-TANH_HALF) ** n) * SECH_HALF
-        assert diag[n].real == pytest.approx(want, rel=1e-10)
-        assert diag[n].imag == 0.0
-    # nothing off the paired diagonal
-    off = v.copy()
-    off[[n * (dim + 1) for n in range(dim)]] = 0.0
-    assert np.linalg.norm(off) == 0.0
+        assert v[n].real == pytest.approx(want, rel=1e-10)
+        assert v[n].imag == 0.0
 
 
 def test_memory_vector_normalized(ws64):
@@ -122,10 +219,8 @@ def test_memory_vector_sign_symmetric(ws64):
     # theta and -theta give amplitudes (+-tanh)^n: equal on even rungs
     vp = fock.memory_vector(ws64, 0.7)
     vm = fock.memory_vector(ws64, -0.7)
-    dim = ws64.dim
-    flat = [n * (dim + 1) for n in range(dim)]
-    signs = np.array([(-1.0) ** n for n in range(dim)])
-    assert np.allclose(vp[flat], signs * vm[flat], atol=1e-15)
+    signs = np.array([(-1.0) ** n for n in range(ws64.dim)])
+    assert np.allclose(vp, signs * vm, atol=1e-15)
 
 
 def test_memory_vector_budget_refusal(ws64):
@@ -189,30 +284,46 @@ def test_expm_action_on_a_permuted_block_diagonal(dtype, touched):
     assert np.all(got[np.setdiff1d(np.arange(v.size), where)] == 0.0)
 
 
-def test_reachable_support_of_the_oracle_exponents(ws32):
-    # memory states stay on the dim paired-diagonal states under H_int and
-    # G(theta); the squeezers reach exactly the n + ntil even half
-    pairs = np.flatnonzero(ws32.n_index == ws32.ntil_index).tolist()
-    hint = ((-1j) * ws32.h_int).tocsr()
-    assert fock._reachable(hint, fock.memory_vector(ws32, 0.5)).tolist() == pairs
-    gen = ((-1j) * ws32.generator(0.5)).tocsr()
-    assert fock._reachable(gen, ws32.vacuum()).tolist() == pairs
+def test_reachable_support_of_the_oracle_exponents(ws32, pair32):
+    # on the pair space, memory states stay on the dim paired-diagonal states
+    # under H_int and G(theta); the squeezers reach exactly the n + ntil even
+    # half
+    pairs = sector_states(pair32, 0).tolist()
+    hint = ((-1j) * pair32.h_int).tocsr()
+    v = embed(pair32, fock.memory_vector(ws32, 0.5))
+    assert fock._reachable(hint, v).tolist() == pairs
+    gen = ((-0.5) * (pair32.j_plus - pair32.j_minus)).tocsr()  # -i G(0.5)
+    assert fock._reachable(gen, pair32.vacuum()).tolist() == pairs
     assert len(pairs) == ws32.dim
-    even = np.flatnonzero((ws32.n_index + ws32.ntil_index) % 2 == 0).tolist()
+    even = np.flatnonzero((pair32.n_index + pair32.ntil_index) % 2 == 0).tolist()
     for mirror in (False, True):
-        sq = ws32.squeezer_generator(0.5, mirror=mirror)
-        assert fock._reachable(sq, ws32.vacuum()).tolist() == even
+        sq = pair32.squeezer_generator(0.5, mirror=mirror)
+        assert fock._reachable(sq, pair32.vacuum()).tolist() == even
+    # so the sector-0 blocks of those exponents reach all of sector 0
+    sector0 = list(range(ws32.dim))
+    assert fock._reachable(ws32.h_int, ws32.vacuum()).tolist() == sector0
+    assert fock._reachable(ws32.generator(0.5), ws32.vacuum()).tolist() == sector0
 
 
 def test_evolve_vector_off_the_paired_diagonal_matches_dense():
+    # (|0,0> + |1,0>)/sqrt(2) spans sectors 0 and +1 of the pair space; the
+    # series there matches the dense exponential, and its sector-0 part is
+    # what evolve_vector gives for the sector-0 part of the start
     from scipy.linalg import expm
-    ws = fock.build_workspace(8)
-    v = np.zeros(ws.size, dtype=np.complex128)
-    v[[0, ws.dim]] = 1.0 / math.sqrt(2.0)  # (|0,0> + |1,0>)/sqrt(2)
-    got = fock.evolve_vector(ws, v, 0.3)
-    want = expm((-0.3j) * ws.h_int.toarray()).dot(v)
+    pair = fock._pair_space(8)
+    v = np.zeros(pair.size, dtype=np.complex128)
+    v[[0, pair.dim]] = 1.0 / math.sqrt(2.0)
+    m = ((-0.3j) * pair.h_int).tocsr()
+    got = fock.expm_action(m, v)
+    want = expm(m.toarray()).dot(v)
     assert np.linalg.norm(got - want) < 1e-12
-    assert np.count_nonzero(got) > ws.dim  # both sectors were evolved
+    assert np.count_nonzero(got) > pair.dim  # both sectors were evolved
+    ws = fock.build_workspace(8)
+    pairs = sector_states(pair, 0)
+    assert np.linalg.norm(fock.evolve_vector(ws, v[pairs], 0.3) - want[pairs]) < 1e-12
+    # evolve_vector takes sector-0 vectors only
+    with pytest.raises(ValueError, match="sector-0"):
+        fock.evolve_vector(ws, v, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +474,14 @@ def test_squeeze_factorization_refuses_padding_past_four_times_dim(ws64):
         fock.check_squeeze_factorization(ws64, 20.0)
 
 
+def test_squeeze_factorization_depends_on_theta_alone():
+    # the check runs at the dim its guard tail needs, whatever the workspace
+    for theta in (0.25, 0.5, 1.0):
+        got = {dim: fock.check_squeeze_factorization(fock.build_workspace(dim), theta)
+               for dim in (64, 128, 256)}
+        assert got[64] == got[128] == got[256], (theta, got)
+
+
 def test_squeeze_factorization_pads_with_a_workspace(ws64):
     # theta = 1.0 needs dim 102 at dim 64: the padded route is the same
     # computation as the check on a workspace built at that dim
@@ -371,17 +490,19 @@ def test_squeeze_factorization_pads_with_a_workspace(ws64):
     assert padded == direct
 
 
-def test_single_mode_squeezer_variances(ws64):
-    # S_b(theta)|0>: rotated-mode x-variance stretches, y squeezes
+def test_single_mode_squeezer_variances():
+    # S_b(theta)|0>: rotated-mode x-variance stretches, y squeezes; the state
+    # spreads over every even sector, so it is measured on the pair space
     theta = 0.4
-    gen = ws64.squeezer_generator(theta, mirror=False)
-    v = fock.expm_action(gen, ws64.vacuum())
-    q = fock.quadrature_variances(ws64, v)
-    assert q.dx2 == pytest.approx(0.25 * math.exp(2.0 * theta), abs=1e-10)
-    assert q.dy2 == pytest.approx(0.25 * math.exp(-2.0 * theta), abs=1e-10)
+    pair = fock._pair_space(64)
+    gen = pair.squeezer_generator(theta, mirror=False)
+    v = fock.expm_action(gen, pair.vacuum())
+    dx2, dy2, dx2_mirror, dy2_mirror = full_variances(pair, v)
+    assert dx2 == pytest.approx(0.25 * math.exp(2.0 * theta), abs=1e-10)
+    assert dy2 == pytest.approx(0.25 * math.exp(-2.0 * theta), abs=1e-10)
     # the mirror rotated mode stays in vacuum
-    assert q.dx2_mirror == pytest.approx(0.25, abs=1e-10)
-    assert q.dy2_mirror == pytest.approx(0.25, abs=1e-10)
+    assert dx2_mirror == pytest.approx(0.25, abs=1e-10)
+    assert dy2_mirror == pytest.approx(0.25, abs=1e-10)
 
 
 def test_entropy_flow_residual_and_order(ws64):
