@@ -8,9 +8,9 @@ oracle it is validated against, `thermo` the entropy/first-law layer,
 `capacity` the registry and packing experiments, and `cli` the command-line
 front end.
 
-The oracle is the one part that needs scipy (for sparse matrices), so it
-loads lazily: `dqmem.fock` and the names re-exported from it are imported
-on first attribute access, and the closed-form layers never import scipy.
+Every layer, the oracle included, needs numpy alone. The oracle loads
+lazily: `dqmem.fock` and the names re-exported from it are imported on
+first attribute access, so the closed-form layers never pay for it.
 """
 
 from time import perf_counter as _perf_counter

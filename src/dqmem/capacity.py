@@ -433,7 +433,7 @@ def capacity_estimate(modes: Iterable[ModeParams], theta_range: tuple[float, flo
     lo, hi = (float(theta_range[0]), float(theta_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
         raise ValueError(f"empty or invalid theta range [{lo}, {hi})")
-    candidate_count = int(candidate_count)
+    candidate_count = _integer(candidate_count, "candidate_count", ValueError)
     if candidate_count < 1:
         raise ValueError(f"candidate_count must be >= 1, got {candidate_count}")
     seed = _parse_seed(seed, "seed", ValueError)

@@ -3,23 +3,22 @@
 Every run writes its outputs into ``--out`` as a set of files plus a
 ``manifest.json`` recording the exact invocation (config echo, seed,
 library versions, import and wall time). ``wall_time_s`` runs from parsing
-the config to rendering the artifacts, not the file writes;
-``versions.scipy`` is the version of the scipy loaded in the process, or
-``"not loaded"``, as in every closed-form run. Outputs are buffered in
-memory and written atomically at the end of a successful run, so a crashed
-run leaves at worst ``*.partial`` files and never a truncated artifact.
+the config to rendering the artifacts, not the file writes. Outputs are
+buffered in memory and written atomically at the end of a successful run,
+so a crashed run leaves at worst ``*.partial`` files and never a truncated
+artifact.
 
-Exit codes: 0 success, 1 usage/config/domain/registry/io/dependency
-errors (one machine parsable line on stderr,
-``error: <category>: <message>``), 2 when ``oracle-verify`` finds
-residuals over tolerance (the residual table is still written).
+Exit codes: 0 success, 1 usage/config/domain/registry/io errors (one
+machine parsable line on stderr, ``error: <category>: <message>``), 2 when
+``oracle-verify`` finds residuals over tolerance (the residual table is
+still written, and stderr holds one ``error: verify:`` line).
 
 Numbers in CSV cells are ``repr()`` of Python floats, so artifacts are
 byte-stable across reruns; ``manifest.json`` differs only in its
 ``import_s`` and ``wall_time_s`` fields.
 
-Only ``oracle-verify`` imports `dqmem.fock`, and with it scipy; every other
-subcommand runs on numpy alone, on one Theta array per experiment (a row per
+Only ``oracle-verify`` imports `dqmem.fock`. Every subcommand runs on numpy
+alone; the closed-form ones on one Theta array per experiment (a row per
 time point or registry entry) that matches the per-state functions of
 `dqmem.states` and `thermo.thermo_snapshot` bit for bit.
 """
@@ -365,12 +364,7 @@ def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
 
 def _verify_rows(dim: int) -> list[list]:
     """Residual suite rows: [check, detail, value, lo, hi, status]."""
-    try:
-        from . import fock
-    except ImportError as exc:
-        raise CliError("dependency",
-                       f"oracle-verify needs scipy (pip install 'dqmem[oracle]'): "
-                       f"{exc}") from exc
+    from . import fock
     rows: list[list] = []
 
     def add(check: str, detail: str, value: float, lo: float, hi: float):
@@ -476,7 +470,6 @@ def _run_oracle_verify(dim: int) -> tuple[dict, dict, str]:
 
 
 def _manifest(args, argv: list[str], config_echo, seed, wall: float) -> str:
-    scipy = sys.modules.get("scipy")  # only oracle-verify loads it
     return _json_text({
         "command": args.command,
         "argv": argv,
@@ -488,7 +481,6 @@ def _manifest(args, argv: list[str], config_echo, seed, wall: float) -> str:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__ if scipy else "not loaded",
             "dqmem": __version__,
         },
         "import_s": _IMPORT_S,

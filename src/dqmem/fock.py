@@ -1,10 +1,10 @@
 """Brute-force matrix oracle on a truncated two-oscillator Fock space.
 
 Everything `dqmem.states` claims in closed form is recomputed here the slow
-way, for one mode pair at a time: explicit sparse matrices on the basis
-|n, ntil> (n counts quanta of the damped memory mode a, ntil of its mirror
-partner atil, each truncated to dim levels), exponential actions applied
-term by term, expectations taken literally.
+way, for one mode pair at a time: explicit ladder-operator matrices on the
+basis |n, ntil> (n counts quanta of the damped memory mode a, ntil of its
+mirror partner atil, each truncated to dim levels), exponential actions
+applied term by term, expectations taken literally.
 
 Operator conventions, fixed once here and relied on everywhere:
 
@@ -34,7 +34,7 @@ each the same literal product of ladder matrices as the full-space operator
 it restricts, so every block entry equals that operator's entry bit for bit.
 An observable that leaves sector 0 (a ladder, a quadrature) is measured by
 its image in sectors -1 and +1. The full pair space (flat index
-n * dim + ntil, built by `_pair_space`) remains in two places only:
+n * dim + ntil, built by `_PairSpace`) remains in two places only:
 `algebra_residuals` checks the operator identities on it at the workspace
 dim (the CLI uses dim 32), and `check_squeeze_factorization` runs on it at
 its own padded dim d_pad, because a single-mode squeezer spreads the vacuum
@@ -76,10 +76,12 @@ a d_pad above _MAX_PAD_FACTOR = 4 times dim; the hole-relation and
 entropy-flow checks refuse |Theta| below _MIN_ABS_THETA = 0.05. Only
 memory_vector's budget (1e-10) is a parameter.
 
-This is the only module that needs scipy, and it loads lazily: `import
-dqmem` leaves it (and scipy) unloaded until `dqmem.fock` or one of the
-names the package re-exports from it is first used, and the CLI imports it
-for `oracle-verify` only. Install it with the `dqmem[oracle]` extra.
+Every operator is a `ShiftOperator`: a few shifted diagonals (a flat
+index offset and one coefficient per row each), the exact form of every
+ladder product here, multiplied with numpy slices alone. The module loads
+lazily all the same: `import dqmem` leaves it unloaded until `dqmem.fock`
+or one of the names the package re-exports from it is first used, and the
+CLI imports it for `oracle-verify` only.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .states import Variances
 
@@ -113,7 +114,9 @@ __all__ = [
     "check_entropy_flow",
 ]
 
-_SQRT2 = math.sqrt(2.0)
+# b, btil and the quadratures scale by 1/sqrt(2): dividing by sqrt(2) rounds
+# differently, and residuals.csv would change in its last bits
+_RSQRT2 = 1.0 / math.sqrt(2.0)
 _MIN_DIM = 4
 
 # fixed tolerances, described in the module docstring
@@ -126,20 +129,81 @@ _MAX_PAD_FACTOR = 4
 _MIN_ABS_THETA = 0.05
 
 
-def _real_csr(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    """float64 CSR of a matrix whose entries are all real.
+class ShiftOperator:
+    """A matrix stored as its shifted diagonals, the form of every ladder product.
 
-    (.real on the sparse matrix itself raises ComplexWarning; the copy keeps
-    the data contiguous, so no matvec has to copy it again.)
+    `coef` maps a flat index offset d to a coefficient vector c with one
+    entry per row: entry (i, i + d) is c[i], and c is zero wherever i + d
+    leaves the columns. A product composes offsets. Offsets are kept
+    ascending, so each row is summed in column order, as a CSR matrix sums
+    it, and every product, sum and matvec gives the bits of scipy's sparse
+    arithmetic on the same matrices.
     """
-    return sparse.csr_matrix((matrix.data.real.copy(), matrix.indices, matrix.indptr),
-                             shape=matrix.shape)
+
+    def __init__(self, shape: tuple[int, int], coef: dict[int, np.ndarray]):
+        self.shape = shape
+        self.dtype = np.result_type(float, *coef.values())
+        self.coef = {d: np.asarray(coef[d], self.dtype) for d in sorted(coef)}
+        # (d, rows, their coefficients, the columns they read) per offset
+        self._spans = []
+        for d, c in self.coef.items():
+            lo = max(0, -d)
+            hi = max(lo, min(shape[0], shape[1] - d))  # empty when d misses the columns
+            self._spans.append((d, slice(lo, hi), c[lo:hi], slice(lo + d, hi + d)))
+
+    @classmethod
+    def diag(cls, values: np.ndarray) -> ShiftOperator:
+        return cls((values.size, values.size), {0: values})
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.shape[0], np.result_type(x, self.dtype))
+        for _, rows, c, cols in self._spans:
+            out[rows] += c * x[cols]
+        return out
+
+    def __matmul__(self, other: ShiftOperator) -> ShiftOperator:
+        coef: dict[int, np.ndarray] = {}
+        for d, rows, c, cols in self._spans:
+            for e, b in other.coef.items():
+                term = np.zeros(self.shape[0], np.result_type(c, b))
+                term[rows] = c * b[cols]
+                coef[d + e] = coef[d + e] + term if d + e in coef else term
+        return ShiftOperator((self.shape[0], other.shape[1]), coef)
+
+    def __add__(self, other: ShiftOperator) -> ShiftOperator:
+        coef = dict(self.coef)
+        for d, c in other.coef.items():
+            coef[d] = coef[d] + c if d in coef else c
+        return ShiftOperator(self.shape, coef)
+
+    def map(self, f) -> ShiftOperator:
+        """The operator with f applied to every coefficient vector."""
+        return ShiftOperator(self.shape, {d: f(c) for d, c in self.coef.items()})
+
+    def __neg__(self) -> ShiftOperator:
+        return self.map(np.negative)
+
+    def __sub__(self, other: ShiftOperator) -> ShiftOperator:
+        return self + (-other)
+
+    def __mul__(self, scalar: complex) -> ShiftOperator:
+        return self.map(lambda c: c * scalar)
+
+    __rmul__ = __mul__
+
+    @property
+    def H(self) -> ShiftOperator:
+        """The adjoint: entry (i, i + d) moves to (i + d, i), conjugated."""
+        coef = {}
+        for d, rows, c, cols in self._spans:
+            coef[-d] = np.zeros(self.shape[1], c.dtype)
+            coef[-d][cols] = c.conj()
+        return ShiftOperator(self.shape[::-1], coef)
 
 
-def _check_hermitian(**mats: sparse.csr_matrix) -> None:
-    for name, mat in mats.items():
-        defect = mat - mat.conj().T
-        if defect.nnz and abs(defect).max() > 0.0:
+def _check_hermitian(**ops: ShiftOperator) -> None:
+    for name, op in ops.items():
+        if any(np.any(c) for c in (op - op.H).coef.values()):
             raise RuntimeError(f"{name} failed its Hermiticity self-check")
 
 
@@ -147,47 +211,51 @@ def _check_hermitian(**mats: sparse.csr_matrix) -> None:
 class FockWorkspace:
     """Immutable bundle of sector blocks for one damped mode pair.
 
-    All matrices are complex128 CSR. The ladder blocks map sector 0 (dim
-    states) into one neighbouring sector (dim - 1 states): a and atildag
-    into sector -1, atil and adag into sector +1; the adjoint of a block
-    carries its sector back to 0 (a.conj().T is adag there). `j_plus`,
-    `j_minus`, `h_int`, `number` (adag a) and `number_flipped` (a adag) are
-    dim x dim sector-0 blocks, literal products of ladder blocks (not rebuilt
-    from integer arrays, so expectation checks exercise the same floating
-    arithmetic the identities do). `interior[s]` is the boolean mask of
-    sector s's states inside {n < dim-1, ntil < dim-1}, for s in (-1, 0, 1).
-    The four rotated quadratures are built on first use and then kept.
+    Every operator is a ShiftOperator with float64 coefficients, except the
+    complex H_int and generator. The ladder blocks map sector 0 (dim states)
+    into one neighbouring sector (dim - 1 states) with offsets 0 and +1: a
+    and atildag into sector -1, atil and adag into sector +1; the adjoint of
+    a block (`.H`) carries its sector back to 0 (a.H is adag there).
+    `j_plus`, `j_minus`, `h_int`, `number` (adag a) and `number_flipped` (a
+    adag) are dim x dim sector-0 blocks on offsets -1, 0 and +1, literal
+    products of ladder blocks (not rebuilt from integer arrays, so
+    expectation checks exercise the same floating arithmetic the identities
+    do). `interior[s]` is the boolean mask of sector s's states inside
+    {n < dim-1, ntil < dim-1}, for s in (-1, 0, 1). The four rotated
+    quadratures are built on first use and then kept.
     """
 
     dim: int
     omega: float
     gamma: float
-    a: sparse.csr_matrix
-    adag: sparse.csr_matrix
-    atil: sparse.csr_matrix
-    atildag: sparse.csr_matrix
-    j_plus: sparse.csr_matrix
-    j_minus: sparse.csr_matrix
-    h_int: sparse.csr_matrix
-    number: sparse.csr_matrix
-    number_flipped: sparse.csr_matrix
+    a: ShiftOperator
+    adag: ShiftOperator
+    atil: ShiftOperator
+    atildag: ShiftOperator
+    j_plus: ShiftOperator
+    j_minus: ShiftOperator
+    h_int: ShiftOperator
+    number: ShiftOperator
+    number_flipped: ShiftOperator
     interior: dict[int, np.ndarray]
 
     @cached_property
-    def quadratures(self) -> tuple[sparse.csr_matrix, ...]:
+    def quadratures(self) -> tuple[ShiftOperator, ...]:
         """Position and momentum of b, then of btil: (x1, y1, x2, y2).
 
         Each maps sector 0 onto sectors -1 and +1, stacked in that order: a
         quadrature moves n - ntil by one, so these rows hold all of its image
-        of a memory state. The two real position quadratures are float64
-        CSR: a product with a complex vector casts their entries back to
-        complex exactly.
+        of a memory state. The two position quadratures are real.
         """
+        top = np.arange(2 * self.dim - 2) < self.dim - 1
+        # sectors -1 and +1 embedded as the top and bottom rows of the stack
+        up = ShiftOperator((top.size, self.dim - 1), {0: top})
+        down = ShiftOperator((top.size, self.dim - 1), {1 - self.dim: ~top})
         out = []
         for sign in (-1.0, 1.0):  # b = (a - atil)/sqrt2, btil = (a + atil)/sqrt2
-            mode = sparse.vstack([self.a, sign * self.atil], format="csr") / _SQRT2
-            dag = sparse.vstack([sign * self.atildag, self.adag], format="csr") / _SQRT2
-            out += [_real_csr(0.5 * (mode + dag)), ((-0.5j) * (mode - dag)).tocsr()]
+            mode = (up @ self.a + down @ (sign * self.atil)) * _RSQRT2
+            dag = (up @ (sign * self.atildag) + down @ self.adag) * _RSQRT2
+            out += [0.5 * (mode + dag), (-0.5j) * (mode - dag)]
         return tuple(out)
 
     def vacuum(self) -> np.ndarray:
@@ -196,11 +264,11 @@ class FockWorkspace:
         v[0] = 1.0
         return v
 
-    def generator(self, theta: float) -> sparse.csr_matrix:
+    def generator(self, theta: float) -> ShiftOperator:
         """Write generator G(theta) = -i theta (J+ - J-) on sector 0, Hermitian."""
-        return ((-1j * theta) * (self.j_plus - self.j_minus)).tocsr()
+        return (-1j * theta) * (self.j_plus - self.j_minus)
 
-    def entropy_operator(self, theta_eff: float) -> sparse.csr_matrix:
+    def entropy_operator(self, theta_eff: float) -> ShiftOperator:
         """Modular entropy operator of the damped mode at effective Theta, on sector 0.
 
         S(Theta) = -(ndag n ln sinh^2 - n ndag ln cosh^2); its expectation on
@@ -212,17 +280,17 @@ class FockWorkspace:
             raise ValueError("entropy operator is singular at Theta = 0")
         ln_sinh2 = 2.0 * math.log(abs(math.sinh(theta_eff)))
         ln_cosh2 = 2.0 * math.log(math.cosh(theta_eff))
-        return (-(ln_sinh2 * self.number - ln_cosh2 * self.number_flipped)).tocsr()
+        return -(ln_sinh2 * self.number - ln_cosh2 * self.number_flipped)
 
-    def entropy_rate_operator(self, theta_eff: float, gamma: float) -> sparse.csr_matrix:
+    def entropy_rate_operator(self, theta_eff: float, gamma: float) -> ShiftOperator:
         """Time derivative of entropy_operator along Theta(t) = gamma t - theta."""
         theta_eff = float(theta_eff)
         if theta_eff == 0.0:
             raise ValueError("entropy rate operator is singular at Theta = 0")
         coth = math.cosh(theta_eff) / math.sinh(theta_eff)
         tanh = math.tanh(theta_eff)
-        return (-(2.0 * gamma * coth * self.number
-                  - 2.0 * gamma * tanh * self.number_flipped)).tocsr()
+        return -(2.0 * gamma * coth * self.number
+                 - 2.0 * gamma * tanh * self.number_flipped)
 
 
 def build_workspace(dim: int, omega: float = 1.0, gamma: float = 1.0) -> FockWorkspace:
@@ -246,14 +314,13 @@ def build_workspace(dim: int, omega: float = 1.0, gamma: float = 1.0) -> FockWor
     # matrix in the sectors' state order; adag and atildag, with sqrt(k+1),
     # are another
     root = np.sqrt(np.arange(1, dim, dtype=float))
-    shape = (dim - 1, dim)
-    a = sparse.diags(root, 1, shape=shape, format="csr", dtype=np.complex128)
-    adag = sparse.diags(root, 0, shape=shape, format="csr", dtype=np.complex128)
+    a = ShiftOperator((dim - 1, dim), {1: root})
+    adag = ShiftOperator((dim - 1, dim), {0: root})
     atil, atildag = a, adag
     # each product passes through the one sector its right factor reaches
-    j_plus = (a.conj().T @ atildag).tocsr()
-    j_minus = (adag.conj().T @ atil).tocsr()
-    h_int = ((1j * gamma) * (j_plus - j_minus)).tocsr()
+    j_plus = a.H @ atildag
+    j_minus = adag.H @ atil
+    h_int = (1j * gamma) * (j_plus - j_minus)
     _check_hermitian(h_int=h_int)
 
     k = np.arange(dim)
@@ -270,141 +337,100 @@ def build_workspace(dim: int, omega: float = 1.0, gamma: float = 1.0) -> FockWor
         j_plus=j_plus,
         j_minus=j_minus,
         h_int=h_int,
-        number=(a.conj().T @ a).tocsr(),
-        number_flipped=(adag.conj().T @ adag).tocsr(),
+        number=a.H @ a,
+        number_flipped=adag.H @ adag,
         interior={-1: side, 0: k < dim - 1, 1: side},
     )
 
 
-@dataclass(frozen=True, eq=False)
 class _PairSpace:
     """Operators on the whole dim^2 pair space, flat index n * dim + ntil.
 
     Only the operator identities (`algebra_residuals`) and the squeeze
-    factorization need it. `h0`, `j3` and `casimir` are built from exact
-    integer diagonals, `interior` projects onto {n < dim-1, ntil < dim-1}.
+    factorization need it. A ladder operator is one offset, dim for a and 1
+    for atil, with zero coefficients where the shift would wrap into the
+    next n. `h0`, `j3` and `casimir` are exact integer diagonals, so [H0,
+    H_int] = 0 and the weight-raising commutators hold float-exactly, not
+    just to round-off; `interior` projects onto {n < dim-1, ntil < dim-1}.
+    Hermiticity of H0 and H_int is verified entrywise on construction.
     """
 
-    dim: int
-    a: sparse.csr_matrix
-    adag: sparse.csr_matrix
-    atil: sparse.csr_matrix
-    atildag: sparse.csr_matrix
-    b: sparse.csr_matrix
-    btil: sparse.csr_matrix
-    j_plus: sparse.csr_matrix
-    j_minus: sparse.csr_matrix
-    j3: sparse.csr_matrix
-    casimir: sparse.csr_matrix
-    h0: sparse.csr_matrix
-    h_int: sparse.csr_matrix
-    number: sparse.csr_matrix
-    mirror_number: sparse.csr_matrix
-    interior: sparse.csr_matrix
-    n_index: np.ndarray
-    ntil_index: np.ndarray
+    def __init__(self, dim: int, omega: float = 1.0, gamma: float = 1.0):
+        self.dim = dim
+        self.size = dim * dim
+        n = self.n_index = np.repeat(np.arange(dim), dim)
+        m = self.ntil_index = np.tile(np.arange(dim), dim)
 
-    @property
-    def size(self) -> int:
-        """Dimension of the pair space, dim ** 2."""
-        return self.dim * self.dim
+        def lowering(index: np.ndarray, d: int) -> ShiftOperator:
+            # sqrt(index + 1) at the state d flat places on, if it exists
+            root = np.where(index < dim - 1, np.sqrt(index + 1.0), 0.0)
+            return ShiftOperator((self.size, self.size), {d: root})
+
+        a = self.a = lowering(n, dim)
+        atil = self.atil = lowering(m, 1)
+        self.adag, self.atildag = a.H, atil.H
+        self.b, self.btil = (a - atil) * _RSQRT2, (a + atil) * _RSQRT2
+        self.j_plus = self.adag @ self.atildag
+        self.j_minus = a @ atil
+        self.number, self.mirror_number = self.adag @ a, self.atildag @ atil
+        diag = ShiftOperator.diag
+        self.h0 = diag(omega * (n - m).astype(float))
+        self.j3 = diag(0.5 * (n + m + 1).astype(float))
+        self.casimir = diag(0.5 * (n - m).astype(float))
+        self.h_int = (1j * gamma) * (self.j_plus - self.j_minus)
+        _check_hermitian(h0=self.h0, h_int=self.h_int)
+        self.interior = diag(((n < dim - 1) & (m < dim - 1)).astype(float))
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.size, dtype=np.complex128)
         v[0] = 1.0
         return v
 
-    def squeezer_generator(self, r: float, mirror: bool = False) -> sparse.csr_matrix:
+    def squeezer_generator(self, r: float, mirror: bool = False) -> ShiftOperator:
         """Generator of the squeezer S(r) = exp(-r/2 (m^2 - mdag^2)) on m = b
         (btil with `mirror`): real antisymmetric, so the exponential is
         orthogonal and the Taylor stages cannot blow up."""
         mode = self.btil if mirror else self.b
-        # the adjoint and the scaling are taken in place: this is the largest
-        # matrix the oracle builds, and its temporaries set its peak memory
-        mm = (mode @ mode).tocsr()
-        mmdag = mm.T.tocsr()
-        np.conjugate(mmdag.data, out=mmdag.data)
-        gen = mm - mmdag
-        gen.data *= -0.5 * r
-        return gen
+        mm = mode @ mode
+        return (mm - mm.H) * (-0.5 * r)
 
 
-def _pair_space(dim: int, omega: float = 1.0, gamma: float = 1.0) -> _PairSpace:
-    """The one full-space construction; Hermiticity of H0 and H_int is
-    verified entrywise before it is returned."""
-    single = sparse.diags(np.sqrt(np.arange(1, dim, dtype=float)), 1, format="csr",
-                          dtype=np.complex128)
-    ident = sparse.identity(dim, format="csr", dtype=np.complex128)
-    a = sparse.kron(single, ident, format="csr")
-    atil = sparse.kron(ident, single, format="csr")
-    adag = a.conj().T.tocsr()
-    atildag = atil.conj().T.tocsr()
-    j_plus = (adag @ atildag).tocsr()
-    j_minus = (a @ atil).tocsr()
-    n_index = np.repeat(np.arange(dim), dim)
-    ntil_index = np.tile(np.arange(dim), dim)
+def _reachable(op: ShiftOperator, vec: np.ndarray) -> np.ndarray:
+    """Sorted indices of the basis states that `vec` reaches under `op`.
 
-    # exact integer diagonals: [H0, H_int] = 0 and the weight-raising
-    # commutators then hold float-exactly, not just to round-off
-    def diag(values: np.ndarray) -> sparse.csr_matrix:
-        return sparse.diags(values.astype(np.complex128), 0, format="csr")
-
-    h0 = diag(omega * (n_index - ntil_index).astype(float))
-    j3 = diag(0.5 * (n_index + ntil_index + 1).astype(float))
-    casimir = diag(0.5 * (n_index - ntil_index).astype(float))
-    h_int = ((1j * gamma) * (j_plus - j_minus)).tocsr()
-    _check_hermitian(h0=h0, h_int=h_int)
-
-    inside = (n_index < dim - 1) & (ntil_index < dim - 1)
-    interior = diag(inside.astype(float))
-
-    return _PairSpace(
-        dim=dim,
-        a=a,
-        adag=adag,
-        atil=atil,
-        atildag=atildag,
-        b=((a - atil) / _SQRT2).tocsr(),
-        btil=((a + atil) / _SQRT2).tocsr(),
-        j_plus=j_plus,
-        j_minus=j_minus,
-        j3=j3,
-        casimir=casimir,
-        h0=h0,
-        h_int=h_int,
-        number=(adag @ a).tocsr(),
-        mirror_number=(atildag @ atil).tocsr(),
-        interior=interior,
-        n_index=n_index,
-        ntil_index=ntil_index,
-    )
-
-
-def _reachable(matrix: sparse.spmatrix, vec: np.ndarray) -> np.ndarray:
-    """Sorted indices of the basis states that `vec` reaches under `matrix`.
-
-    A frontier search over the column pattern: starting from vec's nonzeros,
-    each pass adds the rows stored in the newly reached columns, until no new
-    row appears. The set is closed under `matrix`, so every power of it
-    applied to `vec` vanishes outside the set.
+    Starting from vec's nonzeros, each pass adds every row i whose
+    coefficient at some offset d is nonzero and whose column i + d is
+    reached, until a pass adds none. The set is closed under `op`, so every
+    power of it applied to `vec` vanishes outside the set.
     """
-    csr = sparse.csr_matrix(matrix)
-    # the pattern alone, so the transpose copies no matrix values
-    csc = sparse.csr_matrix((np.ones(csr.nnz, dtype=bool), csr.indices, csr.indptr),
-                            shape=csr.shape).tocsc()
-    indptr, indices = csc.indptr, csc.indices
-    seen = np.zeros(csc.shape[1], dtype=bool)
-    frontier = np.flatnonzero(vec)
-    seen[frontier] = True
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        # position in `indices` of every entry stored in a frontier column
-        base = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        rows = indices[base + np.arange(base.size)]
-        frontier = np.unique(rows[~seen[rows]])
-        seen[frontier] = True
-    return np.flatnonzero(seen)
+    links = [(rows, c != 0, cols) for _, rows, c, cols in op._spans]
+    seen = np.asarray(vec) != 0
+    while True:
+        grown = seen.copy()
+        for rows, nonzero, cols in links:
+            grown[rows] |= nonzero & seen[cols]
+        if np.array_equal(grown, seen):
+            return np.flatnonzero(seen)
+        seen = grown
+
+
+def _restrict(op: ShiftOperator, keep: np.ndarray) -> ShiftOperator:
+    """The block of `op` on the sorted states `keep`, indexed by position in
+    keep: entry (i, i + d) lands at offset pos(i + d) - pos(i), which keeps
+    every row's column order. On the n + ntil even half of the pair space
+    the squeezers' six offsets become eight."""
+    pos = np.full(op.shape[1], -1)
+    pos[keep] = np.arange(keep.size)
+    coef: dict[int, np.ndarray] = {}
+    for d, c in op.coef.items():
+        cols = keep + d
+        rows = np.flatnonzero((cols >= 0) & (cols < op.shape[1]))
+        rows = rows[(c[keep[rows]] != 0) & (pos[cols[rows]] >= 0)]
+        shift = pos[cols[rows]] - rows
+        for e in np.unique(shift).tolist():
+            at = rows[shift == e]
+            coef.setdefault(e, np.zeros(keep.size, c.dtype))[at] = c[keep[at]]
+    return ShiftOperator((keep.size, keep.size), coef)
 
 
 def _re_inner(u: np.ndarray, v: np.ndarray) -> float:
@@ -421,38 +447,39 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(_re_inner(x, x))
 
 
-def expm_action(matrix: sparse.spmatrix, vec: np.ndarray) -> np.ndarray:
+def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
     """Apply exp(matrix) to vec by staged Taylor series, deterministically.
 
     The series runs on the reachable support of vec only: the basis states
-    that vec's nonzeros reach through the column pattern of matrix. That set
-    is closed under matrix, so every Taylor term vanishes outside it and the
-    columns outside it only ever multiply zeros; restricting matrix to it
-    (and embedding the result back into zeros) drops no term. A squeezer
-    acting on the pair-space vacuum stays on the n + ntil even half.
+    that vec's nonzeros reach through the nonzero coefficients of matrix.
+    That set is closed under matrix, so every Taylor term vanishes outside
+    it and the columns outside it only ever multiply zeros; restricting
+    matrix to it (and embedding the result back into zeros) drops no term.
+    A squeezer acting on the pair-space vacuum stays on the n + ntil even
+    half.
 
     The restricted matrix is split into s stages of 1-norm <= _STAGE_NORM;
     each stage is summed until the term norm drops below _EXPM_TOL relative
     to the partial sum. When matrix and vec are both real, as every exponent
     the oracle takes is, the series runs in float64; the result is complex128
     either way. Deterministic by construction (no norm estimation, no
-    randomness), which is why this exists instead of scipy's expm_multiply:
-    rerun artifacts must be byte-identical. Every vector norm and inner
-    product in this module, the term test included, is `_re_inner`, which
-    never enters BLAS, so no result depends on the BLAS thread count either.
+    randomness), so rerun artifacts are byte-identical. Every vector norm
+    and inner product in this module, the term test included, is
+    `_re_inner`, which never enters BLAS, so no result depends on the BLAS
+    thread count either.
 
     Raises RuntimeError if a stage fails to converge within _MAX_TERMS terms.
     """
     vec = np.asarray(vec, dtype=np.complex128)
-    matrix = sparse.csr_matrix(matrix)
     keep = _reachable(matrix, vec)
     w = vec[keep]
-    if not (np.any(matrix.data.imag) or np.any(w.imag)):
-        matrix = _real_csr(matrix)
-        w = w.real.copy()
     if keep.size < vec.size:
-        matrix = matrix[keep][:, keep]
-    norm1 = float(np.max(abs(matrix).sum(axis=0))) if matrix.nnz else 0.0
+        matrix = _restrict(matrix, keep)
+    if not (any(np.any(c.imag) for c in matrix.coef.values()) or np.any(w.imag)):
+        matrix = matrix.map(lambda c: c.real.copy())  # contiguous, for the matvecs
+        w = w.real.copy()
+    # the largest column sum, as the row sums of the adjoint's magnitudes
+    norm1 = float(np.max(matrix.map(abs).H.dot(np.ones(keep.size))))
     stages = max(1, int(math.ceil(norm1 / _STAGE_NORM)))
     for _ in range(stages):
         term = w.copy()
@@ -510,8 +537,7 @@ def memory_vector_via_generator(ws: FockWorkspace, theta: float) -> np.ndarray:
     ~tanh(theta)^dim, on top of the explicit route's tail; callers comparing
     the two routes at 1e-10 should keep tanh(theta)^dim below that.
     """
-    m = ((-1j) * ws.generator(theta)).tocsr()
-    return expm_action(m, ws.vacuum())
+    return expm_action((-1j) * ws.generator(theta), ws.vacuum())
 
 
 def evolve_vector(ws: FockWorkspace, v: np.ndarray, t: float, *,
@@ -538,8 +564,7 @@ def evolve_vector(ws: FockWorkspace, v: np.ndarray, t: float, *,
         worst = max(abs(float(theta)), abs(ws.gamma * t - float(theta)))
         _require_budget(worst, ws.dim, _EVOLVE_MAX_TAIL,
                         f"evolve_vector(theta={theta}, t={t})")
-    m = ((-1j * t) * ws.h_int).tocsr()
-    return expm_action(m, v)
+    return expm_action((-1j * t) * ws.h_int, v)
 
 
 def oracle_overlap(u: np.ndarray, v: np.ndarray) -> float:
@@ -587,10 +612,11 @@ def entropy_expectation(ws: FockWorkspace, v: np.ndarray, theta_eff: float) -> f
     return _re_inner(v, ws.entropy_operator(theta_eff).dot(v))
 
 
-def _fro(m: sparse.spmatrix) -> float:
-    if m.nnz == 0:
-        return 0.0
-    return float(math.sqrt(abs(m).power(2).sum()))
+def _fro(m: ShiftOperator) -> float:
+    """Frobenius norm: one pairwise numpy sum of the squared magnitudes of
+    the nonzero entries, taken row by row in column order."""
+    c = np.array(list(m.coef.values())).T
+    return math.sqrt(np.sum(abs(c[c != 0]) ** 2))
 
 
 def algebra_residuals(ws: FockWorkspace) -> dict[str, float]:
@@ -604,19 +630,19 @@ def algebra_residuals(ws: FockWorkspace) -> dict[str, float]:
     closure of H_int, the cross-mode commutators) come out as exact 0.0;
     the rest are float round-off, orders below 1e-12.
     """
-    full = _pair_space(ws.dim, ws.omega, ws.gamma)
+    full = _PairSpace(ws.dim, ws.omega, ws.gamma)
     p = full.interior
-    ident = sparse.identity(full.size, format="csr", dtype=np.complex128)
+    ident = ShiftOperator.diag(np.ones(full.size))
 
     def proj(m):
         return p @ m @ p
 
-    def residual(diff: sparse.spmatrix, *terms: sparse.spmatrix) -> float:
+    def residual(diff: ShiftOperator, *terms: ShiftOperator) -> float:
         scale = max([1.0] + [_fro(proj(t)) for t in terms])
         return _fro(proj(diff)) / scale
 
-    bdag = full.b.conj().T.tocsr()
-    btildag = full.btil.conj().T.tocsr()
+    bdag = full.b.H
+    btildag = full.btil.H
 
     out: dict[str, float] = {}
 
@@ -660,8 +686,8 @@ def algebra_residuals(ws: FockWorkspace) -> dict[str, float]:
     # sector checks: columns of the paired diagonal must stay on it, and H0
     # must annihilate it (not just phase it); exact by integer construction
     on_diag = (full.n_index == full.ntil_index).astype(float)
-    diag_sel = sparse.diags(on_diag.astype(np.complex128), 0, format="csr")
-    off_rows = sparse.diags((1.0 - on_diag).astype(np.complex128), 0, format="csr")
+    diag_sel = ShiftOperator.diag(on_diag)
+    off_rows = ShiftOperator.diag(1.0 - on_diag)
     out["interaction_diagonal_closure"] = residual(off_rows @ (full.h_int @ diag_sel),
                                                    full.h_int @ diag_sel)
     out["h0_annihilates_diagonal"] = residual(full.h0 @ diag_sel, full.h0)
@@ -718,9 +744,9 @@ def check_squeeze_factorization(ws: FockWorkspace, theta: float) -> float:
             f"squeeze factorization budget exceeded at theta={theta}: "
             f"needs dim {d_pad} > {_MAX_PAD_FACTOR} * {ws.dim}"
         )
-    full = _pair_space(d_pad)
+    full = _PairSpace(d_pad)
     vac = full.vacuum()
-    u = expm_action(((-theta) * (full.j_plus - full.j_minus)).tocsr(), vac)
+    u = expm_action((-theta) * (full.j_plus - full.j_minus), vac)
     w = expm_action(full.squeezer_generator(-theta, mirror=True), vac)
     w = expm_action(full.squeezer_generator(theta), w)
     return _norm(u - w)

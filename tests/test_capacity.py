@@ -363,6 +363,18 @@ def test_capacity_estimate_takes_a_numpy_integer_seed():
             == capacity_estimate(modes_k(2), (0.0, 1.5), 0.05, 40, seed=7))
 
 
+@pytest.mark.parametrize("count", [1.5, True, np.float64(1.0)])
+def test_capacity_estimate_rejects_a_candidate_count_that_is_not_an_integer(count):
+    # the rule of the `candidates` key: 1.5 and True no longer run as one candidate
+    with pytest.raises(ValueError, match="candidate_count must be an integer"):
+        capacity_estimate(modes_k(2), (0.0, 1.5), 0.05, count, seed=0)
+
+
+def test_capacity_estimate_takes_a_numpy_integer_candidate_count():
+    assert (capacity_estimate(modes_k(2), (0.0, 1.5), 0.05, np.uint64(3), seed=5)
+            == capacity_estimate(modes_k(2), (0.0, 1.5), 0.05, 3, seed=5))
+
+
 def test_capacity_estimate_report_is_consistent():
     rep = capacity_estimate(modes_k(2), (0.0, 1.2), 0.2, 50, seed=3)
     assert rep.accepted_count == len(rep.accepted_indices)

@@ -1,6 +1,5 @@
 """Every script in demos/ runs to exit 0 in a fresh interpreter."""
 
-import importlib.util
 import os
 import pathlib
 import subprocess
@@ -12,7 +11,6 @@ import dqmem
 
 SRC = str(pathlib.Path(dqmem.__file__).resolve().parent.parent)
 DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
-NEEDS_SCIPY = {"06_oracle_checks.py"}
 
 
 def test_demos_are_found():
@@ -21,8 +19,6 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    if demo.name in NEEDS_SCIPY and importlib.util.find_spec("scipy") is None:
-        pytest.skip("the oracle demo needs scipy")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,

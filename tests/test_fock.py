@@ -33,7 +33,28 @@ def ws64():
 
 @pytest.fixture(scope="module")
 def pair32():
-    return fock._pair_space(32)
+    return fock._PairSpace(32)
+
+
+def dense(op):
+    """A ShiftOperator as a dense array: entry (i, i + d) is coef[d][i]."""
+    out = np.zeros(op.shape, dtype=np.complex128)
+    rows = np.arange(op.shape[0])
+    for d, c in op.coef.items():
+        inside = (rows + d >= 0) & (rows + d < op.shape[1])
+        assert np.all(c[~inside] == 0.0)  # no coefficient off the grid
+        out[rows[inside], rows[inside] + d] = c[inside]
+    return out
+
+
+def shifts(m):
+    """A dense array as a ShiftOperator, one offset per diagonal."""
+    coef = {}
+    for d in range(1 - m.shape[0], m.shape[1]):
+        diag = np.diagonal(m, d)
+        coef[d] = np.zeros(m.shape[0], dtype=m.dtype)
+        coef[d][max(0, -d):max(0, -d) + diag.size] = diag
+    return fock.ShiftOperator(m.shape, coef)
 
 
 def sector_states(pair, s):
@@ -52,8 +73,8 @@ def full_quadratures(pair):
     """(x1, y1, x2, y2) of the rotated pair on the whole pair space."""
     out = []
     for mode in (pair.b, pair.btil):
-        dag = mode.conj().T.tocsr()
-        out += [fock._real_csr(0.5 * (mode + dag)), ((-0.5j) * (mode - dag)).tocsr()]
+        dag = mode.H
+        out += [0.5 * (mode + dag), (-0.5j) * (mode - dag)]
     return out
 
 
@@ -72,7 +93,7 @@ def full_variances(pair, v):
 
 
 def test_lowering_operator_entries(pair32):
-    a = pair32.a.toarray()
+    a = dense(pair32.a)
     # <n-1, m| a |n, m> = sqrt(n); spot-check a few literal entries
     dim = pair32.dim
     for n, m in ((1, 0), (2, 3), (5, 5)):
@@ -86,7 +107,7 @@ def test_lowering_operator_entries(pair32):
 def test_number_operators_are_diagonal_counts(ws32):
     # number is the literal product adag @ a, so entries are sqrt(n)^2:
     # integers only to round-off, never off the diagonal
-    n_op = ws32.number.toarray()
+    n_op = dense(ws32.number)
     assert np.count_nonzero(n_op - np.diag(np.diagonal(n_op))) == 0
     diag = np.real(np.diagonal(n_op))
     assert diag.min() == 0.0
@@ -105,7 +126,7 @@ def test_workspace_validation():
 
 def test_weight_operator_counts_both_members(pair32):
     # j3 = (n + ntil + 1)/2 must be an exact half-integer diagonal
-    j3 = pair32.j3.toarray()
+    j3 = dense(pair32.j3)
     diag = np.real(np.diagonal(j3))
     assert np.all(2.0 * diag == np.round(2.0 * diag))
     assert diag[0] == 0.5
@@ -116,7 +137,7 @@ def test_sector_blocks_equal_the_full_space_operators(dim):
     # each block is the same literal product as its full-space operator, so
     # every entry of the matching sub-block is equal, not just close
     ws = fock.build_workspace(dim, omega=1.5, gamma=0.7)
-    pair = fock._pair_space(dim, 1.5, 0.7)
+    pair = fock._PairSpace(dim, 1.5, 0.7)
     minus, zero, plus = (sector_states(pair, s) for s in (-1, 0, 1))
     side = np.concatenate([minus, plus])
     blocks = [
@@ -128,17 +149,17 @@ def test_sector_blocks_equal_the_full_space_operators(dim):
     ]
     blocks += [(q, full, side) for q, full in zip(ws.quadratures, full_quadratures(pair))]
     for block, full, rows in blocks:
-        want = full.tocsr()[rows][:, zero].toarray()
-        got = block.toarray()
+        want = dense(full)[np.ix_(rows, zero)]
+        got = dense(block)
         assert got.shape == want.shape
         assert np.all(got == want)
-    inside = pair.interior.diagonal()
+    inside = pair.interior.coef[0]
     for s, states in ((-1, minus), (0, zero), (1, plus)):
         assert np.all(ws.interior[s] == inside[states])
     # and nothing the blocks leave out: a memory state's images stay in them
     for full, rows in ((pair.a, minus), (pair.adag, plus), (pair.h_int, zero)):
         rest = np.setdiff1d(np.arange(pair.size), rows)
-        assert full.tocsr()[rest][:, zero].nnz == 0
+        assert np.count_nonzero(dense(full)[np.ix_(rest, zero)]) == 0
 
 
 @pytest.mark.parametrize("dim", [16, 32])
@@ -146,7 +167,7 @@ def test_memory_vector_embeds_as_the_full_space_construction(dim):
     # the full-space construction: amplitudes on the paired diagonal of the
     # dim^2 vector, normalized there
     ws = fock.build_workspace(dim)
-    pair = fock._pair_space(dim)
+    pair = fock._PairSpace(dim)
     for theta in (-0.4, 0.0, 0.3, 0.7):
         want = np.zeros(pair.size, dtype=np.complex128)
         want[sector_states(pair, 0)] = ((-math.tanh(theta)) ** np.arange(dim)
@@ -174,6 +195,64 @@ def test_sector_expectations_match_the_full_space(ws32, pair32):
         r2 = pair32.interior.dot(pair32.atildag.dot(w) / ch - pair32.a.dot(w) / sh)
         got = fock.check_hole_relations(ws32, v, big_t)
         assert got == pytest.approx((fock._norm(r1), fock._norm(r2)), abs=1e-15)
+
+
+def random_shifts(rng, rows, cols, offsets, dtype=float):
+    """A ShiftOperator with random coefficients on the given offsets."""
+    coef = {}
+    for d in offsets:
+        c = rng.normal(size=rows).astype(dtype)
+        if dtype is complex:
+            c += 1j * rng.normal(size=rows)
+        i = np.arange(rows)
+        c[(i + d < 0) | (i + d >= cols)] = 0.0
+        coef[d] = c
+    return fock.ShiftOperator((rows, cols), coef)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_shift_operator_arithmetic_matches_dense(dtype):
+    rng = np.random.default_rng(5)
+    a = random_shifts(rng, 7, 9, (-3, 0, 2, 5), dtype)
+    b = random_shifts(rng, 9, 6, (-4, -1, 1), dtype)
+    c = random_shifts(rng, 7, 9, (-3, 1, 2), dtype)
+    x = rng.normal(size=9) + 1j * rng.normal(size=9)
+    assert np.allclose(a.dot(x), dense(a) @ x, rtol=1e-14, atol=1e-14)
+    assert np.allclose(dense(a @ b), dense(a) @ dense(b), rtol=1e-14, atol=1e-14)
+    assert np.array_equal(dense(a + c), dense(a) + dense(c))
+    assert np.array_equal(dense(a - c), dense(a) - dense(c))
+    assert np.array_equal(dense((0.5 - 2j) * a), (0.5 - 2j) * dense(a))
+    assert np.array_equal(dense(a.H), dense(a).conj().T)
+    assert (a @ b).shape == (7, 6) and a.H.shape == (9, 7)
+    assert fock._fro(a) == pytest.approx(np.linalg.norm(dense(a)), rel=1e-14)
+    # a product may compose an offset past every column: it stays empty
+    edge = random_shifts(rng, 3, 3, (-2, 2), dtype)
+    assert sorted((edge @ edge).coef) == [-4, 0, 4]
+    assert np.array_equal(dense(edge @ edge), dense(edge) @ dense(edge))
+    assert np.array_equal((edge @ edge).dot(x[:3]), dense(edge) @ dense(edge) @ x[:3])
+    assert np.array_equal(dense((edge @ edge).H), dense(edge @ edge).conj().T)
+    square = random_shifts(rng, 12, 12, (-5, -2, 0, 3, 7), dtype)
+    keep = np.array([0, 2, 3, 7, 8, 11])
+    block = fock._restrict(square, keep)
+    assert np.array_equal(dense(block), dense(square)[np.ix_(keep, keep)])
+
+
+def test_shift_operator_rounds_as_csr():
+    # the matvecs of the Taylor series and the products of the algebra
+    # checks give the bits scipy's CSR arithmetic gives
+    sparse = pytest.importorskip("scipy.sparse")
+    rng = np.random.default_rng(3)
+    ws = fock.build_workspace(128)
+    hint = (-0.4j) * ws.h_int
+    real = fock.ShiftOperator(hint.shape, {d: c.real for d, c in hint.coef.items()})
+    pair = fock._PairSpace(20)
+    gen = pair.squeezer_generator(0.5)
+    keep = fock._reachable(gen, pair.vacuum())
+    for op in (real, fock._restrict(gen, keep)):
+        x = rng.normal(size=op.shape[1])
+        assert np.array_equal(op.dot(x), sparse.csr_matrix(dense(op).real).dot(x))
+    want = sparse.csr_matrix(dense(pair.b)) @ sparse.csr_matrix(dense(pair.b))
+    assert np.array_equal(dense(pair.b @ pair.b), want.toarray())
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +322,9 @@ def test_expm_action_matches_dense_exponential():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
     m = 0.5 * (m - m.conj().T)  # anti-hermitian keeps the norm bounded
-    from scipy.sparse import csr_matrix
     from scipy.linalg import expm
     v = rng.normal(size=40) + 1j * rng.normal(size=40)
-    got = fock.expm_action(csr_matrix(m), v)
+    got = fock.expm_action(shifts(m), v)
     want = expm(m).dot(v)
     assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want)
 
@@ -256,7 +334,6 @@ def test_expm_action_matches_dense_exponential():
 def test_expm_action_on_a_permuted_block_diagonal(dtype, touched):
     # three dense blocks hidden by a permutation: vec's reachable support is
     # exactly the blocks it touches, and the restricted series stays exact
-    from scipy import sparse
     from scipy.linalg import expm
     rng = np.random.default_rng(17)
     sizes = (6, 9, 5)
@@ -268,17 +345,20 @@ def test_expm_action_on_a_permuted_block_diagonal(dtype, touched):
         return 0.4 * b
 
     perm = rng.permutation(sum(sizes))
-    m = sparse.block_diag([block(n) for n in sizes], format="csr")[perm][:, perm]
     starts = np.cumsum((0,) + sizes)
+    m = np.zeros((sum(sizes), sum(sizes)), dtype=dtype)
+    for n, lo in zip(sizes, starts):
+        m[lo:lo + n, lo:lo + n] = block(n)
+    m = m[np.ix_(perm, perm)]
     inside = np.concatenate([np.arange(starts[b], starts[b + 1]) for b in touched])
     where = np.flatnonzero(np.isin(perm, inside))
     v = np.zeros(sum(sizes), dtype=dtype)
     v[where] = rng.normal(size=where.size)
     if dtype is complex:
         v[where] += 1j * rng.normal(size=where.size)
-    assert fock._reachable(m, v).tolist() == where.tolist()
-    got = fock.expm_action(m, v)
-    want = expm(m.toarray()).dot(v)
+    assert fock._reachable(shifts(m), v).tolist() == where.tolist()
+    got = fock.expm_action(shifts(m), v)
+    want = expm(m).dot(v)
     assert got.dtype == np.complex128
     assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
     assert np.all(got[np.setdiff1d(np.arange(v.size), where)] == 0.0)
@@ -289,10 +369,10 @@ def test_reachable_support_of_the_oracle_exponents(ws32, pair32):
     # under H_int and G(theta); the squeezers reach exactly the n + ntil even
     # half
     pairs = sector_states(pair32, 0).tolist()
-    hint = ((-1j) * pair32.h_int).tocsr()
+    hint = (-1j) * pair32.h_int
     v = embed(pair32, fock.memory_vector(ws32, 0.5))
     assert fock._reachable(hint, v).tolist() == pairs
-    gen = ((-0.5) * (pair32.j_plus - pair32.j_minus)).tocsr()  # -i G(0.5)
+    gen = (-0.5) * (pair32.j_plus - pair32.j_minus)  # -i G(0.5)
     assert fock._reachable(gen, pair32.vacuum()).tolist() == pairs
     assert len(pairs) == ws32.dim
     even = np.flatnonzero((pair32.n_index + pair32.ntil_index) % 2 == 0).tolist()
@@ -310,12 +390,12 @@ def test_evolve_vector_off_the_paired_diagonal_matches_dense():
     # series there matches the dense exponential, and its sector-0 part is
     # what evolve_vector gives for the sector-0 part of the start
     from scipy.linalg import expm
-    pair = fock._pair_space(8)
+    pair = fock._PairSpace(8)
     v = np.zeros(pair.size, dtype=np.complex128)
     v[[0, pair.dim]] = 1.0 / math.sqrt(2.0)
-    m = ((-0.3j) * pair.h_int).tocsr()
+    m = (-0.3j) * pair.h_int
     got = fock.expm_action(m, v)
-    want = expm(m.toarray()).dot(v)
+    want = expm(dense(m)).dot(v)
     assert np.linalg.norm(got - want) < 1e-12
     assert np.count_nonzero(got) > pair.dim  # both sectors were evolved
     ws = fock.build_workspace(8)
@@ -494,7 +574,7 @@ def test_single_mode_squeezer_variances():
     # S_b(theta)|0>: rotated-mode x-variance stretches, y squeezes; the state
     # spreads over every even sector, so it is measured on the pair space
     theta = 0.4
-    pair = fock._pair_space(64)
+    pair = fock._PairSpace(64)
     gen = pair.squeezer_generator(theta, mirror=False)
     v = fock.expm_action(gen, pair.vacuum())
     dx2, dy2, dx2_mirror, dy2_mirror = full_variances(pair, v)
