@@ -2,10 +2,17 @@
 
 A Registry is an immutable record of printed memories over one shared mode
 list: printing appends an entry and touches nothing else, which is the
-non-destructive sequential recording the model promises. On top of it sit
-the experiments: pairwise fidelity matrices, greedy capacity packing,
-forgetting curves, association graphs, and a versioned JSON file format
-with canonical key order so saved registries diff cleanly.
+non-destructive sequential recording the model promises. It is stored as
+columns (the ids, an (n, K) code array and a printed_at array, plus an
+id -> row dict) in an append-only buffer whose arrays double when full.
+Each registry keeps its own length and reads only the rows below it, which
+never change, so `print_memory` appends in place and the new registry
+shares the buffer; printing from a registry that another has already
+extended copies its rows first. An append thus validates one row and costs
+O(1) amortised. On top of it sit the experiments: pairwise fidelity
+matrices, greedy capacity packing, forgetting curves, association graphs,
+and a versioned JSON file format with canonical key order so saved
+registries diff cleanly.
 
 Fidelity here is the state overlap; it is the only distinguishability
 metric the model defines, and artifacts record the metric name so others
@@ -21,11 +28,14 @@ reference the tests hold it to, bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -108,42 +118,115 @@ class RegistryEntry:
             )
 
 
-@dataclass(frozen=True)
-class Registry:
-    """Immutable collection of printed memories over one shared mode list."""
+class _Rows:
+    """Append-only columns behind registries: row i holds ids[i], codes[i]
+    and printed_at[i]; `row` maps an id to its row and `entries` holds a
+    row's RegistryEntry once made (None until then). The arrays double when
+    full, so an append is O(1) amortised. `lock` makes checking the length
+    and appending one step, and making a row's entry another, for
+    registries used from several threads."""
 
-    modes: tuple[ModeParams, ...]
-    entries: tuple[RegistryEntry, ...] = ()
+    def __init__(self, ids: list, codes: np.ndarray, printed_at: np.ndarray, entries: list):
+        self.ids, self.codes, self.printed_at, self.entries = ids, codes, printed_at, entries
+        self.row = dict(zip(ids, range(len(ids))))
+        self.lock = threading.RLock()
+
+    def append(self, entry: RegistryEntry) -> None:
+        n = len(self.ids)
+        if n == len(self.printed_at):
+            self.codes = np.resize(self.codes, (2 * n + 4, self.codes.shape[1]))
+            self.printed_at = np.resize(self.printed_at, 2 * n + 4)
+        self.codes[n], self.printed_at[n] = entry.code.thetas, entry.printed_at
+        self.ids.append(entry.entry_id)
+        self.row[entry.entry_id] = n
+        self.entries.append(entry)
+
+
+class Registry:
+    """Immutable collection of printed memories over one shared mode list.
+
+    `ids`, `codes` (n, K) and `printed_at` (n,) are its read-only columns, in
+    print order; the module docstring says how registries share them.
+    `entries` and `entry()` make a row's RegistryEntry on first use, and
+    every registry sharing that row returns the one object.
+    """
+
     schema_version: ClassVar[int] = SCHEMA_VERSION  # the one version this build reads
 
-    def __post_init__(self):
-        object.__setattr__(self, "modes", _checked_modes(self.modes))
-        object.__setattr__(self, "entries", tuple(self.entries))
-        k = len(self.modes)
-        seen: set[str] = set()
-        for e in self.entries:
-            if len(e.code) != k:
-                raise RegistryCodeLengthError(
-                    f"entry '{e.entry_id}' has code length {len(e.code)}, "
-                    f"registry has {k} modes"
-                )
-            if e.entry_id in seen:
-                raise ValueError(f"duplicate entry id '{e.entry_id}'")
-            seen.add(e.entry_id)
+    def __init__(self, modes: Iterable[ModeParams], entries: Iterable[RegistryEntry] = ()):
+        modes = _checked_modes(modes)
+        registry = Registry._of(modes, _Rows([], np.empty((0, len(modes))), np.empty(0), []), 0)
+        for e in entries:
+            registry = registry._appended(e)
+        vars(self).update(vars(registry))
+
+    @classmethod
+    def _of(cls, modes: tuple[ModeParams, ...], rows: _Rows, n: int) -> Registry:
+        registry = object.__new__(cls)
+        vars(registry).update(modes=modes, _rows=rows, _n=n,
+                              codes=rows.codes[:n], printed_at=rows.printed_at[:n])
+        registry.codes.flags.writeable = registry.printed_at.flags.writeable = False
+        return registry
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Registry is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Registry):
+            return NotImplemented
+        return (self.modes == other.modes and self.ids == other.ids
+                and np.array_equal(self.codes, other.codes)
+                and np.array_equal(self.printed_at, other.printed_at))
+
+    def __hash__(self):
+        return hash((self.modes, self.ids))
+
+    def __repr__(self):
+        return f"Registry(modes={self.modes!r}, entries={self.entries!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild from the entries, not the shared buffer
+        return Registry, (self.modes, self.entries)
+
+    def _appended(self, entry: RegistryEntry) -> Registry:
+        rows, n = self._rows, self._n
+        if len(entry.code) != self.k:
+            raise RegistryCodeLengthError(
+                f"entry '{entry.entry_id}' has code length {len(entry.code)}, "
+                f"registry has {self.k} modes"
+            )
+        if rows.row.get(entry.entry_id, n) < n:
+            raise ValueError(f"duplicate entry id '{entry.entry_id}'")
+        with rows.lock:
+            if len(rows.ids) > n:  # another registry has appended past this one
+                rows = _Rows(rows.ids[:n], self.codes.copy(), self.printed_at.copy(),
+                             list(self.entries))
+            rows.append(entry)
+        return Registry._of(self.modes, rows, n + 1)
+
+    def _entry_at(self, i: int) -> RegistryEntry:
+        made = self._rows.entries
+        with self._rows.lock:
+            if made[i] is None:
+                made[i] = RegistryEntry(self._rows.ids[i], Code(tuple(self.codes[i].tolist())),
+                                        float(self.printed_at[i]))
+        return made[i]
 
     @property
     def k(self) -> int:
         return len(self.modes)
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
-        return tuple(e.entry_id for e in self.entries)
+        return tuple(self._rows.ids[:self._n])
+
+    @cached_property
+    def entries(self) -> tuple[RegistryEntry, ...]:
+        return tuple(map(self._entry_at, range(self._n)))
 
     def entry(self, entry_id: str) -> RegistryEntry:
-        for e in self.entries:
-            if e.entry_id == entry_id:
-                return e
-        raise KeyError(f"no entry with id '{entry_id}'")
+        if self._rows.row.get(entry_id, self._n) >= self._n:
+            raise KeyError(f"no entry with id '{entry_id}'")
+        return self._entry_at(self._rows.row[entry_id])
 
     def state(self, entry_id: str, time: float = 0.0) -> MemoryState:
         """Memory state of one entry at absolute age `time` since printing."""
@@ -151,7 +234,7 @@ class Registry:
 
 
 def new_registry(modes: Iterable[ModeParams]) -> Registry:
-    return Registry(tuple(modes), ())
+    return Registry(modes)
 
 
 def print_memory(registry: Registry, entry_id: str, code: Code | None = None, *,
@@ -160,15 +243,16 @@ def print_memory(registry: Registry, entry_id: str, code: Code | None = None, *,
 
     With `beta`, the code is the thermal one per mode: theta_kappa such that
     the occupation is Bose at (beta, omega_kappa). Returns a new registry;
-    the input and every existing entry are untouched.
+    the input and every existing entry are untouched. Only the new entry is
+    validated, in O(1) amortised time.
     """
     if (code is None) == (beta is None):
         raise ValueError("provide exactly one of code or beta")
     if beta is not None:
         code = Code(tuple(theta_from_beta(beta, m.omega) for m in registry.modes))
     assert code is not None
-    entry = RegistryEntry(entry_id=entry_id, code=code, printed_at=printed_at)
-    return Registry(registry.modes, registry.entries + (entry,))
+    return registry._appended(RegistryEntry(entry_id=entry_id, code=code,
+                                            printed_at=printed_at))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,6 +275,7 @@ class FidelityMatrix:
 
 
 _PAIR_CHUNK = 4096  # entry pairs per fidelity_matrix block: 0.5 MB at K = 16
+_EPS = 2.0 ** -52   # float64 machine epsilon
 
 
 def _log_overlap_rows(block: np.ndarray, row) -> np.ndarray:
@@ -203,22 +288,46 @@ def _log_overlap_rows(block: np.ndarray, row) -> np.ndarray:
     return -_row_sums(log_cosh(block - row))
 
 
-def _codes(registry: Registry) -> np.ndarray:
-    """The entries' codes as an (n, K) array."""
-    return np.array([e.code.thetas for e in registry.entries]).reshape(-1, registry.k)
-
-
 def _entry_thetas(registry: Registry, t: float, staggered: bool) -> np.ndarray:
     """The entries' Theta block at time t: each entry at its own age
     t - printed_at when staggered (a t before an entry's printing is a
     ValueError naming the first such entry), else every entry at age t."""
-    printed = np.array([e.printed_at for e in registry.entries])
+    printed = registry.printed_at
     if staggered and np.any(printed > t):
-        ent = registry.entries[int(np.argmax(printed > t))]
-        raise ValueError(f"evaluation time {t} precedes printed_at {ent.printed_at} "
-                         f"of entry '{ent.entry_id}'")
+        i = int(np.argmax(printed > t))
+        raise ValueError(f"evaluation time {t} precedes printed_at {float(printed[i])} "
+                         f"of entry '{registry.ids[i]}'")
     ages = t - printed if staggered else np.full(len(printed), t)
-    return _trajectory(_gammas(registry.modes), _codes(registry), ages)
+    return _trajectory(_gammas(registry.modes), registry.codes, ages)
+
+
+def _pair_logs(registry: Registry, t: float, staggered: bool) -> tuple[np.ndarray, ...]:
+    """(rows, cols, logs): the upper triangle's pairs i < j in row-major
+    order and the log-overlap of each, for fidelity_matrix and
+    association_graph."""
+    t = float(t)
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise ValueError(f"evaluation time must be finite and >= 0, got {t}")
+    n = len(registry.ids)
+    if not n:
+        raise ValueError("registry has no entries")
+    if staggered:
+        thetas = _entry_thetas(registry, t, staggered=True)
+    else:
+        if np.any(registry.printed_at != registry.printed_at[0]):
+            raise ValueError(
+                "entries have differing printing times; same-time fidelity "
+                "would misread them — pass staggered=True"
+            )
+        thetas = registry.codes
+
+    # a bounded chunk of pairs at a time
+    rows, cols = np.triu_indices(n, 1)
+    logs = np.empty(rows.size)
+    for a in range(0, rows.size, _PAIR_CHUNK):
+        pairs = slice(a, a + _PAIR_CHUNK)
+        logs[pairs] = _log_overlap_rows(thetas[cols[pairs]], thetas[rows[pairs]])
+    return rows, cols, logs
 
 
 def fidelity_matrix(registry: Registry, t: float, *,
@@ -231,36 +340,15 @@ def fidelity_matrix(registry: Registry, t: float, *,
     way, making the result exactly t-independent. Staggered mode gives each
     entry its own elapsed time t - printed_at (requires t >= every
     printed_at), so each row of parameters is gamma (t - printed_at) - theta.
+    The lower triangle mirrors the upper one bit for bit.
     """
-    t = float(t)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError(f"evaluation time must be finite and >= 0, got {t}")
-    if not registry.entries:
-        raise ValueError("registry has no entries")
-    n = len(registry.entries)
-
-    if staggered:
-        thetas = _entry_thetas(registry, t, staggered=True)
-    else:
-        stamps = {e.printed_at for e in registry.entries}
-        if len(stamps) > 1:
-            raise ValueError(
-                "entries have differing printing times; same-time fidelity "
-                "would misread them — pass staggered=True"
-            )
-        thetas = _codes(registry)
-
-    # the upper triangle's pairs in row-major order, a bounded chunk at a time
-    rows, cols = np.triu_indices(n, 1)
-    logs = np.empty(rows.size)
-    for a in range(0, rows.size, _PAIR_CHUNK):
-        pairs = slice(a, a + _PAIR_CHUNK)
-        logs[pairs] = _log_overlap_rows(thetas[cols[pairs]], thetas[rows[pairs]])
+    rows, cols, logs = _pair_logs(registry, t, staggered)
+    n = len(registry.ids)
     values = np.ones((n, n), dtype=float)
     # math.exp as in states.overlap: np.exp differs from it in some last bits
     values[rows, cols] = list(map(math.exp, logs.tolist()))
     values[cols, rows] = values[rows, cols]
-    return FidelityMatrix(ids=registry.ids, values=values, eval_time=t,
+    return FidelityMatrix(ids=registry.ids, values=values, eval_time=float(t),
                           staggered=staggered)
 
 
@@ -279,19 +367,23 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
                       staggered: bool = False) -> AssociationGraph:
     """Edges (i, j) wherever fidelity >= threshold, plus connected clusters.
 
+    The fidelity of a pair is math.exp of its log-overlap, as in
+    fidelity_matrix, but it is taken only where the log reaches
+    ln(threshold) less a slack: math.exp and math.log are each within an
+    ulp, so 4 eps (1 + |ln threshold|) covers every log whose exp can reach
+    the threshold, and the edge test itself stays math.exp(log) >= threshold.
     Clusters are ordered by first member; members keep registry order, so
     the output is deterministic.
     """
     threshold = float(threshold)
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    fm = fidelity_matrix(registry, t, staggered=staggered)
-    rows, cols = np.triu(fm.values >= threshold, 1).nonzero()  # row-major
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    edges = tuple((fm.ids[i], fm.ids[j], v)
-                  for (i, j), v in zip(pairs, fm.values[rows, cols].tolist()))
+    rows, cols, logs = _pair_logs(registry, t, staggered)
+    log_threshold = math.log(threshold)
+    near = np.flatnonzero(logs >= log_threshold - 4.0 * _EPS * (1.0 + abs(log_threshold)))
+    ids = registry.ids
     # union-find; grouping in registry order lists each cluster from its first member
-    root = list(range(len(fm.ids)))
+    root = list(range(len(ids)))
 
     def find(i: int) -> int:
         while root[i] != i:
@@ -299,14 +391,18 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
             i = root[i]
         return i
 
-    for i, j in pairs:
-        a, b = find(i), find(j)
-        root[max(a, b)] = min(a, b)
+    edges = []
+    for i, j, log in zip(rows[near].tolist(), cols[near].tolist(), logs[near].tolist()):
+        value = math.exp(log)
+        if value >= threshold:
+            edges.append((ids[i], ids[j], value))
+            a, b = find(i), find(j)
+            root[max(a, b)] = min(a, b)
     members: dict[int, list[str]] = {}
-    for i, entry_id in enumerate(fm.ids):
+    for i, entry_id in enumerate(ids):
         members.setdefault(find(i), []).append(entry_id)
-    return AssociationGraph(ids=fm.ids, threshold=threshold, eval_time=float(t),
-                            edges=edges,
+    return AssociationGraph(ids=ids, threshold=threshold, eval_time=float(t),
+                            edges=tuple(edges),
                             clusters=tuple(tuple(m) for m in members.values()))
 
 
@@ -369,14 +465,13 @@ def greedy_pack(thetas: Sequence[Sequence[float]], epsilon: float) -> tuple[tupl
     log_eps = math.log(epsilon)
     cands = _candidate_block(thetas)
     k = cands.shape[1]
-    machine_eps = np.finfo(float).eps
     acc = np.empty_like(cands)
     accepted: list[int] = []
     curve: list[int] = []
     for idx, cand in enumerate(cands):
         block = acc[:len(accepted)]
         s = log_cosh(cand - block).sum(axis=1)
-        bound = 4.0 * (k + 2) * machine_eps * (np.abs(s) + k * machine_eps)
+        bound = 4.0 * (k + 2) * _EPS * (np.abs(s) + k * _EPS)
         # s +- bound brackets each row's fsum; reject iff some fsum <= -ln epsilon
         if not np.any(s + bound <= -log_eps):
             unsure = block[s - bound <= -log_eps]
@@ -541,32 +636,47 @@ def _integer(x, where: str, error=_cfg_error) -> int:
 # persistence
 
 
-def _registry_document(registry: Registry) -> dict:
-    return {
+def registry_to_json(registry: Registry) -> str:
+    """Canonical serialization: sorted keys, two-space indent, one trailing LF."""
+    return json.dumps({
         "schema_version": registry.schema_version,
         "modes": [
             {"index": m.index, "omega": m.omega, "gamma": m.gamma}
             for m in registry.modes
         ],
         "entries": [
-            {
-                "id": e.entry_id,
-                "printed_at": e.printed_at,
-                "thetas": list(e.code.thetas),
-            }
-            for e in registry.entries
+            {"id": entry_id, "printed_at": printed_at, "thetas": thetas}
+            for entry_id, printed_at, thetas in zip(
+                registry.ids, registry.printed_at.tolist(), registry.codes.tolist())
         ],
-    }
-
-
-def registry_to_json(registry: Registry) -> str:
-    """Canonical serialization: sorted keys, two-space indent, one trailing LF."""
-    return json.dumps(_registry_document(registry), sort_keys=True, indent=2) + "\n"
+    }, sort_keys=True, indent=2) + "\n"
 
 
 def save_registry(registry: Registry, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(registry_to_json(registry))
+
+
+def _entry_columns(entries: list, k: int) -> tuple[_Rows, int] | None:
+    """A registry file's entries as (row buffer, length) when every entry
+    passes load_registry's checks and every number is a float; else None,
+    and the per-value loop runs, raising the message it always raised."""
+    keys = {"id", "printed_at", "thetas"}
+    if not k or not all(type(e) is dict and e.keys() == keys for e in entries):
+        return None
+    ids = [e["id"] for e in entries]
+    rows = [e["thetas"] for e in entries]
+    printed = [e["printed_at"] for e in entries]
+    if not (all(type(i) is str and i for i in ids) and len(set(ids)) == len(ids)
+            and all(type(r) is list and len(r) == k for r in rows)
+            and set(map(type, itertools.chain(printed, *rows))) <= {float}):
+        return None
+    codes = np.array(rows, dtype=float).reshape(-1, k)
+    stamps = np.array(printed, dtype=float)
+    if not (np.isfinite(codes).all() and (codes >= 0.0).all()
+            and np.isfinite(stamps).all() and (stamps >= 0.0).all()):
+        return None
+    return _Rows(ids, codes, stamps, [None] * len(ids)), len(ids)
 
 
 def load_registry(path) -> Registry:
@@ -603,6 +713,9 @@ def load_registry(path) -> Registry:
                 omega=_number(m["omega"], f"modes[{i}].omega", bad),
                 gamma=_number(m["gamma"], f"modes[{i}].gamma", bad),
             ))
+        columns = _entry_columns(doc["entries"], len(modes))
+        if columns is not None:
+            return Registry._of(_checked_modes(modes), *columns)
         entries = []
         for i, e in enumerate(doc["entries"]):
             _check_keys(e, f"entries[{i}]", ("id", "printed_at", "thetas"), error=bad)

@@ -15,7 +15,9 @@ still written, and stderr holds one ``error: verify:`` line).
 
 Numbers in CSV cells are ``repr()`` of Python floats, so artifacts are
 byte-stable across reruns; ``manifest.json`` differs only in its
-``import_s`` and ``wall_time_s`` fields.
+``import_s`` and ``wall_time_s`` fields. ``fidelity.csv`` is rendered from
+the matrix's upper triangle, each value formatted once: a cell below the
+diagonal reuses the string of its mirror, which holds the same float.
 
 Only ``oracle-verify`` imports `dqmem.fock`. Every subcommand runs on numpy
 alone; the closed-form ones on one Theta array per experiment (a row per
@@ -196,12 +198,12 @@ def _run_print(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
                                 printed_at=printed_at)
 
     results = {
-        "entry_count": len(registry.entries),
+        "entry_count": len(registry.ids),
         "ids": list(registry.ids),
         "mode_count": registry.k,
     }
     return ({"registry.json": registry_to_json(registry)}, results,
-            f"printed {len(cfg.entries)} entries ({len(registry.entries)} total)")
+            f"printed {len(cfg.entries)} entries ({len(registry.ids)} total)")
 
 
 def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
@@ -219,11 +221,11 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     block = _entry_thetas(registry, t, cfg.staggered)
     rows = []
     best_id, best_score = None, -1.0
-    for ent, log_score in zip(registry.entries, _log_overlap_rows(block, probe)):
+    for entry_id, log_score in zip(registry.ids, _log_overlap_rows(block, probe)):
         score = math.exp(log_score)
-        rows.append([ent.entry_id, score])
+        rows.append([entry_id, score])
         if score > best_score:
-            best_id, best_score = ent.entry_id, score
+            best_id, best_score = entry_id, score
 
     results = {
         "metric": "overlap",
@@ -301,18 +303,31 @@ def _run_capacity(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
             results, line)
 
 
+def _matrix_rows(fm):
+    """fidelity.csv's rows with each value formatted once: row i is the
+    strings that rows 0..i-1 made for column i (the matrix mirrors its
+    upper triangle bit for bit), then repr of values[i, i:]. A column's
+    strings go as soon as its row is out, so at most n^2/4 are held."""
+    below = [[] for _ in fm.ids]
+    for i, entry_id in enumerate(fm.ids):
+        upper = list(map(repr, fm.values[i, i:].tolist()))
+        for column, text in zip(below[i + 1:], upper[1:]):
+            column.append(text)
+        row, below[i] = below[i], None
+        yield [entry_id, *row, *upper]
+
+
 def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     registry = load_registry(cfg.registry)
     if cfg.kind == "fidelity-matrix":
         fm = fidelity_matrix(registry, cfg.time, staggered=cfg.staggered)
-        rows = ([entry_id, *row.tolist()] for entry_id, row in zip(fm.ids, fm.values))
         results = {
             "ids": list(fm.ids),
             "eval_time": fm.eval_time,
             "staggered": fm.staggered,
             "metric": fm.metric,
         }
-        return ({"fidelity.csv": (["entry_id", *fm.ids], rows)}, results,
+        return ({"fidelity.csv": (["entry_id", *fm.ids], _matrix_rows(fm))}, results,
                 f"fidelity matrix over {len(fm.ids)} entries")
 
     graph = association_graph(registry, cfg.time, cfg.threshold,

@@ -5,9 +5,14 @@ acosh(2) = 1.3169... gives exactly 1/2, and K identical gaps raise the
 overlap to the K-th power.
 """
 
+import copy
 import json
 import math
 import pathlib
+import pickle
+import sys
+import threading
+import time
 import warnings
 from decimal import Decimal, localcontext
 
@@ -15,12 +20,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dqmem import capacity
 from dqmem.capacity import (
     _expected_log_cosh_gap,
     SCHEMA_VERSION,
     CodeSpec,
     Registry,
     RegistryCodeLengthError,
+    RegistryEntry,
     RegistryError,
     RegistryFormatError,
     RegistryVersionError,
@@ -112,6 +119,152 @@ def test_print_memory_thermal_code():
 def test_registry_code_length_checked():
     with pytest.raises(RegistryCodeLengthError):
         registry_k(2, [[0.3]])
+
+
+def one_shot(k, rows):
+    """A registry of (id, thetas) rows built by the constructor in one go."""
+    return Registry(modes_k(k), [RegistryEntry(e, Code(tuple(c))) for e, c in rows])
+
+
+def assert_same_registry(reg, k, rows):
+    expected = one_shot(k, rows)
+    assert reg == expected
+    assert reg.ids == expected.ids == tuple(e for e, _ in rows)
+    assert np.array_equal(reg.codes, np.reshape([c for _, c in rows], (-1, k)))
+    assert reg.entries == expected.entries
+    assert all(reg.entry(e) is ent for e, ent in zip(reg.ids, reg.entries))
+    assert np.array_equal(fidelity_matrix(reg, 0.5).values,
+                          fidelity_matrix(expected, 0.5).values)
+
+
+def test_branching_appends_leave_both_registries_unchanged():
+    # reg2 grows the buffer reg1 shares; printing to reg1 again must copy
+    # reg1's rows, and neither print may show through in the other registry
+    rng = np.random.default_rng(7)
+    base = [(f"m{i}", rng.uniform(0.0, 2.0, 3).tolist()) for i in range(5)]
+    reg1 = registry_k(3, [c for _, c in base], ids=[e for e, _ in base])
+    left = [("x", [0.1, 0.2, 0.3]), ("y", [1.0, 1.5, 0.5])]
+    right = [("y", [0.7, 0.7, 0.7]), ("x", [2.0, 0.0, 1.0]), ("z", [0.4, 0.4, 0.9])]
+    reg2 = reg1
+    for e, c in left:
+        reg2 = print_memory(reg2, e, Code(tuple(c)))
+    reg3 = reg1
+    for e, c in right:
+        reg3 = print_memory(reg3, e, Code(tuple(c)))
+    reg4 = print_memory(reg2, "w", Code((0.0, 0.0, 0.0)))  # reg2 still ends its buffer
+    reg5 = print_memory(reg2, "v", Code((3.0, 3.0, 3.0)))  # now it does not
+    assert_same_registry(reg1, 3, base)
+    assert_same_registry(reg2, 3, base + left)
+    assert_same_registry(reg3, 3, base + right)
+    assert_same_registry(reg4, 3, base + left + [("w", [0.0, 0.0, 0.0])])
+    assert_same_registry(reg5, 3, base + left + [("v", [3.0, 3.0, 3.0])])
+    for reg, absent in ((reg1, "x"), (reg2, "z"), (reg3, "w"), (reg4, "v")):
+        with pytest.raises(KeyError, match=f"no entry with id '{absent}'"):
+            reg.entry(absent)
+    assert reg1.entries[0] is reg3.entries[0] is reg5.entries[0]
+
+
+def test_loaded_rows_make_one_entry_for_every_registry_sharing_them(tmp_path):
+    path = tmp_path / "r.json"
+    save_registry(registry_k(2, [[0.3, 0.5], [0.9, 0.1]], ids=["a", "b"]), path)
+    loaded = load_registry(path)
+    extended = print_memory(loaded, "c", Code((0.5, 0.5)))
+    branched = print_memory(loaded, "d", Code((0.1, 0.2)))  # copies loaded's rows
+    assert extended.entry("b") is loaded.entry("b") is branched.entry("b")
+    assert branched.entries[:2] == loaded.entries
+    assert all(a is b for a, b in zip(extended.entries, loaded.entries))
+
+
+def test_threads_printing_from_shared_registries_keep_their_own_rows(monkeypatch):
+    # threads keep extending whichever registry was printed last, so several
+    # often append to the same one: each append must check the buffer's
+    # length and write its row as one step, or copy the rows first. A thread
+    # switch is forced between the check and the write.
+    append = capacity._Rows.append
+
+    def yielding_append(rows, entry):
+        time.sleep(0)
+        append(rows, entry)
+
+    monkeypatch.setattr(capacity._Rows, "append", yielding_append)
+    latest = [registry_k(2, [[0.1, 0.1]], ids=["base"])]
+    wrong = []
+
+    def extend(w):
+        for i in range(300):
+            reg = latest[0]
+            new = print_memory(reg, f"w{w}-{i}", Code((float(w), float(i))))
+            if (new.ids[:-1] != reg.ids or new.ids[-1] != f"w{w}-{i}"
+                    or new.codes[-1].tolist() != [w, i]):
+                wrong.append(new.ids[-1])
+            latest[0] = new
+
+    threads = [threading.Thread(target=extend, args=(w,)) for w in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_registry_columns_are_read_only():
+    reg = registry_k(2, [[0.3, 0.5], [0.9, 0.1]], printed_at=[0.0, 1.5])
+    assert np.array_equal(reg.printed_at, [0.0, 1.5])
+    for column in (reg.codes, reg.printed_at):
+        with pytest.raises(ValueError):
+            column[0] = 7.0
+    with pytest.raises(AttributeError):
+        reg.modes = modes_k(1)
+
+
+def test_registry_pickles_and_copies(tmp_path):
+    reg = registry_k(2, [[0.3, 0.5], [0.9, 0.1]], printed_at=[0.0, 1.5])
+    for clone in (pickle.loads(pickle.dumps(reg)), copy.copy(reg), copy.deepcopy(reg)):
+        assert clone == reg
+        assert registry_to_json(print_memory(clone, "c", Code((0.5, 0.5)))) == registry_to_json(
+            print_memory(reg, "c", Code((0.5, 0.5))))
+
+
+def test_rejected_appends_keep_their_errors_and_change_nothing():
+    reg = registry_k(2, [[0.3, 0.5], [0.9, 0.1]], ids=["a", "b"])
+    with pytest.raises(ValueError, match=r"^duplicate entry id 'b'$"):
+        print_memory(reg, "b", Code((0.5, 0.5)))
+    with pytest.raises(RegistryCodeLengthError,
+                       match=r"^entry 'c' has code length 1, registry has 2 modes$"):
+        print_memory(reg, "c", Code((0.5,)))
+    with pytest.raises(ValueError, match=r"^duplicate entry id 'a'$"):
+        one_shot(2, [("a", [0.1, 0.1]), ("a", [0.2, 0.2])])
+    with pytest.raises(RegistryCodeLengthError,
+                       match=r"^entry 'b' has code length 3, registry has 2 modes$"):
+        one_shot(2, [("a", [0.1, 0.1]), ("b", [0.2, 0.2, 0.2])])
+    assert_same_registry(print_memory(reg, "c", Code((0.5, 0.5))), 2,
+                         [("a", [0.3, 0.5]), ("b", [0.9, 0.1]), ("c", [0.5, 0.5])])
+
+
+def test_print_memory_validates_the_new_row_only(monkeypatch):
+    # count the code-length reads one print makes: the same at every size
+    calls = []
+    original = Code.__len__
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    def reads_per_print(n):
+        reg = registry_k(2, [[0.01 * i, 0.5] for i in range(n)])
+        calls.clear()
+        monkeypatch.setattr(Code, "__len__", counted)
+        print_memory(reg, "new", Code((0.3, 0.3)))
+        monkeypatch.setattr(Code, "__len__", original)
+        return len(calls)
+
+    assert reads_per_print(1) == reads_per_print(50) == reads_per_print(400) >= 1
 
 
 def test_registry_state_accessor():
@@ -628,6 +781,59 @@ def test_load_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(RegistryFormatError, match="unknown keys"):
         load_registry(path)
+
+
+_GOOD = {"id": "b", "printed_at": 0.5, "thetas": [0.9, 0.1]}
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ([{"id": "b", "thetas": [0.9, 0.1]}], RegistryFormatError,
+     "entries[1]: missing keys ['printed_at']"),
+    ([[0.9, 0.1]], RegistryFormatError, "entries[1] must be an object"),
+    ([dict(_GOOD, id=7)], RegistryFormatError, "entries[1].id must be a string"),
+    ([dict(_GOOD, thetas="0.9")], RegistryFormatError, "entries[1].thetas must be an array"),
+    ([dict(_GOOD, thetas=[0.9])], RegistryCodeLengthError,
+     "entries[1] ('b') has 1 thetas, registry has 2 modes"),
+    ([dict(_GOOD, thetas=[True, 0.1])], RegistryFormatError,
+     "entries[1].thetas[0] must be a number"),
+    ([dict(_GOOD, thetas=[-0.1, 0.1])], RegistryFormatError,
+     "invalid registry contents: code thetas must be finite and >= 0, got (-0.1, 0.1)"),
+    ([dict(_GOOD, thetas=[math.nan, 0.1])], RegistryFormatError,
+     "invalid registry contents: code thetas must be finite and >= 0, got (nan, 0.1)"),
+    ([dict(_GOOD, printed_at="0")], RegistryFormatError,
+     "entries[1].printed_at must be a number"),
+    ([dict(_GOOD, id="")], RegistryFormatError,
+     "invalid registry contents: entry id must be a non-empty string"),
+    ([dict(_GOOD, printed_at=math.inf)], RegistryFormatError,
+     "invalid registry contents: printed_at must be finite and >= 0, got inf"),
+    ([dict(_GOOD, id="a")], RegistryFormatError,
+     "invalid registry contents: duplicate entry id 'a'"),
+    # the first entry's first failing check is the one reported, and
+    # duplicates only once every entry has passed its own checks
+    ([dict(_GOOD, thetas=[-0.1, 0.1]), dict(_GOOD, id="c", extra=1)], RegistryFormatError,
+     "invalid registry contents: code thetas must be finite and >= 0, got (-0.1, 0.1)"),
+    ([dict(_GOOD, id="a"), dict(_GOOD, id="c", printed_at=-2.0)], RegistryFormatError,
+     "invalid registry contents: printed_at must be finite and >= 0, got -2.0"),
+])
+def test_load_reports_the_first_bad_entry_value(tmp_path, bad, error, message):
+    doc = json.loads(registry_to_json(registry_k(2, [[0.3, 0.5]], ids=["a"])))
+    doc["entries"] += bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(error) as info:
+        load_registry(path)
+    assert str(info.value) == message
+
+
+def test_load_takes_integer_thetas_and_times(tmp_path):
+    reg = registry_k(2, [[0.0, 1.0], [2.0, 0.5]], printed_at=[0.0, 3.0])
+    doc = json.loads(registry_to_json(reg))
+    doc["entries"][0].update(thetas=[0, 1], printed_at=0)
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    back = load_registry(path)
+    assert back == reg
+    assert registry_to_json(back) == registry_to_json(reg)
 
 
 def test_error_classes_are_distinct_but_catchable():

@@ -316,6 +316,80 @@ def test_fidelity_csv_is_the_csv_module_rendering(tmp_path):
         assert (out / name).read_bytes() == csv_module_text(header, rows), name
 
 
+def full_matrix_graph(fm, threshold):
+    """Edges and clusters by thresholding every upper-triangle entry of the
+    full matrix, clusters by label propagation in registry order."""
+    n = len(fm.ids)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if fm.values[i, j] >= threshold]
+    label = list(range(n))
+    for _ in range(n):
+        for i, j in pairs:
+            label[i] = label[j] = min(label[i], label[j])
+    clusters = {}
+    for i, entry_id in enumerate(fm.ids):
+        clusters.setdefault(label[i], []).append(entry_id)
+    edges = [(fm.ids[i], fm.ids[j], float(fm.values[i, j])) for i, j in pairs]
+    return edges, list(clusters.values())
+
+
+@pytest.mark.parametrize("staggered", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, staggered, n):
+    # fidelity.csv is rendered from the upper triangle and edges.csv
+    # thresholds the log-overlaps: both must match the full matrix, at
+    # thresholds within an ulp of an overlap and at an overlap of exactly 1
+    from dqmem.capacity import fidelity_matrix, load_registry
+    from dqmem.cli import _csv_text
+
+    ids = ["plain", "a,b", 'say "hi"', "cr\r\nlf", "twin", "twin,copy", "last\n"][:n]
+    codes = [[0.3, 0.5, 0.1], [0.5, 0.4, 0.3], [1.2, 0.2, 0.6], [0.4, 0.6, 0.2],
+             [0.8, 0.8, 0.8], [0.8, 0.8, 0.8], [2.0, 1.9, 0.1]]
+    printed = [0.0, 0.4, 1.1, 0.25, 0.9, 0.9, 2.0] if staggered else [0.0] * 7
+    cfg = write_config(tmp_path, "print.json", {
+        "kind": "print",
+        "modes": {"omega": [1.0, 2.0, 0.5], "gamma": [1.0, 0.35, 0.0]},
+        "entries": [{"id": e, "thetas": c, "printed_at": p}
+                    for e, c, p in zip(ids, codes, printed)],
+    })
+    assert run(["print", "--config", cfg, "--out", tmp_path / "reg", "--quiet"]) == 0
+    registry = str(tmp_path / "reg" / "registry.json")
+    t = 2.5
+    fm = fidelity_matrix(load_registry(registry), t, staggered=staggered)
+    doc = {"registry": registry, "time": t, "staggered": staggered}
+
+    out = tmp_path / "matrix"
+    assert run(["associate", "--config", write_config(
+        tmp_path, "m.json", dict(doc, kind="fidelity-matrix")), "--out", out, "--quiet"]) == 0
+    full_rows = ([e, *row.tolist()] for e, row in zip(fm.ids, fm.values))
+    assert (out / "fidelity.csv").read_bytes() == _csv_text(
+        ["entry_id", *fm.ids], full_rows).encode("utf-8")
+
+    thresholds = [0.5]
+    if n > 1:
+        near = fm.values[0, 1]
+        thresholds += [near, math.nextafter(near, 0.0), math.nextafter(near, 1.0),
+                       math.nextafter(math.nextafter(near, 1.0), 1.0)]
+    if n == 7:
+        assert fm.values[4, 5] == 1.0
+        thresholds.append(math.nextafter(1.0, 0.0))
+    for threshold in thresholds:
+        out = tmp_path / f"graph-{threshold!r}"
+        assert run(["associate", "--config", write_config(
+            tmp_path, "g.json", dict(doc, kind="association-graph", threshold=threshold)),
+            "--out", out, "--quiet"]) == 0
+        edges, clusters = full_matrix_graph(fm, threshold)
+        assert (out / "edges.csv").read_bytes() == _csv_text(
+            ["entry_a", "entry_b", "fidelity"], edges).encode("utf-8")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["results"]["clusters"] == clusters
+        assert summary["results"]["edge_count"] == len(edges)
+    if n > 1:  # the pair at the threshold is an edge, one ulp above it is not
+        assert full_matrix_graph(fm, near)[0][:1] == [(ids[0], ids[1], near)]
+        assert (ids[0], ids[1], near) not in full_matrix_graph(
+            fm, math.nextafter(near, 1.0))[0]
+
+
 def test_thermo_trace_artifacts(tmp_path):
     cfg = write_config(tmp_path, "thermo.json", {
         "kind": "thermo-trace",
