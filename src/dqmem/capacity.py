@@ -2,17 +2,16 @@
 
 A Registry is an immutable record of printed memories over one shared mode
 list: printing appends an entry and touches nothing else, which is the
-non-destructive sequential recording the model promises. It is stored as
-columns (the ids, an (n, K) code array and a printed_at array, plus an
-id -> row dict) in an append-only buffer whose arrays double when full.
-Each registry keeps its own length and reads only the rows below it, which
-never change, so `print_memory` appends in place and the new registry
+non-destructive sequential recording the model promises. Its columns (the
+ids, an (n, K) code array, a printed_at array and an id -> row dict) sit in
+an append-only buffer whose arrays double when full. Each registry keeps
+its own length and reads only the rows below it, which never change, so
+`print_memory` validates one row, appends it in O(1) amortised time and
 shares the buffer; printing from a registry that another has already
-extended copies its rows first. An append thus validates one row and costs
-O(1) amortised. On top of it sit the experiments: pairwise fidelity
-matrices, greedy capacity packing, forgetting curves, association graphs,
-and a versioned JSON file format with canonical key order so saved
-registries diff cleanly.
+extended copies its rows first. On top of it sit the experiments:
+pairwise fidelity matrices, greedy capacity packing, forgetting curves,
+association graphs, and a versioned JSON file format with canonical key
+order so saved registries diff cleanly.
 
 Fidelity here is the state overlap; it is the only distinguishability
 metric the model defines, and artifacts record the metric name so others
@@ -28,7 +27,6 @@ reference the tests hold it to, bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -119,43 +117,43 @@ class RegistryEntry:
 
 
 class _Rows:
-    """Append-only columns behind registries: row i holds ids[i], codes[i]
-    and printed_at[i]; `row` maps an id to its row and `entries` holds a
-    row's RegistryEntry once made (None until then). The arrays double when
-    full, so an append is O(1) amortised. `lock` makes checking the length
-    and appending one step, and making a row's entry another, for
-    registries used from several threads."""
+    """Append-only columns behind registries: row i holds ids[i], codes[i],
+    printed_at[i] and entries[i], and `row` maps an id to its row. The
+    arrays double when full, so an append is O(1) amortised. `lock` makes
+    checking the length and appending one step, for registries used from
+    several threads."""
 
-    def __init__(self, ids: list, codes: np.ndarray, printed_at: np.ndarray, entries: list):
-        self.ids, self.codes, self.printed_at, self.entries = ids, codes, printed_at, entries
-        self.row = dict(zip(ids, range(len(ids))))
-        self.lock = threading.RLock()
+    def __init__(self, k: int, entries: Iterable[RegistryEntry] = ()):
+        self.ids, self.entries, self.row = [], [], {}
+        self.codes, self.printed_at = np.empty((4, k)), np.empty(4)
+        self.lock = threading.Lock()
+        for entry in entries:
+            self.append(entry)
 
     def append(self, entry: RegistryEntry) -> None:
         n = len(self.ids)
         if n == len(self.printed_at):
-            self.codes = np.resize(self.codes, (2 * n + 4, self.codes.shape[1]))
-            self.printed_at = np.resize(self.printed_at, 2 * n + 4)
+            self.codes = np.resize(self.codes, (2 * n, self.codes.shape[1]))
+            self.printed_at = np.resize(self.printed_at, 2 * n)
         self.codes[n], self.printed_at[n] = entry.code.thetas, entry.printed_at
-        self.ids.append(entry.entry_id)
         self.row[entry.entry_id] = n
+        self.ids.append(entry.entry_id)
         self.entries.append(entry)
 
 
 class Registry:
     """Immutable collection of printed memories over one shared mode list.
 
-    `ids`, `codes` (n, K) and `printed_at` (n,) are its read-only columns, in
-    print order; the module docstring says how registries share them.
-    `entries` and `entry()` make a row's RegistryEntry on first use, and
-    every registry sharing that row returns the one object.
+    `ids`, `entries`, `codes` (n, K) and `printed_at` (n,) are its read-only
+    columns, in print order; the module docstring says how registries share
+    them, and every registry sharing a row returns its one RegistryEntry.
     """
 
     schema_version: ClassVar[int] = SCHEMA_VERSION  # the one version this build reads
 
     def __init__(self, modes: Iterable[ModeParams], entries: Iterable[RegistryEntry] = ()):
         modes = _checked_modes(modes)
-        registry = Registry._of(modes, _Rows([], np.empty((0, len(modes))), np.empty(0), []), 0)
+        registry = Registry._of(modes, _Rows(len(modes)), 0)
         for e in entries:
             registry = registry._appended(e)
         vars(self).update(vars(registry))
@@ -188,28 +186,20 @@ class Registry:
         return Registry, (self.modes, self.entries)
 
     def _appended(self, entry: RegistryEntry) -> Registry:
-        rows, n = self._rows, self._n
+        n = self._n
         if len(entry.code) != self.k:
             raise RegistryCodeLengthError(
                 f"entry '{entry.entry_id}' has code length {len(entry.code)}, "
                 f"registry has {self.k} modes"
             )
-        if rows.row.get(entry.entry_id, n) < n:
+        if self._rows.row.get(entry.entry_id, n) < n:
             raise ValueError(f"duplicate entry id '{entry.entry_id}'")
-        with rows.lock:
+        with self._rows.lock:
+            rows = self._rows
             if len(rows.ids) > n:  # another registry has appended past this one
-                rows = _Rows(rows.ids[:n], self.codes.copy(), self.printed_at.copy(),
-                             list(self.entries))
+                rows = _Rows(self.k, rows.entries[:n])
             rows.append(entry)
         return Registry._of(self.modes, rows, n + 1)
-
-    def _entry_at(self, i: int) -> RegistryEntry:
-        made = self._rows.entries
-        with self._rows.lock:
-            if made[i] is None:
-                made[i] = RegistryEntry(self._rows.ids[i], Code(tuple(self.codes[i].tolist())),
-                                        float(self.printed_at[i]))
-        return made[i]
 
     @property
     def k(self) -> int:
@@ -221,12 +211,13 @@ class Registry:
 
     @cached_property
     def entries(self) -> tuple[RegistryEntry, ...]:
-        return tuple(map(self._entry_at, range(self._n)))
+        return tuple(self._rows.entries[:self._n])
 
     def entry(self, entry_id: str) -> RegistryEntry:
-        if self._rows.row.get(entry_id, self._n) >= self._n:
+        i = self._rows.row.get(entry_id, self._n)
+        if i >= self._n:
             raise KeyError(f"no entry with id '{entry_id}'")
-        return self._entry_at(self._rows.row[entry_id])
+        return self._rows.entries[i]
 
     def state(self, entry_id: str, time: float = 0.0) -> MemoryState:
         """Memory state of one entry at absolute age `time` since printing."""
@@ -657,28 +648,6 @@ def save_registry(registry: Registry, path) -> None:
         fh.write(registry_to_json(registry))
 
 
-def _entry_columns(entries: list, k: int) -> tuple[_Rows, int] | None:
-    """A registry file's entries as (row buffer, length) when every entry
-    passes load_registry's checks and every number is a float; else None,
-    and the per-value loop runs, raising the message it always raised."""
-    keys = {"id", "printed_at", "thetas"}
-    if not k or not all(type(e) is dict and e.keys() == keys for e in entries):
-        return None
-    ids = [e["id"] for e in entries]
-    rows = [e["thetas"] for e in entries]
-    printed = [e["printed_at"] for e in entries]
-    if not (all(type(i) is str and i for i in ids) and len(set(ids)) == len(ids)
-            and all(type(r) is list and len(r) == k for r in rows)
-            and set(map(type, itertools.chain(printed, *rows))) <= {float}):
-        return None
-    codes = np.array(rows, dtype=float).reshape(-1, k)
-    stamps = np.array(printed, dtype=float)
-    if not (np.isfinite(codes).all() and (codes >= 0.0).all()
-            and np.isfinite(stamps).all() and (stamps >= 0.0).all()):
-        return None
-    return _Rows(ids, codes, stamps, [None] * len(ids)), len(ids)
-
-
 def load_registry(path) -> Registry:
     """Read a registry file, distinguishing the three failure classes.
 
@@ -713,9 +682,6 @@ def load_registry(path) -> Registry:
                 omega=_number(m["omega"], f"modes[{i}].omega", bad),
                 gamma=_number(m["gamma"], f"modes[{i}].gamma", bad),
             ))
-        columns = _entry_columns(doc["entries"], len(modes))
-        if columns is not None:
-            return Registry._of(_checked_modes(modes), *columns)
         entries = []
         for i, e in enumerate(doc["entries"]):
             _check_keys(e, f"entries[{i}]", ("id", "printed_at", "thetas"), error=bad)

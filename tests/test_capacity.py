@@ -213,6 +213,56 @@ def test_threads_printing_from_shared_registries_keep_their_own_rows(monkeypatch
     assert wrong == []
 
 
+def test_reading_entries_while_another_thread_branches_cannot_deadlock():
+    # the printer branches from reg1, which reg2 has extended past, and is
+    # held inside the buffer's lock until the reader has begun reading the
+    # entries of a registry on that buffer. On Python 3.10 and 3.11 every
+    # cached_property holds one class-wide lock while it computes, so a
+    # branch that read a cached property under the buffer's lock, while a
+    # reader held that property's lock waiting for the buffer's, would hang
+    reg1 = registry_k(2, [[0.1, 0.2], [0.3, 0.4]], ids=["a", "b"])
+    reg2 = print_memory(reg1, "c", Code((0.5, 0.6)))
+    fresh = print_memory(reg2, "d", Code((0.7, 0.8)))
+    held, reading = threading.Event(), threading.Event()
+    out = {}
+
+    class HandOverLock:
+        def __init__(self, lock):
+            self.lock = lock
+
+        def __enter__(self):
+            self.lock.acquire()
+            if threading.current_thread() is printer and not held.is_set():
+                held.set()
+                reading.wait(5)
+                time.sleep(0.05)  # the reader is now inside `entries`
+            return self
+
+        def __exit__(self, *exc):
+            self.lock.release()
+
+    reg1._rows.lock = HandOverLock(reg1._rows.lock)
+
+    def read():
+        held.wait(5)
+        reading.set()
+        out["entries"] = fresh.entries
+
+    def branch():
+        out["branch"] = print_memory(reg1, "e", Code((0.9, 1.0)))
+
+    printer = threading.Thread(target=branch, daemon=True)
+    reader = threading.Thread(target=read, daemon=True)
+    printer.start()
+    reader.start()
+    printer.join(10)
+    reader.join(10)
+    assert not printer.is_alive() and not reader.is_alive()
+    assert [e.entry_id for e in out["entries"]] == ["a", "b", "c", "d"]
+    assert out["branch"].ids == ("a", "b", "e")
+    assert out["branch"].entries[:2] == out["entries"][:2]
+
+
 def test_registry_columns_are_read_only():
     reg = registry_k(2, [[0.3, 0.5], [0.9, 0.1]], printed_at=[0.0, 1.5])
     assert np.array_equal(reg.printed_at, [0.0, 1.5])
