@@ -118,10 +118,11 @@ class RegistryEntry:
 
 class _Rows:
     """Append-only columns behind registries: row i holds ids[i], codes[i],
-    printed_at[i] and entries[i], and `row` maps an id to its row. The
-    arrays double when full, so an append is O(1) amortised. `lock` makes
-    checking the length and appending one step, for registries used from
-    several threads."""
+    printed_at[i] and entries[i], and `row` maps an id to its row. An
+    append checks the one new entry against the rows, and the arrays
+    double when full, so it is O(1) amortised. `lock` makes checking the
+    length and appending one step, for registries used from several
+    threads."""
 
     def __init__(self, k: int, entries: Iterable[RegistryEntry] = ()):
         self.ids, self.entries, self.row = [], [], {}
@@ -131,7 +132,14 @@ class _Rows:
             self.append(entry)
 
     def append(self, entry: RegistryEntry) -> None:
-        n = len(self.ids)
+        n, k = len(self.ids), self.codes.shape[1]
+        if len(entry.code) != k:
+            raise RegistryCodeLengthError(
+                f"entry '{entry.entry_id}' has code length {len(entry.code)}, "
+                f"registry has {k} modes"
+            )
+        if entry.entry_id in self.row:
+            raise ValueError(f"duplicate entry id '{entry.entry_id}'")
         if n == len(self.printed_at):
             self.codes = np.resize(self.codes, (2 * n, self.codes.shape[1]))
             self.printed_at = np.resize(self.printed_at, 2 * n)
@@ -153,10 +161,8 @@ class Registry:
 
     def __init__(self, modes: Iterable[ModeParams], entries: Iterable[RegistryEntry] = ()):
         modes = _checked_modes(modes)
-        registry = Registry._of(modes, _Rows(len(modes)), 0)
-        for e in entries:
-            registry = registry._appended(e)
-        vars(self).update(vars(registry))
+        rows = _Rows(len(modes), entries)
+        vars(self).update(vars(Registry._of(modes, rows, len(rows.ids))))
 
     @classmethod
     def _of(cls, modes: tuple[ModeParams, ...], rows: _Rows, n: int) -> Registry:
@@ -187,13 +193,6 @@ class Registry:
 
     def _appended(self, entry: RegistryEntry) -> Registry:
         n = self._n
-        if len(entry.code) != self.k:
-            raise RegistryCodeLengthError(
-                f"entry '{entry.entry_id}' has code length {len(entry.code)}, "
-                f"registry has {self.k} modes"
-            )
-        if self._rows.row.get(entry.entry_id, n) < n:
-            raise ValueError(f"duplicate entry id '{entry.entry_id}'")
         with self._rows.lock:
             rows = self._rows
             if len(rows.ids) > n:  # another registry has appended past this one
