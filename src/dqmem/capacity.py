@@ -141,7 +141,7 @@ class _Rows:
         if entry.entry_id in self.row:
             raise ValueError(f"duplicate entry id '{entry.entry_id}'")
         if n == len(self.printed_at):
-            self.codes = np.resize(self.codes, (2 * n, self.codes.shape[1]))
+            self.codes = np.resize(self.codes, (2 * n, k))
             self.printed_at = np.resize(self.printed_at, 2 * n)
         self.codes[n], self.printed_at[n] = entry.code.thetas, entry.printed_at
         self.row[entry.entry_id] = n
@@ -178,12 +178,10 @@ class Registry:
     def __eq__(self, other):
         if not isinstance(other, Registry):
             return NotImplemented
-        return (self.modes == other.modes and self.ids == other.ids
-                and np.array_equal(self.codes, other.codes)
-                and np.array_equal(self.printed_at, other.printed_at))
+        return (self.modes, self.entries) == (other.modes, other.entries)
 
     def __hash__(self):
-        return hash((self.modes, self.ids))
+        return hash((self.modes, self.entries))
 
     def __repr__(self):
         return f"Registry(modes={self.modes!r}, entries={self.entries!r})"
