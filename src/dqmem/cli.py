@@ -49,6 +49,7 @@ from .capacity import (
     _entry_thetas,
     _log_overlap_rows,
     _parse_seed,
+    _read_json,
     association_graph,
     capacity_estimate,
     fidelity_matrix,
@@ -145,11 +146,7 @@ def _write_artifacts(out_dir: str, files: dict[str, str]) -> None:
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits
-        raise CliError("config", f"malformed config {path}: {exc}") from exc
+    doc = _read_json(path, lambda message: CliError("config", message), "config")
     if not isinstance(doc, dict):
         raise CliError("config", f"config {path} must hold a JSON object")
     return doc
@@ -210,10 +207,11 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     t = cfg.time
     registry = load_registry(cfg.registry)
     if isinstance(cfg.probe, str):
-        if cfg.probe not in registry.ids:
+        try:
+            probe_code = registry.entry(cfg.probe).code
+        except KeyError:
             raise CliError("config",
-                           f"recall.probe.entry {cfg.probe!r} not in registry")
-        probe_code = registry.entry(cfg.probe).code
+                           f"recall.probe.entry {cfg.probe!r} not in registry") from None
     else:
         probe_code = cfg.probe.realize(registry.modes)
 

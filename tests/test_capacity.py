@@ -138,8 +138,8 @@ def assert_same_registry(reg, k, rows):
 
 
 def test_branching_appends_leave_both_registries_unchanged():
-    # reg2 grows the buffer reg1 shares; printing to reg1 again must copy
-    # reg1's rows, and neither print may show through in the other registry
+    # reg1 is extended twice, reg2 twice more: no print may show through in
+    # another registry, and every registry keeps reg1's entry objects
     rng = np.random.default_rng(7)
     base = [(f"m{i}", rng.uniform(0.0, 2.0, 3).tolist()) for i in range(5)]
     reg1 = registry_k(3, [c for _, c in base], ids=[e for e, _ in base])
@@ -151,8 +151,8 @@ def test_branching_appends_leave_both_registries_unchanged():
     reg3 = reg1
     for e, c in right:
         reg3 = print_memory(reg3, e, Code(tuple(c)))
-    reg4 = print_memory(reg2, "w", Code((0.0, 0.0, 0.0)))  # reg2 still ends its buffer
-    reg5 = print_memory(reg2, "v", Code((3.0, 3.0, 3.0)))  # now it does not
+    reg4 = print_memory(reg2, "w", Code((0.0, 0.0, 0.0)))
+    reg5 = print_memory(reg2, "v", Code((3.0, 3.0, 3.0)))
     assert_same_registry(reg1, 3, base)
     assert_same_registry(reg2, 3, base + left)
     assert_same_registry(reg3, 3, base + right)
@@ -177,16 +177,17 @@ def test_loaded_rows_make_one_entry_for_every_registry_sharing_them(tmp_path):
 
 def test_threads_printing_from_shared_registries_keep_their_own_rows(monkeypatch):
     # threads keep extending whichever registry was printed last, so several
-    # often append to the same one: each append must check the buffer's
-    # length and write its row as one step, or copy the rows first. A thread
-    # switch is forced between the check and the write.
-    append = capacity._Rows.append
+    # often print to the same one: each print checks its new entry against
+    # that registry's id index and builds its own entries and index from it,
+    # and no print may show through in another's. A thread switch is forced
+    # inside the check.
+    check = capacity._check_entry
 
-    def yielding_append(rows, entry):
+    def yielding_check(row, k, entry):
         time.sleep(0)
-        append(rows, entry)
+        check(row, k, entry)
 
-    monkeypatch.setattr(capacity._Rows, "append", yielding_append)
+    monkeypatch.setattr(capacity, "_check_entry", yielding_check)
     latest = [registry_k(2, [[0.1, 0.1]], ids=["base"])]
     wrong = []
 
@@ -213,39 +214,35 @@ def test_threads_printing_from_shared_registries_keep_their_own_rows(monkeypatch
     assert wrong == []
 
 
-def test_reading_entries_while_another_thread_branches_cannot_deadlock():
+def test_reading_entries_while_another_thread_branches_cannot_deadlock(monkeypatch):
     # the printer branches from reg1, which reg2 has extended past, and is
-    # held inside the buffer's lock until the reader has begun reading the
-    # entries of a registry on that buffer. On Python 3.10 and 3.11 every
-    # cached_property holds one class-wide lock while it computes, so a
-    # branch that read a cached property under the buffer's lock, while a
-    # reader held that property's lock waiting for the buffer's, would hang
+    # held inside the new entry's check until the reader has begun reading
+    # the columns of a registry sharing reg1's entries. On Python 3.10 and
+    # 3.11 every cached_property holds one class-wide lock while it
+    # computes, so a print that held a lock of its own while reading a
+    # cached property, while a reader held that property's lock waiting
+    # for the print's, would hang
     reg1 = registry_k(2, [[0.1, 0.2], [0.3, 0.4]], ids=["a", "b"])
     reg2 = print_memory(reg1, "c", Code((0.5, 0.6)))
     fresh = print_memory(reg2, "d", Code((0.7, 0.8)))
     held, reading = threading.Event(), threading.Event()
     out = {}
 
-    class HandOverLock:
-        def __init__(self, lock):
-            self.lock = lock
+    check = capacity._check_entry
 
-        def __enter__(self):
-            self.lock.acquire()
-            if threading.current_thread() is printer and not held.is_set():
-                held.set()
-                reading.wait(5)
-                time.sleep(0.05)  # the reader is now inside `entries`
-            return self
+    def handing_over_check(row, k, entry):
+        if threading.current_thread() is printer and not held.is_set():
+            held.set()
+            reading.wait(5)
+            time.sleep(0.05)  # the reader is now reading `fresh`
+        check(row, k, entry)
 
-        def __exit__(self, *exc):
-            self.lock.release()
-
-    reg1._rows.lock = HandOverLock(reg1._rows.lock)
+    monkeypatch.setattr(capacity, "_check_entry", handing_over_check)
 
     def read():
         held.wait(5)
         reading.set()
+        out["ids"], out["codes"] = fresh.ids, fresh.codes
         out["entries"] = fresh.entries
 
     def branch():
@@ -259,6 +256,8 @@ def test_reading_entries_while_another_thread_branches_cannot_deadlock():
     reader.join(10)
     assert not printer.is_alive() and not reader.is_alive()
     assert [e.entry_id for e in out["entries"]] == ["a", "b", "c", "d"]
+    assert out["ids"] == ("a", "b", "c", "d")
+    assert out["codes"].tolist() == [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]
     assert out["branch"].ids == ("a", "b", "e")
     assert out["branch"].entries[:2] == out["entries"][:2]
 
@@ -279,6 +278,36 @@ def test_registry_pickles_and_copies(tmp_path):
         assert clone == reg
         assert registry_to_json(print_memory(clone, "c", Code((0.5, 0.5)))) == registry_to_json(
             print_memory(reg, "c", Code((0.5, 0.5))))
+
+
+def test_clones_of_a_read_registry_keep_its_contract():
+    reg = registry_k(2, [[0.3, 0.5], [0.9, 0.1]], printed_at=[0.0, 1.5])
+    codes, printed_at = reg.codes, reg.printed_at  # cached before cloning
+    for clone in (copy.copy(reg), copy.deepcopy(reg), pickle.loads(pickle.dumps(reg))):
+        assert clone == reg and hash(clone) == hash(reg)
+        assert repr(clone) == repr(reg)
+        assert clone.ids == reg.ids
+        for column, original in ((clone.codes, codes), (clone.printed_at, printed_at)):
+            assert np.array_equal(column, original)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 7.0
+
+
+def test_sequential_prints_equal_the_one_shot_and_the_loaded_registry(tmp_path):
+    rng = np.random.default_rng(15)
+    rows = [(f"m{i}", rng.uniform(0.0, 2.0, 4).tolist()) for i in range(500)]
+    reg = new_registry(modes_k(4))
+    for entry_id, thetas in rows:
+        reg = print_memory(reg, entry_id, Code(tuple(thetas)))
+    assert_same_registry(reg, 4, rows)
+    path = tmp_path / "r.json"
+    save_registry(reg, path)
+    loaded = load_registry(path)
+    assert loaded == reg == one_shot(4, rows)
+    assert hash(loaded) == hash(reg) == hash(one_shot(4, rows))
+    assert registry_to_json(loaded) == registry_to_json(reg) == registry_to_json(one_shot(4, rows))
+    assert path.read_text(encoding="utf-8") == registry_to_json(one_shot(4, rows))
 
 
 def test_rejected_appends_keep_their_errors_and_change_nothing():
