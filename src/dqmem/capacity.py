@@ -31,6 +31,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -405,38 +406,65 @@ def greedy_pack(thetas: Sequence[Sequence[float]], epsilon: float) -> tuple[tupl
     Returns (accepted indices, acceptance curve), the curve being the
     accepted count after each candidate.
 
-    Each candidate is screened against the whole accepted block at once:
-    s = log_cosh(c - accepted).sum(axis=1) differs from the fsum of the same
-    row by at most 4 (K + 2) eps (|s| + K eps), eps the float64 machine
-    epsilon: the terms are >= 0 up to a few eps each, and the K eps floor
-    covers those near s = 0. A row that clears -ln epsilon by more than
-    that bound is decided by s alone; any other row is re-decided by the
-    exact fsum rule on its own. The accepted set is therefore the one the per-pair
-    fsum loop gives, bit for bit. Candidates must form a finite (n, K)
-    array; an empty sequence packs to ((), ()).
+    Each candidate is decided against the whole accepted block at once from
+    its gaps g = |c - accepted|, in three stages. eps is the float64 machine
+    epsilon; a computed log_cosh(g) is within 4 eps (g + 1) of ln cosh g,
+    and a sum of K terms >= 0 is within K eps of its value, relatively, in
+    any order.
+
+    1. L1 bracket: |x| - ln 2 <= ln cosh x <= x^2 / 2, so each row's fsum
+       exceeds l1 - K ln 2 - 4 (K + 2) eps (l1 + K) and is below
+       q / 2 + 4 (K + 2) eps (q + K), where l1 and q are the row's sums of
+       g and g^2 and each slack covers the rounding of log_cosh, of the
+       sums and of the test itself. The candidate is accepted if the
+       smallest l1 clears -ln epsilon by the first bound, and rejected if
+       the smallest q falls to it by the second, with no log_cosh call.
+    2. Block screen: s = log_cosh(g).sum(axis=1) differs from the fsum of
+       the same row by at most 4 (K + 2) eps (|s| + K eps): the terms are
+       >= 0 up to a few eps each, and the K eps floor covers those near
+       s = 0. A row that clears -ln epsilon by more than that bound is
+       decided by s alone.
+    3. Any other row is re-decided by the exact fsum rule on its own.
+
+    The accepted set is therefore the one the per-pair fsum loop gives, bit
+    for bit. Candidates must form a finite (n, K) array; an empty sequence
+    packs to ((), ()).
     """
     epsilon = float(epsilon)
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     log_eps = math.log(epsilon)
     cands = _candidate_block(thetas)
-    k = cands.shape[1]
     acc = np.empty_like(cands)
     accepted: list[int] = []
     curve: list[int] = []
     for idx, cand in enumerate(cands):
-        block = acc[:len(accepted)]
-        s = log_cosh(cand - block).sum(axis=1)
-        bound = 4.0 * (k + 2) * _EPS * (np.abs(s) + k * _EPS)
-        # s +- bound brackets each row's fsum; reject iff some fsum <= -ln epsilon
-        if not np.any(s + bound <= -log_eps):
-            unsure = block[s - bound <= -log_eps]
-            # a handful of rows at most: math.fsum beats _row_sums' column loop
-            if all(-math.fsum(r) < log_eps for r in log_cosh(unsure - cand)):
-                acc[len(accepted)] = cand
-                accepted.append(idx)
+        if _accepts(np.abs(cand - acc[:len(accepted)]), log_eps):
+            acc[len(accepted)] = cand
+            accepted.append(idx)
         curve.append(len(accepted))
     return tuple(accepted), tuple(curve)
+
+
+def _accepts(gap: np.ndarray, log_eps: float) -> bool:
+    """greedy_pack's decision for one candidate from its (m, K) gaps to the
+    accepted block: the L1 bracket, the block screen, then fsum."""
+    k = gap.shape[1]
+    rate = 4.0 * (k + 2) * _EPS
+    l1 = float(np.einsum("ij->i", gap).min(initial=math.inf))  # inf: no rows
+    if l1 * (1.0 - rate) - rate * k - k * _LN2 > -log_eps:
+        return True
+    q = float(np.einsum("ij,ij->i", gap, gap).min(initial=math.inf))
+    if 0.5 * q + rate * (q + k) <= -log_eps:
+        return False
+    s = log_cosh(gap).sum(axis=1)
+    bound = rate * (np.abs(s) + k * _EPS)
+    # s +- bound brackets each row's fsum; reject iff some fsum <= -ln epsilon
+    if np.any(s + bound <= -log_eps):
+        return False
+    unsure = s - bound <= -log_eps
+    # a handful of rows at most: math.fsum beats _row_sums' column loop
+    return not unsure.any() or all(-math.fsum(r) < log_eps for r in log_cosh(gap[unsure]))
 
 
 _GAP_NODES = 16    # Gauss-Legendre nodes per panel of length <= 1
@@ -603,15 +631,81 @@ def _integer(x, where: str, error=_cfg_error) -> int:
         raise error(f"{where} must be an integer") from None
 
 
-def _read_json(path, error, label: str):
+def _read_json(path, error, label: str, digest=None):
     """The JSON document in file `path`; a file that is not UTF-8 JSON is
     error(f"malformed {label} {path}: ..."), as is one whose integers carry
-    too many digits or whose nesting is too deep for the parser."""
+    too many digits or whose nesting is too deep for the parser. `digest`,
+    a hashlib object when given, takes the bytes the document was read from."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if digest is not None:
+        digest.update(data)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise error(f"malformed {label} {path}: {exc}") from exc
+
+
+_NON_FINITE = {math.inf: '"inf"', -math.inf: '"-inf"'}
+
+
+def _json_text(obj) -> str:
+    """Canonical JSON text of obj, the one writer of every JSON artifact.
+
+    The text is that of json.dumps(_jsonable(obj), sort_keys=True,
+    indent=2, allow_nan=False) + "\n", where the old _jsonable made mappings
+    into dicts with str() keys, tuples and arrays (through tolist) into
+    lists, numpy numbers into Python ones, and inf, -inf and nan into those
+    strings. It is written in one walk, without json's pure-Python indent
+    encoder: strings go through json's encode_basestring_ascii, and a list
+    of floats is one join of float.__repr__, the format json gives a float.
+    Any other type raises TypeError, as json does.
+    """
+    out: list[str] = []
+    _json_parts(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_parts(obj, newline: str, out: list[str]) -> None:
+    """Appends obj's JSON text to out; `newline` is a line break plus the
+    indent of obj's own level."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append({None: "null", True: "true", False: "false"}[obj])
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        out.append(float.__repr__(x) if math.isfinite(x) else _NON_FINITE.get(x, '"nan"'))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, Mapping):
+        items = {str(key): value for key, value in obj.items()}
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(items):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_parts(items[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}" if items else "{}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = list(obj.tolist()) if isinstance(obj, np.ndarray) else obj
+        inner = newline + "  "
+        try:  # floats only, all finite: no repr holds an "n"
+            text = ("," + inner).join(map(float.__repr__, items))
+            if items and "n" not in text:
+                out.append("[" + inner + text + newline + "]")
+                return
+        except TypeError:
+            pass
+        sep = "[" + inner
+        for item in items:
+            out.append(sep)
+            _json_parts(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]" if items else "[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +714,7 @@ def _read_json(path, error, label: str):
 
 def registry_to_json(registry: Registry) -> str:
     """Canonical serialization: sorted keys, two-space indent, one trailing LF."""
-    return json.dumps({
+    return _json_text({
         "schema_version": registry.schema_version,
         "modes": [
             {"index": m.index, "omega": m.omega, "gamma": m.gamma}
@@ -631,7 +725,7 @@ def registry_to_json(registry: Registry) -> str:
             for entry_id, printed_at, thetas in zip(
                 registry.ids, registry.printed_at.tolist(), registry.codes.tolist())
         ],
-    }, sort_keys=True, indent=2) + "\n"
+    })
 
 
 def save_registry(registry: Registry, path) -> None:

@@ -1,12 +1,13 @@
 """Command-line front end: reproducible memory experiments with artifacts.
 
 Every run writes its outputs into ``--out`` as a set of files plus a
-``manifest.json`` recording the exact invocation (config echo, seed,
-library versions, import and wall time). ``wall_time_s`` runs from parsing
-the config to rendering the artifacts, not the file writes. Outputs are
-buffered in memory and written atomically at the end of a successful run,
-so a crashed run leaves at worst ``*.partial`` files and never a truncated
-artifact.
+``manifest.json`` recording the exact invocation (the config's path and
+``config_sha256``, the sha256 of the bytes read from it; seed, library
+versions, import and wall time). ``summary.json`` holds the one echo of
+the config. ``wall_time_s`` runs from parsing the config to rendering the
+artifacts, not the file writes. Outputs are buffered in memory and written
+atomically at the end of a successful run, so a crashed run leaves at
+worst ``*.partial`` files and never a truncated artifact.
 
 Exit codes: 0 success, 1 usage/config/domain/registry/io errors (one
 machine parsable line on stderr, ``error: <category>: <message>``), 2 when
@@ -30,15 +31,22 @@ from __future__ import annotations
 import argparse
 import io
 import itertools
-import json
 import math
 import os
 import platform
 import sys
 import time
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 import numpy as np
+
+try:  # CPython's own SHA-256: hashlib loads OpenSSL, 3.7 MB of resident memory
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256
 
 from . import _IMPORT_STARTED, __version__
 from . import thermo
@@ -47,6 +55,7 @@ from .capacity import (
     ExperimentConfig,
     RegistryError,
     _entry_thetas,
+    _json_text,
     _log_overlap_rows,
     _parse_seed,
     _read_json,
@@ -81,28 +90,6 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # serialization helpers
-
-
-def _jsonable(obj):
-    """Plain-JSON view: tuples to lists, non-finite floats to strings."""
-    if isinstance(obj, Mapping):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if math.isfinite(x):
-            return x
-        return {math.inf: "inf", -math.inf: "-inf"}.get(x, "nan")
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
-
-
-def _json_text(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_cell(cell) -> str:
@@ -145,20 +132,23 @@ def _write_artifacts(out_dir: str, files: dict[str, str]) -> None:
 # config plumbing
 
 
-def _load_config(path: str) -> dict:
-    doc = _read_json(path, lambda message: CliError("config", message), "config")
+def _load_config(path: str) -> tuple[dict, str]:
+    """The config object and the sha256 of the bytes it was read from."""
+    digest = sha256()
+    doc = _read_json(path, lambda message: CliError("config", message), "config", digest)
     if not isinstance(doc, dict):
         raise CliError("config", f"config {path} must hold a JSON object")
-    return doc
+    return doc, digest.hexdigest()
 
 
 def _kinds(command: str) -> list[str]:
     return [kind for kind, spec in CONFIG_KINDS.items() if spec.command == command]
 
 
-def _parse_config(args) -> ExperimentConfig:
-    """Kind check, flag defaults, then the shared schema; config values win."""
-    doc = _load_config(args.config)
+def _parse_config(args) -> tuple[ExperimentConfig, str]:
+    """Kind check, flag defaults, then the shared schema; config values win.
+    Returns the config and the sha256 of its file."""
+    doc, sha256 = _load_config(args.config)
     kinds = _kinds(args.command)
     kind = doc.get("kind")
     if kind not in kinds:
@@ -174,7 +164,7 @@ def _parse_config(args) -> ExperimentConfig:
         if key not in doc and getattr(args, flag) is not None:
             doc[key] = getattr(args, flag)
     try:
-        return parse_experiment_config(doc)
+        return parse_experiment_config(doc), sha256
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
 
@@ -482,12 +472,12 @@ def _run_oracle_verify(dim: int) -> tuple[dict, dict, str]:
 # driver
 
 
-def _manifest(args, argv: list[str], config_echo, seed, wall: float) -> str:
+def _manifest(args, argv: list[str], config_sha256, seed, wall: float) -> str:
     return _json_text({
         "command": args.command,
         "argv": argv,
         "config_path": vars(args).get("config"),
-        "config": config_echo,
+        "config_sha256": config_sha256,
         "out": args.out,
         "seed": seed,
         "schema_version": SUMMARY_SCHEMA_VERSION,
@@ -551,13 +541,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args) -> tuple[dict, dict, str, str, object, object]:
-    """Returns (artifacts, results, stdout line, kind, config echo, seed)."""
+def _dispatch(args) -> tuple[dict, dict, str, str, object, object, object]:
+    """Returns (artifacts, results, stdout line, kind, config echo, seed,
+    config sha256)."""
     handler = _COMMANDS[args.command][1]
     if "config" not in args:
-        return (*handler(args.dim), args.command, {"dim": args.dim}, None)
-    cfg = _parse_config(args)
-    return (*handler(cfg), cfg.kind, cfg.raw, cfg.seed)
+        return (*handler(args.dim), args.command, {"dim": args.dim}, None, None)
+    cfg, sha256 = _parse_config(args)
+    return (*handler(cfg), cfg.kind, cfg.raw, cfg.seed, sha256)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -570,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
 
         start = time.perf_counter()
         try:
-            artifacts, results, line, kind, echo, seed = _dispatch(args)
+            artifacts, results, line, kind, echo, seed, sha256 = _dispatch(args)
             files = {name: art if isinstance(art, str) else _csv_text(*art)
                      for name, art in artifacts.items()}
         except RegistryError as exc:
@@ -586,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
         })
         wall = time.perf_counter() - start
 
-        files["manifest.json"] = _manifest(args, argv, echo, seed, wall)
+        files["manifest.json"] = _manifest(args, argv, sha256, seed, wall)
         _write_artifacts(args.out, files)
 
         if results.get("failed"):  # oracle-verify's checks over tolerance

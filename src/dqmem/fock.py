@@ -427,7 +427,7 @@ def _restrict(op: ShiftOperator, keep: np.ndarray) -> ShiftOperator:
         rows = np.flatnonzero((cols >= 0) & (cols < op.shape[1]))
         rows = rows[(c[keep[rows]] != 0) & (pos[cols[rows]] >= 0)]
         shift = pos[cols[rows]] - rows
-        for e in np.unique(shift).tolist():
+        for e in sorted(set(shift.tolist())):  # np.unique would import numpy.ma
             at = rows[shift == e]
             coef.setdefault(e, np.zeros(keep.size, c.dtype))[at] = c[keep[at]]
     return ShiftOperator((keep.size, keep.size), coef)

@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 import warnings
+from collections.abc import Mapping
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -506,10 +507,15 @@ def per_pair_fsum_pack(thetas, epsilon):
 
 @given(k=st.integers(1, 64), n=st.integers(0, 200),
        epsilon=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-       width=st.floats(0.0, 4.0), lattice=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_greedy_pack_matches_per_pair_fsum_loop(k, n, epsilon, width, lattice, seed):
+       width=st.floats(0.0, 4.0), bracket=st.none() | st.floats(0.5, 1.5),
+       lattice=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_greedy_pack_matches_per_pair_fsum_loop(k, n, epsilon, width, bracket, lattice,
+                                                seed):
+    if bracket is not None:
+        # a typical pair's L1 bound K w / 3 - K ln 2 lands near -ln epsilon,
+        # so some candidates clear the bracket and others fall to the screen
+        width = bracket * 3.0 * (math.log(2.0) - math.log(epsilon) / k)
     cands = np.random.default_rng(seed).uniform(0.0, width, size=(n, k))
     if lattice:  # repeated codes and exactly equal gaps
         cands = np.round(cands * 2.0) / 2.0
@@ -528,11 +534,14 @@ def count_fsum_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("k", [1, 7])
-def test_greedy_pack_near_tie_takes_exact_fallback(monkeypatch, k):
+@pytest.mark.parametrize("k, epsilon", [pytest.param(1, 0.05, id="1"),
+                                        pytest.param(7, 0.05, id="7"),
+                                        (1, 1e-300), (5, 1e-300)])
+def test_greedy_pack_near_tie_takes_exact_fallback(monkeypatch, k, epsilon):
     # K equal gaps d with K ln cosh d = -ln epsilon: the block sum lands
-    # within a few ulps of the threshold, so only fsum can decide
-    epsilon = 0.05
+    # within a few ulps of the threshold, so only fsum can decide; at
+    # epsilon = 1e-300, ln cosh d = d - ln 2 in floats, where only the L1
+    # bracket's slack keeps it from accepting
     d = math.acosh(math.exp(-math.log(epsilon) / k))
     decisions = set()
     for gap in (d + i * math.ulp(d) for i in range(-8, 9)):
@@ -552,6 +561,78 @@ def test_greedy_pack_screen_decides_clear_rows_without_fsum(monkeypatch):
     calls = count_fsum_calls(monkeypatch)
     assert greedy_pack(cands, 0.05) == expected
     assert len(expected[0]) > 20 and calls == []
+
+
+def count_log_cosh_calls(monkeypatch):
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return log_cosh(x)
+
+    monkeypatch.setattr(capacity, "log_cosh", counting)
+    return calls
+
+
+def test_greedy_pack_far_apart_block_takes_no_log_cosh(monkeypatch):
+    # every pair clears the L1 bracket, so no transcendental runs at all. A
+    # pair's l1 misses the bracket about 3 sigma below its mean (64 +- 5.7
+    # against 47.4), so larger draws send a few candidates to the screen;
+    # all 435 pairs of this one clear it
+    cands = np.random.default_rng(2).uniform(0.0, 3.0, size=(30, 64))
+    expected = per_pair_fsum_pack(cands, 0.05)
+    lc_calls, fsum_calls = count_log_cosh_calls(monkeypatch), count_fsum_calls(monkeypatch)
+    assert greedy_pack(cands, 0.05) == expected
+    assert expected[0] == tuple(range(30))
+    assert lc_calls == [] and fsum_calls == []
+
+
+def test_greedy_pack_near_block_rejects_without_log_cosh(monkeypatch):
+    # every later candidate is so near the first that q / 2 decides it
+    cands = np.random.default_rng(8).uniform(0.0, 0.2, size=(100, 16))
+    expected = per_pair_fsum_pack(cands, 0.05)
+    calls = count_log_cosh_calls(monkeypatch)
+    assert greedy_pack(cands, 0.05) == expected == ((0,), (1,) * 100)
+    assert calls == []
+
+
+@pytest.mark.parametrize("k, epsilon", [(1, 0.05), (1, 1e-300), (5, 1e-300)])
+def test_greedy_pack_at_the_l1_threshold(monkeypatch, k, epsilon):
+    # K equal gaps d: the bracket accepts iff K d (1 - r) - r K - K ln 2
+    # clears -ln epsilon, r = 4 (K + 2) eps; scan a few ulps either side of
+    # the d where that turns true
+    rate = 4.0 * (k + 2) * 2.0 ** -52
+    d = (-math.log(epsilon) + k * math.log(2.0) + rate * k) / (k * (1.0 - rate))
+    bracketed = set()
+    for gap in (d + i * math.ulp(d) for i in range(-6, 7)):
+        cands = [[0.0] * k, [gap] * k]
+        expected = per_pair_fsum_pack(cands, epsilon)
+        calls = count_log_cosh_calls(monkeypatch)
+        assert greedy_pack(cands, epsilon) == expected == ((0, 1), (1, 2))
+        monkeypatch.undo()
+        bracketed.add(calls == [])
+    assert bracketed == {True, False}  # the scan straddles the bracket
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_greedy_pack_tiny_gaps_match_the_fsum_rule(k):
+    # -ln epsilon ~ 2^-50: ln cosh d ~ d^2 / 2 is that small, and log_cosh's
+    # cancellation near 0 rounds it to a multiple of 2^-53, sometimes above
+    # q / 2; only the q bound's K eps floor keeps it from rejecting those
+    epsilon = 1.0 - 2.0 ** -50
+    d = math.sqrt(-2.0 * math.log(epsilon) / k)
+    for gap in np.linspace(0.9 * d, 1.1 * d, 101):
+        cands = [[0.0] * k, [gap] * k]
+        assert greedy_pack(cands, epsilon) == per_pair_fsum_pack(cands, epsilon)
+
+
+def test_greedy_pack_overflowing_gaps_keep_their_result():
+    # gaps past the float range: the packing is pinned here; the numpy
+    # overflow warnings on the way are a numeric-domain question of their own
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = greedy_pack([[0, 0], [1e308, 1e308], [-1e308, -1e308]], 0.05)
+    assert result == ((0, 1, 2), (1, 2, 3))
 
 
 def test_greedy_pack_rejects_non_finite_or_ragged_candidates():
@@ -921,6 +1002,103 @@ def test_error_classes_are_distinct_but_catchable():
     assert issubclass(RegistryCodeLengthError, RegistryError)
     assert not issubclass(RegistryVersionError, RegistryFormatError)
     assert not issubclass(RegistryFormatError, RegistryVersionError)
+
+
+# ---------------------------------------------------------------------------
+# the canonical JSON writer
+
+
+def _jsonable(obj):
+    """Plain-JSON view: tuples to lists, non-finite floats to strings; the
+    writer's old first pass, kept as its reference."""
+    if isinstance(obj, Mapping):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        if math.isfinite(x):
+            return x
+        return {math.inf: "inf", -math.inf: "-inf"}.get(x, "nan")
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+def reference_json(obj):
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308,
+               -1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1, 1e16]
+json_floats = st.sampled_from(EDGE_FLOATS) | st.floats()
+json_scalars = st.one_of(
+    st.text(st.characters(codec="utf-8", exclude_categories=["Cs"]), max_size=6),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\r\n\t", "caf\u00e9", "\u2028",
+                     "\U0001d11e"]),
+    st.booleans(), st.none(),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    json_floats,
+    json_floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+json_keys = st.sampled_from([1, "1", 0, "0", "", "a", '"q"', "\u00e9"]) | st.text(max_size=3)
+json_values = st.recursive(
+    json_scalars | st.lists(json_floats, max_size=6)
+    | st.lists(json_floats, max_size=6).map(lambda xs: np.array(xs, dtype=float))
+    | st.lists(st.integers(-9, 9), min_size=2, max_size=6).map(
+        lambda xs: np.array(xs[:len(xs) // 2 * 2]).reshape(-1, 2)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_keys, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(json_values)
+@settings(max_examples=300, deadline=None)
+def test_json_text_is_the_json_dumps_text(obj):
+    assert capacity._json_text(obj) == reference_json(obj)
+
+
+def test_json_text_colliding_keys_and_empty_containers():
+    obj = {1: "int", "1": "str", "b": [], "a": {}, "c": (), "d": np.array([])}
+    assert capacity._json_text(obj) == reference_json(obj)
+    assert json.loads(capacity._json_text(obj))["1"] == "str"
+
+
+def test_json_text_refuses_what_json_refuses():
+    for bad in (np.bool_(True), {"a": [1, np.bool_(False)]}, {1j}, 1j, object()):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            reference_json(bad)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            capacity._json_text(bad)
+
+
+def json_dumps_registry(registry):
+    """registry_to_json as json.dumps wrote it."""
+    return json.dumps({
+        "schema_version": registry.schema_version,
+        "modes": [{"index": m.index, "omega": m.omega, "gamma": m.gamma}
+                  for m in registry.modes],
+        "entries": [{"id": e.entry_id, "printed_at": e.printed_at,
+                     "thetas": list(e.code.thetas)} for e in registry.entries],
+    }, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 500])
+def test_registry_to_json_keeps_the_json_dumps_bytes(n):
+    rng = np.random.default_rng(n)
+    ids = ['quote "q"', "back\\slash", "tab\tcr\r", "caf\u00e9", "\U0001d11e", "\x01"]
+    ids = (ids + [f"m{i:05d}" for i in range(n)])[:n]
+    reg = registry_k(3, rng.uniform(0.0, 2.0, size=(n, 3)).tolist(), ids=ids,
+                     printed_at=rng.uniform(0.0, 5.0, size=n).tolist())
+    assert registry_to_json(reg) == json_dumps_registry(reg)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ is wired.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -722,16 +723,21 @@ def test_each_subcommand_takes_only_the_options_it_reads(
 def test_summary_is_one_envelope(tmp_path, registry_path, monkeypatch, command, kind):
     monkeypatch.setattr("dqmem.cli._verify_rows", lambda dim: [])
     args = [command, "--out", tmp_path / "o", "--quiet"]
+    sha256 = None
     if kind is not None:
         doc = json.loads(json.dumps(VALID_CONFIGS[kind][1]).replace(
             REGISTRY, str(registry_path)))
-        args += ["--config", write_config(tmp_path, "case.json", doc)]
+        config = write_config(tmp_path, "case.json", doc)
+        args += ["--config", config]
+        sha256 = hashlib.sha256(pathlib.Path(config).read_bytes()).hexdigest()
     assert run(args) == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert set(summary) == {"command", "kind", "schema_version", "config", "results"}
     assert (summary["command"], summary["kind"]) == (command, kind or "oracle-verify")
-    assert summary["config"] == manifest["config"]
+    # the summary holds the one echo; the manifest names the file it came from
+    assert "config" not in manifest
+    assert manifest["config_sha256"] == sha256
 
 
 BAD_JSON = {
@@ -942,6 +948,32 @@ def test_cli_import_loads_no_scipy(tmp_path):
                   "print(code, loaded())", tmp_path / "o")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "0 ['dqmem.fock']"]
+
+
+def test_no_subcommand_imports_numpy_ma_or_openssl(tmp_path):
+    # numpy.ma costs about 4 ms and 0.65 MB of import, and np.unique loads
+    # it; hashlib's OpenSSL backend (_hashlib) costs 3.7 MB of memory, and
+    # only numpy.random (through secrets) may load it
+    printed = write_config(tmp_path, "print.json", VALID_CONFIGS["print"][1])
+    registry = str(tmp_path / "reg" / "registry.json")
+    runs = [["print", "--config", printed, "--out", str(tmp_path / "reg")]]
+    for kind, (command, doc, _) in VALID_CONFIGS.items():
+        doc = json.loads(json.dumps(doc).replace(REGISTRY, registry))
+        cfg = write_config(tmp_path, f"{kind}.json", doc)
+        runs.append([command, "--config", cfg, "--out", str(tmp_path / kind)])
+    runs.append(["oracle-verify", "--dim", "64", "--out", str(tmp_path / "oracle")])
+    proc = python("import json, sys\n"
+                  "from dqmem.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    code = main([*argv, '--quiet'])\n"
+                  "    loaded = set(sys.modules)\n"
+                  "    if 'numpy.random' in loaded:\n"
+                  "        loaded.discard('_hashlib')\n"
+                  "    print(argv[0], code, {'numpy.ma', '_hashlib'} & loaded)\n",
+                  json.dumps(runs))
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [f"{argv[0]} 0 set()" for argv in runs]
+    assert {argv[0] for argv in runs} == set(dqmem.cli._COMMANDS)
 
 
 def test_closed_form_commands_run_without_scipy(tmp_path):
