@@ -408,9 +408,9 @@ def greedy_pack(thetas: Sequence[Sequence[float]], epsilon: float) -> tuple[tupl
 
     Each candidate is decided against the whole accepted block at once from
     its gaps g = |c - accepted|, in three stages. eps is the float64 machine
-    epsilon; a computed log_cosh(g) is within 4 eps (g + 1) of ln cosh g,
-    and a sum of K terms >= 0 is within K eps of its value, relatively, in
-    any order.
+    epsilon; with exp and log1p good to a few ulps, a computed log_cosh(g)
+    is within 4 eps (g + 1) of ln cosh g, and a sum of K terms >= 0 is
+    within K eps of its value, relatively, in any order.
 
     1. L1 bracket: |x| - ln 2 <= ln cosh x <= x^2 / 2, so each row's fsum
        exceeds l1 - K ln 2 - 4 (K + 2) eps (l1 + K) and is below
