@@ -231,8 +231,9 @@ class FidelityMatrix:
         self.values.setflags(write=False)
 
 
-_PAIR_CHUNK = 4096  # entry pairs per fidelity_matrix block: 0.5 MB at K = 16
+_PAIR_CHUNK = 4096  # entry pairs per block of a pairwise read: 0.5 MB at K = 16
 _EPS = 2.0 ** -52   # float64 machine epsilon
+_LN_COSH_1 = 0.4337808304830272  # ln cosh 1 rounded down: association_graph's C
 
 
 def _log_overlap_rows(block: np.ndarray, row) -> np.ndarray:
@@ -258,33 +259,37 @@ def _entry_thetas(registry: Registry, t: float, staggered: bool) -> np.ndarray:
     return _trajectory(_gammas(registry.modes), registry.codes, ages)
 
 
-def _pair_logs(registry: Registry, t: float, staggered: bool) -> tuple[np.ndarray, ...]:
-    """(rows, cols, logs): the upper triangle's pairs i < j in row-major
-    order and the log-overlap of each, for fidelity_matrix and
-    association_graph."""
+def _pair_thetas(registry: Registry, t: float, staggered: bool) -> np.ndarray:
+    """The Theta block whose row pairs fidelity_matrix and association_graph
+    read: each entry at its own age when staggered, else the codes."""
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError(f"evaluation time must be finite and >= 0, got {t}")
-    n = len(registry.ids)
-    if not n:
+    if not registry.entries:
         raise ValueError("registry has no entries")
     if staggered:
-        thetas = _entry_thetas(registry, t, staggered=True)
-    else:
-        if np.any(registry.printed_at != registry.printed_at[0]):
-            raise ValueError(
-                "entries have differing printing times; same-time fidelity "
-                "would misread them — pass staggered=True"
-            )
-        thetas = registry.codes
+        return _entry_thetas(registry, t, staggered=True)
+    if np.any(registry.printed_at != registry.printed_at[0]):
+        raise ValueError(
+            "entries have differing printing times; same-time fidelity "
+            "would misread them — pass staggered=True"
+        )
+    return registry.codes
 
-    # a bounded chunk of pairs at a time
-    rows, cols = np.triu_indices(n, 1)
-    logs = np.empty(rows.size)
-    for a in range(0, rows.size, _PAIR_CHUNK):
-        pairs = slice(a, a + _PAIR_CHUNK)
-        logs[pairs] = _log_overlap_rows(thetas[cols[pairs]], thetas[rows[pairs]])
-    return rows, cols, logs
+
+def _pair_blocks(n: int):
+    """(rows, cols) of the pairs i < j of n entries in row-major order, in
+    blocks of whole consecutive rows holding about _PAIR_CHUNK pairs each
+    (one row at least), so no index array or mask spans the triangle."""
+    a = 0
+    while a < n - 1:
+        b, size = a, 0
+        while b < n - 1 and size < _PAIR_CHUNK:
+            size += n - 1 - b
+            b += 1
+        yield (np.repeat(np.arange(a, b), np.arange(n - 1 - a, n - 1 - b, -1)),
+               np.concatenate([np.arange(i + 1, n) for i in range(a, b)]))
+        a = b
 
 
 def fidelity_matrix(registry: Registry, t: float, *,
@@ -297,14 +302,24 @@ def fidelity_matrix(registry: Registry, t: float, *,
     way, making the result exactly t-independent. Staggered mode gives each
     entry its own elapsed time t - printed_at (requires t >= every
     printed_at), so each row of parameters is gamma (t - printed_at) - theta.
-    The lower triangle mirrors the upper one bit for bit.
+
+    The matrix is filled a row at a time from blocks of whole rows of the
+    upper triangle: row i's overlaps go into values[i, i+1:] and are
+    mirrored into values[i+1:, i], so the lower triangle equals the upper
+    one bit for bit, and beside the matrix only one block of pairs is held.
     """
-    rows, cols, logs = _pair_logs(registry, t, staggered)
-    n = len(registry.ids)
+    thetas = _pair_thetas(registry, t, staggered)
+    n = len(thetas)
     values = np.ones((n, n), dtype=float)
-    # math.exp as in states.overlap: np.exp differs from it in some last bits
-    values[rows, cols] = list(map(math.exp, logs.tolist()))
-    values[cols, rows] = values[rows, cols]
+    for rows, cols in _pair_blocks(n):
+        # math.exp as in states.overlap: np.exp differs from it in some last bits
+        exps = list(map(math.exp, _log_overlap_rows(thetas[cols], thetas[rows]).tolist()))
+        start = 0
+        for i in range(int(rows[0]), int(rows[-1]) + 1):
+            stop = start + n - 1 - i
+            values[i, i + 1:] = exps[start:stop]
+            values[i + 1:, i] = values[i, i + 1:]
+            start = stop
     return FidelityMatrix(ids=registry.ids, values=values, eval_time=float(t),
                           staggered=staggered)
 
@@ -324,20 +339,40 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
                       staggered: bool = False) -> AssociationGraph:
     """Edges (i, j) wherever fidelity >= threshold, plus connected clusters.
 
-    The fidelity of a pair is math.exp of its log-overlap, as in
-    fidelity_matrix, but it is taken only where the log reaches
-    ln(threshold) less a slack: math.exp and math.log are each within an
-    ulp, so 4 eps (1 + |ln threshold|) covers every log whose exp can reach
-    the threshold, and the edge test itself stays math.exp(log) >= threshold.
+    The fidelity of a pair is math.exp of its log-overlap, the negated fsum
+    of ln cosh over its gaps g, as in fidelity_matrix; the edge test is
+    math.exp(log) >= threshold. Most pairs of a spread-out registry are
+    ruled out first, without a log_cosh call, by a floor:
+
+        ln cosh x >= C min(x^2, |x|) for every x, with C = ln cosh 1,
+
+    since ln cosh x / x^2 falls and ln cosh x / |x| rises with |x|. Take
+    f = C sum_k g_k min(g_k, 1), computed. With eps the float64 machine
+    epsilon and rate = 4 (K + 2) eps, as in greedy_pack's L1 bracket: a
+    computed log_cosh(g) is within 4 eps (g + 1) <= 4 eps (C^-1 g min(g, 1)
+    + 2) of ln cosh g, and the sums are within K eps, so the pair's fsum
+    exceeds f (1 - rate / C) - rate K. math.exp and math.log are each
+    within an ulp, so a log whose exp reaches the threshold is at least
+    ln(threshold) - 4 eps (1 + |ln threshold|). A pair whose finite f puts
+    its fsum past the negation of that is dropped; each slack covers the
+    rounding of its terms and of the test itself. Every other pair goes
+    through the row kernel, so the edges, their order and the clusters are
+    those of testing every pair. A pair whose f is not finite (its gaps sum
+    past the float range, or its gap is not finite) is never dropped, so
+    its fsum raises or decides as it always did.
+
     Clusters are ordered by first member; members keep registry order, so
     the output is deterministic.
     """
     threshold = float(threshold)
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    rows, cols, logs = _pair_logs(registry, t, staggered)
+    thetas = _pair_thetas(registry, t, staggered)
     log_threshold = math.log(threshold)
-    near = np.flatnonzero(logs >= log_threshold - 4.0 * _EPS * (1.0 + abs(log_threshold)))
+    rate = 4.0 * (registry.k + 2) * _EPS
+    # a pair whose floor f exceeds this has an overlap below the threshold
+    cut = ((-log_threshold + 4.0 * _EPS * (1.0 - log_threshold) + rate * registry.k)
+           / (1.0 - rate / _LN_COSH_1))
     ids = registry.ids
     # union-find; grouping in registry order lists each cluster from its first member
     root = list(range(len(ids)))
@@ -349,12 +384,19 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
         return i
 
     edges = []
-    for i, j, log in zip(rows[near].tolist(), cols[near].tolist(), logs[near].tolist()):
-        value = math.exp(log)
-        if value >= threshold:
-            edges.append((ids[i], ids[j], value))
-            a, b = find(i), find(j)
-            root[max(a, b)] = min(a, b)
+    for rows, cols in _pair_blocks(len(ids)):
+        gap = thetas[cols] - thetas[rows]
+        g = np.abs(gap)
+        with np.errstate(over="ignore"):  # an overflowing f is never dropped
+            floor = _LN_COSH_1 * np.einsum("ij,ij->i", g, np.minimum(g, 1.0))
+        keep = np.flatnonzero(~((floor > cut) & np.isfinite(floor)))
+        logs = _log_overlap_rows(gap[keep], 0.0)
+        for i, j, log in zip(rows[keep].tolist(), cols[keep].tolist(), logs.tolist()):
+            value = math.exp(log)
+            if value >= threshold:
+                edges.append((ids[i], ids[j], value))
+                a, b = find(i), find(j)
+                root[max(a, b)] = min(a, b)
     members: dict[int, list[str]] = {}
     for i, entry_id in enumerate(ids):
         members.setdefault(find(i), []).append(entry_id)

@@ -4,10 +4,14 @@ Every run writes its outputs into ``--out`` as a set of files plus a
 ``manifest.json`` recording the exact invocation (the config's path and
 ``config_sha256``, the sha256 of the bytes read from it; seed, library
 versions, import and wall time). ``summary.json`` holds the one echo of
-the config. ``wall_time_s`` runs from parsing the config to rendering the
-artifacts, not the file writes. Outputs are buffered in memory and written
-atomically at the end of a successful run, so a crashed run leaves at
-worst ``*.partial`` files and never a truncated artifact.
+the config. ``wall_time_s`` runs from parsing the config to the last artifact
+written before the manifest, and ``artifacts`` lists every file the run
+wrote. Each artifact goes to ``<name>.partial`` first, a CSV line by line
+as its rows are computed, so no CSV is held whole in memory. Only when all
+are complete are they renamed, ``manifest.json`` last; a failed run deletes
+its ``.partial`` files and leaves ``--out`` as it found it. Before the
+renames, the files that an earlier run's manifest in ``--out`` lists and
+this run does not write are deleted, so ``--out`` holds one run's files.
 
 Exit codes: 0 success, 1 usage/config/domain/registry/io errors (one
 machine parsable line on stderr, ``error: <category>: <message>``), 2 when
@@ -29,7 +33,6 @@ time point or registry entry) that matches the per-state functions of
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import math
 import os
@@ -99,8 +102,8 @@ def _csv_cell(cell) -> str:
     return text
 
 
-def _csv_text(header: list[str], rows: Iterable) -> str:
-    """RFC-4180 style: CRLF line ends, header row, repr'd floats.
+def _csv_lines(header: list[str], rows: Iterable):
+    """RFC-4180 style lines: CRLF line ends, header row, repr'd floats.
 
     The bytes are those of csv.writer(lineterminator="\\r\\n") given the
     str of each cell (a float's is its repr), except that a row of one empty
@@ -108,24 +111,73 @@ def _csv_text(header: list[str], rows: Iterable) -> str:
     when it holds a comma, a quote, CR or LF. A row is joined as is unless its
     line holds a quote, CR, LF or more commas than separators.
     """
-    buf = io.StringIO()
     for row in itertools.chain([header], rows):
         line = ",".join(map(str, row))
         if line.count(",") >= len(row) or '"' in line or "\r" in line or "\n" in line:
             line = ",".join(map(_csv_cell, row))
-        buf.write(line)
-        buf.write("\r\n")
-    return buf.getvalue()
+        yield line + "\r\n"
 
 
-def _write_artifacts(out_dir: str, files: dict[str, str]) -> None:
+def _csv_text(header: list[str], rows: Iterable) -> str:
+    return "".join(_csv_lines(header, rows))
+
+
+def _listed_artifacts(out_dir: str) -> list[str]:
+    """The artifact names in the manifest an earlier run left in out_dir:
+    none when there is no such file or it is not a dqmem manifest, and only
+    plain file names, so no listed path leaves out_dir."""
+    try:
+        doc = _read_json(os.path.join(out_dir, "manifest.json"), ValueError, "manifest")
+    except (OSError, ValueError):
+        return []
+    if not (isinstance(doc, dict) and isinstance(doc.get("artifacts"), list)
+            and isinstance(doc.get("command"), str) and doc["command"] in _COMMANDS):
+        return []
+    return [name for name in doc["artifacts"] if isinstance(name, str)
+            and name not in ("", ".", "..") and os.path.basename(name) == name]
+
+
+def _write_artifacts(out_dir: str, files: dict, manifest) -> None:
+    """Writes one run's artifacts into out_dir, the manifest last.
+
+    Each artifact goes to `<name>.partial` first: text as is, a
+    (header, rows) CSV line by line, so no CSV is held whole. Then
+    manifest(names), names being every file of the run sorted,
+    manifest.json included, gives the manifest's text, written likewise.
+    Files that the manifest already in out_dir lists and this run does not
+    write are deleted, and every `.partial` is renamed, manifest.json last.
+    On any error the `.partial` files written so far are deleted.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    for name, text in files.items():
-        final = os.path.join(out_dir, name)
-        partial = final + ".partial"
-        with open(partial, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(partial, final)
+    names = sorted([*files, "manifest.json"])
+    partials = []
+
+    def write(name: str, artifact) -> None:
+        partials.append(os.path.join(out_dir, name + ".partial"))
+        with open(partials[-1], "w", encoding="utf-8", newline="") as fh:
+            if isinstance(artifact, str):
+                fh.write(artifact)
+            else:
+                fh.writelines(_csv_lines(*artifact))
+
+    try:
+        for name, artifact in files.items():
+            write(name, artifact)
+        write("manifest.json", manifest(names))
+        for stale in sorted(set(_listed_artifacts(out_dir)).difference(names)):
+            try:
+                os.remove(os.path.join(out_dir, stale))
+            except (FileNotFoundError, IsADirectoryError):
+                pass
+        for partial in partials:
+            os.replace(partial, partial[:-len(".partial")])
+    except BaseException:
+        for partial in partials:
+            try:
+                os.remove(partial)
+            except FileNotFoundError:
+                pass
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +524,12 @@ def _run_oracle_verify(dim: int) -> tuple[dict, dict, str]:
 # driver
 
 
-def _manifest(args, argv: list[str], config_sha256, seed, wall: float) -> str:
+def _manifest(args, argv: list[str], config_sha256, seed, names: list[str],
+              wall: float) -> str:
     return _json_text({
         "command": args.command,
         "argv": argv,
+        "artifacts": names,
         "config_path": vars(args).get("config"),
         "config_sha256": config_sha256,
         "out": args.out,
@@ -562,30 +616,27 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         try:
             artifacts, results, line, kind, echo, seed, sha256 = _dispatch(args)
-            files = {name: art if isinstance(art, str) else _csv_text(*art)
-                     for name, art in artifacts.items()}
+            artifacts["summary.json"] = _json_text({
+                "command": args.command,
+                "kind": kind,
+                "schema_version": SUMMARY_SCHEMA_VERSION,
+                "config": echo,
+                "results": results,
+            })
+            # a CSV's rows are computed as its file is written
+            _write_artifacts(args.out, artifacts, lambda names: _manifest(
+                args, argv, sha256, seed, names, time.perf_counter() - start))
         except RegistryError as exc:
             raise CliError("registry", str(exc)) from exc
         except (ValueError, OverflowError) as exc:  # OverflowError: math.fsum
             raise CliError("domain", str(exc)) from exc
-        files["summary.json"] = _json_text({
-            "command": args.command,
-            "kind": kind,
-            "schema_version": SUMMARY_SCHEMA_VERSION,
-            "config": echo,
-            "results": results,
-        })
-        wall = time.perf_counter() - start
-
-        files["manifest.json"] = _manifest(args, argv, sha256, seed, wall)
-        _write_artifacts(args.out, files)
 
         if results.get("failed"):  # oracle-verify's checks over tolerance
             sys.stderr.write(f"error: verify: {line}\n")
             return 2
         if not args.quiet:
             print(line)
-            print(f"wrote {len(files)} artifacts to {args.out}")
+            print(f"wrote {len(artifacts) + 1} artifacts to {args.out}")
         return 0
     except CliError as exc:
         msg = " ".join(str(exc).split())

@@ -180,11 +180,11 @@ class Code:
     thetas: tuple[float, ...]
 
     def __post_init__(self):
-        ts = tuple(float(x) for x in self.thetas)
+        ts = tuple(map(float, self.thetas))
         if not ts:
             raise ValueError("code is empty")
-        # `not >= 0` rather than `< 0` so NaN is rejected too
-        if any(not (x >= 0.0 and math.isfinite(x)) for x in ts):
+        # isfinite rejects NaN, which min() may skip, before min() sees it
+        if not all(map(math.isfinite, ts)) or min(ts) < 0.0:
             raise ValueError(f"code thetas must be finite and >= 0, got {ts}")
         object.__setattr__(self, "thetas", ts)
 

@@ -426,23 +426,26 @@ def test_staggered_fidelity_matrix_bit_identical_to_pairwise_log_overlap():
 
 
 @pytest.mark.parametrize("staggered", [False, True])
-def test_fidelity_matrix_is_state_overlap_bit_for_bit(staggered):
+def test_fidelity_matrix_is_state_overlap_bit_for_bit(staggered, monkeypatch):
     # one exp for every overlap: each pair's matrix entry is overlap() of the
-    # two states, math.exp of the same log, in the last bit too
+    # two states, math.exp of the same log, in the last bit too; with blocks
+    # of 16 pairs, 40 entries span one-row blocks (39 pairs) and many-row ones
+    monkeypatch.setattr(capacity, "_PAIR_CHUNK", 16)
     modes = tuple(ModeParams(i, 1.0, g) for i, g in enumerate((1.0, 0.35, 0.0, 1.7, 0.6)))
     rng = np.random.default_rng(411)
-    reg = new_registry(modes)
-    for i in range(40):
-        at = float(rng.uniform(0.0, 1.0)) if staggered else 0.0
-        reg = print_memory(reg, f"m{i}", Code(tuple(rng.uniform(0.0, 1.2, 5))),
-                           printed_at=at)
-    t = 1.3
-    fm = fidelity_matrix(reg, t, staggered=staggered)
-    # same-time entries are compared at age 0: the matrix is t-invariant
-    ages = [t - e.printed_at if staggered else 0.0 for e in reg.entries]
-    states = [reg.state(e.entry_id, age) for e, age in zip(reg.entries, ages)]
-    expected = [[overlap(a, b) for b in states] for a in states]
-    assert np.array_equal(fm.values, expected)
+    for n in (1, 2, 40):
+        reg = new_registry(modes)
+        for i in range(n):
+            at = float(rng.uniform(0.0, 1.0)) if staggered else 0.0
+            reg = print_memory(reg, f"m{i}", Code(tuple(rng.uniform(0.0, 1.2, 5))),
+                               printed_at=at)
+        t = 1.3
+        fm = fidelity_matrix(reg, t, staggered=staggered)
+        # same-time entries are compared at age 0: the matrix is t-invariant
+        ages = [t - e.printed_at if staggered else 0.0 for e in reg.entries]
+        states = [reg.state(e.entry_id, age) for e, age in zip(reg.entries, ages)]
+        expected = [[overlap(a, b) for b in states] for a in states]
+        assert np.array_equal(fm.values, expected)
 
 
 def test_staggered_needs_time_after_last_print():
@@ -852,7 +855,7 @@ def loop_association_graph(registry, t, threshold):
     return tuple(edges), clusters
 
 
-def test_association_graph_matches_loop_and_connected_components():
+def test_association_graph_matches_loop_and_connected_components(monkeypatch):
     rng = np.random.default_rng(5)
     centres = rng.uniform(0.0, 8.0, size=(6, 3))
     codes = centres[rng.integers(0, 6, size=80)] + rng.normal(0.0, 0.2, size=(80, 3))
@@ -861,6 +864,99 @@ def test_association_graph_matches_loop_and_connected_components():
         g = association_graph(reg, 0.0, threshold)
         assert (g.edges, g.clusters) == loop_association_graph(reg, 0.0, threshold)
     assert 1 < len(association_graph(reg, 0.0, 0.5).clusters) < 80
+
+    # tight clusters in 8 modes, where the floor screens out most pairs, with
+    # duplicated codes (overlap exactly 1) and thresholds within an ulp of an
+    # overlap; blocks of 50 pairs, so the 120 entries span many blocks
+    monkeypatch.setattr(capacity, "_PAIR_CHUNK", 50)
+    centres = rng.uniform(0.0, 3.0, size=(12, 8))
+    codes = np.abs(centres[rng.integers(0, 12, size=120)] + rng.normal(0.0, 0.05, size=(120, 8)))
+    codes[7], codes[90] = codes[3], codes[3]
+    reg = registry_k(8, codes.tolist())
+    fm = fidelity_matrix(reg, 0.0)
+    assert fm.values[3, 7] == fm.values[3, 90] == 1.0
+    inside = np.sort(fm.values[np.triu_indices(120, 1)])
+    near = float(inside[inside < 1.0][-1])
+    thresholds = [0.3, 0.7, math.nextafter(1.0, 0.0), near, math.nextafter(near, 0.0),
+                  math.nextafter(near, 1.0)]
+    for threshold in thresholds:
+        g = association_graph(reg, 0.0, threshold)
+        assert (g.edges, g.clusters) == loop_association_graph(reg, 0.0, threshold)
+    assert (("m3", "m7", 1.0) in association_graph(reg, 0.0, math.nextafter(1.0, 0.0)).edges)
+    assert sum(e[2] == near for e in association_graph(reg, 0.0, near).edges) >= 1
+    assert not any(e[2] == near for e in association_graph(
+        reg, 0.0, math.nextafter(near, 1.0)).edges)
+
+    # gaps of exactly 1, where the floor is ln cosh 1 itself: at a threshold
+    # on such an overlap only the screen's slack keeps the edge
+    for k in (1, 2, 5):
+        reg = registry_k(k, [[0.5] * k, [1.5] * k, [1.5] * (k - 1) + [0.5], [2.5] * k])
+        fm = fidelity_matrix(reg, 0.0)
+        for v in sorted(set(fm.values[np.triu_indices(4, 1)].tolist())):
+            for threshold in {v, math.nextafter(v, 0.0), math.nextafter(v, 1.0)} - {1.0}:
+                g = association_graph(reg, 0.0, threshold)
+                assert (g.edges, g.clusters) == loop_association_graph(reg, 0.0, threshold)
+
+
+def test_association_graph_overflowing_pair_raises_as_fsum_does():
+    # a pair whose floor overflows is never screened out: its fsum raises,
+    # as it did when every pair went through log_cosh
+    reg = registry_k(2, [[0.0, 0.0], [1e308, 1e308], [0.0, 0.0]])
+    with np.errstate(over="ignore"), pytest.raises(OverflowError, match="fsum"):
+        association_graph(reg, 0.0, 0.5)
+
+
+def _decimal_log_cosh(x: float) -> Decimal:
+    """ln cosh x in 800-digit decimal arithmetic; past x = 1000 it is
+    x - ln 2 less a term below 1e-868, a lower bound."""
+    d = abs(Decimal(x))
+    if d > 1000:
+        return d - Decimal(2).ln()
+    return ((d.exp() + (-d).exp()) / 2).ln()
+
+
+def test_association_floor_holds_against_decimal():
+    # ln cosh x >= C min(x^2, |x|), C = ln cosh 1: equality at |x| = 1 and
+    # x = 0; the screen's float C is the true one rounded down
+    one = 1.0
+    points = [0.0, 5e-324, 2.2e-308, 1e-8, 0.5, math.nextafter(one, 0.0), one,
+              math.nextafter(one, 2.0), 2.0, 20.0, 700.0, 1e300]
+    with localcontext() as ctx:
+        ctx.prec = 800
+        c = _decimal_log_cosh(1.0)
+        assert Decimal(capacity._LN_COSH_1) <= c < Decimal(math.nextafter(capacity._LN_COSH_1, 1.0))
+        for x in points + [-x for x in points]:
+            d = abs(Decimal(x))
+            floor = c * min(d * d, d)
+            assert _decimal_log_cosh(x) >= floor, x
+            if d in (0, 1):
+                assert _decimal_log_cosh(x) == floor
+
+
+def test_association_graph_sends_only_unscreened_pairs_to_log_cosh(monkeypatch):
+    # every pair reaching log_cosh has a floor C sum min(g^2, g) at most
+    # -ln threshold; all the others are ruled out without a log_cosh call
+    rng = np.random.default_rng(8)
+    centres = rng.uniform(0.0, 3.0, size=(10, 6))
+    codes = np.abs(centres[rng.integers(0, 10, size=100)] + rng.normal(0.0, 0.08, size=(100, 6)))
+    reg = registry_k(6, codes.tolist())
+    threshold = 0.5
+    c = math.log(math.cosh(1.0))
+    floors = [c * math.fsum(min(g * g, g) for g in np.abs(codes[j] - codes[i]).tolist())
+              for i in range(100) for j in range(i + 1, 100)]
+    # no pair so near the cut that the screen's slack could decide it
+    assert min(abs(f + math.log(threshold)) for f in floors) > 1e-6
+    seen = []
+    real = capacity.log_cosh
+    monkeypatch.setattr(capacity, "log_cosh", lambda x: seen.append(x) or real(x))
+    g = association_graph(reg, 0.0, threshold)
+    reaching = np.concatenate(seen)
+    assert len(reaching) == sum(f <= -math.log(threshold) for f in floors)
+    assert len(g.edges) <= len(reaching) < len(floors) / 4
+    for gaps in np.abs(reaching).tolist():
+        assert c * math.fsum(min(x * x, x) for x in gaps) <= -math.log(threshold)
+    monkeypatch.setattr(capacity, "log_cosh", real)
+    assert (g.edges, g.clusters) == loop_association_graph(reg, 0.0, threshold)
 
 
 def test_association_graph_threshold_validated():

@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import dqmem
@@ -822,6 +823,105 @@ def test_failed_run_leaves_no_artifacts(tmp_path):
     assert run(["forgetting", "--config", str(tmp_path / "absent.json"),
                 "--out", out]) == 1
     assert not out.exists()
+
+
+def trajectory_config(tmp_path, kind, num=50):
+    return write_config(tmp_path, f"{kind}.json", {
+        "kind": kind,
+        "modes": {"omega": [1.0, 2.0], "gamma": [1.0, 0.5]},
+        "code": {"thetas": [0.8, 0.3]},
+        "times": {"start": 0.0, "stop": 2.0, "num": num},
+    })
+
+
+def test_reused_out_holds_one_runs_files(tmp_path):
+    out = tmp_path / "o"
+    assert run(["forgetting", "--config", trajectory_config(tmp_path, "forgetting-curve"),
+                "--out", out, "--quiet"]) == 0
+    assert sorted(os.listdir(out)) == ["forgetting.csv", "manifest.json", "summary.json"]
+    assert run(["evolve", "--config", trajectory_config(tmp_path, "evolve"),
+                "--out", out, "--quiet"]) == 0
+    names = ["evolve.csv", "manifest.json", "summary.json"]
+    assert sorted(os.listdir(out)) == names
+    assert json.loads((out / "manifest.json").read_text())["artifacts"] == names
+
+    # only plain file names a dqmem manifest lists are deleted
+    (tmp_path / "victim").write_text("kept")
+    (out / "sub").mkdir()
+    (out / "sub" / "x").write_text("kept")
+    (out / "mine.txt").write_text("kept")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["artifacts"] += ["../victim", "sub/x", "sub", "", ".", "..", 7,
+                              str(tmp_path / "victim")]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert run(["forgetting", "--config", trajectory_config(tmp_path, "forgetting-curve"),
+                "--out", out, "--quiet"]) == 0
+    assert sorted(os.listdir(out)) == ["forgetting.csv", "manifest.json", "mine.txt",
+                                       "sub", "summary.json"]
+    assert (tmp_path / "victim").read_text() == (out / "sub" / "x").read_text() == "kept"
+    # a manifest.json that no dqmem run wrote names nothing to delete
+    for doc in ({"artifacts": ["mine.txt"]}, {"command": [], "artifacts": ["mine.txt"]},
+                {"command": "evolve", "artifacts": "mine.txt"}, ["mine.txt"]):
+        (out / "manifest.json").write_text(json.dumps(doc))
+        assert run(["evolve", "--config", trajectory_config(tmp_path, "evolve"),
+                    "--out", out, "--quiet"]) == 0
+        assert (out / "mine.txt").exists() and (out / "forgetting.csv").exists()
+
+
+def test_rows_failing_mid_stream_leave_the_last_run_intact(tmp_path, monkeypatch, capsys):
+    from dqmem import cli
+
+    out = tmp_path / "o"
+    config = trajectory_config(tmp_path, "evolve", num=2000)
+    assert run(["evolve", "--config", config, "--out", out, "--quiet"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    help_text, handler = cli._COMMANDS["evolve"]
+
+    def failing(cfg):
+        artifacts, results, line = handler(cfg)
+        header, rows = artifacts["evolve.csv"]
+
+        def stream():
+            yield from rows[:1500]  # past the first buffer flush
+            raise ValueError("row 1500 is not finite")
+        return {"evolve.csv": (header, stream())}, results, line
+
+    monkeypatch.setitem(cli._COMMANDS, "evolve", (help_text, failing))
+    assert run(["evolve", "--config", config, "--out", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: domain: row 1500 is not finite\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert run(["evolve", "--config", config, "--out", tmp_path / "new", "--quiet"]) == 1
+    assert list((tmp_path / "new").glob("*")) == []
+
+
+def test_fidelity_run_holds_no_whole_csv_or_triangle_list(tmp_path):
+    # beside the n x n matrix (8 n^2 bytes) a fidelity-matrix run holds the
+    # lower-triangle strings of the rows not yet written, at most n^2/4 of
+    # them, about the CSV's own size; building the whole CSV text, as a
+    # string and through a buffer, or a list of every pair, goes past 1.5 times it
+    import tracemalloc
+
+    n = 300
+    rng = np.random.default_rng(3)
+    registry = write_config(tmp_path, "registry.json", {
+        "schema_version": 1,
+        "modes": [{"index": i, "omega": 1.0, "gamma": 0.5} for i in range(8)],
+        "entries": [{"id": f"m{i:04d}", "printed_at": 0.0,
+                     "thetas": rng.uniform(0.0, 2.0, 8).tolist()} for i in range(n)],
+    })
+    config = write_config(tmp_path, "f.json", {"kind": "fidelity-matrix",
+                                               "registry": registry, "time": 0.5})
+    assert run(["associate", "--config", config, "--out", tmp_path / "warm", "--quiet"]) == 0
+    tracemalloc.start()
+    try:
+        assert run(["associate", "--config", config, "--out", tmp_path / "o", "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "o" / "fidelity.csv").stat().st_size
+    assert size > 1.5e6
+    assert peak < 8 * n * n + 1.5 * size
 
 
 # ---------------------------------------------------------------------------
