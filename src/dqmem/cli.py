@@ -9,7 +9,7 @@ written before the manifest, and ``artifacts`` lists every file the run
 wrote. Each artifact goes to ``<name>.partial`` first, a CSV line by line
 as its rows are computed, so no CSV is held whole in memory. Only when all
 are complete are they renamed, ``manifest.json`` last; a failed run deletes
-its ``.partial`` files and leaves ``--out`` as it found it. Before the
+its ``.partial`` files, so ``--out`` holds the files it held. Before the
 renames, the files that an earlier run's manifest in ``--out`` lists and
 this run does not write are deleted, so ``--out`` holds one run's files.
 

@@ -834,13 +834,23 @@ def trajectory_config(tmp_path, kind, num=50):
     })
 
 
-def test_reused_out_holds_one_runs_files(tmp_path):
+def test_reused_out_holds_one_runs_files(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert run(["forgetting", "--config", trajectory_config(tmp_path, "forgetting-curve"),
                 "--out", out, "--quiet"]) == 0
     assert sorted(os.listdir(out)) == ["forgetting.csv", "manifest.json", "summary.json"]
+    # the old run's file goes once the new files are complete, before the
+    # renames, and the manifest is renamed last
+    events = []
+    for name in ("remove", "replace"):
+        real = getattr(os, name)
+        monkeypatch.setattr(os, name, lambda path, *rest, real=real, name=name: (
+            events.append((name, os.path.basename(path))), real(path, *rest))[1])
     assert run(["evolve", "--config", trajectory_config(tmp_path, "evolve"),
                 "--out", out, "--quiet"]) == 0
+    monkeypatch.undo()
+    assert events == [("remove", "forgetting.csv"), ("replace", "evolve.csv.partial"),
+                      ("replace", "summary.json.partial"), ("replace", "manifest.json.partial")]
     names = ["evolve.csv", "manifest.json", "summary.json"]
     assert sorted(os.listdir(out)) == names
     assert json.loads((out / "manifest.json").read_text())["artifacts"] == names
@@ -893,6 +903,23 @@ def test_rows_failing_mid_stream_leave_the_last_run_intact(tmp_path, monkeypatch
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert run(["evolve", "--config", config, "--out", tmp_path / "new", "--quiet"]) == 1
     assert list((tmp_path / "new").glob("*")) == []
+
+
+def test_unencodable_cell_is_one_error_and_leaves_no_partial(tmp_path, capsys):
+    # a lone surrogate parses from JSON but has no UTF-8 form: the CSV write
+    # fails mid-file, which is one error line and no file left behind
+    cfg = write_config(tmp_path, "print.json", {
+        "kind": "print", "modes": {"omega": [1.0], "gamma": [1.0]},
+        "entries": [{"id": "ok", "thetas": [0.2]}, {"id": "a\ud800", "thetas": [0.3]}],
+    })
+    assert run(["print", "--config", cfg, "--out", tmp_path / "r", "--quiet"]) == 0
+    recall = write_config(tmp_path, "recall.json", {
+        "kind": "recall", "registry": str(tmp_path / "r" / "registry.json"), "time": 0.5,
+        "probe": {"thetas": [0.35]}})
+    assert run(["recall", "--config", recall, "--out", tmp_path / "o", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: domain: 'utf-8' codec can't encode") and err.count("\n") == 1
+    assert list((tmp_path / "o").glob("*")) == []
 
 
 def test_fidelity_run_holds_no_whole_csv_or_triangle_list(tmp_path):
