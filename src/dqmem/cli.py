@@ -118,10 +118,6 @@ def _csv_lines(header: list[str], rows: Iterable):
         yield line + "\r\n"
 
 
-def _csv_text(header: list[str], rows: Iterable) -> str:
-    return "".join(_csv_lines(header, rows))
-
-
 def _listed_artifacts(out_dir: str) -> list[str]:
     """The artifact names in the manifest an earlier run left in out_dir:
     none when there is no such file or it is not a dqmem manifest, and only

@@ -36,9 +36,9 @@ An observable that leaves sector 0 (a ladder, a quadrature) is measured by
 its image in sectors -1 and +1. The full pair space (flat index
 n * dim + ntil, built by `_PairSpace`) remains in two places only:
 `algebra_residuals` checks the operator identities on it at the workspace
-dim (the CLI uses dim 32), and `check_squeeze_factorization` runs on it at
-its own padded dim d_pad, because a single-mode squeezer spreads the vacuum
-over every even sector.
+dim (the CLI uses dim 32), and `check_squeeze_factorization` runs its
+squeezers on its n + ntil even half at their own padded dim d_pad, because
+a single-mode squeezer spreads the vacuum over every even sector.
 
 The rotated quadrature pair that factorizes the write operation is
 
@@ -51,14 +51,14 @@ exp(-2 Theta)/4. (The opposite pairing flips the factorization and the
 variance table simultaneously; it is rejected by `check_squeeze_factorization`
 at O(1), which is the point of keeping the check.)
 
-Exponential actions (`expm_action`) are exact Taylor sums run on the
-reachable support of the start vector only, the set of basis states its
-nonzeros reach through the matrix's nonzero pattern; outside that set every
-term is zero. A squeezer acting on the vacuum stays on the n + ntil even
-half of the pair space, so the squeeze check never evolves the full dim^2
-vector. Every exponent the oracle takes is real (-i G(theta), -i t H_int
-and the squeezer generators), and a real exponent acting on a real vector
-is summed in float64.
+Exponential actions (`expm_action`) are exact Taylor sums on the matrix
+and vector they are given; no support is searched. A memory-state exponent
+is a tridiagonal sector-0 block that couples every level to its
+neighbours, so a memory state reaches the whole block anyway, and the
+squeeze check names its one subspace, the n + ntil even half, in closed
+form. Every exponent the oracle takes is real (-i G(theta), -i t H_int and
+the squeezer generators), and a real exponent acting on a real vector is
+summed in float64.
 
 Truncation policy: the top Fock level of each oscillator is where the
 commutation relations necessarily break, so operator-identity checks are
@@ -70,7 +70,8 @@ Fixed tolerances are module constants, not keyword arguments, so every
 check runs at one setting: an `expm_action` Taylor stage has 1-norm at most
 _STAGE_NORM = 4 and ends once a term is below _EXPM_TOL = 1e-15 of the
 partial sum, within _MAX_TERMS = 120 terms; `evolve_vector` allows a tail of
-_EVOLVE_MAX_TAIL = 1e-17 along its path; `check_squeeze_factorization` runs
+_EVOLVE_MAX_TAIL = (_EVOLVE_BOUND / 2)^2 = 2.5e-21 along its path, so its
+error stays within _EVOLVE_BOUND = 1e-10; `check_squeeze_factorization` runs
 at d_pad, the dim where its tail is _SQUEEZE_GUARD_TAIL = 1e-12, and refuses
 a d_pad above _MAX_PAD_FACTOR = 4 times dim; the hole-relation and
 entropy-flow checks refuse |Theta| below _MIN_ABS_THETA = 0.05. Only
@@ -123,7 +124,8 @@ _MIN_DIM = 4
 _EXPM_TOL = 1e-15
 _STAGE_NORM = 4.0
 _MAX_TERMS = 120
-_EVOLVE_MAX_TAIL = 1e-17
+_EVOLVE_BOUND = 1e-10  # error bound of the oracle's evolution rows
+_EVOLVE_MAX_TAIL = (_EVOLVE_BOUND / 2.0) ** 2
 _SQUEEZE_GUARD_TAIL = 1e-12
 _MAX_PAD_FACTOR = 4
 _MIN_ABS_THETA = 0.05
@@ -381,11 +383,6 @@ class _PairSpace:
         _check_hermitian(h0=self.h0, h_int=self.h_int)
         self.interior = diag(((n < dim - 1) & (m < dim - 1)).astype(float))
 
-    def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.size, dtype=np.complex128)
-        v[0] = 1.0
-        return v
-
     def squeezer_generator(self, r: float, mirror: bool = False) -> ShiftOperator:
         """Generator of the squeezer S(r) = exp(-r/2 (m^2 - mdag^2)) on m = b
         (btil with `mirror`): real antisymmetric, so the exponential is
@@ -393,25 +390,6 @@ class _PairSpace:
         mode = self.btil if mirror else self.b
         mm = mode @ mode
         return (mm - mm.H) * (-0.5 * r)
-
-
-def _reachable(op: ShiftOperator, vec: np.ndarray) -> np.ndarray:
-    """Sorted indices of the basis states that `vec` reaches under `op`.
-
-    Starting from vec's nonzeros, each pass adds every row i whose
-    coefficient at some offset d is nonzero and whose column i + d is
-    reached, until a pass adds none. The set is closed under `op`, so every
-    power of it applied to `vec` vanishes outside the set.
-    """
-    links = [(rows, c != 0, cols) for _, rows, c, cols in op._spans]
-    seen = np.asarray(vec) != 0
-    while True:
-        grown = seen.copy()
-        for rows, nonzero, cols in links:
-            grown[rows] |= nonzero & seen[cols]
-        if np.array_equal(grown, seen):
-            return np.flatnonzero(seen)
-        seen = grown
 
 
 def _restrict(op: ShiftOperator, keep: np.ndarray) -> ShiftOperator:
@@ -450,36 +428,26 @@ def _norm(x: np.ndarray) -> float:
 def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
     """Apply exp(matrix) to vec by staged Taylor series, deterministically.
 
-    The series runs on the reachable support of vec only: the basis states
-    that vec's nonzeros reach through the nonzero coefficients of matrix.
-    That set is closed under matrix, so every Taylor term vanishes outside
-    it and the columns outside it only ever multiply zeros; restricting
-    matrix to it (and embedding the result back into zeros) drops no term.
-    A squeezer acting on the pair-space vacuum stays on the n + ntil even
-    half.
-
-    The restricted matrix is split into s stages of 1-norm <= _STAGE_NORM;
-    each stage is summed until the term norm drops below _EXPM_TOL relative
-    to the partial sum. When matrix and vec are both real, as every exponent
-    the oracle takes is, the series runs in float64; the result is complex128
-    either way. Deterministic by construction (no norm estimation, no
-    randomness), so rerun artifacts are byte-identical. Every vector norm
-    and inner product in this module, the term test included, is
-    `_re_inner`, which never enters BLAS, so no result depends on the BLAS
-    thread count either.
+    The series runs on the matrix and vector as given: a caller that wants
+    a subspace passes the block of the matrix on it (`_restrict`) and the
+    vector's entries there, as `check_squeeze_factorization` does. The
+    matrix is split into s stages of 1-norm <= _STAGE_NORM; each stage is
+    summed until the term norm drops below _EXPM_TOL relative to the partial
+    sum. When matrix and vec are both real, as every exponent the oracle
+    takes is, the series runs in float64; the result is complex128 either
+    way. Deterministic by construction (no norm estimation, no randomness),
+    so rerun artifacts are byte-identical. Every vector norm and inner
+    product in this module, the term test included, is `_re_inner`, which
+    never enters BLAS, so no result depends on the BLAS thread count either.
 
     Raises RuntimeError if a stage fails to converge within _MAX_TERMS terms.
     """
-    vec = np.asarray(vec, dtype=np.complex128)
-    keep = _reachable(matrix, vec)
-    w = vec[keep]
-    if keep.size < vec.size:
-        matrix = _restrict(matrix, keep)
+    w = np.asarray(vec, dtype=np.complex128)
     if not (any(np.any(c.imag) for c in matrix.coef.values()) or np.any(w.imag)):
         matrix = matrix.map(lambda c: c.real.copy())  # contiguous, for the matvecs
         w = w.real.copy()
     # the largest column sum, as the row sums of the adjoint's magnitudes
-    norm1 = float(np.max(matrix.map(abs).H.dot(np.ones(keep.size))))
+    norm1 = float(np.max(matrix.map(abs).H.dot(np.ones(w.size))))
     stages = max(1, int(math.ceil(norm1 / _STAGE_NORM)))
     for _ in range(stages):
         term = w.copy()
@@ -501,9 +469,7 @@ def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
                 f"(stage 1-norm {norm1 / stages:.3g})"
             )
         w = acc
-    out = np.zeros(vec.shape, dtype=np.complex128)
-    out[keep] = w
-    return out
+    return w.astype(np.complex128)
 
 
 def _require_budget(theta: float, dim: int, max_tail: float, what: str) -> None:
@@ -551,10 +517,11 @@ def evolve_vector(ws: FockWorkspace, v: np.ndarray, t: float, *,
     """Apply exp(-i t H_int) to the sector-0 vector v by error-controlled
     series action; H_int conserves n - ntil, so the result stays in sector 0.
 
-    The propagator error is dominated by boundary reflection,
-    ~0.7 tanh(|Theta|)^dim at the worst effective parameter touched, which is
-    the square root of the state-tail bound; hence the much stricter tail
-    budget here (_EVOLVE_MAX_TAIL = 1e-17) than in memory_vector. Pass
+    The propagator error is dominated by boundary reflection, at most about
+    1.5 tanh(|Theta|)^dim at the worst effective parameter touched (dims 64,
+    128 and 256, theta in [0.3, 2.2], t in [0, 2 theta]): the square root of
+    the state tail. So the tail budget _EVOLVE_MAX_TAIL =
+    (_EVOLVE_BOUND / 2)^2 = 2.5e-21 keeps the error within 1e-10. Pass
     `theta` (the code parameter of v) to enforce the budget on both endpoints
     of the path; with theta=None no budget check is possible and the caller
     owns the error.
@@ -729,10 +696,14 @@ def check_squeeze_factorization(ws: FockWorkspace, theta: float) -> float:
     The single-mode squeezers spread amplitude over every even sector and
     across total-number shells with tail tanh(|theta|)^d, so computing both
     routes at a dim where that tail is not negligible saturates at the tail
-    instead of testing the identity. The comparison therefore runs on the
-    full pair space at d_pad, the smallest dim (at least 4) with
-    tanh(|theta|)^d_pad <= _SQUEEZE_GUARD_TAIL (1e-12), and is refused when
-    d_pad exceeds _MAX_PAD_FACTOR (4) times ws.dim. The residual depends on
+    instead of testing the identity. The comparison therefore runs at d_pad,
+    the smallest dim (at least 4) with tanh(|theta|)^d_pad <=
+    _SQUEEZE_GUARD_TAIL (1e-12), and is refused when d_pad exceeds
+    _MAX_PAD_FACTOR (4) times ws.dim. Both routes have their support in
+    closed form: the squeezers run on the n + ntil even half of the pair
+    space, which holds the vacuum and is closed under both, and the write
+    operation is `memory_vector_via_generator` at d_pad, on the paired
+    diagonal (sector 0). The residual depends on
     theta alone (ws sets only the refusal bound) and reflects the operator
     identity itself (below 1e-9), while a wrong sign convention still fails
     at O(1).
@@ -751,11 +722,20 @@ def check_squeeze_factorization(ws: FockWorkspace, theta: float) -> float:
             f"needs dim {d_pad} > {_MAX_PAD_FACTOR} * {ws.dim}"
         )
     full = _PairSpace(d_pad)
-    vac = full.vacuum()
-    u = expm_action((-theta) * (full.j_plus - full.j_minus), vac)
-    w = expm_action(full.squeezer_generator(-theta, mirror=True), vac)
-    w = expm_action(full.squeezer_generator(theta), w)
-    return _norm(u - w)
+    # the squeezers keep the vacuum on the n + ntil even half, whose first
+    # state is |0,0>; the write operation keeps it on the paired diagonal
+    even = np.flatnonzero((full.n_index + full.ntil_index) % 2 == 0)
+    w = np.zeros(even.size)
+    w[0] = 1.0
+    for r, mirror in ((-theta, True), (theta, False)):
+        w = expm_action(_restrict(full.squeezer_generator(r, mirror=mirror), even), w)
+    u = np.zeros(full.size, dtype=np.complex128)
+    u[::d_pad + 1] = memory_vector_via_generator(build_workspace(d_pad), theta)
+    # the difference is taken on the whole pair space: the einsum's partial
+    # sums, and so the last bits of the residual, depend on where zeros sit
+    v = np.zeros(full.size, dtype=np.complex128)
+    v[even] = w
+    return _norm(u - v)
 
 
 def check_entropy_flow(ws: FockWorkspace, theta: float, gamma: float, t: float,

@@ -56,10 +56,12 @@ def log_cosh(x):
     """ln cosh x, overflow-safe, elementwise on arrays.
 
     Uses |x| + ln(1 + e^{-2|x|}) - ln 2, exact at 0 and safe for |x| in the
-    thousands where cosh itself overflows.
+    thousands where cosh itself overflows. Past |x| = 2^1023, -2|x| overflows
+    to -inf, whose exp is the 0 it stands for, so that overflow is ignored.
     """
     ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - _LN2
+    with np.errstate(over="ignore"):
+        return ax + np.log1p(np.exp(-2.0 * ax)) - _LN2
 
 
 # rows whose K * max|x| stays below this cannot overflow any partial sum

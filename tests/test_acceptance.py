@@ -100,7 +100,8 @@ def test_criterion_1_oracle_equivalence(capsys, ws64):
             # deep endpoints need a larger space to hold their tails
             for t in (tau / 2.0, tau, 2.0 * tau):
                 endpoint = max(abs(theta), abs(gamma * t - theta))
-                dim = 64 if math.tanh(endpoint) ** 128 <= 1e-17 else 128
+                tail = math.tanh(endpoint) ** 128
+                dim = 64 if tail <= fock._EVOLVE_MAX_TAIL else 256
                 ws = workspace(dim, gamma)
                 v0 = fock.memory_vector(ws, theta)
                 moved = fock.evolve_vector(ws, v0, t, theta=theta)

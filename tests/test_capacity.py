@@ -906,6 +906,19 @@ def test_association_graph_overflowing_pair_raises_as_fsum_does():
         association_graph(reg, 0.0, 0.5)
 
 
+def test_log_cosh_past_the_float_range_of_2x_is_silent_and_exact():
+    # -2|x| overflows to -inf past |x| = 2^1023, and exp(-inf) is the 0 it
+    # stands for: ln cosh is |x| - ln 2 to the bit, with no warning, and so is
+    # a registry's fidelity of 0.0 between codes 0 and 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e308, -1e308, sys.float_info.max, -sys.float_info.max):
+            assert log_cosh(x) == abs(x) - math.log(2.0)
+            assert log_cosh(np.array([x, 0.0])).tolist() == [abs(x) - math.log(2.0), 0.0]
+        fm = fidelity_matrix(registry_k(1, [[0.0], [1e308]]), 0.0)
+    assert fm.values[0, 1] == fm.values[1, 0] == 0.0
+
+
 def _decimal_log_cosh(x: float) -> Decimal:
     """ln cosh x in 800-digit decimal arithmetic; past x = 1000 it is
     x - ln 2 less a term below 1e-868, a lower bound."""

@@ -342,7 +342,7 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, staggered, n):
     # thresholds the log-overlaps: both must match the full matrix, at
     # thresholds within an ulp of an overlap and at an overlap of exactly 1
     from dqmem.capacity import fidelity_matrix, load_registry
-    from dqmem.cli import _csv_text
+    from dqmem.cli import _csv_lines
 
     ids = ["plain", "a,b", 'say "hi"', "cr\r\nlf", "twin", "twin,copy", "last\n"][:n]
     codes = [[0.3, 0.5, 0.1], [0.5, 0.4, 0.3], [1.2, 0.2, 0.6], [0.4, 0.6, 0.2],
@@ -364,8 +364,8 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, staggered, n):
     assert run(["associate", "--config", write_config(
         tmp_path, "m.json", dict(doc, kind="fidelity-matrix")), "--out", out, "--quiet"]) == 0
     full_rows = ([e, *row.tolist()] for e, row in zip(fm.ids, fm.values))
-    assert (out / "fidelity.csv").read_bytes() == _csv_text(
-        ["entry_id", *fm.ids], full_rows).encode("utf-8")
+    assert (out / "fidelity.csv").read_bytes() == "".join(_csv_lines(
+        ["entry_id", *fm.ids], full_rows)).encode("utf-8")
 
     thresholds = [0.5]
     if n > 1:
@@ -381,8 +381,8 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, staggered, n):
             tmp_path, "g.json", dict(doc, kind="association-graph", threshold=threshold)),
             "--out", out, "--quiet"]) == 0
         edges, clusters = full_matrix_graph(fm, threshold)
-        assert (out / "edges.csv").read_bytes() == _csv_text(
-            ["entry_a", "entry_b", "fidelity"], edges).encode("utf-8")
+        assert (out / "edges.csv").read_bytes() == "".join(_csv_lines(
+            ["entry_a", "entry_b", "fidelity"], edges)).encode("utf-8")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["results"]["clusters"] == clusters
         assert summary["results"]["edge_count"] == len(edges)

@@ -62,6 +62,18 @@ def sector_states(pair, s):
     return np.flatnonzero(pair.n_index - pair.ntil_index == s)
 
 
+def pair_vacuum(pair):
+    """|0,0> on the pair space: flat index 0."""
+    out = np.zeros(pair.size, dtype=np.complex128)
+    out[0] = 1.0
+    return out
+
+
+def even_half(pair):
+    """Flat pair-space indices of the n + ntil even states, in order."""
+    return np.flatnonzero((pair.n_index + pair.ntil_index) % 2 == 0)
+
+
 def embed(pair, v):
     """A sector-0 vector placed on the paired diagonal of the pair space."""
     out = np.zeros(pair.size, dtype=np.complex128)
@@ -101,7 +113,7 @@ def test_lowering_operator_entries(pair32):
         col = n * dim + m
         assert a[row, col] == pytest.approx(math.sqrt(n), rel=1e-15)
     # annihilates the vacuum
-    assert np.linalg.norm(a.dot(pair32.vacuum())) == 0.0
+    assert np.linalg.norm(a.dot(pair_vacuum(pair32))) == 0.0
 
 
 def test_number_operators_are_diagonal_counts(ws32):
@@ -247,8 +259,7 @@ def test_shift_operator_rounds_as_csr():
     real = fock.ShiftOperator(hint.shape, {d: c.real for d, c in hint.coef.items()})
     pair = fock._PairSpace(20)
     gen = pair.squeezer_generator(0.5)
-    keep = fock._reachable(gen, pair.vacuum())
-    for op in (real, fock._restrict(gen, keep)):
+    for op in (real, fock._restrict(gen, even_half(pair))):
         x = rng.normal(size=op.shape[1])
         assert np.array_equal(op.dot(x), sparse.csr_matrix(dense(op).real).dot(x))
     want = sparse.csr_matrix(dense(pair.b)) @ sparse.csr_matrix(dense(pair.b))
@@ -332,8 +343,8 @@ def test_expm_action_matches_dense_exponential():
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("touched", [(1,), (0, 2)])
 def test_expm_action_on_a_permuted_block_diagonal(dtype, touched):
-    # three dense blocks hidden by a permutation: vec's reachable support is
-    # exactly the blocks it touches, and the restricted series stays exact
+    # three dense blocks hidden by a permutation: the series on the whole
+    # matrix keeps vec on the blocks it touches, with exact zeros elsewhere
     from scipy.linalg import expm
     rng = np.random.default_rng(17)
     sizes = (6, 9, 5)
@@ -356,7 +367,6 @@ def test_expm_action_on_a_permuted_block_diagonal(dtype, touched):
     v[where] = rng.normal(size=where.size)
     if dtype is complex:
         v[where] += 1j * rng.normal(size=where.size)
-    assert fock._reachable(shifts(m), v).tolist() == where.tolist()
     got = fock.expm_action(shifts(m), v)
     want = expm(m).dot(v)
     assert got.dtype == np.complex128
@@ -364,25 +374,36 @@ def test_expm_action_on_a_permuted_block_diagonal(dtype, touched):
     assert np.all(got[np.setdiff1d(np.arange(v.size), where)] == 0.0)
 
 
-def test_reachable_support_of_the_oracle_exponents(ws32, pair32):
-    # on the pair space, memory states stay on the dim paired-diagonal states
-    # under H_int and G(theta); the squeezers reach exactly the n + ntil even
-    # half
-    pairs = sector_states(pair32, 0).tolist()
-    hint = (-1j) * pair32.h_int
-    v = embed(pair32, fock.memory_vector(ws32, 0.5))
-    assert fock._reachable(hint, v).tolist() == pairs
-    gen = (-0.5) * (pair32.j_plus - pair32.j_minus)  # -i G(0.5)
-    assert fock._reachable(gen, pair32.vacuum()).tolist() == pairs
-    assert len(pairs) == ws32.dim
-    even = np.flatnonzero((pair32.n_index + pair32.ntil_index) % 2 == 0).tolist()
-    for mirror in (False, True):
-        sq = pair32.squeezer_generator(0.5, mirror=mirror)
-        assert fock._reachable(sq, pair32.vacuum()).tolist() == even
-    # so the sector-0 blocks of those exponents reach all of sector 0
-    sector0 = list(range(ws32.dim))
-    assert fock._reachable(ws32.h_int, ws32.vacuum()).tolist() == sector0
-    assert fock._reachable(ws32.generator(0.5), ws32.vacuum()).tolist() == sector0
+def test_closed_form_supports_of_the_oracle_exponents(ws32):
+    # the squeeze check runs its squeezers on the n + ntil even half: it
+    # holds the vacuum, and every nonzero coefficient of either squeezer
+    # links two states of equal parity, so the half is closed under both
+    for d_pad in (20, 36):
+        pair = fock._PairSpace(d_pad)
+        even = np.zeros(pair.size, dtype=bool)
+        even[even_half(pair)] = True
+        assert even[0]
+        for mirror in (False, True):
+            sq = pair.squeezer_generator(0.5, mirror=mirror)
+            for d, c in sq.coef.items():
+                rows = np.flatnonzero(c)
+                assert rows.size and np.array_equal(even[rows], even[rows + d])
+    # the sector-0 exponents are tridiagonal and couple every pair of
+    # neighbouring levels, so a memory state reaches the whole block and
+    # expm_action needs no support search
+    for op in (ws32.h_int, ws32.generator(0.5)):
+        assert set(op.coef) <= {-1, 0, 1}
+        assert np.all(op.coef[1][:-1] != 0) and np.all(op.coef[-1][1:] != 0)
+
+
+def test_squeeze_check_write_route_matches_the_pair_space_exponential():
+    # the check takes exp(-i G(theta))|0,0> from sector 0 at d_pad (20 at
+    # theta = 0.25); on the full pair space the same exponential agrees
+    theta = 0.25
+    pair = fock._PairSpace(20)
+    want = fock.expm_action((-theta) * (pair.j_plus - pair.j_minus), pair_vacuum(pair))
+    got = embed(pair, fock.memory_vector_via_generator(fock.build_workspace(20), theta))
+    assert np.linalg.norm(got - want) <= 1e-15
 
 
 def test_evolve_vector_off_the_paired_diagonal_matches_dense():
@@ -439,15 +460,44 @@ def test_evolution_zero_time_is_identity(ws64):
 
 def test_evolution_budget_scales_with_endpoint(ws64):
     # the worst point on the path theta -> theta - gamma t sets the budget;
-    # at dim 64 the default refuses an endpoint beyond ~0.94
+    # at dim 64 the default refuses an endpoint beyond ~0.85
     v0 = fock.memory_vector(ws64, 0.9)
     with pytest.raises(ValueError):
         fock.evolve_vector(ws64, v0, 2.2, theta=0.9)  # endpoint -1.3
-    ws128 = fock.build_workspace(128)
-    v0 = fock.memory_vector(ws128, 0.9)
-    w = fock.evolve_vector(ws128, v0, 2.1, theta=0.9)
-    target = fock.memory_vector(ws128, 0.9 - 2.1)
+    ws256 = fock.build_workspace(256)
+    v0 = fock.memory_vector(ws256, 0.9)
+    w = fock.evolve_vector(ws256, v0, 2.1, theta=0.9)
+    target = fock.memory_vector(ws256, 0.9 - 2.1)
     assert np.linalg.norm(w - target) < 1e-10
+
+
+def test_evolution_budget_refuses_a_path_past_the_row_bound(ws64):
+    # tanh(0.92)^128 = 1.6e-18 is a small tail, yet unchecked this path
+    # lands 9e-10 from the closed form, past the 1e-10 bound
+    v0 = fock.memory_vector(ws64, 0.92)
+    with pytest.raises(ValueError, match="truncation budget"):
+        fock.evolve_vector(ws64, v0, 0.1, theta=0.92)
+    w = fock.evolve_vector(ws64, v0, 0.1)
+    assert fock._norm(w - fock.memory_vector(ws64, 0.82)) > 1e-10
+
+
+def test_every_admitted_evolution_meets_the_row_bound():
+    # the budget implies the bound: every path of this scan that
+    # evolve_vector admits lands within 1e-10 of the closed form
+    admitted = 0
+    for dim in (64, 128, 256):
+        ws = fock.build_workspace(dim)
+        for theta in np.linspace(0.3, 2.2, 20).tolist():
+            v0 = fock.memory_vector(ws, theta, max_tail=1.0)
+            for t in (0.5 * theta, theta, 1.5 * theta, 2.0 * theta):
+                try:
+                    w = fock.evolve_vector(ws, v0, t, theta=theta)
+                except ValueError:
+                    continue
+                admitted += 1
+                target = fock.memory_vector(ws, theta - t)
+                assert fock._norm(w - target) <= 1e-10, (dim, theta, t)
+    assert admitted == 112  # of 240 paths; the budget refuses the rest
 
 
 def test_gamma_scales_the_drain_rate():
@@ -576,7 +626,7 @@ def test_single_mode_squeezer_variances():
     theta = 0.4
     pair = fock._PairSpace(64)
     gen = pair.squeezer_generator(theta, mirror=False)
-    v = fock.expm_action(gen, pair.vacuum())
+    v = fock.expm_action(gen, pair_vacuum(pair))
     dx2, dy2, dx2_mirror, dy2_mirror = full_variances(pair, v)
     assert dx2 == pytest.approx(0.25 * math.exp(2.0 * theta), abs=1e-10)
     assert dy2 == pytest.approx(0.25 * math.exp(-2.0 * theta), abs=1e-10)
