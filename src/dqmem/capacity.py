@@ -44,6 +44,7 @@ from .states import (
     _checked_modes,
     _checked_times,
     _gammas,
+    _occupations,
     _row_sums,
     _trajectory,
     effective_thetas,
@@ -611,7 +612,7 @@ def forgetting_curve(code: Code, modes: Iterable[ModeParams], times) -> Forgetti
         times=tuple(ts.tolist()),
         self_overlap=tuple(math.exp(x) for x in self_log),
         vacuum_overlap=tuple(math.exp(x) for x in vacuum_log),
-        total_occupation=tuple(_row_sums(np.sinh(traj) ** 2).tolist()),
+        total_occupation=tuple(_row_sums(_occupations(traj)).tolist()),
         tau=forgetting_time(written),
     )
 
@@ -878,18 +879,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ConfigKind:
-    """Schema row of one config kind.
-
-    `command` is the CLI subcommand that runs the kind; `flags` pairs a
-    config key with the CLI option that fills it when the document omits it,
-    and a subcommand takes only the options its kinds' flags name.
-    """
+    """Schema row of one config kind; `command` is the CLI subcommand that
+    runs the kind."""
 
     command: str
     required: tuple[str, ...]
     optional: tuple[str, ...] = ()
     one_of: tuple[str, ...] = ()
-    flags: tuple[tuple[str, str], ...] = ()
 
 
 _TRAJECTORY = ("modes", "code", "times")
@@ -900,11 +896,9 @@ CONFIG_KINDS = {
     "evolve": ConfigKind("evolve", _TRAJECTORY),
     "forgetting-curve": ConfigKind("forgetting", _TRAJECTORY),
     "capacity-sweep": ConfigKind(
-        "capacity", ("modes", "theta_range", "epsilon", "candidates", "seed"),
-        flags=(("seed", "seed"), ("epsilon", "epsilon"))),
+        "capacity", ("modes", "theta_range", "epsilon", "candidates", "seed")),
     "association-graph": ConfigKind(
-        "associate", ("registry", "time", "threshold"), ("staggered",),
-        flags=(("threshold", "epsilon"),)),
+        "associate", ("registry", "time", "threshold"), ("staggered",)),
     "fidelity-matrix": ConfigKind("associate", ("registry", "time"), ("staggered",)),
     "thermo-trace": ConfigKind("thermo-trace", _TRAJECTORY),
 }
@@ -927,7 +921,7 @@ def _at_least(minimum: int):
 
 
 def _parse_seed(obj, where: str, error=_cfg_error) -> int:
-    """A seed is an integer in [0, 2**64), as a config key or as `--seed`."""
+    """A seed is an integer in [0, 2**64)."""
     seed = _integer(obj, where, error)
     if not 0 <= seed < 2 ** 64:
         raise error(f"{where} must be in [0, 2**64)")

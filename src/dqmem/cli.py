@@ -60,7 +60,6 @@ from .capacity import (
     _entry_thetas,
     _json_text,
     _log_overlap_rows,
-    _parse_seed,
     _read_json,
     association_graph,
     capacity_estimate,
@@ -194,8 +193,8 @@ def _kinds(command: str) -> list[str]:
 
 
 def _parse_config(args) -> tuple[ExperimentConfig, str]:
-    """Kind check, flag defaults, then the shared schema; config values win.
-    Returns the config and the sha256 of its file."""
+    """Kind check, then the shared schema. Returns the config and the sha256
+    of its file, which holds every value the run reads."""
     doc, sha256 = _load_config(args.config)
     kinds = _kinds(args.command)
     kind = doc.get("kind")
@@ -203,14 +202,6 @@ def _parse_config(args) -> tuple[ExperimentConfig, str]:
         raise CliError("config",
                        f"config kind {kind!r} does not match subcommand "
                        f"'{args.command}' (expected one of {kinds})")
-    taken = {flag for _, flag in CONFIG_KINDS[kind].flags}
-    unread = [f"--{flag}" for flag in _FLAG_OPTIONS
-              if flag not in taken and vars(args).get(flag) is not None]
-    if unread:
-        raise CliError("usage", f"config kind {kind!r} takes no {', '.join(unread)}")
-    for key, flag in CONFIG_KINDS[kind].flags:
-        if key not in doc and getattr(args, flag) is not None:
-            doc[key] = getattr(args, flag)
     try:
         return parse_experiment_config(doc), sha256
     except ValueError as exc:
@@ -385,10 +376,10 @@ def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     ts = np.asarray(cfg.times)  # checked by the config parser
     trace = thermo._trace(state, ts)
     traj, _, _, entropy, energy = trace
-    energies = thermo._energies(cfg.modes)
-    rows = [[t, s, e, *thermo._beta_fit(y, energies)]
-            for t, s, e, y in zip(cfg.times, entropy.tolist(), energy.tolist(),
-                                  thermo._beta_energy(traj))]
+    fit, residual = thermo._beta_fit(thermo._beta_energy(traj),
+                                     thermo._energies(cfg.modes))
+    rows = list(zip(cfg.times, entropy.tolist(), energy.tolist(), fit.tolist(),
+                    residual.tolist()))
     ledger = thermo._ledger(state, ts, trace)
     max_resid = max((abs(r) for r in ledger.residual), default=0.0)
     artifacts = {
@@ -555,22 +546,9 @@ _COMMANDS = {
 }
 
 
-def _u64(text: str) -> int:
-    """argparse type of --seed, the `seed` key's rule; a ValueError from int()
-    reads as an invalid value."""
-    return _parse_seed(int(text), "seed", argparse.ArgumentTypeError)
-
-
-# option -> argparse settings; a subcommand takes those its kinds' flags name
-_FLAG_OPTIONS = {
-    "seed": {"type": _u64, "metavar": "U64", "help": "seed when the config omits one"},
-    "epsilon": {"type": float, "metavar": "F",
-                "help": "distinguishability threshold when the config omits it"},
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    """Each subcommand takes --out, --quiet and only the options it reads."""
+    """Each subcommand takes --out, --quiet and its one input: --config, or
+    --dim for oracle-verify."""
     parser = _Parser(prog="dqmem", description="dissipative quantum memory experiments")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, (text, _) in _COMMANDS.items():
@@ -584,8 +562,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="oracle truncation dimension (at least 64)")
         cmd.add_argument("--out", metavar="DIR", default=".",
                          help="output directory (default: current directory)")
-        for flag in dict.fromkeys(f for k in kinds for _, f in CONFIG_KINDS[k].flags):
-            cmd.add_argument(f"--{flag}", **_FLAG_OPTIONS[flag])
         cmd.add_argument("--quiet", action="store_true",
                          help="suppress informational stdout")
     return parser

@@ -282,6 +282,13 @@ def effective_thetas(state: MemoryState) -> np.ndarray:
     return _gammas(state.modes) * state.time - np.asarray(state.code.thetas)
 
 
+def _occupations(thetas) -> np.ndarray:
+    """sinh^2 Theta elementwise: inf past |Theta| ~ 355.7, where the square
+    leaves the float range, without an overflow warning."""
+    with np.errstate(over="ignore"):
+        return np.sinh(thetas) ** 2
+
+
 def _check_index(state: MemoryState, kappa: int) -> int:
     kappa = int(kappa)
     if not 0 <= kappa < state.k:
@@ -302,7 +309,7 @@ def occupation(state: MemoryState, kappa: int) -> float:
 
 def total_occupation(state: MemoryState) -> float:
     """Sum of pair occupations over the register."""
-    return math.fsum(np.sinh(effective_thetas(state)) ** 2)
+    return math.fsum(_occupations(effective_thetas(state)))
 
 
 def evolve(state: MemoryState, dt: float) -> MemoryState:

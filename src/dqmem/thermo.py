@@ -36,6 +36,7 @@ from .states import (
     ModeParams,
     _checked_times,
     _gammas,
+    _occupations,
     _row_sums,
     _trajectory,
     effective_theta,
@@ -69,8 +70,7 @@ def _entropy_per_mode(thetas: np.ndarray) -> np.ndarray:
     finite: 2|Theta| + 1 - 2 ln 2.
     """
     thetas = np.asarray(thetas, dtype=float)
-    with np.errstate(over="ignore"):
-        x = np.sinh(thetas) ** 2
+    x = _occupations(thetas)
     finite = np.isfinite(x)
     head = np.where(finite, np.log1p(x), 2.0 * log_cosh(thetas))
     small = x < 1.0
@@ -213,7 +213,7 @@ def _trace(state: MemoryState, times) -> tuple[np.ndarray, ...]:
     row's total entropy and energy (T,): the math.fsum thermo_snapshot takes
     at that time, bit for bit, summed by `states._row_sums`."""
     traj = _trajectory(_gammas(state.modes), state.code.thetas, times)
-    occ = np.sinh(traj) ** 2
+    occ = _occupations(traj)
     s_per = _entropy_per_mode(traj)
     # a mode energy past the float range is inf, as the Python product is
     with np.errstate(over="ignore"):
@@ -239,7 +239,8 @@ def first_law_ledger(state: MemoryState, times) -> FirstLawLedger:
     mode's Theta crosses or touches 0 are flagged: beta diverges there and
     the midpoint value is meaningless, so the residual is reported but not
     trusted. Residuals on unflagged steps converge to 0 at second order in
-    the step size.
+    the step size. A grid time whose energy is not finite (sinh^2 Theta past
+    the float range) is a ValueError naming the first such time.
     """
     ts = _checked_times(times, minimum_points=2)
     return _ledger(state, ts, _trace(state, ts))
@@ -249,6 +250,11 @@ def _ledger(state: MemoryState, ts: np.ndarray, trace) -> FirstLawLedger:
     """first_law_ledger on a checked grid from its `_trace`: delta_energy is
     the difference of consecutive trace energies, so of thermo.csv's."""
     traj, _, s_per, _, total_energy = trace
+    overflow = ~np.isfinite(total_energy)
+    if overflow.any():
+        i = int(overflow.argmax())
+        raise ValueError(f"energy at time {float(ts[i])!r} is not finite "
+                         f"({float(total_energy[i])!r})")
     gammas = _gammas(state.modes)
     energies = _energies(state.modes)
     mid = _trajectory(gammas, state.code.thetas, 0.5 * (ts[:-1] + ts[1:]))
@@ -271,15 +277,19 @@ def _ledger(state: MemoryState, ts: np.ndarray, trace) -> FirstLawLedger:
     )
 
 
-def _beta_fit(y: np.ndarray, energies: np.ndarray) -> tuple[float, float]:
-    """(beta_fit, beta_fit_residual) of ThermoSnapshot for one row y of
-    beta_kappa E_kappa; empty modes (y = inf) are left out."""
+def _beta_fit(y: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(beta_fit, beta_fit_residual) of ThermoSnapshot for each row of a
+    (T, K) block y of beta_kappa E_kappa, in one pass. Empty modes (y = inf)
+    are left out; a row with every mode empty gives (inf, 0.0)."""
     finite = np.isfinite(y)
-    if not finite.any():
-        return math.inf, 0.0
-    ef, yf = energies[finite], y[finite]
-    beta_fit = float((ef * yf).sum() / (ef * ef).sum())
-    return beta_fit, float(np.linalg.norm(yf - beta_fit * ef))
+    ef = np.where(finite, energies, 0.0)
+    yf = np.where(finite, y, 0.0)
+    empty = ~finite.any(axis=1)
+    with np.errstate(invalid="ignore"):  # 0/0 on an empty row
+        fit = np.einsum("ij,ij->i", ef, yf) / np.einsum("ij,ij->i", ef, ef)
+        left = yf - fit[:, None] * ef
+    residual = np.sqrt(np.einsum("ij,ij->i", left, left))
+    return np.where(empty, math.inf, fit), np.where(empty, 0.0, residual)
 
 
 def thermo_snapshot(state: MemoryState) -> ThermoSnapshot:
@@ -288,15 +298,16 @@ def thermo_snapshot(state: MemoryState) -> ThermoSnapshot:
     e = _energies(state.modes)
     per_mode = _entropy_per_mode(t)
     y = _beta_energy(t)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # energy: inf past the float range
         beta_per_mode = y / e
-    beta_fit, beta_fit_residual = _beta_fit(y, e)
+        energy_per_mode = e * _occupations(t)
+    (beta_fit,), (beta_fit_residual,) = _beta_fit(y[None, :], e)
     return ThermoSnapshot(
         time=state.time,
         entropy_per_mode=tuple(float(x) for x in per_mode),
         entropy=math.fsum(per_mode),
-        energy=math.fsum(e * np.sinh(t) ** 2),
+        energy=math.fsum(energy_per_mode),
         beta_per_mode=tuple(float(x) for x in beta_per_mode),
-        beta_fit=beta_fit,
-        beta_fit_residual=beta_fit_residual,
+        beta_fit=float(beta_fit),
+        beta_fit_residual=float(beta_fit_residual),
     )

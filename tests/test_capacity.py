@@ -663,7 +663,7 @@ def test_capacity_estimate_rejects_empty_range():
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
 def test_capacity_estimate_takes_the_config_seed_rule(seed):
-    # the rule of the `seed` key and of --seed: an integer in [0, 2**64)
+    # the rule of the `seed` config key: an integer in [0, 2**64)
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
         capacity_estimate(modes_k(2), (0.0, 1.5), 0.05, 5, seed=seed)
 

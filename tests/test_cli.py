@@ -147,6 +147,31 @@ def test_evolve_entropy_finite_where_occupation_overflows(tmp_path):
         rel=1e-15)
 
 
+@pytest.mark.parametrize("command", ["evolve", "forgetting", "thermo-trace"])
+def test_theta_800_code_is_inf_or_one_domain_error(tmp_path, command):
+    # sinh^2 800 leaves the float range: evolve and forgetting write inf
+    # without a warning, and thermo-trace, whose first law needs a finite
+    # energy, refuses the grid
+    kind = {"forgetting": "forgetting-curve"}.get(command, command)
+    cfg = write_config(tmp_path, "big.json", {
+        "kind": kind,
+        "modes": {"omega": [1.0], "gamma": [1.0]},
+        "code": {"thetas": [800.0]},
+        "times": {"start": 0.0, "stop": 1.0, "num": 3},
+    })
+    out = tmp_path / "o"
+    proc = python(MAIN, command, "--config", cfg, "--out", out, "--quiet")
+    if command == "thermo-trace":
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: domain: energy at time 0.0 is not finite (inf)\n")
+        assert not out.exists()
+        return
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = read_csv(out / f"{command}.csv")
+    column = rows[0].index("total_occupation")
+    assert [r[column] for r in rows[1:]] == ["inf"] * 3
+
+
 def test_manifest_records_import_time_and_missing_scipy(tmp_path):
     # no run loads scipy, the oracle's included, so the manifest names no
     # scipy version; each run gets a fresh interpreter for its import time
@@ -179,67 +204,29 @@ def test_forgetting_marks_tau(tmp_path):
     assert summary["results"]["tau"] == pytest.approx(0.8)
 
 
-def test_capacity_accepts_flag_seed_when_config_omits(tmp_path):
-    cfg = write_config(tmp_path, "cap.json", {
-        "kind": "capacity-sweep",
-        "modes": {"omega": [1.0] * 4, "gamma": [1.0] * 4},
-        "theta_range": [0.0, 1.5],
-        "candidates": 50,
-    })
-    out = tmp_path / "cap_out"
-    code = run(["capacity", "--config", cfg, "--out", out,
-                "--seed", 7, "--epsilon", 0.05, "--quiet"])
-    assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["results"]["seed"] == 7
-    assert summary["results"]["epsilon"] == 0.05
-    rows = read_csv(out / "capacity.csv")
-    assert rows[0] == ["candidate_index", "accepted", "accepted_count"]
-    assert len(rows) == 51
-
-
-def test_capacity_config_seed_wins_over_flag(tmp_path):
-    cfg = write_config(tmp_path, "cap.json", {
-        "kind": "capacity-sweep",
-        "modes": {"omega": [1.0], "gamma": [1.0]},
-        "theta_range": [0.0, 1.5],
-        "epsilon": 0.05,
-        "candidates": 20,
-        "seed": 1,
-    })
-    out = tmp_path / "cap_out"
-    assert run(["capacity", "--config", cfg, "--out", out,
-                "--seed", 999, "--quiet"]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["results"]["seed"] == 1
-
-
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1, 2 ** 64, 2 ** 70, -1, 1.5])
 def test_seed_flag_and_key_take_the_same_values(tmp_path, seed, capsys):
-    doc = {
+    # the `seed` key is the only way to give a seed (there is no --seed flag,
+    # see test_each_subcommand_takes_only_the_options_it_reads): an integer
+    # in [0, 2**64), which the summary echoes
+    cfg = write_config(tmp_path, "key.json", {
         "kind": "capacity-sweep",
         "modes": {"omega": [1.0], "gamma": [1.0]},
         "theta_range": [0.0, 1.5],
         "epsilon": 0.05,
         "candidates": 5,
-    }
-    flag_cfg = write_config(tmp_path, "flag.json", doc)
-    key_cfg = write_config(tmp_path, "key.json", {**doc, "seed": seed})
-    by_flag = run(["capacity", "--config", flag_cfg, "--seed", seed,
-                   "--out", tmp_path / "flag", "--quiet"])
-    flag_err = capsys.readouterr().err
-    by_key = run(["capacity", "--config", key_cfg, "--out", tmp_path / "key", "--quiet"])
-    key_err = capsys.readouterr().err
-    accepted = isinstance(seed, int) and 0 <= seed < 2 ** 64
-    assert (by_flag, by_key) == ((0, 0) if accepted else (1, 1))
-    if accepted:
-        for name in ("capacity.csv", "summary.json"):
-            assert ((tmp_path / "flag" / name).read_bytes()
-                    == (tmp_path / "key" / name).read_bytes())
+        "seed": seed,
+    })
+    code = run(["capacity", "--config", cfg, "--out", tmp_path / "key", "--quiet"])
+    err = capsys.readouterr().err
+    if isinstance(seed, int) and 0 <= seed < 2 ** 64:
+        assert (code, err) == (0, "")
+        summary = json.loads((tmp_path / "key" / "summary.json").read_text())
+        assert summary["config"]["seed"] == summary["results"]["seed"] == seed
     else:
-        assert flag_err.startswith("error: usage: argument --seed:")
-        assert key_err.startswith("error: config: ")
-        assert flag_err.count("\n") == key_err.count("\n") == 1
+        assert code == 1
+        assert err.startswith("error: config: ") and err.count("\n") == 1
+        assert not (tmp_path / "key").exists()
 
 
 def test_associate_graph_and_matrix(tmp_path, registry_path):
@@ -541,7 +528,7 @@ def test_overflowing_energy_sum_is_one_domain_error(tmp_path, command):
 @pytest.mark.parametrize("command", ["evolve", "thermo-trace"])
 def test_overflowing_mode_energy_warns_nowhere(tmp_path, command):
     # omega sinh^2 Theta itself overflows: the first row's energy is inf,
-    # which evolve writes and the thermo-trace ledger reports as one error
+    # which evolve writes and thermo-trace refuses with one error
     cfg = write_config(tmp_path, "big.json", {
         "kind": command,
         "modes": {"omega": [1e4] * 4, "gamma": [1.0] * 4},
@@ -556,7 +543,7 @@ def test_overflowing_mode_energy_warns_nowhere(tmp_path, command):
         assert float(rows[2][-1]) == math.fsum(1e4 * float(x) for x in rows[2][5:9])
     else:
         assert (proc.returncode, proc.stderr) == (
-            1, "error: domain: intermediate overflow in fsum\n")
+            1, "error: domain: energy at time 0.0 is not finite (inf)\n")
         assert not (tmp_path / "o").exists()
 
 
@@ -671,18 +658,18 @@ def test_exit_1_on_unknown_config_keys(tmp_path, registry_path, capsys):
     assert not wrong, "\n".join(wrong)
 
 
-# (subcommand, config kind) -> {option it reads: config key the option fills}
+# (subcommand, config kind) -> the one input option it reads besides --out
+# and --quiet; every value a config subcommand reads is in its config file
 OPTIONS_READ = {
-    ("print", "print"): {"--config": None},
-    ("recall", "recall"): {"--config": None},
-    ("evolve", "evolve"): {"--config": None},
-    ("forgetting", "forgetting-curve"): {"--config": None},
-    ("capacity", "capacity-sweep"): {"--config": None, "--seed": "seed",
-                                     "--epsilon": "epsilon"},
-    ("associate", "association-graph"): {"--config": None, "--epsilon": "threshold"},
-    ("associate", "fidelity-matrix"): {"--config": None},
-    ("thermo-trace", "thermo-trace"): {"--config": None},
-    ("oracle-verify", None): {"--dim": None},
+    ("print", "print"): "--config",
+    ("recall", "recall"): "--config",
+    ("evolve", "evolve"): "--config",
+    ("forgetting", "forgetting-curve"): "--config",
+    ("capacity", "capacity-sweep"): "--config",
+    ("associate", "association-graph"): "--config",
+    ("associate", "fidelity-matrix"): "--config",
+    ("thermo-trace", "thermo-trace"): "--config",
+    ("oracle-verify", None): "--dim",
 }
 
 
@@ -693,21 +680,20 @@ def test_each_subcommand_takes_only_the_options_it_reads(
     monkeypatch.setattr("dqmem.cli._verify_rows", lambda dim: [])
     reads = OPTIONS_READ[command, kind]
     other = write_config(tmp_path, "other.json", VALID_CONFIGS["evolve"][1])
+    # no option fills a config key: --seed and --epsilon are usage errors
     values = {"--config": other, "--seed": 7, "--epsilon": 0.25, "--dim": 64}
     wrong = []
     for option, value in values.items():
         out = tmp_path / option
         args = [command, "--out", out, "--quiet"]
         if kind is not None:
-            # the flag must fill its key: exit 0 shows that it was read
             doc = json.loads(json.dumps(VALID_CONFIGS[kind][1]).replace(
                 REGISTRY, str(registry_path)))
-            doc.pop(reads.get(option), None)
             args += ["--config", write_config(tmp_path, "case.json", doc)]
         if option != "--config" or kind is None:
             args += [option, value]
         code, err = run(args), capsys.readouterr().err
-        ok = (code == 0 and err == "") if option in reads else (
+        ok = (code == 0 and err == "") if option == reads else (
             code == 1 and err.startswith("error: usage:") and err.count("\n") == 1
             and not out.exists())
         if not ok:
@@ -716,8 +702,7 @@ def test_each_subcommand_takes_only_the_options_it_reads(
 
     assert run([command, "--help"]) == 0
     listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
-    read = {o for (c, _), opts in OPTIONS_READ.items() if c == command for o in opts}
-    assert listed == {"--help", "--out", "--quiet", *read}
+    assert listed == {"--help", "--out", "--quiet", reads}
 
 
 @pytest.mark.parametrize("command, kind", list(OPTIONS_READ))

@@ -8,13 +8,15 @@ is exactly 2 ln 2 - 0 = 2 ln 2.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqmem import thermo
-from dqmem.states import Code, MemoryState, ModeParams, effective_thetas, theta_from_beta
+from dqmem.states import (
+    Code, MemoryState, ModeParams, effective_thetas, theta_from_beta, total_occupation)
 
 # hand-derived: at occupation 1, s = 2 ln(2) - 1 ln(1) = 2 ln 2
 TWO_LN2 = 1.3862943611198906
@@ -284,8 +286,52 @@ def test_first_law_energy_change_is_exact():
         assert de == pytest.approx(want, rel=1e-12)
 
 
+def test_first_law_refuses_an_energy_past_the_float_range():
+    # sinh^2 Theta overflows from |Theta| ~ 355.7; the ledger names the first
+    # grid time whose energy is inf
+    with pytest.raises(ValueError, match=r"energy at time 0\.0 is not finite"):
+        thermo.first_law_ledger(make_state(800.0), np.linspace(0.0, 1.0, 3))
+    with pytest.raises(ValueError, match=r"energy at time 400\.0 is not finite"):
+        thermo.first_law_ledger(make_state(0.0), np.array([0.0, 100.0, 400.0, 800.0]))
+
+
 # ---------------------------------------------------------------------------
 # snapshot
+
+
+def test_snapshot_energy_past_the_float_range_is_inf_without_a_warning():
+    state = make_state(800.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        snap = thermo.thermo_snapshot(state)
+        occupation = total_occupation(state)
+    assert snap.energy == occupation == math.inf
+    assert math.isfinite(snap.entropy)
+
+
+def beta_fit_loop(y, energies):
+    # the per-row fit _beta_fit replaced: numpy sums and a BLAS norm
+    finite = np.isfinite(y)
+    if not finite.any():
+        return math.inf, 0.0
+    ef, yf = energies[finite], y[finite]
+    fit = float((ef * yf).sum() / (ef * ef).sum())
+    return fit, float(np.linalg.norm(yf - fit * ef))
+
+
+def test_beta_fit_block_matches_the_per_row_fit():
+    rng = np.random.default_rng(5)
+    energies = rng.uniform(0.5, 3.0, size=8)
+    y = rng.uniform(0.01, 5.0, size=(40, 8))
+    y[rng.random(y.shape) < 0.3] = np.inf  # empty modes
+    y[0] = np.inf
+    fit, residual = thermo._beta_fit(y, energies)
+    # only the summation order differs: a few ulps over 8 terms
+    for row, b, r in zip(y, fit, residual):
+        want_fit, want_residual = beta_fit_loop(row, energies)
+        assert b == pytest.approx(want_fit, rel=4 * 8 * 2.0 ** -52, abs=0.0)
+        assert r == pytest.approx(want_residual, rel=1e-13, abs=0.0)
+    assert (fit[0], residual[0]) == (math.inf, 0.0)
 
 
 def test_snapshot_fields_consistent():
