@@ -29,10 +29,9 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,11 +40,13 @@ from .states import (
     MemoryState,
     ModeParams,
     _LN2,
+    _Record,
     _checked_modes,
     _checked_times,
     _gammas,
     _occupations,
     _row_sums,
+    _set,
     _trajectory,
     effective_thetas,
     forgetting_time,
@@ -99,20 +100,16 @@ class RegistryCodeLengthError(RegistryError):
     """An entry's code length disagrees with the registry's mode count."""
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    entry_id: str
-    code: Code
-    printed_at: float = 0.0
+class RegistryEntry(_Record):
+    __slots__ = _fields = ("entry_id", "code", "printed_at")
 
-    def __post_init__(self):
-        if not isinstance(self.entry_id, str) or not self.entry_id:
+    def __init__(self, entry_id: str, code: Code, printed_at: float = 0.0):
+        if not isinstance(entry_id, str) or not entry_id:
             raise ValueError("entry id must be a non-empty string")
-        object.__setattr__(self, "printed_at", float(self.printed_at))
-        if not (self.printed_at >= 0.0 and math.isfinite(self.printed_at)):
-            raise ValueError(
-                f"printed_at must be finite and >= 0, got {self.printed_at}"
-            )
+        printed_at = float(printed_at)
+        if not (printed_at >= 0.0 and math.isfinite(printed_at)):
+            raise ValueError(f"printed_at must be finite and >= 0, got {printed_at}")
+        _set(self, entry_id, code, printed_at)
 
 
 def _check_entry(row: Mapping[str, int], k: int, entry: RegistryEntry) -> None:
@@ -127,30 +124,26 @@ def _check_entry(row: Mapping[str, int], k: int, entry: RegistryEntry) -> None:
         raise ValueError(f"duplicate entry id '{entry.entry_id}'")
 
 
-@dataclass(frozen=True)
-class Registry:
+class Registry(_Record):
     """Immutable collection of printed memories over one shared mode list.
 
     `entries` is a tuple in print order and `_row` maps each id to its row;
     `ids`, `codes` (n, K) and `printed_at` (n,) are columns built from the
     entries on first read, the arrays read-only. `print_memory` returns a
-    new registry holding the same entry objects plus one.
+    new registry holding the same entry objects plus one. Its fields and
+    columns live in its `__dict__`; a pickled or copied registry is rebuilt
+    from its fields, so its columns are built again, read-only.
     """
 
-    modes: tuple[ModeParams, ...]
-    entries: tuple[RegistryEntry, ...] = ()
-    _row: dict[str, int] = field(init=False, compare=False, repr=False)
-    schema_version: ClassVar[int] = SCHEMA_VERSION  # the one version this build reads
+    _fields = ("modes", "entries")
+    schema_version = SCHEMA_VERSION  # the one version this build reads
 
-    def __post_init__(self):
-        modes, entries, row = _checked_modes(self.modes), tuple(self.entries), {}
+    def __init__(self, modes: Iterable[ModeParams], entries: Iterable[RegistryEntry] = ()):
+        modes, entries, row = _checked_modes(modes), tuple(entries), {}
         for entry in entries:
             _check_entry(row, len(modes), entry)
             row[entry.entry_id] = len(row)
         vars(self).update(modes=modes, entries=entries, _row=row)
-
-    def __reduce__(self):  # clones rebuild their columns, read-only again
-        return Registry, (self.modes, self.entries)
 
     def _appended(self, entry: RegistryEntry) -> Registry:
         _check_entry(self._row, self.k, entry)
@@ -213,23 +206,23 @@ def print_memory(registry: Registry, entry_id: str, code: Code | None = None, *,
                                             printed_at=printed_at))
 
 
-@dataclass(frozen=True, eq=False)
-class FidelityMatrix:
+class FidelityMatrix(_Record):
     """Symmetric pairwise-overlap matrix of registry entries at one time.
 
     values is read-only; diagonal exactly 1, entries in (0, 1]. In same-time
     mode the values depend only on code gaps, so matrices taken at different
-    evaluation times are equal array-for-array.
+    evaluation times are equal array-for-array. Matrices compare by
+    identity.
     """
 
-    ids: tuple[str, ...]
-    values: np.ndarray
-    eval_time: float
-    staggered: bool
-    metric: ClassVar[str] = "overlap"  # the one distinguishability metric
+    __slots__ = _fields = ("ids", "values", "eval_time", "staggered")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+    metric = "overlap"  # the one distinguishability metric
 
-    def __post_init__(self):
-        self.values.setflags(write=False)
+    def __init__(self, ids: tuple[str, ...], values: np.ndarray, eval_time: float,
+                 staggered: bool):
+        values.setflags(write=False)
+        _set(self, ids, values, eval_time, staggered)
 
 
 _PAIR_CHUNK = 4096  # entry pairs per block of a pairwise read: 0.5 MB at K = 16
@@ -325,15 +318,11 @@ def fidelity_matrix(registry: Registry, t: float, *,
                           staggered=staggered)
 
 
-@dataclass(frozen=True)
-class AssociationGraph:
-    """Thresholded fidelity graph: edges and connected association clusters."""
+class AssociationGraph(_Record):
+    """Thresholded fidelity graph: edges (id_a, id_b, fidelity) and connected
+    association clusters, each a tuple of ids."""
 
-    ids: tuple[str, ...]
-    threshold: float
-    eval_time: float
-    edges: tuple[tuple[str, str, float], ...]
-    clusters: tuple[tuple[str, ...], ...]
+    __slots__ = _fields = ("ids", "threshold", "eval_time", "edges", "clusters")
 
 
 def association_graph(registry: Registry, t: float, threshold: float, *,
@@ -406,21 +395,13 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
                             clusters=tuple(tuple(m) for m in members.values()))
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(_Record):
     """Outcome of one greedy packing sweep, reproducible from its fields."""
 
-    modes: tuple[ModeParams, ...]
-    theta_range: tuple[float, float]
-    epsilon: float
-    candidate_count: int
-    seed: int
-    accepted_count: int
-    accepted_indices: tuple[int, ...]
-    accepted_codes: tuple[Code, ...]
-    acceptance_curve: tuple[int, ...]
-    expected_pair_log_overlap: float
-    expected_pair_overlap: float
+    __slots__ = _fields = (
+        "modes", "theta_range", "epsilon", "candidate_count", "seed", "accepted_count",
+        "accepted_indices", "accepted_codes", "acceptance_curve",
+        "expected_pair_log_overlap", "expected_pair_overlap")
 
 
 def _candidate_block(thetas) -> np.ndarray:
@@ -582,15 +563,11 @@ def capacity_estimate(modes: Iterable[ModeParams], theta_range: tuple[float, flo
     )
 
 
-@dataclass(frozen=True)
-class ForgettingCurve:
+class ForgettingCurve(_Record):
     """Recall observables along the trajectory of one code."""
 
-    times: tuple[float, ...]
-    self_overlap: tuple[float, ...]
-    vacuum_overlap: tuple[float, ...]
-    total_occupation: tuple[float, ...]
-    tau: float
+    __slots__ = _fields = ("times", "self_overlap", "vacuum_overlap", "total_occupation",
+                           "tau")
 
 
 def forgetting_curve(code: Code, modes: Iterable[ModeParams], times) -> ForgettingCurve:
@@ -832,13 +809,12 @@ def load_registry(path) -> Registry:
 # experiment configs
 
 
-@dataclass(frozen=True)
-class CodeSpec:
-    """How an experiment obtains its code: explicit, thermal, or sampled."""
+class CodeSpec(_Record):
+    """How an experiment obtains its code: explicit thetas, a thermal beta,
+    or a sample (lo, hi, seed); the other two fields are None."""
 
-    thetas: tuple[float, ...] | None = None
-    beta: float | None = None
-    sample: tuple[float, float, int] | None = None  # (lo, hi, seed)
+    __slots__ = _fields = ("thetas", "beta", "sample")
+    _defaults = dict.fromkeys(_fields)
 
     def realize(self, modes: tuple[ModeParams, ...]) -> Code:
         if self.thetas is not None:
@@ -851,41 +827,27 @@ class CodeSpec:
         return Code(tuple(rng.uniform(lo, hi, size=len(modes))))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Parsed, validated experiment description; `raw` echoes the source.
 
-    Only the fields named by the kind's row of CONFIG_KINDS are set. `probe`
-    is a registry entry id or a CodeSpec; `entries` holds one
-    (id, CodeSpec, printed_at) triple per memory to print.
+    Only the fields named by the kind's row of CONFIG_KINDS are set; the
+    others are None, and `staggered` False. `probe` is a registry entry id
+    or a CodeSpec; `entries` holds one (id, CodeSpec, printed_at) triple per
+    memory to print.
     """
 
-    kind: str
-    raw: dict
-    modes: tuple[ModeParams, ...] | None = None
-    code: CodeSpec | None = None
-    registry: str | None = None
-    time: float | None = None
-    times: tuple[float, ...] | None = None
-    threshold: float | None = None
-    staggered: bool = False
-    theta_range: tuple[float, float] | None = None
-    epsilon: float | None = None
-    candidates: int | None = None
-    seed: int | None = None
-    entries: tuple[tuple[str, CodeSpec, float], ...] | None = None
-    probe: str | CodeSpec | None = None
+    __slots__ = _fields = (
+        "kind", "raw", "modes", "code", "registry", "time", "times", "threshold",
+        "staggered", "theta_range", "epsilon", "candidates", "seed", "entries", "probe")
+    _defaults = {**dict.fromkeys(_fields[2:]), "staggered": False}
 
 
-@dataclass(frozen=True)
-class ConfigKind:
-    """Schema row of one config kind; `command` is the CLI subcommand that
-    runs the kind."""
+class ConfigKind(_Record):
+    """Schema row of one config kind: the CLI subcommand that runs it, and
+    its required, optional and exactly-one-of keys."""
 
-    command: str
-    required: tuple[str, ...]
-    optional: tuple[str, ...] = ()
-    one_of: tuple[str, ...] = ()
+    __slots__ = _fields = ("command", "required", "optional", "one_of")
+    _defaults = {"optional": (), "one_of": ()}
 
 
 _TRAJECTORY = ("modes", "code", "times")

@@ -24,10 +24,13 @@ byte-stable across reruns; ``manifest.json`` differs only in its
 the matrix's upper triangle, each value formatted once: a cell below the
 diagonal reuses the string of its mirror, which holds the same float.
 
-Only ``oracle-verify`` imports `dqmem.fock`. Every subcommand runs on numpy
-alone; the closed-form ones on one Theta array per experiment (a row per
-time point or registry entry) that matches the per-state functions of
-`dqmem.states` and `thermo.thermo_snapshot` bit for bit.
+A subcommand imports only the modules it uses: ``evolve`` and
+``thermo-trace`` import `dqmem.thermo`, and only ``oracle-verify`` imports
+`dqmem.fock`, which holds the residual suite and imports `dqmem.thermo`
+itself. Every subcommand runs on numpy alone; the closed-form ones on one
+Theta array per experiment (a row per time point or registry entry) that
+matches the per-state functions of `dqmem.states` and
+`thermo.thermo_snapshot` bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ except ImportError:
         from hashlib import sha256
 
 from . import _IMPORT_STARTED, __version__
-from . import thermo
 from .capacity import (
     CONFIG_KINDS,
     ExperimentConfig,
@@ -266,6 +268,7 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
 
 
 def _run_evolve(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
+    from . import thermo
     modes, times = cfg.modes, cfg.times
     state = MemoryState(modes, cfg.code.realize(modes))
     k = len(modes)
@@ -372,6 +375,7 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
 
 
 def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
+    from . import thermo
     state = MemoryState(cfg.modes, cfg.code.realize(cfg.modes))
     ts = np.asarray(cfg.times)  # checked by the config parser
     trace = thermo._trace(state, ts)
@@ -404,96 +408,12 @@ def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
 # oracle-verify
 
 
-def _verify_rows(dim: int) -> list[list]:
-    """Residual suite rows: [check, detail, value, lo, hi, status]."""
-    from . import fock
-    rows: list[list] = []
-
-    def add(check: str, detail: str, value: float, lo: float, hi: float):
-        status = "pass" if lo <= value <= hi else "fail"
-        rows.append([check, detail, float(value), float(lo), float(hi), status])
-
-    # operator algebra on the interior of a small space
-    ws32 = fock.build_workspace(32)
-    for name, resid in fock.algebra_residuals(ws32).items():
-        add("algebra", name, resid, 0.0, 1e-12)
-
-    ws = fock.build_workspace(dim)
-
-    # two constructions of the same coded vacuum must agree
-    for theta in (0.3, 0.5, 0.8):
-        direct = fock.memory_vector(ws, theta)
-        via_gen = fock.memory_vector_via_generator(ws, theta)
-        add("dual-construction", f"theta={theta}",
-            fock._norm(direct - via_gen), 0.0, 1e-10)
-
-    # dissipative evolution against the closed-form trajectory
-    for theta, t in ((0.3, 0.15), (0.5, 0.25), (0.8, 0.4), (0.8, 0.8)):
-        v0 = fock.memory_vector(ws, theta)
-        w = fock.evolve_vector(ws, v0, t, theta=theta)
-        target = fock.memory_vector(ws, theta - ws.gamma * t)
-        add("evolution", f"theta={theta},t={t}",
-            fock._norm(w - target), 0.0, 1e-10)
-        add("unitarity", f"theta={theta},t={t}",
-            abs(fock._norm(w) - 1.0), 0.0, 1e-10)
-
-    # closed-form observables against oracle expectations
-    for theta in (0.1, 0.3, 0.5, 0.8, 1.0, 1.2):
-        for frac in (0.0, 0.5, 2.0):  # of tau, at gamma = 1
-            t_eff = theta * frac
-            big_t = t_eff - theta
-            v = fock.memory_vector(ws, -big_t)
-            add("occupation", f"Theta={big_t:.3g}",
-                abs(fock.occupation_expectation(ws, v) - math.sinh(big_t) ** 2),
-                0.0, 1e-8)
-            add("vacuum-overlap", f"Theta={big_t:.3g}",
-                abs(fock.oracle_overlap(v, ws.vacuum()) - 1.0 / math.cosh(big_t)),
-                0.0, 1e-8)
-            q = fock.quadrature_variances(ws, v)
-            add("variances", f"Theta={big_t:.3g}",
-                max(abs(q.dx2 - 0.25 * math.exp(-2.0 * big_t)),
-                    abs(q.dy2 - 0.25 * math.exp(2.0 * big_t))),
-                0.0, 1e-8)
-            add("weight", f"Theta={big_t:.3g}",
-                abs(fock.weight_expectation(ws, v) - math.sinh(big_t) ** 2),
-                0.0, 1e-8)
-            if big_t != 0.0:
-                s_closed = float(thermo._entropy_per_mode(big_t))
-                add("entropy", f"Theta={big_t:.3g}",
-                    abs(fock.entropy_expectation(ws, v, big_t) - s_closed),
-                    0.0, 1e-8)
-
-    # squeeze factorization of the coded vacuum
-    for theta in (0.25, 0.5, 1.0):
-        add("squeeze-factorization", f"theta={theta}",
-            fock.check_squeeze_factorization(ws, theta), 0.0, 1e-8)
-
-    # entropy flow: central-difference residual and its halving ratio
-    for big_t in (0.1, 0.5, 1.0):
-        theta = big_t + 0.3
-        t = 0.3
-        r1 = fock.check_entropy_flow(ws, theta, 1.0, t, 1e-4)
-        r2 = fock.check_entropy_flow(ws, theta, 1.0, t, 5e-5)
-        add("entropy-flow", f"Theta={-big_t}", r1, 0.0, 1e-6)
-        add("entropy-flow-ratio", f"Theta={-big_t}",
-            r1 / r2 if r2 > 0.0 else 4.0, 3.5, 4.5)
-
-    # hole relations at both signs of the effective parameter
-    for mag in (0.1, 0.4, 0.8, 1.2):
-        for sign in (1.0, -1.0):
-            big_t = sign * mag
-            v = fock.memory_vector(ws, -big_t)
-            r1, r2 = fock.check_hole_relations(ws, v, big_t)
-            add("hole-relations", f"Theta={big_t}", max(r1, r2), 0.0, 1e-8)
-
-    return rows
-
-
 def _run_oracle_verify(dim: int) -> tuple[dict, dict, str]:
     if dim < 64:
         raise CliError("usage",
                        f"--dim must be >= 64 for oracle-verify, got {dim}")
-    rows = _verify_rows(dim)
+    from . import fock
+    rows = fock._verify_rows(dim)
     failed = [f"{r[0]}[{r[1]}]" for r in rows if r[5] == "fail"]
     results = {
         "dim": dim,

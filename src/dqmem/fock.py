@@ -82,18 +82,19 @@ index offset and one coefficient per row each), the exact form of every
 ladder product here, multiplied with numpy slices alone. The module loads
 lazily all the same: `import dqmem` leaves it unloaded until `dqmem.fock`
 or one of the names the package re-exports from it is first used, and the
-CLI imports it for `oracle-verify` only.
+CLI imports it for `oracle-verify` only, whose residual suite
+(`_verify_rows`) lives here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .states import Variances
+from .states import Variances, _Record
+from . import thermo
 
 __all__ = [
     "FockWorkspace",
@@ -209,8 +210,7 @@ def _check_hermitian(**ops: ShiftOperator) -> None:
             raise RuntimeError(f"{name} failed its Hermiticity self-check")
 
 
-@dataclass(frozen=True, eq=False)
-class FockWorkspace:
+class FockWorkspace(_Record):
     """Immutable bundle of sector blocks for one damped mode pair.
 
     Every operator is a ShiftOperator with float64 coefficients, except the
@@ -224,22 +224,13 @@ class FockWorkspace:
     expectation checks exercise the same floating arithmetic the identities
     do). `interior[s]` is the boolean mask of sector s's states inside
     {n < dim-1, ntil < dim-1}, for s in (-1, 0, 1). The four rotated
-    quadratures are built on first use and then kept.
+    quadratures are built on first use and then kept in the `__dict__`.
+    Workspaces compare by identity.
     """
 
-    dim: int
-    omega: float
-    gamma: float
-    a: ShiftOperator
-    adag: ShiftOperator
-    atil: ShiftOperator
-    atildag: ShiftOperator
-    j_plus: ShiftOperator
-    j_minus: ShiftOperator
-    h_int: ShiftOperator
-    number: ShiftOperator
-    number_flipped: ShiftOperator
-    interior: dict[int, np.ndarray]
+    _fields = ("dim", "omega", "gamma", "a", "adag", "atil", "atildag", "j_plus",
+               "j_minus", "h_int", "number", "number_flipped", "interior")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @cached_property
     def quadratures(self) -> tuple[ShiftOperator, ...]:
@@ -773,3 +764,88 @@ def check_entropy_flow(ws: FockWorkspace, theta: float, gamma: float, t: float,
     rate = ws.entropy_rate_operator(theta_t, gamma)
     defect = (vp - vm) / (2.0 * dt) + 0.5 * rate.dot(v0)
     return _norm(defect[ws.interior[0]])
+
+
+def _verify_rows(dim: int) -> list[list]:
+    """The residual suite of `dqmem oracle-verify` at truncation `dim`: one
+    row [check, detail, value, lo, hi, status] per check."""
+    rows: list[list] = []
+
+    def add(check: str, detail: str, value: float, lo: float, hi: float):
+        status = "pass" if lo <= value <= hi else "fail"
+        rows.append([check, detail, float(value), float(lo), float(hi), status])
+
+    # operator algebra on the interior of a small space
+    ws32 = build_workspace(32)
+    for name, resid in algebra_residuals(ws32).items():
+        add("algebra", name, resid, 0.0, 1e-12)
+
+    ws = build_workspace(dim)
+
+    # two constructions of the same coded vacuum must agree
+    for theta in (0.3, 0.5, 0.8):
+        direct = memory_vector(ws, theta)
+        via_gen = memory_vector_via_generator(ws, theta)
+        add("dual-construction", f"theta={theta}",
+            _norm(direct - via_gen), 0.0, 1e-10)
+
+    # dissipative evolution against the closed-form trajectory
+    for theta, t in ((0.3, 0.15), (0.5, 0.25), (0.8, 0.4), (0.8, 0.8)):
+        v0 = memory_vector(ws, theta)
+        w = evolve_vector(ws, v0, t, theta=theta)
+        target = memory_vector(ws, theta - ws.gamma * t)
+        add("evolution", f"theta={theta},t={t}",
+            _norm(w - target), 0.0, 1e-10)
+        add("unitarity", f"theta={theta},t={t}",
+            abs(_norm(w) - 1.0), 0.0, 1e-10)
+
+    # closed-form observables against oracle expectations
+    for theta in (0.1, 0.3, 0.5, 0.8, 1.0, 1.2):
+        for frac in (0.0, 0.5, 2.0):  # of tau, at gamma = 1
+            t_eff = theta * frac
+            big_t = t_eff - theta
+            v = memory_vector(ws, -big_t)
+            add("occupation", f"Theta={big_t:.3g}",
+                abs(occupation_expectation(ws, v) - math.sinh(big_t) ** 2),
+                0.0, 1e-8)
+            add("vacuum-overlap", f"Theta={big_t:.3g}",
+                abs(oracle_overlap(v, ws.vacuum()) - 1.0 / math.cosh(big_t)),
+                0.0, 1e-8)
+            q = quadrature_variances(ws, v)
+            add("variances", f"Theta={big_t:.3g}",
+                max(abs(q.dx2 - 0.25 * math.exp(-2.0 * big_t)),
+                    abs(q.dy2 - 0.25 * math.exp(2.0 * big_t))),
+                0.0, 1e-8)
+            add("weight", f"Theta={big_t:.3g}",
+                abs(weight_expectation(ws, v) - math.sinh(big_t) ** 2),
+                0.0, 1e-8)
+            if big_t != 0.0:
+                s_closed = float(thermo._entropy_per_mode(big_t))
+                add("entropy", f"Theta={big_t:.3g}",
+                    abs(entropy_expectation(ws, v, big_t) - s_closed),
+                    0.0, 1e-8)
+
+    # squeeze factorization of the coded vacuum
+    for theta in (0.25, 0.5, 1.0):
+        add("squeeze-factorization", f"theta={theta}",
+            check_squeeze_factorization(ws, theta), 0.0, 1e-8)
+
+    # entropy flow: central-difference residual and its halving ratio
+    for big_t in (0.1, 0.5, 1.0):
+        theta = big_t + 0.3
+        t = 0.3
+        r1 = check_entropy_flow(ws, theta, 1.0, t, 1e-4)
+        r2 = check_entropy_flow(ws, theta, 1.0, t, 5e-5)
+        add("entropy-flow", f"Theta={-big_t}", r1, 0.0, 1e-6)
+        add("entropy-flow-ratio", f"Theta={-big_t}",
+            r1 / r2 if r2 > 0.0 else 4.0, 3.5, 4.5)
+
+    # hole relations at both signs of the effective parameter
+    for mag in (0.1, 0.4, 0.8, 1.2):
+        for sign in (1.0, -1.0):
+            big_t = sign * mag
+            v = memory_vector(ws, -big_t)
+            r1, r2 = check_hole_relations(ws, v, big_t)
+            add("hole-relations", f"Theta={big_t}", max(r1, r2), 0.0, 1e-8)
+
+    return rows

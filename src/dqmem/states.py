@@ -20,9 +20,7 @@ through the time dependence.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,6 +48,65 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_LN_MAX = math.log(1.7976931348623157e308)  # ln of the largest float
+
+
+class _Record:
+    """A frozen record, the one record type of the package.
+
+    A subclass names its fields in `_fields`, in constructor order, and
+    makes them its `__slots__` unless it needs a `__dict__` (for a
+    cached_property). Fields listed in `_defaults` may be left out of the
+    constructor, which takes the fields by position or by keyword and sets
+    each once; a subclass that validates defines its own `__init__` and
+    sets its fields with `_set`. Records of one class compare and hash by
+    their fields and repr as `Name(field=value, ...)`; assigning or
+    deleting a field raises AttributeError, and pickling or copying a
+    record calls its class with its fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):])
+                or len(values) < len(fields)):
+            raise TypeError(f"{type(self).__name__}() takes the fields {fields}, got "
+                            f"{len(args)} by position and {sorted(kwargs)} by keyword")
+        _set(self, *map(values.get, fields))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def _set(record: _Record, *values) -> None:
+    """Sets the record's fields, given in the order of its `_fields`."""
+    for name, value in zip(record._fields, values):
+        object.__setattr__(record, name, value)
 
 
 def log_cosh(x):
@@ -121,28 +178,24 @@ def _row_sums(block) -> np.ndarray:
     return res
 
 
-@dataclass(frozen=True)
-class ModeParams:
+class ModeParams(_Record):
     """One oscillator pair: position in the register, energy, damping rate.
 
     omega must be positive (it is the pair energy in hbar = 1 units); gamma
     is the amplitude damping rate and may be zero for a lossless pair.
     """
 
-    index: int
-    omega: float
-    gamma: float
+    __slots__ = _fields = ("index", "omega", "gamma")
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", int(self.index))
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        if self.index < 0:
-            raise ValueError(f"mode index must be >= 0, got {self.index}")
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise ValueError(f"mode omega must be positive and finite, got {self.omega}")
-        if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
-            raise ValueError(f"mode gamma must be >= 0 and finite, got {self.gamma}")
+    def __init__(self, index: int, omega: float, gamma: float):
+        index, omega, gamma = int(index), float(omega), float(gamma)
+        if index < 0:
+            raise ValueError(f"mode index must be >= 0, got {index}")
+        if not (omega > 0.0 and math.isfinite(omega)):
+            raise ValueError(f"mode omega must be positive and finite, got {omega}")
+        if not (gamma >= 0.0 and math.isfinite(gamma)):
+            raise ValueError(f"mode gamma must be >= 0 and finite, got {gamma}")
+        _set(self, index, omega, gamma)
 
 
 def _checked_modes(modes: Iterable[ModeParams]) -> tuple[ModeParams, ...]:
@@ -170,8 +223,7 @@ def _checked_times(times, minimum_points: int = 1) -> np.ndarray:
     return ts
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(_Record):
     """A stored code: one squeeze parameter theta >= 0 per pair.
 
     The condensate count sinh^2(theta) per pair determines theta uniquely on
@@ -179,16 +231,16 @@ class Code:
     (theta = arcsinh(sqrt(N))).
     """
 
-    thetas: tuple[float, ...]
+    __slots__ = _fields = ("thetas",)
 
-    def __post_init__(self):
-        ts = tuple(map(float, self.thetas))
+    def __init__(self, thetas: Iterable[float]):
+        ts = tuple(map(float, thetas))
         if not ts:
             raise ValueError("code is empty")
         # isfinite rejects NaN, which min() may skip, before min() sees it
         if not all(map(math.isfinite, ts)) or min(ts) < 0.0:
             raise ValueError(f"code thetas must be finite and >= 0, got {ts}")
-        object.__setattr__(self, "thetas", ts)
+        _set(self, ts)
 
     def __len__(self) -> int:
         return len(self.thetas)
@@ -199,53 +251,42 @@ class Code:
         return cls(tuple(math.asinh(math.sqrt(n)) for n in occupations))
 
     def occupations(self) -> tuple[float, ...]:
-        """Per-pair condensate count sinh^2(theta)."""
-        return tuple(math.sinh(t) ** 2 for t in self.thetas)
+        """Per-pair condensate count sinh^2(theta), inf past the float range."""
+        return tuple(map(_sinh2, self.thetas))
 
 
-@dataclass(frozen=True)
-class MemoryState:
+class MemoryState(_Record):
     """A code evolved to elapsed time `time` under the register's damping."""
 
-    modes: tuple[ModeParams, ...]
-    code: Code
-    time: float = 0.0
+    __slots__ = _fields = ("modes", "code", "time")
 
-    def __post_init__(self):
-        object.__setattr__(self, "modes", _checked_modes(self.modes))
-        object.__setattr__(self, "time", float(self.time))
-        if len(self.code) != len(self.modes):
-            raise ValueError(
-                f"code length {len(self.code)} != mode count {len(self.modes)}"
-            )
-        if not (self.time >= 0.0 and math.isfinite(self.time)):
-            raise ValueError(f"time must be finite and >= 0, got {self.time}")
+    def __init__(self, modes: Iterable[ModeParams], code: Code, time: float = 0.0):
+        modes, time = _checked_modes(modes), float(time)
+        if len(code) != len(modes):
+            raise ValueError(f"code length {len(code)} != mode count {len(modes)}")
+        if not (time >= 0.0 and math.isfinite(time)):
+            raise ValueError(f"time must be finite and >= 0, got {time}")
+        _set(self, modes, code, time)
 
     @property
     def k(self) -> int:
         return len(self.modes)
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+class QuantumNumbers(_Record):
     """SU(1,1) labels of one pair: Casimir j and weight m above it.
 
     Memory states sit in the paired (j = 0) sector; m equals the occupation
     of either member of the pair.
     """
 
-    j: float
-    m: float
+    __slots__ = _fields = ("j", "m")
 
 
-@dataclass(frozen=True)
-class Variances:
+class Variances(_Record):
     """Quadrature variances of the rotated mode and its mirror partner."""
 
-    dx2: float
-    dy2: float
-    dx2_mirror: float
-    dy2_mirror: float
+    __slots__ = _fields = ("dx2", "dy2", "dx2_mirror", "dy2_mirror")
 
 
 def theta_from_beta(beta: float, energy: float) -> float:
@@ -302,9 +343,27 @@ def effective_theta(state: MemoryState, kappa: int) -> float:
     return state.modes[kappa].gamma * state.time - state.code.thetas[kappa]
 
 
+def _sinh2(t: float) -> float:
+    """sinh^2 t, inf past |t| ~ 355.7, where it leaves the float range."""
+    try:
+        return math.sinh(t) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _quarter_exp(x: float) -> float:
+    """e^x / 4, inf past the float range: 0.25 * math.exp(x), or where
+    math.exp(x) alone overflows, exp(x - ln 4)."""
+    try:
+        return 0.25 * math.exp(x)
+    except OverflowError:
+        return math.exp(x - 2.0 * _LN2) if x - 2.0 * _LN2 <= _LN_MAX else math.inf
+
+
 def occupation(state: MemoryState, kappa: int) -> float:
-    """Occupation sinh^2(Theta) of either member of pair kappa."""
-    return math.sinh(effective_theta(state, kappa)) ** 2
+    """Occupation sinh^2(Theta) of either member of pair kappa; inf past
+    the float range, as in total_occupation."""
+    return _sinh2(effective_theta(state, kappa))
 
 
 def total_occupation(state: MemoryState) -> float:
@@ -322,7 +381,7 @@ def evolve(state: MemoryState, dt: float) -> MemoryState:
     dt = float(dt)
     if not (dt >= 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be finite and >= 0, got {dt}")
-    return dataclasses.replace(state, time=state.time + dt)
+    return MemoryState(state.modes, state.code, state.time + dt)
 
 
 def refresh(state: MemoryState, code: Code) -> MemoryState:
@@ -389,14 +448,16 @@ def variances(state: MemoryState, kappa: int) -> Variances:
     The rotated mode a = (A - A_mirror)/sqrt(2) has position variance
     e^{-2 Theta}/4 and momentum variance e^{+2 Theta}/4; its mirror partner
     has them exchanged. Each mode saturates the uncertainty product 1/16.
+    A variance past the float range is inf, and its partner then 0.0.
     """
     t = effective_theta(state, kappa)
-    contracted = 0.25 * math.exp(-2.0 * t)
-    dilated = 0.25 * math.exp(2.0 * t)
+    contracted = _quarter_exp(-2.0 * t)
+    dilated = _quarter_exp(2.0 * t)
     return Variances(dx2=contracted, dy2=dilated,
                      dx2_mirror=dilated, dy2_mirror=contracted)
 
 
 def quantum_numbers(state: MemoryState, kappa: int) -> QuantumNumbers:
-    """SU(1,1) labels of pair kappa: j = 0 always, m = sinh^2(Theta)."""
+    """SU(1,1) labels of pair kappa: j = 0 always, m = sinh^2(Theta) (inf
+    past the float range)."""
     return QuantumNumbers(j=0.0, m=occupation(state, kappa))

@@ -27,13 +27,13 @@ of the written code. Time grids are absolute ages since writing, each one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .states import (
     MemoryState,
     ModeParams,
+    _Record,
     _checked_times,
     _gammas,
     _occupations,
@@ -99,8 +99,7 @@ def _energies(modes: tuple[ModeParams, ...]) -> np.ndarray:
     return np.array([m.omega for m in modes], dtype=float)
 
 
-@dataclass(frozen=True)
-class ThermoSnapshot:
+class ThermoSnapshot(_Record):
     """Thermodynamic readout of one state at one instant.
 
     beta_fit is the least-squares single inverse temperature over the modes
@@ -111,17 +110,11 @@ class ThermoSnapshot:
     energy or entropy.
     """
 
-    time: float
-    entropy_per_mode: tuple[float, ...]
-    entropy: float
-    energy: float
-    beta_per_mode: tuple[float, ...]
-    beta_fit: float
-    beta_fit_residual: float
+    __slots__ = _fields = ("time", "entropy_per_mode", "entropy", "energy",
+                           "beta_per_mode", "beta_fit", "beta_fit_residual")
 
 
-@dataclass(frozen=True)
-class FirstLawLedger:
+class FirstLawLedger(_Record):
     """Discrete first-law bookkeeping over a time grid.
 
     Per step i (between times[i] and times[i+1]):
@@ -131,11 +124,7 @@ class FirstLawLedger:
     diverges inside the step, so the midpoint rule's premise fails there).
     """
 
-    times: tuple[float, ...]
-    delta_energy: tuple[float, ...]
-    entropy_term: tuple[float, ...]
-    residual: tuple[float, ...]
-    flagged: tuple[bool, ...]
+    __slots__ = _fields = ("times", "delta_energy", "entropy_term", "residual", "flagged")
 
     @property
     def heat(self) -> tuple[float, ...]:
@@ -194,7 +183,8 @@ def stationarity_residual(state: MemoryState, beta: float) -> np.ndarray:
     Equals sinh(2 Theta)(E + ln tanh^2(Theta)/beta): zero at Theta = 0 for
     any beta (symmetric minimum) and zero at beta = effective_beta of that
     mode, which is the stationarity condition defining the effective
-    temperature.
+    temperature. Where sinh(2 Theta) leaves the float range the gradient is
+    +-inf, or 0.0 at the beta whose bracket rounds to 0.
     """
     beta = float(beta)
     if not (beta > 0.0):
@@ -204,7 +194,9 @@ def stationarity_residual(state: MemoryState, beta: float) -> np.ndarray:
     y = _beta_energy(t)
     out = np.zeros_like(t)
     mask = t != 0.0
-    out[mask] = np.sinh(2.0 * t[mask]) * (e[mask] - y[mask] / beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[mask] = np.sinh(2.0 * t[mask]) * (e[mask] - y[mask] / beta)
+    out[np.isnan(out)] = 0.0  # an overflowing sinh times a bracket of 0
     return out
 
 

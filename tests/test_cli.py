@@ -677,7 +677,7 @@ OPTIONS_READ = {
 def test_each_subcommand_takes_only_the_options_it_reads(
         tmp_path, registry_path, capsys, monkeypatch, command, kind):
     # the residual suite itself runs in test_oracle_verify_passes
-    monkeypatch.setattr("dqmem.cli._verify_rows", lambda dim: [])
+    monkeypatch.setattr("dqmem.fock._verify_rows", lambda dim: [])
     reads = OPTIONS_READ[command, kind]
     other = write_config(tmp_path, "other.json", VALID_CONFIGS["evolve"][1])
     # no option fills a config key: --seed and --epsilon are usage errors
@@ -707,7 +707,7 @@ def test_each_subcommand_takes_only_the_options_it_reads(
 
 @pytest.mark.parametrize("command, kind", list(OPTIONS_READ))
 def test_summary_is_one_envelope(tmp_path, registry_path, monkeypatch, command, kind):
-    monkeypatch.setattr("dqmem.cli._verify_rows", lambda dim: [])
+    monkeypatch.setattr("dqmem.fock._verify_rows", lambda dim: [])
     args = [command, "--out", tmp_path / "o", "--quiet"]
     sha256 = None
     if kind is not None:
@@ -1047,19 +1047,44 @@ def python(code, *args):
                           capture_output=True, text=True, env=env)
 
 
+# what `import dqmem`, `import dqmem.cli` and then one subcommand load: the
+# record modules never import dataclasses, and thermo and the oracle load
+# only for the subcommands that use them
+FOOTPRINT = """
+import sys
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m in ('dataclasses', 'scipy', 'importlib.metadata')
+                  or m.startswith(('scipy.', 'dqmem.')))
+import dqmem
+print(loaded())
+import dqmem.cli
+print(loaded())
+print(dqmem.cli.main([*sys.argv[1:], '--quiet']), loaded())
+"""
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
-    # nor importlib.metadata, nor the oracle until oracle-verify runs; and
-    # an in-process oracle-verify loads the oracle but still no scipy
-    proc = python("import sys, dqmem.cli\n"
-                  "def loaded():\n"
-                  "    return sorted(m for m in sys.modules\n"
-                  "                  if m in ('scipy', 'importlib.metadata')\n"
-                  "                  or m.startswith(('scipy.', 'dqmem.fock')))\n"
-                  "print(loaded())\n"
-                  "code = dqmem.cli.main(['oracle-verify', '--quiet', '--out', sys.argv[1]])\n"
-                  "print(code, loaded())", tmp_path / "o")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0 ['dqmem.fock']"]
+    # nor importlib.metadata, dataclasses, thermo or the oracle until a
+    # subcommand needs them; each subcommand runs in a fresh interpreter
+    printed = write_config(tmp_path, "print.json", VALID_CONFIGS["print"][1])
+    runs = [["print", "--config", printed, "--out", tmp_path / "reg"]]
+    registry = str(tmp_path / "reg" / "registry.json")
+    assert run([*runs[0], "--quiet"]) == 0
+    for kind, (command, doc, _) in VALID_CONFIGS.items():
+        if kind != "print":
+            doc = json.loads(json.dumps(doc).replace(REGISTRY, registry))
+            runs.append([command, "--config", write_config(tmp_path, f"{kind}.json", doc),
+                         "--out", tmp_path / kind])
+    runs.append(["oracle-verify", "--dim", "64", "--out", tmp_path / "oracle"])
+    assert {argv[0] for argv in runs} == set(dqmem.cli._COMMANDS)
+    base = ["dqmem.capacity", "dqmem.cli", "dqmem.states"]
+    for argv in runs:
+        proc = python(FOOTPRINT, *argv)
+        assert proc.stderr == "", argv[0]
+        after = base + {"evolve": ["dqmem.thermo"], "thermo-trace": ["dqmem.thermo"],
+                        "oracle-verify": ["dqmem.fock", "dqmem.thermo"]}.get(argv[0], [])
+        assert proc.stdout.splitlines() == ["[]", str(base), f"0 {sorted(after)}"], argv[0]
 
 
 def test_no_subcommand_imports_numpy_ma_or_openssl(tmp_path):
@@ -1121,6 +1146,27 @@ def test_oracle_names_resolve_lazily():
         "assert dqmem.fock is sys.modules['dqmem.fock']\n"
         "assert 'build_workspace' not in vars(dqmem)\n"
         "assert build(8).dim == 8\n")
+    assert proc.returncode == 0, proc.stderr
+    # every other re-exported name resolves the same way; `import dqmem`
+    # alone loads no submodule
+    proc = python(
+        "import sys, dqmem\n"
+        "assert not [m for m in sys.modules if m.startswith('dqmem.')]\n"
+        "for module, names in dqmem._EXPORTS.items():\n"
+        "    for name in names.split():\n"
+        "        value = getattr(dqmem, name)\n"
+        "        assert value is getattr(sys.modules['dqmem.' + module], name), name\n"
+        "        assert name not in vars(dqmem), name\n"
+        "assert dqmem.thermo is sys.modules['dqmem.thermo']\n"
+        "try:\n"
+        "    dqmem.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert str(exc) == \"module 'dqmem' has no attribute 'no_such_name'\"\n"
+        "else:\n"
+        "    raise AssertionError('dqmem.no_such_name resolved')\n"
+        "namespace = {}\n"
+        "exec('from dqmem import *', namespace)\n"
+        "assert 'Registry' in namespace and 'build_workspace' not in namespace\n")
     assert proc.returncode == 0, proc.stderr
     # and with every scipy import blocked, the oracle still loads and builds
     blocked = python(NO_SCIPY + "import dqmem\n"

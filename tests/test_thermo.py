@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqmem import thermo
+from dqmem import states, thermo
 from dqmem.states import (
     Code, MemoryState, ModeParams, effective_thetas, theta_from_beta, total_occupation)
 
@@ -309,6 +309,96 @@ def test_snapshot_energy_past_the_float_range_is_inf_without_a_warning():
     assert math.isfinite(snap.entropy)
 
 
+def test_public_functions_past_the_float_range_give_values_or_sentinels():
+    # code (800,) at t = 0, so Theta = -800: sinh^2 Theta and e^{-2 Theta} leave
+    # the float range. Every public states/thermo function gives finite values
+    # or the documented sentinels (inf, and the 0.0 its partner underflows
+    # to), with no warning and no nan; first_law_ledger refuses the grid
+    state = make_state(800.0)
+    tiny = math.ulp(0.0)  # the pair's own beta, 4 e^-1600, underflows to 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {
+            "log_cosh": states.log_cosh(effective_thetas(state)).tolist(),
+            "theta_from_beta": states.theta_from_beta(tiny, 1.0),
+            "effective_theta": states.effective_theta(state, 0),
+            "effective_thetas": effective_thetas(state).tolist(),
+            "occupation": states.occupation(state, 0),
+            "Code.occupations": state.code.occupations(),
+            "total_occupation": total_occupation(state),
+            "evolve": states.evolve(state, 1.0).time,
+            "refresh": states.refresh(state, Code((1.0,))).time,
+            "log_overlap": states.log_overlap(state, state),
+            "overlap": states.overlap(state, state),
+            "vacuum_overlap": states.vacuum_overlap(state),
+            "forgetting_time": states.forgetting_time(state),
+            "variances": states.variances(state, 0),
+            "quantum_numbers": states.quantum_numbers(state, 0),
+            "entropy": thermo.entropy(state)[0],
+            "effective_beta": thermo.effective_beta(state, 0),
+            "bose_occupation": thermo.bose_occupation(tiny, 1.0),
+            "free_energy": thermo.free_energy(state, 1.0),
+            "stationarity_residual": thermo.stationarity_residual(state, 1.0).tolist(),
+            "entropy_trace": thermo.entropy_trace(state, [0.0, 1.0]).tolist(),
+            "thermo_snapshot": thermo.thermo_snapshot(state),
+        }
+        with pytest.raises(ValueError, match=r"energy at time 0\.0 is not finite"):
+            thermo.first_law_ledger(state, [0.0, 1.0])
+    def s(a):  # the entropy at |Theta| = a past the float range: 2 ln cosh a + 1
+        return 2.0 * (a - math.log(2.0)) + 1.0
+    inf = math.inf
+    assert got == {
+        "log_cosh": [800.0 - math.log(2.0)],
+        "theta_from_beta": inf,
+        "effective_theta": -800.0,
+        "effective_thetas": [-800.0],
+        "occupation": inf,
+        "Code.occupations": (inf,),
+        "total_occupation": inf,
+        "evolve": 1.0,
+        "refresh": 0.0,
+        "log_overlap": 0.0,
+        "overlap": 1.0,
+        "vacuum_overlap": 0.0,
+        "forgetting_time": 800.0,
+        "variances": states.Variances(inf, 0.0, 0.0, inf),
+        "quantum_numbers": states.QuantumNumbers(0.0, inf),
+        "entropy": s(800.0),
+        "effective_beta": 0.0,
+        "bose_occupation": inf,
+        "free_energy": inf,
+        "stationarity_residual": [-inf],
+        "entropy_trace": [s(800.0), s(799.0)],
+        "thermo_snapshot": thermo.ThermoSnapshot(0.0, (s(800.0),), s(800.0), inf, (0.0,),
+                                                 0.0, 0.0),
+    }
+    public = {name for module in (states, thermo) for name in module.__all__
+              if not isinstance(getattr(module, name), type)}
+    assert public == set(got) - {"Code.occupations"} | {"first_law_ledger"}
+
+
+@pytest.mark.parametrize("theta", [-354.0, -20.0, -0.5, 0.0, 1e-300, 0.7, 300.0, 354.0])
+def test_scalar_observables_in_range_keep_their_bits(theta):
+    # inside the float range the sentinel handling leaves every bit as it was
+    state = make_state(-theta if theta < 0.0 else 0.0, t=max(theta, 0.0))
+    t = states.effective_theta(state, 0)
+    assert states.occupation(state, 0) == math.sinh(t) ** 2
+    assert states.variances(state, 0) == states.Variances(
+        0.25 * math.exp(-2.0 * t), 0.25 * math.exp(2.0 * t),
+        0.25 * math.exp(2.0 * t), 0.25 * math.exp(-2.0 * t))
+    ts = np.array([t])
+    want = 0.0 if t == 0.0 else np.sinh(2.0 * ts) * (1.0 - thermo._beta_energy(ts) / 0.5)
+    assert thermo.stationarity_residual(state, 0.5).tolist() == np.ravel(want).tolist()
+
+
+def test_variance_whose_exponential_alone_overflows_stays_finite():
+    # e^{710} overflows, a quarter of it does not
+    v = states.variances(make_state(355.0), 0)
+    assert v.dx2 == v.dy2_mirror == pytest.approx(math.exp(710.0 - 2.0 * math.log(2.0)),
+                                                  rel=1e-13)
+    assert v.dy2 == v.dx2_mirror == 0.25 * math.exp(-710.0)
+
+
 def beta_fit_loop(y, energies):
     # the per-row fit _beta_fit replaced: numpy sums and a BLAS norm
     finite = np.isfinite(y)
@@ -397,3 +487,15 @@ def test_ledger_heat_is_the_fsum_of_its_per_mode_terms():
         weight = energies / thermo._beta_energy(thetas(0.5 * (a + b)))
         want.append(math.fsum(((s[i + 1] - s[i]) * weight).tolist()))
     assert led.entropy_term == tuple(want)
+
+
+def test_stationarity_at_the_pairs_own_beta_past_the_float_range_is_zero():
+    # at Theta = -360 sinh(2 Theta) overflows, and at the pair's own beta,
+    # a subnormal, the bracket E - y/beta is exactly 0: the gradient is 0.0
+    state = make_state(360.0)
+    beta = thermo.effective_beta(state, 0)
+    assert 0.0 < beta < 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert thermo.stationarity_residual(state, beta).tolist() == [0.0]
+        assert thermo.stationarity_residual(state, 1.0).tolist() == [-math.inf]
