@@ -8,10 +8,11 @@ oracle it is validated against, `thermo` the entropy/first-law layer,
 `capacity` the registry and packing experiments, and `cli` the command-line
 front end.
 
-Every layer, the oracle included, needs numpy alone. Every name below
-loads lazily: `import dqmem` runs this file only, and a submodule such as
-`dqmem.thermo`, or a name re-exported from one, is imported on first
-attribute access, so a caller pays only for the layers it uses.
+Every layer, the oracle included, needs numpy alone. Every name the
+package re-exports loads lazily: `import dqmem` runs this file only, and a
+submodule such as `dqmem.thermo`, or a name re-exported from one, is
+imported on first attribute access, so a caller pays only for the layers
+it uses.
 """
 
 from time import perf_counter as _perf_counter
