@@ -121,10 +121,6 @@ DEFAULTS = {
 IDS = [case[0].__name__ for case in CASES]
 
 
-def fields_of(record, names):
-    return tuple(getattr(record, name) for name in names)
-
-
 @pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
 def test_constructed_by_position_or_by_keyword(cls, names, values, text):
     names = names.split()
@@ -137,7 +133,7 @@ def test_constructed_by_position_or_by_keyword(cls, names, values, text):
     if cls not in BY_IDENTITY:
         assert by_position == by_keyword == mixed
         assert hashed(by_position) == hashed(by_keyword)
-        assert fields_of(by_position, names) == values
+        assert tuple(getattr(by_position, name) for name in names) == values
 
 
 @pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
