@@ -43,6 +43,7 @@ from .states import (
     _Record,
     _checked_modes,
     _checked_times,
+    _fsum_ln_cosh,
     _gammas,
     _occupations,
     _row_sums,
@@ -225,19 +226,24 @@ class FidelityMatrix(_Record):
         _set(self, ids, values, eval_time, staggered)
 
 
-_PAIR_CHUNK = 4096  # entry pairs per block of a pairwise read: 0.5 MB at K = 16
+_PAIR_CHUNK = 1024  # entry pairs per block of a pairwise read: 128 KB at K = 16
 _EPS = 2.0 ** -52   # float64 machine epsilon
 _LN_COSH_1 = 0.4337808304830272  # ln cosh 1 rounded down: association_graph's C
 
 
 def _log_overlap_rows(block: np.ndarray, row) -> np.ndarray:
     """-fsum_k ln cosh(b_k - row_k) for each row b of a Theta block: the
-    value `states.log_overlap` gives for the two rows, bit for bit. `row`
-    is one row or a block of rows paired with `block` row by row. The sums
-    are `states._row_sums`, math.fsum's value with no Python call per row;
+    value `states.log_overlap` gives for the two rows, bit for bit, -inf
+    for a row whose terms sum past the float range. `row` is one row or a
+    block of rows paired with `block` row by row. The sums are
+    `states._row_sums`, math.fsum's value with no Python call per row;
     every caller takes overlaps as math.exp of them, as `states.overlap`
     does."""
-    return -_row_sums(log_cosh(block - row))
+    terms = log_cosh(block - row)
+    try:
+        return -_row_sums(terms)
+    except OverflowError:  # some row's fsum: sum it row by row, as log_overlap does
+        return -np.array([_fsum_ln_cosh(r) for r in terms.tolist()])
 
 
 def _entry_thetas(registry: Registry, t: float, staggered: bool) -> np.ndarray:
@@ -286,6 +292,24 @@ def _pair_blocks(n: int):
         a = b
 
 
+def _upper_overlaps(thetas: np.ndarray):
+    """The one pairwise overlap kernel: for i = 0, ..., n - 1 in turn, the
+    list of row i's overlaps with the entries j > i of a Theta block (the
+    last list empty). Each is math.exp of the pair's log-overlap, as in
+    states.overlap (np.exp differs from it in some last bits), taken over
+    _pair_blocks' blocks, so only one block of pairs is held at a time."""
+    n = len(thetas)
+    for rows, cols in _pair_blocks(n):
+        exps = list(map(math.exp, _log_overlap_rows(thetas[cols], thetas[rows]).tolist()))
+        start = 0
+        for i in range(int(rows[0]), int(rows[-1]) + 1):
+            stop = start + n - 1 - i
+            yield exps[start:stop]
+            start = stop
+    if n:
+        yield []
+
+
 def fidelity_matrix(registry: Registry, t: float, *,
                     staggered: bool = False) -> FidelityMatrix:
     """Pairwise overlaps of all entries evolved to common evaluation time t.
@@ -297,23 +321,16 @@ def fidelity_matrix(registry: Registry, t: float, *,
     entry its own elapsed time t - printed_at (requires t >= every
     printed_at), so each row of parameters is gamma (t - printed_at) - theta.
 
-    The matrix is filled a row at a time from blocks of whole rows of the
-    upper triangle: row i's overlaps go into values[i, i+1:] and are
-    mirrored into values[i+1:, i], so the lower triangle equals the upper
-    one bit for bit, and beside the matrix only one block of pairs is held.
+    The matrix is filled a row at a time from the upper-triangle row
+    kernel: row i's overlaps go into values[i, i+1:] and are mirrored into
+    values[i+1:, i], so the lower triangle equals the upper one bit for bit.
     """
     thetas = _pair_thetas(registry, t, staggered)
     n = len(thetas)
     values = np.ones((n, n), dtype=float)
-    for rows, cols in _pair_blocks(n):
-        # math.exp as in states.overlap: np.exp differs from it in some last bits
-        exps = list(map(math.exp, _log_overlap_rows(thetas[cols], thetas[rows]).tolist()))
-        start = 0
-        for i in range(int(rows[0]), int(rows[-1]) + 1):
-            stop = start + n - 1 - i
-            values[i, i + 1:] = exps[start:stop]
-            values[i + 1:, i] = values[i, i + 1:]
-            start = stop
+    for i, row in enumerate(_upper_overlaps(thetas)):
+        values[i, i + 1:] = row
+        values[i + 1:, i] = row
     return FidelityMatrix(ids=registry.ids, values=values, eval_time=float(t),
                           staggered=staggered)
 
@@ -348,8 +365,9 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
     rounding of its terms and of the test itself. Every other pair goes
     through the row kernel, so the edges, their order and the clusters are
     those of testing every pair. A pair whose f is not finite (its gaps sum
-    past the float range, or its gap is not finite) is never dropped, so
-    its fsum raises or decides as it always did.
+    past the float range, or its gap is not finite) is never dropped: the
+    row kernel decides it, and one whose terms sum past the float range
+    has overlap 0.0 and no edge.
 
     Clusters are ordered by first member; members keep registry order, so
     the output is deterministic.

@@ -20,9 +20,14 @@ still written, and stderr holds one ``error: verify:`` line).
 
 Numbers in CSV cells are ``repr()`` of Python floats, so artifacts are
 byte-stable across reruns; ``manifest.json`` differs only in its
-``import_s`` and ``wall_time_s`` fields. ``fidelity.csv`` is rendered from
-the matrix's upper triangle, each value formatted once: a cell below the
-diagonal reuses the string of its mirror, which holds the same float.
+``import_s`` and ``wall_time_s`` fields. ``fidelity.csv`` is streamed from
+`capacity`'s upper-triangle row kernel, with no n x n matrix, and each value
+is formatted once: a cell below the diagonal is read from the joined string
+of its mirror's row, which holds the same float.
+
+Cyclic garbage is not freed at exit: `main` has the process freeze the
+collector's objects instead of collecting them one last time. Every
+artifact is written and closed by a ``with`` block before that.
 
 A subcommand imports only the modules it uses: ``evolve`` and
 ``thermo-trace`` import `dqmem.thermo`, and only ``oracle-verify`` imports
@@ -36,10 +41,11 @@ matches the per-state functions of `dqmem.states` and
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import itertools
 import math
 import os
-import platform
 import sys
 import time
 from collections.abc import Iterable
@@ -47,25 +53,27 @@ from collections.abc import Iterable
 import numpy as np
 
 try:  # CPython's own SHA-256: hashlib loads OpenSSL, 3.7 MB of resident memory
-    from _sha2 import sha256  # Python 3.12 and later
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10 and 3.11
-    except ImportError:  # a build without the built-in hashes
-        from hashlib import sha256
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # a build without the built-in hashes
+    from hashlib import sha256
 
 from . import _IMPORT_STARTED, __version__
 from .capacity import (
     CONFIG_KINDS,
     ExperimentConfig,
+    FidelityMatrix,
     RegistryError,
     _entry_thetas,
     _json_text,
     _log_overlap_rows,
+    _pair_thetas,
     _read_json,
+    _upper_overlaps,
     association_graph,
     capacity_estimate,
-    fidelity_matrix,
     forgetting_curve,
     load_registry,
     new_registry,
@@ -333,32 +341,49 @@ def _run_capacity(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
             results, line)
 
 
-def _matrix_rows(fm):
-    """fidelity.csv's rows with each value formatted once: row i is the
-    strings that rows 0..i-1 made for column i (the matrix mirrors its
-    upper triangle bit for bit), then repr of values[i, i:]. A column's
-    strings go as soon as its row is out, so at most n^2/4 are held."""
-    below = [[] for _ in fm.ids]
-    for i, entry_id in enumerate(fm.ids):
-        upper = list(map(repr, fm.values[i, i:].tolist()))
-        for column, text in zip(below[i + 1:], upper[1:]):
-            column.append(text)
-        row, below[i] = below[i], None
-        yield [entry_id, *row, *upper]
+_SPLIT = 16  # cells a fidelity.csv cursor splits off its row's string at a time
+
+
+def _cells(text: str):
+    """The comma-separated cells of `text`, in lists of at most _SPLIT:
+    each split keeps only the unread rest of the text."""
+    cells = text.split(",", _SPLIT)
+    while len(cells) > _SPLIT:
+        text = cells.pop()
+        yield cells
+        cells = text.split(",", _SPLIT)
+    yield cells
+
+
+def _matrix_rows(ids, thetas):
+    """fidelity.csv's rows from capacity's upper-triangle row kernel, each
+    value formatted once. Row i is the cells that rows 0..i-1 made for
+    column i (the overlaps are symmetric bit for bit), 1.0, then repr of its
+    overlaps with the entries after it. A written row keeps those last cells
+    as one joined string, which its cursor reads forward as later rows are
+    written, so only the unread text of each row is held, never a string
+    object per cell."""
+    cursors = []
+    for entry_id, upper in zip(ids, _upper_overlaps(thetas)):
+        upper = list(map(repr, upper))
+        yield [entry_id, *map(next, cursors), "1.0", *upper]
+        cursors.append(itertools.chain.from_iterable(_cells(",".join(upper))))
 
 
 def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     registry = load_registry(cfg.registry)
     if cfg.kind == "fidelity-matrix":
-        fm = fidelity_matrix(registry, cfg.time, staggered=cfg.staggered)
+        # no file is opened before the time and printing times are checked
+        thetas = _pair_thetas(registry, cfg.time, cfg.staggered)
         results = {
-            "ids": list(fm.ids),
-            "eval_time": fm.eval_time,
-            "staggered": fm.staggered,
-            "metric": fm.metric,
+            "ids": list(registry.ids),
+            "eval_time": cfg.time,
+            "staggered": cfg.staggered,
+            "metric": FidelityMatrix.metric,
         }
-        return ({"fidelity.csv": (["entry_id", *fm.ids], _matrix_rows(fm))}, results,
-                f"fidelity matrix over {len(fm.ids)} entries")
+        return ({"fidelity.csv": (["entry_id", *registry.ids],
+                                  _matrix_rows(registry.ids, thetas))},
+                results, f"fidelity matrix over {len(registry.ids)} entries")
 
     graph = association_graph(registry, cfg.time, cfg.threshold,
                               staggered=cfg.staggered)
@@ -443,7 +468,7 @@ def _manifest(args, argv: list[str], config_sha256, seed, names: list[str],
         "seed": seed,
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "versions": {
-            "python": platform.python_version(),
+            "python": sys.version.split()[0],  # platform.python_version() on CPython
             "numpy": np.__version__,
             "dqmem": __version__,
         },
@@ -498,6 +523,11 @@ def _dispatch(args) -> tuple[dict, dict, str, str, object, object, object]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # at exit, move every object out of the collector's reach, so the process
+    # skips the final collection over numpy's and dqmem's module objects;
+    # unregistering first keeps it one registration however often main runs
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         try:

@@ -398,17 +398,26 @@ def _require_same_register(a: MemoryState, b: MemoryState) -> None:
         raise ValueError("states do not share a mode register")
 
 
+def _fsum_ln_cosh(terms) -> float:
+    """math.fsum of ln cosh terms, each >= 0: inf where they sum past the
+    float range, as the exact sum does, so its overlap is exp(-inf) = 0.0."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # "intermediate overflow": finite terms, sum past range
+        return math.inf
+
+
 def log_overlap(a: MemoryState, b: MemoryState) -> float:
     """ln |<a|b>| for two states of the same register.
 
     Per pair the overlap is 1/cosh(Theta_a - Theta_b) (geometric series over
     the paired diagonal), and pairs multiply, so the log is a compensated sum
     of -ln cosh over the per-pair gaps. Always <= 0, and 0 only when every
-    gap vanishes.
+    gap vanishes; -inf when the terms sum past the float range.
     """
     _require_same_register(a, b)
     gaps = effective_thetas(a) - effective_thetas(b)
-    return -math.fsum(log_cosh(gaps))
+    return -_fsum_ln_cosh(log_cosh(gaps))
 
 
 def overlap(a: MemoryState, b: MemoryState) -> float:
@@ -422,7 +431,7 @@ def vacuum_overlap(state: MemoryState) -> float:
     Peaks at 1 when every damped pair crosses Theta = 0 simultaneously; for a
     single pair this happens exactly at the forgetting time.
     """
-    return math.exp(-math.fsum(log_cosh(effective_thetas(state))))
+    return math.exp(-_fsum_ln_cosh(log_cosh(effective_thetas(state))))
 
 
 def forgetting_time(state: MemoryState) -> float:

@@ -155,16 +155,23 @@ def effective_beta(state: MemoryState, kappa: int) -> float:
 
 
 def bose_occupation(beta: float, energy: float) -> float:
-    """Thermal occupation 1/(e^{beta E} - 1)."""
+    """Thermal occupation 1/(e^{beta E} - 1).
+
+    beta = 0, which effective_beta gives past |Theta| ~ 372.6, is the
+    infinite temperature limit: the occupation is inf, as it is for the
+    smallest positive beta.
+    """
     beta = float(beta)
     energy = float(energy)
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not (beta >= 0.0):
+        raise ValueError(f"beta must be >= 0, got {beta}")
     if not (energy > 0.0 and math.isfinite(energy)):
         raise ValueError(f"energy must be positive and finite, got {energy}")
     if math.isinf(beta):
         return 0.0
     x = beta * energy
+    if x == 0.0:
+        return math.inf
     return math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
 
 

@@ -898,12 +898,24 @@ def test_association_graph_matches_loop_and_connected_components(monkeypatch):
                 assert (g.edges, g.clusters) == loop_association_graph(reg, 0.0, threshold)
 
 
-def test_association_graph_overflowing_pair_raises_as_fsum_does():
-    # a pair whose floor overflows is never screened out: its fsum raises,
-    # as it did when every pair went through log_cosh
+def test_pair_summing_past_the_float_range_has_overlap_zero_and_no_edge():
+    # each ln cosh term between codes (0, 0) and (1e308, 1e308) is finite,
+    # their sum passes the float range: the log-overlap is -inf, in
+    # log_overlap and in the row kernel alike, so the cell is 0.0 and the
+    # pair no edge (its floor overflows, so the screen never drops it)
     reg = registry_k(2, [[0.0, 0.0], [1e308, 1e308], [0.0, 0.0]])
-    with np.errstate(over="ignore"), pytest.raises(OverflowError, match="fsum"):
-        association_graph(reg, 0.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fm = fidelity_matrix(reg, 0.0)
+        g = association_graph(reg, 0.0, 0.5)
+        curve = forgetting_curve(Code((1e308, 1e308)), modes_k(2), [0.0, 1.0])
+    a, b = reg.state("m0"), reg.state("m1")
+    assert log_overlap(a, b) == log_overlap(b, a) == -math.inf
+    assert overlap(a, b) == vacuum_overlap(b) == 0.0
+    assert fm.values.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
+    assert g.edges == (("m0", "m2", 1.0),)
+    assert g.clusters == (("m0", "m2"), ("m1",))
+    assert curve.vacuum_overlap == (0.0, 0.0) and curve.self_overlap == (1.0, 1.0)
 
 
 def test_log_cosh_past_the_float_range_of_2x_is_silent_and_exact():

@@ -324,10 +324,13 @@ def full_matrix_graph(fm, threshold):
 
 @pytest.mark.parametrize("staggered", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 7])
-def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, staggered, n):
-    # fidelity.csv is rendered from the upper triangle and edges.csv
+def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, monkeypatch, staggered, n):
+    # fidelity.csv is streamed from the upper triangle and edges.csv
     # thresholds the log-overlaps: both must match the full matrix, at
-    # thresholds within an ulp of an overlap and at an overlap of exactly 1
+    # thresholds within an ulp of an overlap and at an overlap of exactly 1;
+    # also in blocks of 3 pairs, where the 7 entries span one-row blocks and
+    # a two-row one, with fidelity.csv's cursors splitting 2 cells at a time
+    from dqmem import capacity, cli
     from dqmem.capacity import fidelity_matrix, load_registry
     from dqmem.cli import _csv_lines
 
@@ -347,13 +350,8 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, staggered, n):
     fm = fidelity_matrix(load_registry(registry), t, staggered=staggered)
     doc = {"registry": registry, "time": t, "staggered": staggered}
 
-    out = tmp_path / "matrix"
-    assert run(["associate", "--config", write_config(
-        tmp_path, "m.json", dict(doc, kind="fidelity-matrix")), "--out", out, "--quiet"]) == 0
     full_rows = ([e, *row.tolist()] for e, row in zip(fm.ids, fm.values))
-    assert (out / "fidelity.csv").read_bytes() == "".join(_csv_lines(
-        ["entry_id", *fm.ids], full_rows)).encode("utf-8")
-
+    matrix_bytes = "".join(_csv_lines(["entry_id", *fm.ids], full_rows)).encode("utf-8")
     thresholds = [0.5]
     if n > 1:
         near = fm.values[0, 1]
@@ -362,17 +360,25 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, staggered, n):
     if n == 7:
         assert fm.values[4, 5] == 1.0
         thresholds.append(math.nextafter(1.0, 0.0))
-    for threshold in thresholds:
-        out = tmp_path / f"graph-{threshold!r}"
+    for chunk, split in ((capacity._PAIR_CHUNK, cli._SPLIT), (3, 2)):
+        monkeypatch.setattr(capacity, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(cli, "_SPLIT", split)
+        out = tmp_path / f"matrix-{chunk}"
         assert run(["associate", "--config", write_config(
-            tmp_path, "g.json", dict(doc, kind="association-graph", threshold=threshold)),
-            "--out", out, "--quiet"]) == 0
-        edges, clusters = full_matrix_graph(fm, threshold)
-        assert (out / "edges.csv").read_bytes() == "".join(_csv_lines(
-            ["entry_a", "entry_b", "fidelity"], edges)).encode("utf-8")
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["results"]["clusters"] == clusters
-        assert summary["results"]["edge_count"] == len(edges)
+            tmp_path, "m.json", dict(doc, kind="fidelity-matrix")), "--out", out,
+            "--quiet"]) == 0
+        assert (out / "fidelity.csv").read_bytes() == matrix_bytes
+        for threshold in thresholds:
+            out = tmp_path / f"graph-{chunk}-{threshold!r}"
+            assert run(["associate", "--config", write_config(
+                tmp_path, "g.json", dict(doc, kind="association-graph", threshold=threshold)),
+                "--out", out, "--quiet"]) == 0
+            edges, clusters = full_matrix_graph(fm, threshold)
+            assert (out / "edges.csv").read_bytes() == "".join(_csv_lines(
+                ["entry_a", "entry_b", "fidelity"], edges)).encode("utf-8")
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["results"]["clusters"] == clusters
+            assert summary["results"]["edge_count"] == len(edges)
     if n > 1:  # the pair at the threshold is an edge, one ulp above it is not
         assert full_matrix_graph(fm, near)[0][:1] == [(ids[0], ids[1], near)]
         assert (ids[0], ids[1], near) not in full_matrix_graph(
@@ -908,10 +914,11 @@ def test_unencodable_cell_is_one_error_and_leaves_no_partial(tmp_path, capsys):
 
 
 def test_fidelity_run_holds_no_whole_csv_or_triangle_list(tmp_path):
-    # beside the n x n matrix (8 n^2 bytes) a fidelity-matrix run holds the
-    # lower-triangle strings of the rows not yet written, at most n^2/4 of
-    # them, about the CSV's own size; building the whole CSV text, as a
-    # string and through a buffer, or a list of every pair, goes past 1.5 times it
+    # a fidelity-matrix run holds no n x n matrix: beside one block of pairs
+    # it keeps, of each written row, its unread cells after the diagonal as
+    # one string, under half the CSV's size; the whole CSV text, as a string
+    # or through a buffer, a list of every pair, or one string object per
+    # unwritten lower cell (with the matrix, 1.57 times the CSV) go past it
     import tracemalloc
 
     n = 300
@@ -933,7 +940,7 @@ def test_fidelity_run_holds_no_whole_csv_or_triangle_list(tmp_path):
         tracemalloc.stop()
     size = (tmp_path / "o" / "fidelity.csv").stat().st_size
     assert size > 1.5e6
-    assert peak < 8 * n * n + 1.5 * size
+    assert peak < size
 
 
 # ---------------------------------------------------------------------------

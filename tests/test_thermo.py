@@ -130,8 +130,10 @@ def test_effective_beta_infinite_on_empty_pair():
 def test_bose_occupation_inverts_beta():
     n = thermo.bose_occupation(math.log(2.0), 1.0)
     assert n == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        thermo.bose_occupation(-1.0, 1.0)
+    for beta in (-1.0, -5e-324, math.nan):
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            thermo.bose_occupation(beta, 1.0)
+    assert thermo.bose_occupation(0.0, 1.0) == thermo.bose_occupation(-0.0, 1.0) == math.inf
 
 
 @given(beta=st.floats(min_value=0.05, max_value=5.0, allow_nan=False),
@@ -336,7 +338,8 @@ def test_public_functions_past_the_float_range_give_values_or_sentinels():
             "quantum_numbers": states.quantum_numbers(state, 0),
             "entropy": thermo.entropy(state)[0],
             "effective_beta": thermo.effective_beta(state, 0),
-            "bose_occupation": thermo.bose_occupation(tiny, 1.0),
+            "bose_occupation": (thermo.bose_occupation(tiny, 1.0),
+                                thermo.bose_occupation(thermo.effective_beta(state, 0), 1.0)),
             "free_energy": thermo.free_energy(state, 1.0),
             "stationarity_residual": thermo.stationarity_residual(state, 1.0).tolist(),
             "entropy_trace": thermo.entropy_trace(state, [0.0, 1.0]).tolist(),
@@ -365,7 +368,7 @@ def test_public_functions_past_the_float_range_give_values_or_sentinels():
         "quantum_numbers": states.QuantumNumbers(0.0, inf),
         "entropy": s(800.0),
         "effective_beta": 0.0,
-        "bose_occupation": inf,
+        "bose_occupation": (inf, inf),
         "free_energy": inf,
         "stationarity_residual": [-inf],
         "entropy_trace": [s(800.0), s(799.0)],
