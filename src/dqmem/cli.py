@@ -26,8 +26,9 @@ is formatted once: a cell below the diagonal is read from the joined string
 of its mirror's row, which holds the same float.
 
 Cyclic garbage is not freed at exit: `main` has the process freeze the
-collector's objects instead of collecting them one last time. Every
-artifact is written and closed by a ``with`` block before that.
+collector's objects instead of collecting them one last time (except under
+``python -X dev``, where an unclosed file still warns). Every artifact is
+written and closed by a ``with`` block before that.
 
 A subcommand imports only the modules it uses: ``evolve`` and
 ``thermo-trace`` import `dqmem.thermo`, and only ``oracle-verify`` imports
@@ -525,9 +526,12 @@ def _dispatch(args) -> tuple[dict, dict, str, str, object, object, object]:
 def main(argv: list[str] | None = None) -> int:
     # at exit, move every object out of the collector's reach, so the process
     # skips the final collection over numpy's and dqmem's module objects;
-    # unregistering first keeps it one registration however often main runs
+    # unregistering first keeps it one registration however often main runs.
+    # A frozen object is never finalized, so an unclosed file in a cycle or a
+    # module global would not warn: under -X dev the collection stays
     atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
+    if not sys.flags.dev_mode:
+        atexit.register(gc.freeze)
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         try:

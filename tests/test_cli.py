@@ -12,6 +12,7 @@ import json
 import math
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
@@ -74,6 +75,7 @@ def test_print_writes_registry_and_manifest(registry_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "print"
     assert set(manifest["versions"]) == {"python", "numpy", "dqmem"}
+    assert manifest["versions"]["python"] == platform.python_version()
     assert manifest["wall_time_s"] >= 0.0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["entry_count"] == 3
@@ -916,9 +918,10 @@ def test_unencodable_cell_is_one_error_and_leaves_no_partial(tmp_path, capsys):
 def test_fidelity_run_holds_no_whole_csv_or_triangle_list(tmp_path):
     # a fidelity-matrix run holds no n x n matrix: beside one block of pairs
     # it keeps, of each written row, its unread cells after the diagonal as
-    # one string, under half the CSV's size; the whole CSV text, as a string
-    # or through a buffer, a list of every pair, or one string object per
-    # unwritten lower cell (with the matrix, 1.57 times the CSV) go past it
+    # one string, under half the CSV's size (0.75 times the CSV in all); the
+    # whole CSV text, as a string or through a buffer, a list of every pair,
+    # or one string object per unwritten lower cell (1.35 times the CSV,
+    # 1.57 with the matrix) go past it
     import tracemalloc
 
     n = 300
@@ -1016,6 +1019,33 @@ def test_console_script_is_wired(tmp_path):
     assert "--dim" in proc.stdout
 
 
+@pytest.mark.parametrize("flags, frozen", [((), "1 True"), (("-X", "dev"), "0 False")])
+def test_exit_freezes_the_collector_once_however_often_main_runs(flags, frozen):
+    # instead of a last collection at exit, main has the process freeze the
+    # collector's objects, once for any number of calls; an exit function
+    # registered earlier runs after the freeze. Under -X dev the collection
+    # stays, so a file left open in a cycle still warns
+    proc = python("import atexit, gc\n"
+                  "calls, freeze = [], gc.freeze\n"
+                  "gc.freeze = lambda: calls.append(freeze())\n"
+                  "atexit.register(lambda: print(len(calls), gc.get_freeze_count() > 0))\n"
+                  "from dqmem.cli import main\n"
+                  "print([main(['evolve']) for _ in range(3)])\n", flags=flags)
+    assert proc.stdout.splitlines() == ["[1, 1, 1]", frozen]
+
+
+def test_dev_mode_run_warns_of_a_file_left_open_in_a_cycle(tmp_path):
+    # the CI guard runs reads under -X dev -W error and requires an empty
+    # stderr: that catches a file that only the final collection would close,
+    # here one that a cycle held by a global keeps open until the exit
+    proc = python("import sys\n"
+                  "from dqmem.cli import main\n"
+                  "leak = [open(sys.argv[1], 'rb')]\n"
+                  "leak.append(leak)\n"
+                  "main(['evolve'])\n", __file__, flags=("-X", "dev", "-W", "error"))
+    assert "ResourceWarning: unclosed file" in proc.stderr
+
+
 def test_infinite_tau_serialized_as_string(tmp_path):
     cfg = write_config(tmp_path, "forget.json", {
         "kind": "forgetting-curve",
@@ -1047,10 +1077,10 @@ sys.meta_path.insert(0, NoScipy())
 """
 
 
-def python(code, *args):
+def python(code, *args, flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+    return subprocess.run([sys.executable, *flags, "-c", code, *map(str, args)],
                           capture_output=True, text=True, env=env)
 
 
