@@ -43,10 +43,9 @@ from .states import (
     _Record,
     _checked_modes,
     _checked_times,
-    _fsum_ln_cosh,
     _gammas,
     _occupations,
-    _row_sums,
+    _row_sums_nonneg,
     _set,
     _trajectory,
     effective_thetas,
@@ -236,14 +235,10 @@ def _log_overlap_rows(block: np.ndarray, row) -> np.ndarray:
     value `states.log_overlap` gives for the two rows, bit for bit, -inf
     for a row whose terms sum past the float range. `row` is one row or a
     block of rows paired with `block` row by row. The sums are
-    `states._row_sums`, math.fsum's value with no Python call per row;
-    every caller takes overlaps as math.exp of them, as `states.overlap`
-    does."""
-    terms = log_cosh(block - row)
-    try:
-        return -_row_sums(terms)
-    except OverflowError:  # some row's fsum: sum it row by row, as log_overlap does
-        return -np.array([_fsum_ln_cosh(r) for r in terms.tolist()])
+    `states._row_sums_nonneg`, math.fsum's value with no Python call per
+    row; every caller takes overlaps as math.exp of them, as
+    `states.overlap` does."""
+    return -_row_sums_nonneg(log_cosh(block - row))
 
 
 def _entry_thetas(registry: Registry, t: float, staggered: bool) -> np.ndarray:
@@ -469,8 +464,9 @@ def greedy_pack(thetas: Sequence[Sequence[float]], epsilon: float) -> tuple[tupl
     3. Any other row is re-decided by the exact fsum rule on its own.
 
     The accepted set is therefore the one the per-pair fsum loop gives, bit
-    for bit. Candidates must form a finite (n, K) array; an empty sequence
-    packs to ((), ()).
+    for bit. A gap or sum past the float range is inf, with no warning, and
+    means overlap 0.0, as in `_log_overlap_rows`. Candidates must form a
+    finite (n, K) array; an empty sequence packs to ((), ()).
     """
     epsilon = float(epsilon)
     if not (0.0 < epsilon < 1.0):
@@ -480,11 +476,14 @@ def greedy_pack(thetas: Sequence[Sequence[float]], epsilon: float) -> tuple[tupl
     acc = np.empty_like(cands)
     accepted: list[int] = []
     curve: list[int] = []
-    for idx, cand in enumerate(cands):
-        if _accepts(np.abs(cand - acc[:len(accepted)]), log_eps):
-            acc[len(accepted)] = cand
-            accepted.append(idx)
-        curve.append(len(accepted))
+    # an infinite gap or sum means overlap 0.0; the block screen's s - bound
+    # is then inf - inf = nan, which leaves the row decided, as it is
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, cand in enumerate(cands):
+            if _accepts(np.abs(cand - acc[:len(accepted)]), log_eps):
+                acc[len(accepted)] = cand
+                accepted.append(idx)
+            curve.append(len(accepted))
     return tuple(accepted), tuple(curve)
 
 
@@ -607,7 +606,7 @@ def forgetting_curve(code: Code, modes: Iterable[ModeParams], times) -> Forgetti
         times=tuple(ts.tolist()),
         self_overlap=tuple(math.exp(x) for x in self_log),
         vacuum_overlap=tuple(math.exp(x) for x in vacuum_log),
-        total_occupation=tuple(_row_sums(_occupations(traj)).tolist()),
+        total_occupation=tuple(_row_sums_nonneg(_occupations(traj)).tolist()),
         tau=forgetting_time(written),
     )
 
@@ -688,7 +687,7 @@ _NON_FINITE = {math.inf: '"inf"', -math.inf: '"-inf"'}
 
 
 def _json_text(obj) -> str:
-    """Canonical JSON text of obj, the one writer of every JSON artifact.
+    """Canonical JSON text of obj, the text of every JSON artifact.
 
     The text is that of json.dumps(_jsonable(obj), sort_keys=True,
     indent=2, allow_nan=False) + "\n", where the old _jsonable made mappings
@@ -697,51 +696,52 @@ def _json_text(obj) -> str:
     strings. It is written in one walk, without json's pure-Python indent
     encoder: strings go through json's encode_basestring_ascii, and a list
     of floats is one join of float.__repr__, the format json gives a float.
-    Any other type raises TypeError, as json does.
+    Any other type raises TypeError, as json does. The walk is
+    `_json_parts`, which `cli` also streams into summary.json's file.
     """
     out: list[str] = []
-    _json_parts(obj, "\n", out)
+    _json_parts(obj, "\n", out.append)
     out.append("\n")
     return "".join(out)
 
 
-def _json_parts(obj, newline: str, out: list[str]) -> None:
-    """Appends obj's JSON text to out; `newline` is a line break plus the
-    indent of obj's own level."""
+def _json_parts(obj, newline: str, write) -> None:
+    """Passes obj's JSON text to write, in parts; `newline` is a line break
+    plus the indent of obj's own level."""
     if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
+        write(encode_basestring_ascii(obj))
     elif obj is None or obj is True or obj is False:
-        out.append({None: "null", True: "true", False: "false"}[obj])
+        write({None: "null", True: "true", False: "false"}[obj])
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        out.append(float.__repr__(x) if math.isfinite(x) else _NON_FINITE.get(x, '"nan"'))
+        write(float.__repr__(x) if math.isfinite(x) else _NON_FINITE.get(x, '"nan"'))
     elif isinstance(obj, (int, np.integer)):
-        out.append(int.__repr__(int(obj)))
+        write(int.__repr__(int(obj)))
     elif isinstance(obj, Mapping):
         items = {str(key): value for key, value in obj.items()}
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(items):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_parts(items[key], inner, out)
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _json_parts(items[key], inner, write)
             sep = "," + inner
-        out.append(newline + "}" if items else "{}")
+        write(newline + "}" if items else "{}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj.tolist()) if isinstance(obj, np.ndarray) else obj
         inner = newline + "  "
         try:  # floats only, all finite: no repr holds an "n"
             text = ("," + inner).join(map(float.__repr__, items))
             if items and "n" not in text:
-                out.append("[" + inner + text + newline + "]")
+                write("[" + inner + text + newline + "]")
                 return
         except TypeError:
             pass
         sep = "[" + inner
         for item in items:
-            out.append(sep)
-            _json_parts(item, inner, out)
+            write(sep)
+            _json_parts(item, inner, write)
             sep = "," + inner
-        out.append(newline + "]" if items else "[]")
+        write(newline + "]" if items else "[]")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -68,6 +68,7 @@ from .capacity import (
     FidelityMatrix,
     RegistryError,
     _entry_thetas,
+    _json_parts,
     _json_text,
     _log_overlap_rows,
     _pair_thetas,
@@ -82,7 +83,7 @@ from .capacity import (
     print_memory,
     registry_to_json,
 )
-from .states import MemoryState, _row_sums, effective_thetas
+from .states import MemoryState, _row_sums_nonneg, effective_thetas
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -147,8 +148,9 @@ def _write_artifacts(out_dir: str, files: dict, manifest) -> None:
     """Writes one run's artifacts into out_dir, the manifest last.
 
     Each artifact goes to `<name>.partial` first: text as is, a
-    (header, rows) CSV line by line, so no CSV is held whole. Then
-    manifest(names), names being every file of the run sorted,
+    (header, rows) CSV line by line and a dict as canonical JSON part by
+    part (`_json_parts`, the bytes of `_json_text`), so neither is held
+    whole. Then manifest(names), names being every file of the run sorted,
     manifest.json included, gives the manifest's text, written likewise.
     Files that the manifest already in out_dir lists and this run does not
     write are deleted, and every `.partial` is renamed, manifest.json last.
@@ -163,6 +165,9 @@ def _write_artifacts(out_dir: str, files: dict, manifest) -> None:
         with open(partials[-1], "w", encoding="utf-8", newline="") as fh:
             if isinstance(artifact, str):
                 fh.write(artifact)
+            elif isinstance(artifact, dict):
+                _json_parts(artifact, "\n", fh.write)
+                fh.write("\n")
             else:
                 fh.writelines(_csv_lines(*artifact))
 
@@ -287,7 +292,7 @@ def _run_evolve(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     traj, occ, _, entropy, energy = thermo._trace(state, times)
     rows = [[t, *thetas, *occupations, total, s, e]
             for t, thetas, occupations, total, s, e
-            in zip(times, traj.tolist(), occ.tolist(), _row_sums(occ).tolist(),
+            in zip(times, traj.tolist(), occ.tolist(), _row_sums_nonneg(occ).tolist(),
                    entropy.tolist(), energy.tolist())]
 
     results = {
@@ -505,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help=f"JSON config of kind {' or '.join(kinds)}")
         else:
             cmd.add_argument("--dim", type=int, default=64, metavar="N",
-                             help="oracle truncation dimension (at least 64)")
+                             help="cap on the oracle truncation dimension (at least 64)")
         cmd.add_argument("--out", metavar="DIR", default=".",
                          help="output directory (default: current directory)")
         cmd.add_argument("--quiet", action="store_true",
@@ -542,13 +547,13 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         try:
             artifacts, results, line, kind, echo, seed, sha256 = _dispatch(args)
-            artifacts["summary.json"] = _json_text({
+            artifacts["summary.json"] = {
                 "command": args.command,
                 "kind": kind,
                 "schema_version": SUMMARY_SCHEMA_VERSION,
                 "config": echo,
                 "results": results,
-            })
+            }
             # a CSV's rows are computed as its file is written
             _write_artifacts(args.out, artifacts, lambda names: _manifest(
                 args, argv, sha256, seed, names, time.perf_counter() - start))

@@ -34,11 +34,13 @@ each the same literal product of ladder matrices as the full-space operator
 it restricts, so every block entry equals that operator's entry bit for bit.
 An observable that leaves sector 0 (a ladder, a quadrature) is measured by
 its image in sectors -1 and +1. The full pair space (flat index
-n * dim + ntil, built by `_PairSpace`) remains in two places only:
-`algebra_residuals` checks the operator identities on it at the workspace
-dim (the CLI uses dim 32), and `check_squeeze_factorization` runs its
-squeezers on its n + ntil even half at their own padded dim d_pad, because
-a single-mode squeezer spreads the vacuum over every even sector.
+n * dim + ntil, `_PairSpace`, which builds each operator on first use)
+remains in two places only: `algebra_residuals` checks the operator
+identities on it at the workspace dim (the CLI uses dim 32), and
+`check_squeeze_factorization` runs its squeezers on its n + ntil even half
+at their own guard dim, because a single-mode squeezer spreads the vacuum
+over every even sector; that check builds only the ladder operators and
+the rotated mode it squeezes.
 
 The rotated quadrature pair that factorizes the write operation is
 
@@ -64,15 +66,20 @@ Truncation policy: the top Fock level of each oscillator is where the
 commutation relations necessarily break, so operator-identity checks are
 restricted to the interior {n < dim-1, ntil < dim-1}. State constructions
 refuse parameters whose discarded tail tanh(theta)^(2 dim) exceeds an
-explicit budget rather than truncating silently.
+explicit budget rather than truncating silently. A check on the memory
+state at Theta needs no more than its guard dim (`_guard_dim`), the
+smallest dim d with tanh(|Theta|)^d <= _GUARD_TAIL, so the residual suite
+runs each state there with the caller's dim as a cap: its cost follows the
+states, not the cap, and each budget is still enforced at the capped dim.
 
 Fixed tolerances are module constants, not keyword arguments, so every
 check runs at one setting: an `expm_action` Taylor stage has 1-norm at most
 _STAGE_NORM = 4 and ends once a term is below _EXPM_TOL = 1e-15 of the
 partial sum, within _MAX_TERMS = 120 terms; `evolve_vector` allows a tail of
 _EVOLVE_MAX_TAIL = (_EVOLVE_BOUND / 2)^2 = 2.5e-21 along its path, so its
-error stays within _EVOLVE_BOUND = 1e-10; `check_squeeze_factorization` runs
-at d_pad, the dim where its tail is _SQUEEZE_GUARD_TAIL = 1e-12, and refuses
+error stays within _EVOLVE_BOUND = 1e-10; a guard dim is where the tail
+tanh(|Theta|)^d falls to _GUARD_TAIL = 1e-12, and
+`check_squeeze_factorization` runs at its uncapped guard dim d_pad, refusing
 a d_pad above _MAX_PAD_FACTOR = 4 times dim; the hole-relation and
 entropy-flow checks refuse |Theta| below _MIN_ABS_THETA = 0.05. Only
 memory_vector's budget (1e-10) is a parameter.
@@ -127,7 +134,7 @@ _STAGE_NORM = 4.0
 _MAX_TERMS = 120
 _EVOLVE_BOUND = 1e-10  # error bound of the oracle's evolution rows
 _EVOLVE_MAX_TAIL = (_EVOLVE_BOUND / 2.0) ** 2
-_SQUEEZE_GUARD_TAIL = 1e-12
+_GUARD_TAIL = 1e-12
 _MAX_PAD_FACTOR = 4
 _MIN_ABS_THETA = 0.05
 
@@ -204,10 +211,11 @@ class ShiftOperator:
         return ShiftOperator(self.shape[::-1], coef)
 
 
-def _check_hermitian(**ops: ShiftOperator) -> None:
-    for name, op in ops.items():
-        if any(np.any(c) for c in (op - op.H).coef.values()):
-            raise RuntimeError(f"{name} failed its Hermiticity self-check")
+def _hermitian(name: str, op: ShiftOperator) -> ShiftOperator:
+    """op, once it is checked entrywise to equal its adjoint."""
+    if any(np.any(c) for c in (op - op.H).coef.values()):
+        raise RuntimeError(f"{name} failed its Hermiticity self-check")
+    return op
 
 
 class FockWorkspace(_Record):
@@ -313,8 +321,7 @@ def build_workspace(dim: int, omega: float = 1.0, gamma: float = 1.0) -> FockWor
     # each product passes through the one sector its right factor reaches
     j_plus = a.H @ atildag
     j_minus = adag.H @ atil
-    h_int = (1j * gamma) * (j_plus - j_minus)
-    _check_hermitian(h_int=h_int)
+    h_int = _hermitian("h_int", (1j * gamma) * (j_plus - j_minus))
 
     k = np.arange(dim)
     side = k[:-1] < dim - 2  # |k,k+1> and |k+1,k> leave the interior at k = dim-2
@@ -345,34 +352,43 @@ class _PairSpace:
     next n. `h0`, `j3` and `casimir` are exact integer diagonals, so [H0,
     H_int] = 0 and the weight-raising commutators hold float-exactly, not
     just to round-off; `interior` projects onto {n < dim-1, ntil < dim-1}.
-    Hermiticity of H0 and H_int is verified entrywise on construction.
+    Each operator is built on first use and then kept, so the squeeze check
+    builds only a, atil and the rotated mode it squeezes; H0 and H_int are
+    verified Hermitian entrywise when they are built.
     """
 
     def __init__(self, dim: int, omega: float = 1.0, gamma: float = 1.0):
-        self.dim = dim
+        self.dim, self.omega, self.gamma = dim, omega, gamma
         self.size = dim * dim
-        n = self.n_index = np.repeat(np.arange(dim), dim)
-        m = self.ntil_index = np.tile(np.arange(dim), dim)
+        self.n_index = np.repeat(np.arange(dim), dim)
+        self.ntil_index = np.tile(np.arange(dim), dim)
 
-        def lowering(index: np.ndarray, d: int) -> ShiftOperator:
-            # sqrt(index + 1) at the state d flat places on, if it exists
-            root = np.where(index < dim - 1, np.sqrt(index + 1.0), 0.0)
-            return ShiftOperator((self.size, self.size), {d: root})
+    def _lowering(self, index: np.ndarray, d: int) -> ShiftOperator:
+        # sqrt(index + 1) at the state d flat places on, if it exists
+        root = np.where(index < self.dim - 1, np.sqrt(index + 1.0), 0.0)
+        return ShiftOperator((self.size, self.size), {d: root})
 
-        a = self.a = lowering(n, dim)
-        atil = self.atil = lowering(m, 1)
-        self.adag, self.atildag = a.H, atil.H
-        self.b, self.btil = (a - atil) * _RSQRT2, (a + atil) * _RSQRT2
-        self.j_plus = self.adag @ self.atildag
-        self.j_minus = a @ atil
-        self.number, self.mirror_number = self.adag @ a, self.atildag @ atil
-        diag = ShiftOperator.diag
-        self.h0 = diag(omega * (n - m).astype(float))
-        self.j3 = diag(0.5 * (n + m + 1).astype(float))
-        self.casimir = diag(0.5 * (n - m).astype(float))
-        self.h_int = (1j * gamma) * (self.j_plus - self.j_minus)
-        _check_hermitian(h0=self.h0, h_int=self.h_int)
-        self.interior = diag(((n < dim - 1) & (m < dim - 1)).astype(float))
+    def _diag(self, values: np.ndarray) -> ShiftOperator:
+        return ShiftOperator.diag(values.astype(float))
+
+    a = cached_property(lambda self: self._lowering(self.n_index, self.dim))
+    atil = cached_property(lambda self: self._lowering(self.ntil_index, 1))
+    adag = cached_property(lambda self: self.a.H)
+    atildag = cached_property(lambda self: self.atil.H)
+    b = cached_property(lambda self: (self.a - self.atil) * _RSQRT2)
+    btil = cached_property(lambda self: (self.a + self.atil) * _RSQRT2)
+    j_plus = cached_property(lambda self: self.adag @ self.atildag)
+    j_minus = cached_property(lambda self: self.a @ self.atil)
+    number = cached_property(lambda self: self.adag @ self.a)
+    mirror_number = cached_property(lambda self: self.atildag @ self.atil)
+    h0 = cached_property(lambda self: _hermitian("h0", self._diag(
+        self.omega * (self.n_index - self.ntil_index))))
+    j3 = cached_property(lambda self: self._diag(0.5 * (self.n_index + self.ntil_index + 1)))
+    casimir = cached_property(lambda self: self._diag(0.5 * (self.n_index - self.ntil_index)))
+    h_int = cached_property(lambda self: _hermitian(
+        "h_int", (1j * self.gamma) * (self.j_plus - self.j_minus)))
+    interior = cached_property(lambda self: self._diag(
+        (self.n_index < self.dim - 1) & (self.ntil_index < self.dim - 1)))
 
     def squeezer_generator(self, r: float, mirror: bool = False) -> ShiftOperator:
         """Generator of the squeezer S(r) = exp(-r/2 (m^2 - mdag^2)) on m = b
@@ -461,6 +477,20 @@ def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
             )
         w = acc
     return w.astype(np.complex128)
+
+
+def _guard_dim(theta: float, dim: float = math.inf) -> float:
+    """The smallest dim d >= _MIN_DIM with tanh(|theta|)^d <= _GUARD_TAIL,
+    capped by `dim`: the working dim of a check on the memory state at
+    theta. It is inf, uncapped, where tanh(|theta|) rounds to 1 (|theta|
+    beyond ~19) and no dim is enough."""
+    lam = abs(math.tanh(float(theta)))
+    d = _MIN_DIM
+    if lam >= 1.0:
+        d = math.inf
+    elif lam > 0.0:
+        d = max(d, math.ceil(math.log(_GUARD_TAIL) / math.log(lam)))
+    return min(d, dim)
 
 
 def _require_budget(theta: float, dim: int, max_tail: float, what: str) -> None:
@@ -687,9 +717,9 @@ def check_squeeze_factorization(ws: FockWorkspace, theta: float) -> float:
     The single-mode squeezers spread amplitude over every even sector and
     across total-number shells with tail tanh(|theta|)^d, so computing both
     routes at a dim where that tail is not negligible saturates at the tail
-    instead of testing the identity. The comparison therefore runs at d_pad,
-    the smallest dim (at least 4) with tanh(|theta|)^d_pad <=
-    _SQUEEZE_GUARD_TAIL (1e-12), and is refused when d_pad exceeds
+    instead of testing the identity. The comparison therefore runs at d_pad
+    = `_guard_dim(theta)`, uncapped: the smallest dim (at least 4) with
+    tanh(|theta|)^d_pad <= _GUARD_TAIL (1e-12). It is refused when d_pad exceeds
     _MAX_PAD_FACTOR (4) times ws.dim. Both routes have their support in
     closed form: the squeezers run on the n + ntil even half of the pair
     space, which holds the vacuum and is closed under both, and the write
@@ -700,13 +730,7 @@ def check_squeeze_factorization(ws: FockWorkspace, theta: float) -> float:
     at O(1).
     """
     theta = float(theta)
-    lam = abs(math.tanh(theta))
-    d_pad = _MIN_DIM
-    if lam >= 1.0:
-        # tanh rounds to 1 beyond |theta| ~ 19, where no dim is enough
-        d_pad = math.inf
-    elif lam > 0.0:
-        d_pad = max(d_pad, math.ceil(math.log(_SQUEEZE_GUARD_TAIL) / math.log(lam)))
+    d_pad = _guard_dim(theta)
     if d_pad > _MAX_PAD_FACTOR * ws.dim:
         raise ValueError(
             f"squeeze factorization budget exceeded at theta={theta}: "
@@ -768,8 +792,23 @@ def check_entropy_flow(ws: FockWorkspace, theta: float, gamma: float, t: float,
 
 def _verify_rows(dim: int) -> list[list]:
     """The residual suite of `dqmem oracle-verify` at truncation `dim`: one
-    row [check, detail, value, lo, hi, status] per check."""
+    row [check, detail, value, lo, hi, status] per check.
+
+    Every memory-state row runs at the guard dim of its own |Theta|
+    (`_guard_dim`, the worst |Theta| of an evolution's path), capped by
+    `dim`, on one workspace per distinct dim. Each check still enforces its
+    own budget at the capped dim, so a `dim` too small for a state fails
+    loudly, and once `dim` reaches every guard dim (152 on this grid) the
+    rows no longer depend on it.
+    """
     rows: list[list] = []
+    spaces: dict[int, FockWorkspace] = {}
+
+    def at(theta: float) -> FockWorkspace:
+        d = _guard_dim(theta, dim)
+        if d not in spaces:
+            spaces[d] = build_workspace(d)
+        return spaces[d]
 
     def add(check: str, detail: str, value: float, lo: float, hi: float):
         status = "pass" if lo <= value <= hi else "fail"
@@ -780,10 +819,9 @@ def _verify_rows(dim: int) -> list[list]:
     for name, resid in algebra_residuals(ws32).items():
         add("algebra", name, resid, 0.0, 1e-12)
 
-    ws = build_workspace(dim)
-
     # two constructions of the same coded vacuum must agree
     for theta in (0.3, 0.5, 0.8):
+        ws = at(theta)
         direct = memory_vector(ws, theta)
         via_gen = memory_vector_via_generator(ws, theta)
         add("dual-construction", f"theta={theta}",
@@ -791,6 +829,7 @@ def _verify_rows(dim: int) -> list[list]:
 
     # dissipative evolution against the closed-form trajectory
     for theta, t in ((0.3, 0.15), (0.5, 0.25), (0.8, 0.4), (0.8, 0.8)):
+        ws = at(max(theta, abs(t - theta)))  # gamma = 1
         v0 = memory_vector(ws, theta)
         w = evolve_vector(ws, v0, t, theta=theta)
         target = memory_vector(ws, theta - ws.gamma * t)
@@ -804,6 +843,7 @@ def _verify_rows(dim: int) -> list[list]:
         for frac in (0.0, 0.5, 2.0):  # of tau, at gamma = 1
             t_eff = theta * frac
             big_t = t_eff - theta
+            ws = at(big_t)
             v = memory_vector(ws, -big_t)
             add("occupation", f"Theta={big_t:.3g}",
                 abs(occupation_expectation(ws, v) - math.sinh(big_t) ** 2),
@@ -825,13 +865,15 @@ def _verify_rows(dim: int) -> list[list]:
                     abs(entropy_expectation(ws, v, big_t) - s_closed),
                     0.0, 1e-8)
 
-    # squeeze factorization of the coded vacuum
+    # squeeze factorization of the coded vacuum, which pads to its own guard
+    # dim and refuses one above 4 times the workspace's, as at `dim`
     for theta in (0.25, 0.5, 1.0):
         add("squeeze-factorization", f"theta={theta}",
-            check_squeeze_factorization(ws, theta), 0.0, 1e-8)
+            check_squeeze_factorization(at(theta), theta), 0.0, 1e-8)
 
     # entropy flow: central-difference residual and its halving ratio
     for big_t in (0.1, 0.5, 1.0):
+        ws = at(big_t)
         theta = big_t + 0.3
         t = 0.3
         r1 = check_entropy_flow(ws, theta, 1.0, t, 1e-4)
@@ -842,6 +884,7 @@ def _verify_rows(dim: int) -> list[list]:
 
     # hole relations at both signs of the effective parameter
     for mag in (0.1, 0.4, 0.8, 1.2):
+        ws = at(mag)
         for sign in (1.0, -1.0):
             big_t = sign * mag
             v = memory_vector(ws, -big_t)

@@ -178,6 +178,25 @@ def _row_sums(block) -> np.ndarray:
     return res
 
 
+def _fsum_nonneg(terms) -> float:
+    """math.fsum of terms that are each >= 0 (ln cosh gaps, occupations,
+    energies, entropies): inf where they sum past the float range, as the
+    exact sum does, so an overlap exp(-inf) is 0.0 and an energy is inf."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # "intermediate overflow": finite terms, sum past range
+        return math.inf
+
+
+def _row_sums_nonneg(block) -> np.ndarray:
+    """`_row_sums` of a block whose terms are each >= 0, with the inf of
+    `_fsum_nonneg` for a row that sums past the float range."""
+    try:
+        return _row_sums(block)
+    except OverflowError:  # some row's fsum: sum every row on its own
+        return np.array([_fsum_nonneg(r) for r in np.asarray(block, float).tolist()])
+
+
 class ModeParams(_Record):
     """One oscillator pair: position in the register, energy, damping rate.
 
@@ -367,8 +386,8 @@ def occupation(state: MemoryState, kappa: int) -> float:
 
 
 def total_occupation(state: MemoryState) -> float:
-    """Sum of pair occupations over the register."""
-    return math.fsum(_occupations(effective_thetas(state)))
+    """Sum of pair occupations over the register; inf past the float range."""
+    return _fsum_nonneg(_occupations(effective_thetas(state)))
 
 
 def evolve(state: MemoryState, dt: float) -> MemoryState:
@@ -398,15 +417,6 @@ def _require_same_register(a: MemoryState, b: MemoryState) -> None:
         raise ValueError("states do not share a mode register")
 
 
-def _fsum_ln_cosh(terms) -> float:
-    """math.fsum of ln cosh terms, each >= 0: inf where they sum past the
-    float range, as the exact sum does, so its overlap is exp(-inf) = 0.0."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:  # "intermediate overflow": finite terms, sum past range
-        return math.inf
-
-
 def log_overlap(a: MemoryState, b: MemoryState) -> float:
     """ln |<a|b>| for two states of the same register.
 
@@ -417,7 +427,7 @@ def log_overlap(a: MemoryState, b: MemoryState) -> float:
     """
     _require_same_register(a, b)
     gaps = effective_thetas(a) - effective_thetas(b)
-    return -_fsum_ln_cosh(log_cosh(gaps))
+    return -_fsum_nonneg(log_cosh(gaps))
 
 
 def overlap(a: MemoryState, b: MemoryState) -> float:
@@ -431,7 +441,7 @@ def vacuum_overlap(state: MemoryState) -> float:
     Peaks at 1 when every damped pair crosses Theta = 0 simultaneously; for a
     single pair this happens exactly at the forgetting time.
     """
-    return math.exp(-_fsum_ln_cosh(log_cosh(effective_thetas(state))))
+    return math.exp(-_fsum_nonneg(log_cosh(effective_thetas(state))))
 
 
 def forgetting_time(state: MemoryState) -> float:

@@ -35,9 +35,11 @@ from .states import (
     ModeParams,
     _Record,
     _checked_times,
+    _fsum_nonneg,
     _gammas,
     _occupations,
     _row_sums,
+    _row_sums_nonneg,
     _trajectory,
     effective_theta,
     effective_thetas,
@@ -140,7 +142,7 @@ def entropy(state: MemoryState) -> tuple[float, np.ndarray]:
     zero only at Theta = 0.
     """
     per_mode = _entropy_per_mode(effective_thetas(state))
-    return math.fsum(per_mode), per_mode
+    return _fsum_nonneg(per_mode), per_mode
 
 
 def effective_beta(state: MemoryState, kappa: int) -> float:
@@ -209,15 +211,16 @@ def stationarity_residual(state: MemoryState, beta: float) -> np.ndarray:
 
 def _trace(state: MemoryState, times) -> tuple[np.ndarray, ...]:
     """Theta (T, K) on the grid, occupations, per-mode entropies, and each
-    row's total entropy and energy (T,): the math.fsum thermo_snapshot takes
-    at that time, bit for bit, summed by `states._row_sums`."""
+    row's total entropy and energy (T,): the sum thermo_snapshot takes at
+    that time, bit for bit, summed by `states._row_sums_nonneg`, so a total
+    past the float range is inf."""
     traj = _trajectory(_gammas(state.modes), state.code.thetas, times)
     occ = _occupations(traj)
     s_per = _entropy_per_mode(traj)
     # a mode energy past the float range is inf, as the Python product is
     with np.errstate(over="ignore"):
         energy_per = _energies(state.modes) * occ
-    return traj, occ, s_per, _row_sums(s_per), _row_sums(energy_per)
+    return traj, occ, s_per, _row_sums_nonneg(s_per), _row_sums_nonneg(energy_per)
 
 
 def entropy_trace(state: MemoryState, times) -> np.ndarray:
@@ -227,7 +230,7 @@ def entropy_trace(state: MemoryState, times) -> np.ndarray:
     hits exactly 0 at the forgetting time, and rises strictly after it.
     """
     traj = _trajectory(_gammas(state.modes), state.code.thetas, _checked_times(times))
-    return _row_sums(_entropy_per_mode(traj))
+    return _row_sums_nonneg(_entropy_per_mode(traj))
 
 
 def first_law_ledger(state: MemoryState, times) -> FirstLawLedger:
@@ -304,8 +307,8 @@ def thermo_snapshot(state: MemoryState) -> ThermoSnapshot:
     return ThermoSnapshot(
         time=state.time,
         entropy_per_mode=tuple(float(x) for x in per_mode),
-        entropy=math.fsum(per_mode),
-        energy=math.fsum(energy_per_mode),
+        entropy=_fsum_nonneg(per_mode),
+        energy=_fsum_nonneg(energy_per_mode),
         beta_per_mode=tuple(float(x) for x in beta_per_mode),
         beta_fit=float(beta_fit),
         beta_fit_residual=float(beta_fit_residual),

@@ -630,12 +630,13 @@ def test_greedy_pack_tiny_gaps_match_the_fsum_rule(k):
 
 
 def test_greedy_pack_overflowing_gaps_keep_their_result():
-    # gaps past the float range: the packing is pinned here; the numpy
-    # overflow warnings on the way are a numeric-domain question of their own
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = greedy_pack([[0, 0], [1e308, 1e308], [-1e308, -1e308]], 0.05)
+    # gaps and sums past the float range mean overlap 0.0, with no warning
+    # (RuntimeWarning is an error here): first decided by the L1 bracket,
+    # then with an infinite row beside one that only the block screen decides
+    result = greedy_pack([[0, 0], [1e308, 1e308], [-1e308, -1e308]], 0.05)
     assert result == ((0, 1, 2), (1, 2, 3))
+    result = greedy_pack([[0] * 4, [1e308] * 4, [-1e308] * 4, [1.42] * 4], 0.05)
+    assert result == ((0, 1, 2, 3), (1, 2, 3, 4))
 
 
 def test_greedy_pack_rejects_non_finite_or_ragged_candidates():

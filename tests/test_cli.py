@@ -174,6 +174,24 @@ def test_theta_800_code_is_inf_or_one_domain_error(tmp_path, command):
     assert [r[column] for r in rows[1:]] == ["inf"] * 3
 
 
+@pytest.mark.parametrize("command", ["evolve", "forgetting"])
+def test_occupation_sum_past_the_float_range_is_inf(tmp_path, command):
+    # four finite occupations sinh^2 355.5 ~ 1.5e308 sum past the float range
+    kind = {"forgetting": "forgetting-curve"}.get(command, command)
+    cfg = write_config(tmp_path, "big.json", {
+        "kind": kind,
+        "modes": {"omega": [1.0] * 4, "gamma": [1.0] * 4},
+        "code": {"thetas": [355.5] * 4},
+        "times": {"start": 0.0, "stop": 1.0, "num": 2},
+    })
+    proc = python(MAIN, command, "--config", cfg, "--out", tmp_path / "o", "--quiet")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = read_csv(tmp_path / "o" / f"{command}.csv")
+    column = rows[0].index("total_occupation")
+    assert rows[1][column] == "inf"
+    assert math.isfinite(float(rows[2][column]))
+
+
 def test_manifest_records_import_time_and_missing_scipy(tmp_path):
     # no run loads scipy, the oracle's included, so the manifest names no
     # scipy version; each run gets a fresh interpreter for its import time
@@ -518,28 +536,13 @@ def test_oracle_verify_checks_the_shipped_entropy(tmp_path, monkeypatch):
     assert failed and {r[0] for r in failed} == {"entropy"}
 
 
-@pytest.mark.parametrize("command", ["evolve", "thermo-trace"])
-def test_overflowing_energy_sum_is_one_domain_error(tmp_path, command):
-    # each mode's energy is finite, their sum overflows inside math.fsum
+def check_energy_past_the_float_range(tmp_path, command, omega):
+    # four modes at theta = 351: the first row's total energy is inf, which
+    # evolve writes with nothing on stderr and thermo-trace refuses with one
+    # error; the second row's is finite
     cfg = write_config(tmp_path, "big.json", {
         "kind": command,
-        "modes": {"omega": [5e3] * 4, "gamma": [1.0] * 4},
-        "code": {"thetas": [351.0] * 4},
-        "times": {"start": 0.0, "stop": 1.0, "num": 2},
-    })
-    proc = python(MAIN, command, "--config", cfg, "--out", tmp_path / "o")
-    assert (proc.returncode, proc.stderr) == (
-        1, "error: domain: intermediate overflow in fsum\n")
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("command", ["evolve", "thermo-trace"])
-def test_overflowing_mode_energy_warns_nowhere(tmp_path, command):
-    # omega sinh^2 Theta itself overflows: the first row's energy is inf,
-    # which evolve writes and thermo-trace refuses with one error
-    cfg = write_config(tmp_path, "big.json", {
-        "kind": command,
-        "modes": {"omega": [1e4] * 4, "gamma": [1.0] * 4},
+        "modes": {"omega": [omega] * 4, "gamma": [1.0] * 4},
         "code": {"thetas": [351.0] * 4},
         "times": {"start": 0.0, "stop": 1.0, "num": 2},
     })
@@ -548,11 +551,25 @@ def test_overflowing_mode_energy_warns_nowhere(tmp_path, command):
         assert (proc.returncode, proc.stderr) == (0, "")
         rows = read_csv(tmp_path / "o" / "evolve.csv")
         assert rows[1][-1] == "inf"
-        assert float(rows[2][-1]) == math.fsum(1e4 * float(x) for x in rows[2][5:9])
-    else:
-        assert (proc.returncode, proc.stderr) == (
-            1, "error: domain: energy at time 0.0 is not finite (inf)\n")
-        assert not (tmp_path / "o").exists()
+        assert float(rows[2][-1]) == math.fsum(omega * float(x) for x in rows[2][5:9])
+        return rows
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: domain: energy at time 0.0 is not finite (inf)\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "thermo-trace"])
+def test_overflowing_energy_sum_is_inf(tmp_path, command):
+    # each mode's energy is finite, and their sum is past the float range
+    rows = check_energy_past_the_float_range(tmp_path, command, 5e3)
+    if rows:
+        assert all(math.isfinite(5e3 * float(x)) for x in rows[1][5:9])
+
+
+@pytest.mark.parametrize("command", ["evolve", "thermo-trace"])
+def test_overflowing_mode_energy_warns_nowhere(tmp_path, command):
+    # omega sinh^2 Theta itself overflows
+    check_energy_past_the_float_range(tmp_path, command, 1e4)
 
 
 def test_capacity_overflowing_expected_overlap_is_one_domain_error(tmp_path):
@@ -1005,10 +1022,12 @@ def test_csv_artifacts_use_crlf(tmp_path):
 
 
 def test_json_artifacts_are_canonical(tmp_path, registry_path):
-    # keys sorted, two-space indent, single trailing newline
-    raw = registry_path.read_text(encoding="utf-8")
-    doc = json.loads(raw)
-    assert raw == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # keys sorted, two-space indent, single trailing newline; summary.json is
+    # streamed part by part and manifest.json written whole, with one encoder
+    for name in ("registry.json", "summary.json", "manifest.json"):
+        raw = (registry_path.parent / name).read_text(encoding="utf-8")
+        doc = json.loads(raw)
+        assert raw == json.dumps(doc, sort_keys=True, indent=2) + "\n", name
 
 
 def test_console_script_is_wired(tmp_path):

@@ -8,6 +8,7 @@ truncated space.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -618,6 +619,38 @@ def test_squeeze_factorization_pads_with_a_workspace(ws64):
     padded = fock.check_squeeze_factorization(ws64, 1.0)
     direct = fock.check_squeeze_factorization(fock.build_workspace(102), 1.0)
     assert padded == direct
+
+
+def test_guard_dims_of_the_verify_grid():
+    # the smallest d >= 4 with tanh(|Theta|)^d <= 1e-12, then capped by dim
+    got = [fock._guard_dim(t) for t in (0.25, 0.3, 0.5, 0.8, 1.0, 1.2)]
+    assert got == [20, 23, 36, 68, 102, 152]
+    assert fock._guard_dim(-1.2) == 152 and fock._guard_dim(0.0) == 4
+    assert fock._guard_dim(1.2, 128) == 128 and fock._guard_dim(0.3, 128) == 23
+    # tanh(20) rounds to 1: no dim is enough, and the cap bounds it
+    assert fock._guard_dim(20.0) == math.inf and fock._guard_dim(20.0, 64) == 64
+
+
+def test_verify_rows_do_not_depend_on_dim_past_every_guard_dim():
+    # every memory-state row runs at its own guard dim, at most 152 here
+    rows = fock._verify_rows(256)
+    assert rows == fock._verify_rows(1024)
+    assert all(r[5] == "pass" for r in rows)
+    # a dim below a state's budget still fails loudly, at the capped dim
+    with pytest.raises(ValueError, match="truncation budget exceeded"):
+        fock._verify_rows(32)
+
+
+def test_squeeze_check_builds_only_what_it_squeezes(ws64):
+    # the pair space builds each operator on first use: at theta = 1 the
+    # check holds the ladder operators and b or btil of a 102^2-state space
+    tracemalloc.start()
+    try:
+        fock.check_squeeze_factorization(ws64, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_single_mode_squeezer_variances():

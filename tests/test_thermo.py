@@ -302,13 +302,18 @@ def test_first_law_refuses_an_energy_past_the_float_range():
 
 
 def test_snapshot_energy_past_the_float_range_is_inf_without_a_warning():
-    state = make_state(800.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        snap = thermo.thermo_snapshot(state)
-        occupation = total_occupation(state)
-    assert snap.energy == occupation == math.inf
-    assert math.isfinite(snap.entropy)
+    # one mode whose sinh^2 Theta overflows, and four whose finite
+    # occupations and energies (sinh^2 355.5 ~ 1.5e308) sum past the range
+    four = MemoryState(tuple(ModeParams(i, 1.0, 1.0) for i in range(4)),
+                       Code((355.5,) * 4), 0.0)
+    for state in (make_state(800.0), four):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            snap = thermo.thermo_snapshot(state)
+            occupation = total_occupation(state)
+        assert snap.energy == occupation == math.inf
+        assert math.isfinite(snap.entropy)
+    assert math.isfinite(states.occupation(four, 0))
 
 
 def test_public_functions_past_the_float_range_give_values_or_sentinels():
