@@ -31,7 +31,7 @@ import math
 import operator
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 

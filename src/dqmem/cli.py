@@ -3,7 +3,9 @@
 Every run writes its outputs into ``--out`` as a set of files plus a
 ``manifest.json`` recording the exact invocation (the config's path and
 ``config_sha256``, the sha256 of the bytes read from it; seed, library
-versions, import and wall time). ``summary.json`` holds the one echo of
+versions, import and wall time, and ``work``: the counters a run keeps,
+which for ``oracle-verify`` are the Taylor stages and terms of its
+exponentials, one matvec a term). ``summary.json`` holds the one echo of
 the config. ``wall_time_s`` runs from parsing the config to the last artifact
 written before the manifest, and ``artifacts`` lists every file the run
 wrote. Each artifact goes to ``<name>.partial`` first, a CSV line by line
@@ -439,12 +441,15 @@ def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
 # oracle-verify
 
 
-def _run_oracle_verify(dim: int) -> tuple[dict, dict, str]:
+def _run_oracle_verify(dim: int) -> tuple[dict, dict, str, dict]:
     if dim < 64:
         raise CliError("usage",
                        f"--dim must be >= 64 for oracle-verify, got {dim}")
     from . import fock
+    before = dict(fock._TAYLOR_WORK)
     rows = fock._verify_rows(dim)
+    # the Taylor stages and terms (one matvec each) of the suite's exponentials
+    work = {f"taylor_{k}": n - before[k] for k, n in fock._TAYLOR_WORK.items()}
     failed = [f"{r[0]}[{r[1]}]" for r in rows if r[5] == "fail"]
     results = {
         "dim": dim,
@@ -455,14 +460,14 @@ def _run_oracle_verify(dim: int) -> tuple[dict, dict, str]:
     line = (f"{len(failed)} of {len(rows)} checks failed" if failed
             else f"all {len(rows)} checks within tolerance")
     return ({"residuals.csv": (["check", "detail", "value", "lo", "hi", "status"], rows)},
-            results, line)
+            results, line, work)
 
 
 # ---------------------------------------------------------------------------
 # driver
 
 
-def _manifest(args, argv: list[str], config_sha256, seed, names: list[str],
+def _manifest(args, argv: list[str], config_sha256, seed, work: dict, names: list[str],
               wall: float) -> str:
     return _json_text({
         "command": args.command,
@@ -480,11 +485,13 @@ def _manifest(args, argv: list[str], config_sha256, seed, names: list[str],
         },
         "import_s": _IMPORT_S,
         "wall_time_s": wall,
+        "work": work,
     })
 
 
 # subcommand -> (help, handler); a handler takes the parsed config, or the
-# --dim of oracle-verify, the one subcommand that no config kind names
+# --dim of oracle-verify, the one subcommand that no config kind names and
+# the one that counts its work
 _COMMANDS = {
     "print": ("write coded memories into a registry file", _run_print),
     "recall": ("score a probe code against every registry entry", _run_recall),
@@ -518,14 +525,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args) -> tuple[dict, dict, str, str, object, object, object]:
+def _dispatch(args) -> tuple[dict, dict, str, str, object, object, object, dict]:
     """Returns (artifacts, results, stdout line, kind, config echo, seed,
-    config sha256)."""
+    config sha256, work counters)."""
     handler = _COMMANDS[args.command][1]
     if "config" not in args:
-        return (*handler(args.dim), args.command, {"dim": args.dim}, None, None)
+        *out, work = handler(args.dim)
+        return (*out, args.command, {"dim": args.dim}, None, None, work)
     cfg, sha256 = _parse_config(args)
-    return (*handler(cfg), cfg.kind, cfg.raw, cfg.seed, sha256)
+    return (*handler(cfg), cfg.kind, cfg.raw, cfg.seed, sha256, {})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -546,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
 
         start = time.perf_counter()
         try:
-            artifacts, results, line, kind, echo, seed, sha256 = _dispatch(args)
+            artifacts, results, line, kind, echo, seed, sha256, work = _dispatch(args)
             artifacts["summary.json"] = {
                 "command": args.command,
                 "kind": kind,
@@ -556,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             # a CSV's rows are computed as its file is written
             _write_artifacts(args.out, artifacts, lambda names: _manifest(
-                args, argv, sha256, seed, names, time.perf_counter() - start))
+                args, argv, sha256, seed, work, names, time.perf_counter() - start))
         except RegistryError as exc:
             raise CliError("registry", str(exc)) from exc
         except (ValueError, OverflowError) as exc:  # OverflowError: math.fsum

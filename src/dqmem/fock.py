@@ -73,9 +73,11 @@ runs each state there with the caller's dim as a cap: its cost follows the
 states, not the cap, and each budget is still enforced at the capped dim.
 
 Fixed tolerances are module constants, not keyword arguments, so every
-check runs at one setting: an `expm_action` Taylor stage has 1-norm at most
-_STAGE_NORM = 4 and ends once a term is below _EXPM_TOL = 1e-15 of the
-partial sum, within _MAX_TERMS = 120 terms; `evolve_vector` allows a tail of
+check runs at one setting: `expm_action` takes its term limit m* and stage
+count s = ceil(||A||_1 / theta_m*) from the exact 1-norm and Al-Mohy and
+Higham's double-precision bounds _THETA, m* minimizing m * ceil(||A||_1 /
+theta_m), and a stage ends after m* terms or once a term is below
+_EXPM_TOL = 1e-15 of the partial sum; `evolve_vector` allows a tail of
 _EVOLVE_MAX_TAIL = (_EVOLVE_BOUND / 2)^2 = 2.5e-21 along its path, so its
 error stays within _EVOLVE_BOUND = 1e-10; a guard dim is where the tail
 tanh(|Theta|)^d falls to _GUARD_TAIL = 1e-12, and
@@ -130,13 +132,19 @@ _MIN_DIM = 4
 
 # fixed tolerances, described in the module docstring
 _EXPM_TOL = 1e-15
-_STAGE_NORM = 4.0
-_MAX_TERMS = 120
+# Al-Mohy and Higham's Table 3.1 for u = 2^-53: m Taylor terms of a stage
+# of 1-norm at most theta_m meet the unit roundoff in backward error
+_THETA = ((5, 2.4e-3), (10, 1.4e-1), (15, 6.4e-1), (20, 1.4), (25, 2.4), (30, 3.5),
+          (35, 4.7), (40, 6.0), (45, 7.2), (50, 8.5), (55, 9.9))
 _EVOLVE_BOUND = 1e-10  # error bound of the oracle's evolution rows
 _EVOLVE_MAX_TAIL = (_EVOLVE_BOUND / 2.0) ** 2
 _GUARD_TAIL = 1e-12
 _MAX_PAD_FACTOR = 4
 _MIN_ABS_THETA = 0.05
+
+# stages and terms (one matvec each) of every expm_action call in this
+# process; oracle-verify's manifest records its run's share
+_TAYLOR_WORK = {"stages": 0, "terms": 0}
 
 
 class ShiftOperator:
@@ -197,7 +205,11 @@ class ShiftOperator:
         return self + (-other)
 
     def __mul__(self, scalar: complex) -> ShiftOperator:
-        return self.map(lambda c: c * scalar)
+        # a coefficient scaled past the float range is inf (nan where a
+        # complex product meets 0 * inf), with no warning; expm_action
+        # refuses such an operator
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.map(lambda c: c * scalar)
 
     __rmul__ = __mul__
 
@@ -438,29 +450,43 @@ def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
     The series runs on the matrix and vector as given: a caller that wants
     a subspace passes the block of the matrix on it (`_restrict`) and the
     vector's entries there, as `check_squeeze_factorization` does. The
-    matrix is split into s stages of 1-norm <= _STAGE_NORM; each stage is
-    summed until the term norm drops below _EXPM_TOL relative to the partial
-    sum. When matrix and vec are both real, as every exponent the oracle
-    takes is, the series runs in float64; the result is complex128 either
-    way. Deterministic by construction (no norm estimation, no randomness),
-    so rerun artifacts are byte-identical. Every vector norm and inner
-    product in this module, the term test included, is `_re_inner`, which
-    never enters BLAS, so no result depends on the BLAS thread count either.
+    stages and terms are Al-Mohy and Higham's (SIAM J. Sci. Comput. 33
+    (2011) 488): with the exact 1-norm ||A||_1 and their double-precision
+    Taylor bounds theta_m (`_THETA`), the degree m* minimizes the cost
+    m * ceil(||A||_1 / theta_m), and the series runs s = ceil(||A||_1 /
+    theta_m*) stages of at most m* terms. Each stage ends early once a term
+    is below _EXPM_TOL relative to the partial sum. When matrix and vec
+    are both real, as every exponent the oracle takes is, the series runs in
+    float64; the result is complex128 either way. Deterministic by
+    construction (no norm estimation, no randomness), so rerun artifacts are
+    byte-identical. Every vector norm and inner product in this module, the
+    term test included, is `_re_inner`, which never enters BLAS, so no
+    result depends on the BLAS thread count either. Each call adds its
+    stages and terms (one matvec each) to `_TAYLOR_WORK`.
 
-    Raises RuntimeError if a stage fails to converge within _MAX_TERMS terms.
+    Raises ValueError, with no warning, if vec has a non-finite entry or
+    the matrix a non-finite 1-norm.
     """
     w = np.asarray(vec, dtype=np.complex128)
+    if not np.isfinite(w).all():
+        raise ValueError("expm_action: the vector has a non-finite entry")
     if not (any(np.any(c.imag) for c in matrix.coef.values()) or np.any(w.imag)):
         matrix = matrix.map(lambda c: c.real.copy())  # contiguous, for the matvecs
         w = w.real.copy()
     # the largest column sum, as the row sums of the adjoint's magnitudes
-    norm1 = float(np.max(matrix.map(abs).H.dot(np.ones(w.size))))
-    stages = max(1, int(math.ceil(norm1 / _STAGE_NORM)))
+    with np.errstate(over="ignore"):
+        norm1 = float(np.max(matrix.map(abs).H.dot(np.ones(w.size))))
+    if not math.isfinite(norm1):
+        raise ValueError(f"expm_action: the matrix is not finite (1-norm {norm1})")
+    # at most m* s matvecs, the fewest the table allows; the smallest m on a tie
+    degree, stages = min(((m, math.ceil(norm1 / theta)) for m, theta in _THETA),
+                         key=lambda ms: ms[0] * ms[1])
+    terms = 0
     for _ in range(stages):
         term = w.copy()
         acc = w.copy()
         reach = _norm(w)  # >= ||acc||: the norms of its summands, added up
-        for k in range(1, _MAX_TERMS + 1):
+        for k in range(1, degree + 1):
             term = matrix.dot(term) / (stages * k)
             acc += term
             size = _norm(term)
@@ -470,12 +496,10 @@ def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
             # slackened bound fails the test, so ||acc|| is not taken for it
             if size <= _EXPM_TOL * reach * (1.0 + 1e-6) and size <= _EXPM_TOL * _norm(acc):
                 break
-        else:
-            raise RuntimeError(
-                f"exponential series did not converge within {_MAX_TERMS} terms "
-                f"(stage 1-norm {norm1 / stages:.3g})"
-            )
+        terms += k
         w = acc
+    _TAYLOR_WORK["stages"] += stages
+    _TAYLOR_WORK["terms"] += terms
     return w.astype(np.complex128)
 
 

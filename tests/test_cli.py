@@ -434,6 +434,21 @@ def test_oracle_verify_passes(tmp_path):
     assert summary["results"]["checks"] == len(rows) - 1
 
 
+def test_oracle_manifest_counts_the_taylor_work(tmp_path):
+    # every term is one matvec; the counts repeat exactly, and past every
+    # guard dim they do not depend on --dim
+    work = []
+    for dim in (128, 128, 256):
+        out = tmp_path / str(len(work))
+        assert run(["oracle-verify", "--dim", dim, "--out", out, "--quiet"]) == 0
+        work.append(json.loads((out / "manifest.json").read_text())["work"])
+    assert work[0] == work[1] == work[2]
+    assert set(work[0]) == {"taylor_stages", "taylor_terms"}
+    # a stage count of ceil(||A||_1 / 4) took 3 060 terms here (3 258
+    # matvecs with the 1-norms and the observables)
+    assert 0 < work[0]["taylor_stages"] < work[0]["taylor_terms"] < 3060
+
+
 # ---------------------------------------------------------------------------
 # array routes against the per-state references, bit for bit
 

@@ -9,6 +9,7 @@ truncated space.
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -373,6 +374,108 @@ def test_expm_action_on_a_permuted_block_diagonal(dtype, touched):
     assert got.dtype == np.complex128
     assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
     assert np.all(got[np.setdiff1d(np.arange(v.size), where)] == 0.0)
+
+
+def decimal_expm_action(op, v, digits=60):
+    """exp(op) v for a real ShiftOperator and vector, as a Taylor sum in
+    `decimal` at `digits` digits on the same float coefficients: stages of
+    1-norm at most 1, each summed until a term is below 1e-50 of the sum."""
+    n = op.shape[0]
+    col = np.zeros(n)  # column sums of |entries|: only the stage count uses them
+    for d, c in op.coef.items():
+        lo, hi = max(0, -d), min(n, n - d)
+        col[lo + d:hi + d] += np.abs(c[lo:hi])
+    stages = max(1, math.ceil(col.max()))
+    with localcontext() as ctx:
+        ctx.prec = digits
+        coef = {d: np.array([Decimal(float(x)) for x in c], dtype=object)
+                for d, c in op.coef.items()}
+        x = np.array([Decimal(float(t)) for t in v], dtype=object)
+        tol = Decimal(10) ** -(digits - 10)
+        for _ in range(stages):
+            term, acc, k = x, x.copy(), 0
+            while k == 0 or max(map(abs, term)) > tol * max(map(abs, acc)):
+                k += 1
+                out = np.array([Decimal(0)] * n, dtype=object)
+                for d, c in coef.items():
+                    lo, hi = max(0, -d), min(n, n - d)
+                    out[lo:hi] += c[lo:hi] * term[lo + d:hi + d]
+                term = out / (stages * k)
+                acc += term
+            x = acc
+        return np.array([float(t) for t in x])
+
+
+def sector0_write(theta):
+    """-i G(theta) at the guard dim of theta, and the vacuum it acts on."""
+    ws = fock.build_workspace(fock._guard_dim(theta))
+    return ((-1j) * ws.generator(theta)).map(lambda c: c.real.copy()), ws.vacuum().real
+
+
+def restricted_squeezer(d_pad, r):
+    """The squeezer S_b(r)'s generator on the n + ntil even half at d_pad,
+    and the vacuum it acts on."""
+    pair = fock._PairSpace(d_pad)
+    v = np.zeros(even_half(pair).size)
+    v[0] = 1.0
+    return fock._restrict(pair.squeezer_generator(r), even_half(pair)), v
+
+
+# 1-norm 9.25 at dim 20, one stage near theta_55 = 9.9; 1-norm 57 on 72 states, 6 stages
+SERIES_CASES = [(sector0_write, (0.25,)), (restricted_squeezer, (12, 3.0))]
+
+
+@pytest.mark.parametrize("build, args", SERIES_CASES)
+def test_expm_action_matches_a_decimal_taylor_sum(build, args):
+    # the same truncated matrix in 60-digit arithmetic, so the comparison
+    # sees the series error alone, however small, with no truncation in it
+    op, v = build(*args)
+    got = fock.expm_action(op, v)
+    want = decimal_expm_action(op, v)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_expm_action_picks_al_mohy_higham_stages():
+    # s = ceil(||A||_1 / theta_m*), m* minimizing m * ceil(||A||_1 / theta_m),
+    # the smallest m on a tie; each stage sums at most m* terms
+    def counts(op, v):
+        before = dict(fock._TAYLOR_WORK)
+        fock.expm_action(op, v)
+        return tuple(fock._TAYLOR_WORK[k] - before[k] for k in ("stages", "terms"))
+
+    # (1-norm, m*, s): m = 10 costs 10 at 0.14, m = 5 costs 5 * 59; 9.9 is
+    # theta_55; past it m = 40 takes 2 stages (80 terms against 55's 110);
+    # at 100, m = 50 costs 50 * 12 = 600 against 55's 55 * 11 = 605
+    for norm1, degree, stages in ((0.14, 10, 1), (9.9, 55, 1), (9.91, 40, 2),
+                                  (100.0, 50, 12)):
+        s, terms = counts(fock.ShiftOperator.diag(np.array([-norm1])), np.ones(1))
+        assert s == stages and stages <= terms <= stages * degree
+    # the zero matrix takes no stage: exp(0) v is v
+    assert counts(fock.ShiftOperator.diag(np.zeros(1)), np.ones(1)) == (0, 0)
+    assert [counts(*build(*args))[0] for build, args in SERIES_CASES] == [1, 6]
+
+
+@pytest.mark.filterwarnings("error")
+def test_expm_action_refuses_non_finite_input():
+    ws = fock.build_workspace(16)
+    v = fock.memory_vector(ws, 0.3)
+    # t H_int past the float range: one ValueError naming the matrix, no warning
+    with pytest.raises(ValueError, match="matrix is not finite"):
+        fock.evolve_vector(ws, v, 1e308)
+    with pytest.raises(ValueError, match="matrix is not finite"):
+        fock.memory_vector_via_generator(ws, 1e308)
+    # finite coefficients whose column sum overflows
+    with pytest.raises(ValueError, match="matrix is not finite"):
+        fock.evolve_vector(ws, v, 1e307)
+    with pytest.raises(ValueError, match="matrix is not finite"):
+        fock.expm_action(fock.ShiftOperator.diag(np.array([1.0, np.nan])), np.ones(2))
+    bad = v.copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="vector has a non-finite entry"):
+        fock.evolve_vector(ws, bad, 0.1)
+    bad[3] = np.inf
+    with pytest.raises(ValueError, match="vector has a non-finite entry"):
+        fock.expm_action(ws.h_int, bad)
 
 
 def test_closed_form_supports_of_the_oracle_exponents(ws32):
