@@ -416,12 +416,14 @@ def restricted_squeezer(d_pad, r):
     """The squeezer S_b(r)'s generator on the n + ntil even half at d_pad,
     and the vacuum it acts on."""
     pair = fock._PairSpace(d_pad)
-    v = np.zeros(even_half(pair).size)
+    even = even_half(pair)
+    v = np.zeros(even.size)
     v[0] = 1.0
-    return fock._restrict(pair.squeezer_generator(r), even_half(pair)), v
+    return fock._restrict(pair.squeezer_generator(r), even), v
 
 
-# 1-norm 9.25 at dim 20, one stage near theta_55 = 9.9; 1-norm 57 on 72 states, 6 stages
+# the write generator's 1-norm is 9.25 at dim 20, one stage near theta_55 =
+# 9.9; the squeezer's is 57 on 72 states, six stages
 SERIES_CASES = [(sector0_write, (0.25,)), (restricted_squeezer, (12, 3.0))]
 
 
