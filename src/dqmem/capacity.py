@@ -43,6 +43,7 @@ from .states import (
     _Record,
     _checked_modes,
     _checked_times,
+    _fsum_nonneg,
     _gammas,
     _occupations,
     _row_sums_nonneg,
@@ -227,7 +228,32 @@ class FidelityMatrix(_Record):
 
 _PAIR_CHUNK = 1024  # entry pairs per block of a pairwise read: 128 KB at K = 16
 _EPS = 2.0 ** -52   # float64 machine epsilon
-_LN_COSH_1 = 0.4337808304830272  # ln cosh 1 rounded down: association_graph's C
+_LN_COSH_1 = 0.4337808304830272  # C = ln cosh 1, rounded down
+
+
+def _floor_clears(g: np.ndarray, c: float) -> np.ndarray:
+    """The rows of an (m, K) block of gaps g >= 0 whose fsum of log_cosh
+    surely exceeds c, found with no log_cosh call: the one screen of every
+    pairwise ln cosh decision, in greedy_pack and association_graph.
+
+    For every x, max(|x| - ln 2, C min(x^2, |x|)) <= ln cosh x <= x^2 / 2
+    with C = ln cosh 1, since ln cosh x / x^2 falls and ln cosh x / |x|
+    rises with |x|. A computed log_cosh(g) is within 4 eps (g + 1) of
+    ln cosh g (eps the float64 machine epsilon; exp and log1p are good to a
+    few ulps), g + 1 is at most g min(g, 1) + 2 and at most g^2 + 2, and a
+    sum of K terms >= 0 is within K eps of its value, relatively, in any
+    order. So with rate = 4 (K + 2) eps, a row's fsum of log_cosh exceeds
+    l1 - K ln 2 - rate (l1 + K), is below q / 2 + rate (q + K) and exceeds
+    f (1 - rate / C) - rate K, where l1 and q are the row's computed sums
+    of g and g^2 and f = C sum_k g_k min(g_k, 1), computed; each slack
+    covers the rounding of its terms, its sums and the test itself. A row
+    is cleared where f exceeds (c + rate K) / (1 - rate / C), so its fsum
+    exceeds c, or where f passes the float range, so its fsum is inf.
+    """
+    rate = 4.0 * (g.shape[1] + 2) * _EPS
+    cut = (c + rate * g.shape[1]) / (1.0 - rate / _LN_COSH_1)
+    with np.errstate(over="ignore"):
+        return _LN_COSH_1 * np.einsum("ij,ij->i", g, np.minimum(g, 1.0)) > cut
 
 
 def _log_overlap_rows(block: np.ndarray, row) -> np.ndarray:
@@ -343,26 +369,16 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
 
     The fidelity of a pair is math.exp of its log-overlap, the negated fsum
     of ln cosh over its gaps g, as in fidelity_matrix; the edge test is
-    math.exp(log) >= threshold. Most pairs of a spread-out registry are
-    ruled out first, without a log_cosh call, by a floor:
-
-        ln cosh x >= C min(x^2, |x|) for every x, with C = ln cosh 1,
-
-    since ln cosh x / x^2 falls and ln cosh x / |x| rises with |x|. Take
-    f = C sum_k g_k min(g_k, 1), computed. With eps the float64 machine
-    epsilon and rate = 4 (K + 2) eps, as in greedy_pack's L1 bracket: a
-    computed log_cosh(g) is within 4 eps (g + 1) <= 4 eps (C^-1 g min(g, 1)
-    + 2) of ln cosh g, and the sums are within K eps, so the pair's fsum
-    exceeds f (1 - rate / C) - rate K. math.exp and math.log are each
-    within an ulp, so a log whose exp reaches the threshold is at least
-    ln(threshold) - 4 eps (1 + |ln threshold|). A pair whose finite f puts
-    its fsum past the negation of that is dropped; each slack covers the
-    rounding of its terms and of the test itself. Every other pair goes
-    through the row kernel, so the edges, their order and the clusters are
-    those of testing every pair. A pair whose f is not finite (its gaps sum
-    past the float range, or its gap is not finite) is never dropped: the
-    row kernel decides it, and one whose terms sum past the float range
-    has overlap 0.0 and no edge.
+    math.exp(log) >= threshold. math.exp and math.log are each within an
+    ulp, so a log whose exp reaches the threshold is at least
+    ln(threshold) - 4 eps (1 + |ln threshold|), eps the float64 machine
+    epsilon. Most pairs of a spread-out registry are ruled out first,
+    without a log_cosh call, by `_floor_clears`: a pair whose floor
+    C sum_k g_k min(g_k, 1), C = ln cosh 1, puts its fsum past the negation
+    of that has no edge (one whose gaps sum past the float range included:
+    its overlap is 0.0). Every other pair goes through the row kernel, so
+    the edges, their order and the clusters are those of testing every
+    pair.
 
     Clusters are ordered by first member; members keep registry order, so
     the output is deterministic.
@@ -372,10 +388,8 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     thetas = _pair_thetas(registry, t, staggered)
     log_threshold = math.log(threshold)
-    rate = 4.0 * (registry.k + 2) * _EPS
-    # a pair whose floor f exceeds this has an overlap below the threshold
-    cut = ((-log_threshold + 4.0 * _EPS * (1.0 - log_threshold) + rate * registry.k)
-           / (1.0 - rate / _LN_COSH_1))
+    # a pair whose fsum exceeds this has an overlap below the threshold
+    far = -log_threshold + 4.0 * _EPS * (1.0 - log_threshold)
     ids = registry.ids
     # union-find; grouping in registry order lists each cluster from its first member
     root = list(range(len(ids)))
@@ -389,10 +403,7 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
     edges = []
     for rows, cols in _pair_blocks(len(ids)):
         gap = thetas[cols] - thetas[rows]
-        g = np.abs(gap)
-        with np.errstate(over="ignore"):  # an overflowing f is never dropped
-            floor = _LN_COSH_1 * np.einsum("ij,ij->i", g, np.minimum(g, 1.0))
-        keep = np.flatnonzero(~((floor > cut) & np.isfinite(floor)))
+        keep = np.flatnonzero(~_floor_clears(np.abs(gap), far))
         logs = _log_overlap_rows(gap[keep], 0.0)
         for i, j, log in zip(rows[keep].tolist(), cols[keep].tolist(), logs.tolist()):
             value = math.exp(log)
@@ -444,24 +455,16 @@ def greedy_pack(thetas: Sequence[Sequence[float]], epsilon: float) -> tuple[tupl
     accepted count after each candidate.
 
     Each candidate is decided against the whole accepted block at once from
-    its gaps g = |c - accepted|, in three stages. eps is the float64 machine
-    epsilon; with exp and log1p good to a few ulps, a computed log_cosh(g)
-    is within 4 eps (g + 1) of ln cosh g, and a sum of K terms >= 0 is
-    within K eps of its value, relatively, in any order.
+    its gaps g = |c - accepted|, in three stages, by the bounds whose
+    rounding slacks `_floor_clears` derives:
 
-    1. L1 bracket: |x| - ln 2 <= ln cosh x <= x^2 / 2, so each row's fsum
-       exceeds l1 - K ln 2 - 4 (K + 2) eps (l1 + K) and is below
-       q / 2 + 4 (K + 2) eps (q + K), where l1 and q are the row's sums of
-       g and g^2 and each slack covers the rounding of log_cosh, of the
-       sums and of the test itself. The candidate is accepted if the
-       smallest l1 clears -ln epsilon by the first bound, and rejected if
-       the smallest q falls to it by the second, with no log_cosh call.
-    2. Block screen: s = log_cosh(g).sum(axis=1) differs from the fsum of
-       the same row by at most 4 (K + 2) eps (|s| + K eps): the terms are
-       >= 0 up to a few eps each, and the K eps floor covers those near
-       s = 0. A row that clears -ln epsilon by more than that bound is
-       decided by s alone.
-    3. Any other row is re-decided by the exact fsum rule on its own.
+    1. L1 bracket: the candidate is accepted if the smallest row sum l1 of
+       g puts every row's fsum past -ln epsilon, and rejected if the
+       smallest row sum q of g^2 keeps some row's at or below it, with no
+       log_cosh call.
+    2. Floor: a row whose f = C sum_k g_k min(g_k, 1), C = ln cosh 1, puts
+       its fsum past -ln epsilon is cleared, with no log_cosh call.
+    3. Every other row is decided by the exact fsum rule on its own.
 
     The accepted set is therefore the one the per-pair fsum loop gives, bit
     for bit. A gap or sum past the float range is inf, with no warning, and
@@ -476,9 +479,7 @@ def greedy_pack(thetas: Sequence[Sequence[float]], epsilon: float) -> tuple[tupl
     acc = np.empty_like(cands)
     accepted: list[int] = []
     curve: list[int] = []
-    # an infinite gap or sum means overlap 0.0; the block screen's s - bound
-    # is then inf - inf = nan, which leaves the row decided, as it is
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):  # an infinite gap or sum means overlap 0.0
         for idx, cand in enumerate(cands):
             if _accepts(np.abs(cand - acc[:len(accepted)]), log_eps):
                 acc[len(accepted)] = cand
@@ -489,7 +490,7 @@ def greedy_pack(thetas: Sequence[Sequence[float]], epsilon: float) -> tuple[tupl
 
 def _accepts(gap: np.ndarray, log_eps: float) -> bool:
     """greedy_pack's decision for one candidate from its (m, K) gaps to the
-    accepted block: the L1 bracket, the block screen, then fsum."""
+    accepted block: the L1 bracket, the floor, then fsum."""
     k = gap.shape[1]
     rate = 4.0 * (k + 2) * _EPS
     l1 = float(np.einsum("ij->i", gap).min(initial=math.inf))  # inf: no rows
@@ -498,14 +499,9 @@ def _accepts(gap: np.ndarray, log_eps: float) -> bool:
     q = float(np.einsum("ij,ij->i", gap, gap).min(initial=math.inf))
     if 0.5 * q + rate * (q + k) <= -log_eps:
         return False
-    s = log_cosh(gap).sum(axis=1)
-    bound = rate * (np.abs(s) + k * _EPS)
-    # s +- bound brackets each row's fsum; reject iff some fsum <= -ln epsilon
-    if np.any(s + bound <= -log_eps):
-        return False
-    unsure = s - bound <= -log_eps
+    near = gap[~_floor_clears(gap, -log_eps)]
     # a handful of rows at most: math.fsum beats _row_sums' column loop
-    return not unsure.any() or all(-math.fsum(r) < log_eps for r in log_cosh(gap[unsure]))
+    return not len(near) or all(-_fsum_nonneg(r) < log_eps for r in log_cosh(near).tolist())
 
 
 _GAP_NODES = 16    # Gauss-Legendre nodes per panel of length <= 1

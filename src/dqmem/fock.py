@@ -465,7 +465,8 @@ def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
     stages and terms (one matvec each) to `_TAYLOR_WORK`.
 
     Raises ValueError, with no warning, if vec has a non-finite entry or
-    the matrix a non-finite 1-norm.
+    the matrix a non-finite 1-norm, or one so large (about 4.3e305 or more)
+    that some degree's stage count passes the float range.
     """
     w = np.asarray(vec, dtype=np.complex128)
     if not np.isfinite(w).all():
@@ -478,6 +479,8 @@ def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
         norm1 = float(np.max(matrix.map(abs).H.dot(np.ones(w.size))))
     if not math.isfinite(norm1):
         raise ValueError(f"expm_action: the matrix is not finite (1-norm {norm1})")
+    if not math.isfinite(norm1 / _THETA[0][1]):  # the most stages any degree takes
+        raise ValueError(f"expm_action: the matrix's 1-norm {norm1} is too large to stage")
     # at most m* s matvecs, the fewest the table allows; the smallest m on a tie
     degree, stages = min(((m, math.ceil(norm1 / theta)) for m, theta in _THETA),
                          key=lambda ms: ms[0] * ms[1])

@@ -320,11 +320,16 @@ def theta_from_beta(beta: float, energy: float) -> float:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     if not (energy > 0.0 and math.isfinite(energy)):
         raise ValueError(f"energy must be positive and finite, got {energy}")
-    x = beta * energy
-    # expm1 keeps small-x accuracy; past ~700 the exponential overflows but
-    # the occupation is just e^{-x}
-    n = math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
-    return math.asinh(math.sqrt(n))
+    return math.asinh(math.sqrt(_bose_factor(beta * energy)))
+
+
+def _bose_factor(x: float) -> float:
+    """The Bose occupation 1/(e^x - 1) at x = beta E >= 0: inf at x = 0
+    (beta E underflowed, or beta = 0), e^{-x} past x = 700, where e^x
+    overflows, and otherwise by expm1, which keeps small-x accuracy."""
+    if x == 0.0:
+        return math.inf
+    return math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
 
 
 def _gammas(modes: Sequence[ModeParams]) -> np.ndarray:
@@ -358,8 +363,7 @@ def _check_index(state: MemoryState, kappa: int) -> int:
 
 def effective_theta(state: MemoryState, kappa: int) -> float:
     """Effective squeeze parameter of pair kappa at the state's time."""
-    kappa = _check_index(state, kappa)
-    return state.modes[kappa].gamma * state.time - state.code.thetas[kappa]
+    return float(effective_thetas(state)[_check_index(state, kappa)])
 
 
 def _sinh2(t: float) -> float:

@@ -34,6 +34,7 @@ from .states import (
     MemoryState,
     ModeParams,
     _Record,
+    _bose_factor,
     _checked_times,
     _fsum_nonneg,
     _gammas,
@@ -169,12 +170,7 @@ def bose_occupation(beta: float, energy: float) -> float:
         raise ValueError(f"beta must be >= 0, got {beta}")
     if not (energy > 0.0 and math.isfinite(energy)):
         raise ValueError(f"energy must be positive and finite, got {energy}")
-    if math.isinf(beta):
-        return 0.0
-    x = beta * energy
-    if x == 0.0:
-        return math.inf
-    return math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
+    return _bose_factor(beta * energy)
 
 
 def free_energy(state: MemoryState, beta: float) -> float:

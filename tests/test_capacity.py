@@ -559,11 +559,36 @@ def test_greedy_pack_near_tie_takes_exact_fallback(monkeypatch, k, epsilon):
 
 
 def test_greedy_pack_screen_decides_clear_rows_without_fsum(monkeypatch):
+    # a candidate that the L1 bracket leaves undecided sends to log_cosh
+    # exactly its rows whose floor C sum g min(g, 1) is at most -ln epsilon;
+    # every other row is cleared without a log_cosh or fsum call
     cands = np.random.default_rng(3).uniform(0.0, 3.0, size=(150, 16))
+    k, cut = 16, -math.log(0.05)
     expected = per_pair_fsum_pack(cands, 0.05)
+    c = math.log(math.cosh(1.0))
+    floored, margins = 0, []
+    for idx in range(1, 150):
+        rows = [np.abs(cands[idx] - cands[j]).tolist() for j in expected[0] if j < idx]
+        l1 = min(math.fsum(r) for r in rows) - k * math.log(2.0)
+        q = 0.5 * min(math.fsum(x * x for x in r) for r in rows)
+        margins += [abs(l1 - cut), abs(q - cut)]
+        if cut < l1 or q <= cut:
+            continue
+        floors = [c * math.fsum(x * min(x, 1.0) for x in r) for r in rows]
+        margins += [abs(f - cut) for f in floors]
+        floored += sum(f <= cut for f in floors)
+    # no row so near a bound that the slacks could decide it
+    assert min(margins) > 1e-6
+    seen = []
+    real = capacity.log_cosh
+    monkeypatch.setattr(capacity, "log_cosh", lambda x: seen.append(x) or real(x))
     calls = count_fsum_calls(monkeypatch)
     assert greedy_pack(cands, 0.05) == expected
-    assert len(expected[0]) > 20 and calls == []
+    reaching = np.concatenate(seen)
+    assert len(reaching) == floored and 0 < len(calls) <= floored
+    for gaps in reaching.tolist():
+        assert c * math.fsum(x * min(x, 1.0) for x in gaps) <= cut
+    assert len(expected[0]) > 20
 
 
 def count_log_cosh_calls(monkeypatch):
@@ -627,6 +652,24 @@ def test_greedy_pack_tiny_gaps_match_the_fsum_rule(k):
     for gap in np.linspace(0.9 * d, 1.1 * d, 101):
         cands = [[0.0] * k, [gap] * k]
         assert greedy_pack(cands, epsilon) == per_pair_fsum_pack(cands, epsilon)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16])
+def test_greedy_pack_at_the_floors_exact_point(monkeypatch, k):
+    # K gaps of exactly 1, where the floor C K is ln cosh's own sum: at
+    # epsilon = exp(-K C) and a few ulps either side, only the floor's slack
+    # keeps it from clearing the row, so every decision takes one fsum
+    base = math.exp(-k * math.log(math.cosh(1.0)))
+    decisions = set()
+    for epsilon in (base + i * math.ulp(base) for i in range(-12, 13)):
+        cands = [[0.0] * k, [1.0] * k]
+        expected = per_pair_fsum_pack(cands, epsilon)
+        calls = count_fsum_calls(monkeypatch)
+        assert greedy_pack(cands, epsilon) == expected
+        assert len(calls) == 1
+        monkeypatch.undo()
+        decisions.add(expected[0])
+    assert decisions == {(0,), (0, 1)}  # the scan straddles the threshold
 
 
 def test_greedy_pack_overflowing_gaps_keep_their_result():
@@ -899,11 +942,33 @@ def test_association_graph_matches_loop_and_connected_components(monkeypatch):
                 assert (g.edges, g.clusters) == loop_association_graph(reg, 0.0, threshold)
 
 
+@given(k=st.integers(1, 16), n=st.integers(2, 10), clusters=st.integers(1, 4),
+       spread=st.sampled_from([0.0, 0.01, 0.1, 0.5]), lattice=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_association_graph_matches_loop_on_clustered_registries(k, n, clusters, spread,
+                                                                lattice, seed):
+    # thresholds on every overlap and one ulp either side; at gaps near 0
+    # and 1 the floor is tight, and only its slack keeps such an edge
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 3.0, size=(clusters, k))
+    codes = np.abs(centres[rng.integers(0, clusters, size=n)] + rng.normal(0.0, spread, (n, k)))
+    if lattice:  # gaps within an ulp or two of whole numbers, 0 and 1 among them
+        codes = np.round(codes) + rng.uniform(0.0, 1.0, size=k)
+    reg = registry_k(k, codes.tolist())
+    values = set(fidelity_matrix(reg, 0.0).values[np.triu_indices(n, 1)].tolist())
+    thresholds = {t for v in values for t in (math.nextafter(v, 0.0), v, math.nextafter(v, 1.0))}
+    for threshold in sorted(t for t in thresholds if 0.0 < t < 1.0):
+        g = association_graph(reg, 0.0, threshold)
+        assert (g.edges, g.clusters) == loop_association_graph(reg, 0.0, threshold)
+
+
 def test_pair_summing_past_the_float_range_has_overlap_zero_and_no_edge():
     # each ln cosh term between codes (0, 0) and (1e308, 1e308) is finite,
     # their sum passes the float range: the log-overlap is -inf, in
     # log_overlap and in the row kernel alike, so the cell is 0.0 and the
-    # pair no edge (its floor overflows, so the screen never drops it)
+    # pair no edge (its floor is past the float range too, so the screen
+    # drops it without a log_cosh call)
     reg = registry_k(2, [[0.0, 0.0], [1e308, 1e308], [0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -149,6 +149,20 @@ def test_evolve_entropy_finite_where_occupation_overflows(tmp_path):
         rel=1e-15)
 
 
+def test_print_at_a_beta_whose_energy_underflows_is_one_domain_error(tmp_path):
+    # beta omega underflows to 0: the Bose factor, and with it theta, is inf,
+    # which no code takes
+    cfg = write_config(tmp_path, "tiny.json", {
+        "kind": "print",
+        "modes": {"omega": [0.1], "gamma": [1.0]},
+        "entries": [{"id": "a", "beta": 5e-324}],
+    })
+    proc = python(MAIN, "print", "--config", cfg, "--out", tmp_path / "o", "--quiet")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: domain:") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "forgetting", "thermo-trace"])
 def test_theta_800_code_is_inf_or_one_domain_error(tmp_path, command):
     # sinh^2 800 leaves the float range: evolve and forgetting write inf

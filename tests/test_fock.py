@@ -471,6 +471,9 @@ def test_expm_action_refuses_non_finite_input():
         fock.evolve_vector(ws, v, 1e307)
     with pytest.raises(ValueError, match="matrix is not finite"):
         fock.expm_action(fock.ShiftOperator.diag(np.array([1.0, np.nan])), np.ones(2))
+    # a finite 1-norm whose stage count at theta_5 passes the float range
+    with pytest.raises(ValueError, match="1-norm 1e[+]306 is too large to stage"):
+        fock.expm_action(fock.ShiftOperator.diag(np.array([1e306, 1.0])), np.ones(2))
     bad = v.copy()
     bad[3] = np.nan
     with pytest.raises(ValueError, match="vector has a non-finite entry"):

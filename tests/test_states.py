@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dqmem import states, thermo
 from dqmem.states import (
     Code,
     MemoryState,
@@ -255,6 +256,14 @@ def test_theta_from_beta_frozen():
 
 def test_theta_from_beta_huge_beta_underflows_gracefully():
     assert theta_from_beta(1000.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_theta_from_beta_where_beta_energy_underflows_is_inf():
+    # 5e-324 * 0.1 rounds to 0: the Bose factor is inf, as in bose_occupation
+    assert theta_from_beta(5e-324, 0.1) == math.inf
+    assert theta_from_beta(5e-324, 1.0) == math.inf
+    for x in (0.0, 5e-324, 1e-300, 0.5, 700.0, 701.0, 1e308, math.inf):
+        assert states._bose_factor(x) == thermo.bose_occupation(x, 1.0)
 
 
 @given(beta=st.floats(min_value=0.05, max_value=5.0, allow_nan=False),
