@@ -226,7 +226,7 @@ class FidelityMatrix(_Record):
         _set(self, ids, values, eval_time, staggered)
 
 
-_PAIR_CHUNK = 1024  # entry pairs per block of a pairwise read: 128 KB at K = 16
+_PAIR_CHUNK = 1024  # entry pairs per rectangle of a pairwise read: 128 KB at K = 16
 _EPS = 2.0 ** -52   # float64 machine epsilon
 _LN_COSH_1 = 0.4337808304830272  # C = ln cosh 1, rounded down
 
@@ -256,15 +256,14 @@ def _floor_clears(g: np.ndarray, c: float) -> np.ndarray:
         return _LN_COSH_1 * np.einsum("ij,ij->i", g, np.minimum(g, 1.0)) > cut
 
 
-def _log_overlap_rows(block: np.ndarray, row) -> np.ndarray:
-    """-fsum_k ln cosh(b_k - row_k) for each row b of a Theta block: the
-    value `states.log_overlap` gives for the two rows, bit for bit, -inf
-    for a row whose terms sum past the float range. `row` is one row or a
-    block of rows paired with `block` row by row. The sums are
+def _log_overlap_rows(gaps: np.ndarray) -> np.ndarray:
+    """-fsum_k ln cosh g_k for each row g of a block of Theta gaps: the value
+    `states.log_overlap` gives for two rows whose difference is g, bit for
+    bit, -inf for a row whose terms sum past the float range. The sums are
     `states._row_sums_nonneg`, math.fsum's value with no Python call per
     row; every caller takes overlaps as math.exp of them, as
     `states.overlap` does."""
-    return -_row_sums_nonneg(log_cosh(block - row))
+    return -_row_sums_nonneg(log_cosh(gaps))
 
 
 def _entry_thetas(registry: Registry, t: float, staggered: bool) -> np.ndarray:
@@ -298,18 +297,25 @@ def _pair_thetas(registry: Registry, t: float, staggered: bool) -> np.ndarray:
     return registry.codes
 
 
-def _pair_blocks(n: int):
-    """(rows, cols) of the pairs i < j of n entries in row-major order, in
-    blocks of whole consecutive rows holding about _PAIR_CHUNK pairs each
-    (one row at least), so no index array or mask spans the triangle."""
+def _pair_rects(thetas: np.ndarray):
+    """The pairs i < j of a Theta block's n rows in K-major row rectangles:
+    for rows a..b-1 against the columns a+1..n-1, (a, gap) with gap the
+    fresh (K, b - a, n - 1 - a) array T[:, None, a+1:] - T[:, a:b, None] of
+    the transposed block T. Row a + r's gaps to the entries after it are
+    gap[:, r, r:]; a cell left of those (column <= row) is no pair. The
+    rows a..b-1 are the fewest whole rows holding _PAIR_CHUNK pairs, cut at
+    b = n - 1, so no array spans the triangle. Each gap[k] is contiguous,
+    so a block of pairs taken from it as a (K, m) array and read through
+    its transpose runs `_row_sums`' column loop over contiguous memory."""
+    t = np.ascontiguousarray(thetas.T)
+    n = t.shape[1]
     a = 0
     while a < n - 1:
         b, size = a, 0
         while b < n - 1 and size < _PAIR_CHUNK:
             size += n - 1 - b
             b += 1
-        yield (np.repeat(np.arange(a, b), np.arange(n - 1 - a, n - 1 - b, -1)),
-               np.concatenate([np.arange(i + 1, n) for i in range(a, b)]))
+        yield a, t[:, None, a + 1:] - t[:, a:b, None]
         a = b
 
 
@@ -318,16 +324,23 @@ def _upper_overlaps(thetas: np.ndarray):
     list of row i's overlaps with the entries j > i of a Theta block (the
     last list empty). Each is math.exp of the pair's log-overlap, as in
     states.overlap (np.exp differs from it in some last bits), taken over
-    _pair_blocks' blocks, so only one block of pairs is held at a time."""
-    n = len(thetas)
-    for rows, cols in _pair_blocks(n):
-        exps = list(map(math.exp, _log_overlap_rows(thetas[cols], thetas[rows]).tolist()))
+    `_pair_rects`' rectangles: a rectangle's rows of pairs, joined into one
+    (K, m) block, are one `_log_overlap_rows` call. Only one rectangle of
+    pairs is held at a time, and none while its rows are read."""
+    for _, gap in _pair_rects(thetas):
+        rows, cols = gap.shape[1:]
+        # gap and cells go before the rows are yielded: held while the text
+        # that fidelity.csv's cursors keep grows, they widened the heap
+        cells = np.concatenate([gap[:, r, r:] for r in range(rows)], axis=1)
+        del gap
+        exps = list(map(math.exp, _log_overlap_rows(cells.T).tolist()))
+        del cells
         start = 0
-        for i in range(int(rows[0]), int(rows[-1]) + 1):
-            stop = start + n - 1 - i
+        for r in range(rows):
+            stop = start + cols - r
             yield exps[start:stop]
             start = stop
-    if n:
+    if len(thetas):
         yield []
 
 
@@ -376,9 +389,12 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
     without a log_cosh call, by `_floor_clears`: a pair whose floor
     C sum_k g_k min(g_k, 1), C = ln cosh 1, puts its fsum past the negation
     of that has no edge (one whose gaps sum past the float range included:
-    its overlap is 0.0). Every other pair goes through the row kernel, so
-    the edges, their order and the clusters are those of testing every
-    pair.
+    its overlap is 0.0). The floor runs on each of `_pair_rects`'
+    rectangles; the pairs it leaves are gathered across rectangles and go
+    through the row kernel, one `_log_overlap_rows` call per _PAIR_CHUNK / 2
+    of them or more (a batch of a whole rectangle's 128 KB at K = 16 raised
+    the step's peak resident memory by 0.4 MB). So the edges, their order
+    and the clusters are those of testing every pair.
 
     Clusters are ordered by first member; members keep registry order, so
     the output is deterministic.
@@ -401,16 +417,36 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
         return i
 
     edges = []
-    for rows, cols in _pair_blocks(len(ids)):
-        gap = thetas[cols] - thetas[rows]
-        keep = np.flatnonzero(~_floor_clears(np.abs(gap), far))
-        logs = _log_overlap_rows(gap[keep], 0.0)
-        for i, j, log in zip(rows[keep].tolist(), cols[keep].tolist(), logs.tolist()):
+
+    def decide(near: list) -> None:
+        """The exact step for the pairs (i, j, gaps) that the floor left."""
+        firsts, seconds, gaps = zip(*near)
+        near.clear()
+        gaps = np.concatenate(gaps, axis=1)
+        logs = _log_overlap_rows(gaps.T)
+        for i, j, log in zip(np.concatenate(firsts).tolist(),
+                             np.concatenate(seconds).tolist(), logs.tolist()):
             value = math.exp(log)
             if value >= threshold:
                 edges.append((ids[i], ids[j], value))
                 a, b = find(i), find(j)
                 root[max(a, b)] = min(a, b)
+
+    near, count = [], 0
+    for a, gap in _pair_rects(thetas):
+        k, rows, cols = gap.shape
+        g = np.abs(gap, out=gap)
+        for r in range(1, rows):  # cells that are no pair: inf, which the floor clears
+            g[:, r, :r] = math.inf
+        i, j = np.nonzero(~_floor_clears(g.reshape(k, rows * cols).T, far).reshape(rows, cols))
+        near.append((a + i, a + 1 + j, g[:, i, j]))
+        del gap, g  # no rectangle is held during the exact step
+        count += i.size
+        if count >= _PAIR_CHUNK // 2:
+            decide(near)
+            count = 0
+    if count:
+        decide(near)
     members: dict[int, list[str]] = {}
     for i, entry_id in enumerate(ids):
         members.setdefault(find(i), []).append(entry_id)
@@ -595,8 +631,8 @@ def forgetting_curve(code: Code, modes: Iterable[ModeParams], times) -> Forgetti
     ts = _checked_times(times)
     written = MemoryState(ms, code, 0.0)
     traj = _trajectory(_gammas(ms), code.thetas, ts)
-    self_log = _log_overlap_rows(traj, effective_thetas(written))
-    vacuum_log = _log_overlap_rows(traj, 0.0)  # the empty register, Theta = 0
+    self_log = _log_overlap_rows(traj - effective_thetas(written))
+    vacuum_log = _log_overlap_rows(traj)  # the empty register, Theta = 0
     # math.exp as in states.overlap: np.exp differs from it in some last bits
     return ForgettingCurve(
         times=tuple(ts.tolist()),

@@ -3,12 +3,15 @@
 Every run writes its outputs into ``--out`` as a set of files plus a
 ``manifest.json`` recording the exact invocation (the config's path and
 ``config_sha256``, the sha256 of the bytes read from it; seed, library
-versions, import and wall time, and ``work``: the counters a run keeps,
-which for ``oracle-verify`` are the Taylor stages and terms of its
-exponentials, one matvec a term). ``summary.json`` holds the one echo of
-the config. ``wall_time_s`` runs from parsing the config to the last artifact
-written before the manifest, and ``artifacts`` lists every file the run
-wrote. Each artifact goes to ``<name>.partial`` first, a CSV line by line
+versions, import and wall time, and ``work``: the counters a run keeps).
+For ``oracle-verify`` these are the Taylor stages and terms of its
+exponentials, one matvec a term. For ``associate`` they are ``pairs``,
+n(n - 1)/2; ``exact_rows``, the pairs whose log-overlap the exact row sum
+takes (every pair for a matrix, those the floor leaves for a graph); and
+``fsum_rows``, those of them it re-sums with ``math.fsum``. Other runs
+write ``work: {}``. ``summary.json`` holds the one echo of the config.
+``wall_time_s`` runs from parsing the config to the last artifact written
+before the manifest, and ``artifacts`` lists every file the run wrote. Each artifact goes to ``<name>.partial`` first, a CSV line by line
 as its rows are computed, so no CSV is held whole in memory. Only when all
 are complete are they renamed, ``manifest.json`` last; a failed run deletes
 its ``.partial`` files, so ``--out`` holds the files it held. Before the
@@ -23,9 +26,11 @@ still written, and stderr holds one ``error: verify:`` line).
 Numbers in CSV cells are ``repr()`` of Python floats, so artifacts are
 byte-stable across reruns; ``manifest.json`` differs only in its
 ``import_s`` and ``wall_time_s`` fields. ``fidelity.csv`` is streamed from
-`capacity`'s upper-triangle row kernel, with no n x n matrix, and each value
-is formatted once: a cell below the diagonal is read from the joined string
-of its mirror's row, which holds the same float.
+`capacity`'s upper-triangle row kernel, which reads the pairs in K-major
+row rectangles, with no n x n matrix. Each line is written finished, and
+each value is formatted once: a line's cells after the diagonal are one
+joined string, from which the cells below the diagonal of later lines
+are read, since they hold the same floats.
 
 Cyclic garbage is not freed at exit: `main` has the process freeze the
 collector's objects instead of collecting them one last time (except under
@@ -85,7 +90,7 @@ from .capacity import (
     print_memory,
     registry_to_json,
 )
-from .states import MemoryState, _row_sums_nonneg, effective_thetas
+from .states import _ROW_SUM_WORK, MemoryState, _row_sums_nonneg, effective_thetas
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -170,8 +175,10 @@ def _write_artifacts(out_dir: str, files: dict, manifest) -> None:
             elif isinstance(artifact, dict):
                 _json_parts(artifact, "\n", fh.write)
                 fh.write("\n")
-            else:
+            elif isinstance(artifact, tuple):
                 fh.writelines(_csv_lines(*artifact))
+            else:  # finished lines
+                fh.writelines(artifact)
 
     try:
         for name, artifact in files.items():
@@ -227,9 +234,18 @@ def _parse_config(args) -> tuple[ExperimentConfig, str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (artifacts, results, stdout line). An
-# artifact is finished text or a CSV (header, rows); main renders the CSVs and
-# puts the results into summary.json.
+# subcommand handlers; each returns (artifacts, results, stdout line), and one
+# that counts its work a fourth item, `_work_since`'s function. An artifact is
+# finished text, a CSV (header, rows) or an iterable of finished lines; main
+# renders the CSVs and puts the results into summary.json.
+
+
+def _work_since(counters: dict, prefix: str = "", **fixed):
+    """A function giving `fixed` and what each of `counters` gained since
+    this call, named prefix + its key. The manifest calls it once every
+    other artifact is written, so work done while a CSV streams counts."""
+    before = dict(counters)
+    return lambda: {**fixed, **{prefix + k: n - before[k] for k, n in counters.items()}}
 
 
 def _run_print(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
@@ -266,7 +282,7 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     block = _entry_thetas(registry, t, cfg.staggered)
     rows = []
     best_id, best_score = None, -1.0
-    for entry_id, log_score in zip(registry.ids, _log_overlap_rows(block, probe)):
+    for entry_id, log_score in zip(registry.ids, _log_overlap_rows(block - probe)):
         score = math.exp(log_score)
         rows.append([entry_id, score])
         if score > best_score:
@@ -364,22 +380,28 @@ def _cells(text: str):
 
 
 def _matrix_rows(ids, thetas):
-    """fidelity.csv's rows from capacity's upper-triangle row kernel, each
-    value formatted once. Row i is the cells that rows 0..i-1 made for
-    column i (the overlaps are symmetric bit for bit), 1.0, then repr of its
-    overlaps with the entries after it. A written row keeps those last cells
-    as one joined string, which its cursor reads forward as later rows are
-    written, so only the unread text of each row is held, never a string
-    object per cell."""
+    """fidelity.csv's lines, each finished as it is made, from capacity's
+    upper-triangle row kernel, each value formatted once. After the header,
+    line i is _csv_cell of its id, the cells that lines 0..i-1 made for
+    column i (the overlaps are symmetric bit for bit), 1.0, then one joined
+    string of the repr of its overlaps with the entries after it. Its
+    cursor keeps that string and reads it forward as later lines are made,
+    so only the unread text of each line is held, never a string object
+    per cell."""
+    yield from _csv_lines(["entry_id", *ids], ())
     cursors = []
     for entry_id, upper in zip(ids, _upper_overlaps(thetas)):
-        upper = list(map(repr, upper))
-        yield [entry_id, *map(next, cursors), "1.0", *upper]
-        cursors.append(itertools.chain.from_iterable(_cells(",".join(upper))))
+        head = ",".join([_csv_cell(entry_id), *map(next, cursors), "1.0"])
+        upper = ",".join(map(repr, upper))
+        yield f"{head},{upper}\r\n" if upper else head + "\r\n"
+        cursors.append(itertools.chain.from_iterable(_cells(upper)))
 
 
-def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
+def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str, object]:
     registry = load_registry(cfg.registry)
+    n = len(registry.ids)
+    # the pairs, the rows the exact sum reads and those it re-sums with fsum
+    work = _work_since(_ROW_SUM_WORK, pairs=n * (n - 1) // 2)
     if cfg.kind == "fidelity-matrix":
         # no file is opened before the time and printing times are checked
         thetas = _pair_thetas(registry, cfg.time, cfg.staggered)
@@ -389,9 +411,8 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
             "staggered": cfg.staggered,
             "metric": FidelityMatrix.metric,
         }
-        return ({"fidelity.csv": (["entry_id", *registry.ids],
-                                  _matrix_rows(registry.ids, thetas))},
-                results, f"fidelity matrix over {len(registry.ids)} entries")
+        return ({"fidelity.csv": _matrix_rows(registry.ids, thetas)},
+                results, f"fidelity matrix over {n} entries", work)
 
     graph = association_graph(registry, cfg.time, cfg.threshold,
                               staggered=cfg.staggered)
@@ -404,7 +425,8 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     }
     line = (f"{len(graph.edges)} association edges, "
             f"{len(graph.clusters)} clusters at threshold {graph.threshold:g}")
-    return {"edges.csv": (["entry_a", "entry_b", "fidelity"], graph.edges)}, results, line
+    return ({"edges.csv": (["entry_a", "entry_b", "fidelity"], graph.edges)}, results, line,
+            work)
 
 
 def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
@@ -441,15 +463,14 @@ def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
 # oracle-verify
 
 
-def _run_oracle_verify(dim: int) -> tuple[dict, dict, str, dict]:
+def _run_oracle_verify(dim: int) -> tuple[dict, dict, str, object]:
     if dim < 64:
         raise CliError("usage",
                        f"--dim must be >= 64 for oracle-verify, got {dim}")
     from . import fock
-    before = dict(fock._TAYLOR_WORK)
-    rows = fock._verify_rows(dim)
     # the Taylor stages and terms (one matvec each) of the suite's exponentials
-    work = {f"taylor_{k}": n - before[k] for k, n in fock._TAYLOR_WORK.items()}
+    work = _work_since(fock._TAYLOR_WORK, "taylor_")
+    rows = fock._verify_rows(dim)
     failed = [f"{r[0]}[{r[1]}]" for r in rows if r[5] == "fail"]
     results = {
         "dim": dim,
@@ -467,7 +488,7 @@ def _run_oracle_verify(dim: int) -> tuple[dict, dict, str, dict]:
 # driver
 
 
-def _manifest(args, argv: list[str], config_sha256, seed, work: dict, names: list[str],
+def _manifest(args, argv: list[str], config_sha256, seed, work, names: list[str],
               wall: float) -> str:
     return _json_text({
         "command": args.command,
@@ -485,13 +506,12 @@ def _manifest(args, argv: list[str], config_sha256, seed, work: dict, names: lis
         },
         "import_s": _IMPORT_S,
         "wall_time_s": wall,
-        "work": work,
+        "work": work(),
     })
 
 
 # subcommand -> (help, handler); a handler takes the parsed config, or the
-# --dim of oracle-verify, the one subcommand that no config kind names and
-# the one that counts its work
+# --dim of oracle-verify, the one subcommand that no config kind names
 _COMMANDS = {
     "print": ("write coded memories into a registry file", _run_print),
     "recall": ("score a probe code against every registry entry", _run_recall),
@@ -525,15 +545,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args) -> tuple[dict, dict, str, str, object, object, object, dict]:
+def _dispatch(args) -> tuple[dict, dict, str, str, object, object, object, object]:
     """Returns (artifacts, results, stdout line, kind, config echo, seed,
-    config sha256, work counters)."""
+    config sha256, a function giving the work counters)."""
     handler = _COMMANDS[args.command][1]
     if "config" not in args:
-        *out, work = handler(args.dim)
-        return (*out, args.command, {"dim": args.dim}, None, None, work)
-    cfg, sha256 = _parse_config(args)
-    return (*handler(cfg), cfg.kind, cfg.raw, cfg.seed, sha256, {})
+        artifacts, results, line, *work = handler(args.dim)
+        meta = (args.command, {"dim": args.dim}, None, None)
+    else:
+        cfg, sha256 = _parse_config(args)
+        artifacts, results, line, *work = handler(cfg)
+        meta = (cfg.kind, cfg.raw, cfg.seed, sha256)
+    return (artifacts, results, line, *meta, work[0] if work else dict)
 
 
 def main(argv: list[str] | None = None) -> int:

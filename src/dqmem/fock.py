@@ -136,6 +136,9 @@ _EXPM_TOL = 1e-15
 # of 1-norm at most theta_m meet the unit roundoff in backward error
 _THETA = ((5, 2.4e-3), (10, 1.4e-1), (15, 6.4e-1), (20, 1.4), (25, 2.4), (30, 3.5),
           (35, 4.7), (40, 6.0), (45, 7.2), (50, 8.5), (55, 9.9))
+# the most matvecs, m* s, that one expm_action plans; the largest plan of
+# oracle-verify (at any --dim) and of the tests is 8 525 (55 terms x 155 stages)
+_MAX_MATVECS = 10 ** 6
 _EVOLVE_BOUND = 1e-10  # error bound of the oracle's evolution rows
 _EVOLVE_MAX_TAIL = (_EVOLVE_BOUND / 2.0) ** 2
 _GUARD_TAIL = 1e-12
@@ -465,8 +468,9 @@ def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
     stages and terms (one matvec each) to `_TAYLOR_WORK`.
 
     Raises ValueError, with no warning, if vec has a non-finite entry or
-    the matrix a non-finite 1-norm, or one so large (about 4.3e305 or more)
-    that some degree's stage count passes the float range.
+    the matrix a non-finite 1-norm, or one whose plan m* s passes
+    _MAX_MATVECS matvecs (every plan takes at least 55 / 9.9 ||A||_1, so a
+    1-norm above about 1.8e5), rather than run for ever.
     """
     w = np.asarray(vec, dtype=np.complex128)
     if not np.isfinite(w).all():
@@ -479,11 +483,14 @@ def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
         norm1 = float(np.max(matrix.map(abs).H.dot(np.ones(w.size))))
     if not math.isfinite(norm1):
         raise ValueError(f"expm_action: the matrix is not finite (1-norm {norm1})")
-    if not math.isfinite(norm1 / _THETA[0][1]):  # the most stages any degree takes
-        raise ValueError(f"expm_action: the matrix's 1-norm {norm1} is too large to stage")
-    # at most m* s matvecs, the fewest the table allows; the smallest m on a tie
-    degree, stages = min(((m, math.ceil(norm1 / theta)) for m, theta in _THETA),
-                         key=lambda ms: ms[0] * ms[1])
+    # at most m* s matvecs, the fewest the table allows; the smallest m on a
+    # tie. A 1-norm past _MAX_MATVECS is planned as that, whose plan passes
+    # it too, so no stage count leaves the float range
+    degree, stages = min(((m, math.ceil(min(norm1, _MAX_MATVECS) / theta))
+                          for m, theta in _THETA), key=lambda ms: ms[0] * ms[1])
+    if degree * stages > _MAX_MATVECS:
+        raise ValueError(f"expm_action: the matrix's 1-norm {norm1} is too large to stage "
+                         f"in {_MAX_MATVECS} matvecs")
     terms = 0
     for _ in range(stages):
         term = w.copy()

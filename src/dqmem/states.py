@@ -123,6 +123,9 @@ def log_cosh(x):
 
 # rows whose K * max|x| stays below this cannot overflow any partial sum
 _ROW_SUM_LIMIT = 2.0 ** 1020
+# rows that `_row_sums` has summed in this process, and those of them it
+# re-summed with math.fsum; the associate manifest records its run's share
+_ROW_SUM_WORK = {"exact_rows": 0, "fsum_rows": 0}
 
 
 def _two_sum(a, b):
@@ -148,10 +151,12 @@ def _row_sums(block) -> np.ndarray:
     Every other row is re-summed by math.fsum itself: rows that are not
     finite or whose K * max|x| reaches 2**1020 (so fsum raises or returns
     exactly what it always did), rows summing to zero (the sign of a zero
-    sum is fsum's to choose), and the undecided near-ties.
+    sum is fsum's to choose), and the undecided near-ties. Each call adds
+    its rows, and the rows it re-sums, to `_ROW_SUM_WORK`.
     """
     x = np.asarray(block, dtype=float)
     n, k = x.shape
+    _ROW_SUM_WORK["exact_rows"] += n
     if n == 0 or k == 0:
         return np.zeros(n)
     s, q = x[:, 0], np.zeros(n)
@@ -173,7 +178,9 @@ def _row_sums(block) -> np.ndarray:
         ares = np.abs(res[inexact])
         half_ulp = 0.5 * (ares - np.nextafter(ares, 0.0))
         decided[inexact] = np.abs(e3[inexact]) + bound < half_ulp
-    for i in np.flatnonzero(~decided).tolist():
+    undecided = np.flatnonzero(~decided).tolist()
+    _ROW_SUM_WORK["fsum_rows"] += len(undecided)
+    for i in undecided:
         res[i] = math.fsum(x[i])
     return res
 

@@ -448,6 +448,37 @@ def test_fidelity_matrix_is_state_overlap_bit_for_bit(staggered, monkeypatch):
         assert np.array_equal(fm.values, expected)
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1024])
+def test_pair_rectangles_tile_the_upper_triangle(monkeypatch, chunk):
+    # every pair i < j exactly once, in row-major order, with the gap
+    # thetas[j] - thetas[i] bit for bit; each rectangle is whole rows holding
+    # at least `chunk` pairs, except a last one cut at row n - 1, and each
+    # mode's gaps are contiguous
+    monkeypatch.setattr(capacity, "_PAIR_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    seen = set()
+    for n in range(0, 41):
+        thetas = rng.uniform(0.0, 2.0, (n, 3))
+        pairs = []
+        for a, gap in capacity._pair_rects(thetas):
+            k, rows, cols = gap.shape
+            assert k == 3 and rows >= 1 and cols == n - 1 - a and gap.flags.c_contiguous
+            size = sum(cols - r for r in range(rows))
+            seen.add("rows 1" if rows == 1 else "rows > 1")
+            if size < chunk:
+                assert a + rows == n - 1
+                seen.add("cut at row n - 1")
+            for r in range(rows):
+                for c in range(r, cols):
+                    i, j = a + r, a + 1 + c
+                    pairs.append((i, j))
+                    assert gap[:, r, c].tolist() == (thetas[j] - thetas[i]).tolist()
+        assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert "rows 1" in seen
+    assert ("cut at row n - 1" in seen) == (chunk > 1)
+    assert ("rows > 1" in seen) == (chunk > 2)
+
+
 def test_staggered_needs_time_after_last_print():
     reg = registry_k(1, [[0.3], [0.5]], printed_at=[0.0, 1.0])
     # the message names the first entry printed after the evaluation time
@@ -675,7 +706,8 @@ def test_greedy_pack_at_the_floors_exact_point(monkeypatch, k):
 def test_greedy_pack_overflowing_gaps_keep_their_result():
     # gaps and sums past the float range mean overlap 0.0, with no warning
     # (RuntimeWarning is an error here): first decided by the L1 bracket,
-    # then with an infinite row beside one that only the block screen decides
+    # then with infinite rows, which the floor clears, beside the [1.42] * 4
+    # row, which neither the bracket nor the floor decides: the exact step does
     result = greedy_pack([[0, 0], [1e308, 1e308], [-1e308, -1e308]], 0.05)
     assert result == ((0, 1, 2), (1, 2, 3))
     result = greedy_pack([[0] * 4, [1e308] * 4, [-1e308] * 4, [1.42] * 4], 0.05)

@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 import dqmem
 from dqmem import thermo
@@ -417,6 +418,106 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, monkeypatch, sta
         assert full_matrix_graph(fm, near)[0][:1] == [(ids[0], ids[1], near)]
         assert (ids[0], ids[1], near) not in full_matrix_graph(
             fm, math.nextafter(near, 1.0))[0]
+
+
+# ids that csv quotes: commas, quotes, CR and LF
+QUOTED_IDS = ("plain{}", "a,b{}", 'say "hi" {}', "cr\r\nlf{}", "{},", '"{}"', "last\n{}")
+
+
+@given(n=st.integers(1, 40), k=st.integers(1, 6), chunk=st.sampled_from([1, 2, 3, 7, 1024]),
+       split=st.sampled_from([1, 2, 16]), staggered=st.booleans(), twins=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+@example(n=40, k=2, chunk=1, split=1, staggered=False, twins=True, seed=1, pick=0)
+@example(n=40, k=3, chunk=7, split=2, staggered=True, twins=False, seed=2, pick=5)
+@example(n=40, k=6, chunk=1024, split=16, staggered=False, twins=True, seed=3, pick=9)
+@example(n=1, k=1, chunk=3, split=2, staggered=True, twins=False, seed=4, pick=0)
+def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, split, staggered, twins,
+                                                     seed, pick):
+    # fidelity.csv and edges.csv from K-major rectangles of every width, the
+    # last rows and a last rectangle cut at row n - 1 included, against the
+    # full matrix: fidelity.csv byte for byte, and the edges and clusters at
+    # a pair's overlap and one ulp either side of it
+    import tempfile
+
+    from dqmem import capacity, cli
+    from dqmem.capacity import (
+        fidelity_matrix, load_registry, new_registry, print_memory, save_registry)
+
+    rng = np.random.default_rng(seed)
+    modes = [ModeParams(i, 1.0, g) for i, g in enumerate(rng.uniform(0.0, 1.5, k))]
+    codes = rng.uniform(0.0, 1.2, (n, k))
+    if twins:  # a few codes repeat: overlaps of exactly 1
+        codes[1::3] = codes[0]
+    printed = rng.uniform(0.0, 2.0, n) if staggered else np.zeros(n)
+    registry = new_registry(modes)
+    for i in range(n):
+        registry = print_memory(registry, QUOTED_IDS[i % 7].format(i),
+                                Code(tuple(codes[i].tolist())), printed_at=printed[i])
+    t = 2.5
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        save_registry(registry, tmp / "registry.json")
+        fm = fidelity_matrix(load_registry(tmp / "registry.json"), t, staggered=staggered)
+        upper = sorted(set(fm.values[np.triu_indices(n, 1)].tolist()) - {0.0, 1.0})
+        near = upper[pick % len(upper)] if upper else 0.5
+        thresholds = {0.5, near, math.nextafter(near, 0.0), math.nextafter(near, 1.0)}
+        doc = {"registry": str(tmp / "registry.json"), "time": t, "staggered": staggered}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(capacity, "_PAIR_CHUNK", chunk)
+            mp.setattr(cli, "_SPLIT", split)
+            for a, gap in capacity._pair_rects(capacity._pair_thetas(registry, t, staggered)):
+                rows, cols = gap.shape[1:]
+                event(f"rows {'1' if rows == 1 else '> 1'}")
+                if a + rows == n - 1 and sum(range(cols - rows + 1, cols + 1)) < chunk:
+                    event("cut at row n - 1")
+            assert run(["associate", "--config", write_config(
+                tmp, "m.json", dict(doc, kind="fidelity-matrix")), "--out", tmp / "m",
+                "--quiet"]) == 0
+            assert (tmp / "m" / "fidelity.csv").read_bytes() == "".join(cli._csv_lines(
+                ["entry_id", *fm.ids], ([e, *row] for e, row in zip(fm.ids, fm.values.tolist())))
+            ).encode("utf-8")
+            for threshold in thresholds:
+                out = tmp / f"g{threshold!r}"
+                assert run(["associate", "--config", write_config(
+                    tmp, "g.json", dict(doc, kind="association-graph", threshold=threshold)),
+                    "--out", out, "--quiet"]) == 0
+                edges, clusters = full_matrix_graph(fm, threshold)
+                assert (out / "edges.csv").read_bytes() == "".join(cli._csv_lines(
+                    ["entry_a", "entry_b", "fidelity"], edges)).encode("utf-8")
+                assert json.loads((out / "summary.json").read_text())["results"]["clusters"] \
+                    == clusters
+
+
+def test_associate_manifest_counts_the_pair_work(tmp_path):
+    # pairs n(n - 1)/2; the rows the exact sum reads (every pair for the
+    # matrix, at least every edge for the graph) and the rows it re-sums
+    # with fsum (a pair of equal codes sums to 0, whose sign fsum decides);
+    # the counts repeat exactly from run to run
+    rng = np.random.default_rng(8)
+    codes = rng.uniform(0.0, 1.5, (30, 4))
+    codes[7] = codes[3]
+    cfg = write_config(tmp_path, "print.json", {
+        "kind": "print", "modes": {"omega": [1.0] * 4, "gamma": [0.5] * 4},
+        "entries": [{"id": f"m{i}", "thetas": c} for i, c in enumerate(codes.tolist())]})
+    assert run(["print", "--config", cfg, "--out", tmp_path / "reg", "--quiet"]) == 0
+    doc = {"registry": str(tmp_path / "reg" / "registry.json"), "time": 0.5}
+    for kind, extra in (("fidelity-matrix", {}), ("association-graph", {"threshold": 0.3})):
+        config = write_config(tmp_path, "c.json", dict(doc, kind=kind, **extra))
+        work = []
+        for rerun in range(2):
+            out = tmp_path / f"{kind}-{rerun}"
+            assert run(["associate", "--config", config, "--out", out, "--quiet"]) == 0
+            work.append(json.loads((out / "manifest.json").read_text())["work"])
+        assert work[0] == work[1]
+        assert set(work[0]) == {"pairs", "exact_rows", "fsum_rows"}
+        assert work[0]["pairs"] == 30 * 29 // 2
+        if kind == "fidelity-matrix":
+            assert work[0]["exact_rows"] == work[0]["pairs"]
+        else:
+            edges = json.loads((out / "summary.json").read_text())["results"]["edge_count"]
+            assert 0 < edges <= work[0]["exact_rows"] < work[0]["pairs"]
+        assert 1 <= work[0]["fsum_rows"] <= work[0]["exact_rows"]
 
 
 def test_thermo_trace_artifacts(tmp_path):

@@ -8,6 +8,9 @@ truncated space.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -17,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from dqmem import fock
 from dqmem.states import Variances
+
+SRC = os.path.dirname(os.path.dirname(fock.__file__))
 
 # hand-derived: tanh(0.5) and sech(0.5) for the amplitude-law check
 TANH_HALF = 0.46211715726000974
@@ -481,6 +486,38 @@ def test_expm_action_refuses_non_finite_input():
     bad[3] = np.inf
     with pytest.raises(ValueError, match="vector has a non-finite entry"):
         fock.expm_action(ws.h_int, bad)
+
+
+def test_expm_action_refuses_a_plan_past_the_matvec_budget():
+    # a finite 1-norm near 1e300 once planned about 1e298 stages and never
+    # returned; now it is one ValueError, at once and with no warning. In a
+    # child process, so a regression fails on the timeout, not by hanging
+    code = ("from dqmem import fock; ws = fock.build_workspace(16); "
+            "fock.evolve_vector(ws, fock.memory_vector(ws, 0.3), 1e300)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith(
+        "ValueError: expm_action: the matrix's 1-norm 2.9")
+    assert proc.stderr.endswith(f"is too large to stage in {fock._MAX_MATVECS} matvecs\n")
+    assert "Warning" not in proc.stderr
+    # the largest plan of oracle-verify and these tests, 8 525 matvecs, is
+    # far inside the budget
+    assert fock._MAX_MATVECS >= 100 * 8525
+
+
+def test_expm_action_runs_every_plan_within_the_matvec_budget(monkeypatch):
+    # at 1-norm x the plan is 55 terms x ceil(x / 9.9) stages; with a
+    # budget of 990 matvecs, 18 stages run and 19 are refused
+    monkeypatch.setattr(fock, "_MAX_MATVECS", 990)
+    v = np.array([1.0, 0.0])
+    w = fock.expm_action(fock.ShiftOperator.diag(np.array([-18 * 9.9, 0.0])), v)
+    assert w[0].real == pytest.approx(math.exp(-18 * 9.9), rel=1e-12)
+    for norm in (math.nextafter(18 * 9.9, math.inf), 1e6, 1.7e308):
+        with pytest.raises(ValueError, match="too large to stage in 990 matvecs"):
+            fock.expm_action(fock.ShiftOperator.diag(np.array([-norm, 0.0])), v)
 
 
 def test_closed_form_supports_of_the_oracle_exponents(ws32):
