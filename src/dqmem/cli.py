@@ -556,7 +556,7 @@ def _dispatch(args) -> tuple[dict, dict, str, str, object, object, object, objec
         cfg, sha256 = _parse_config(args)
         artifacts, results, line, *work = handler(cfg)
         meta = (cfg.kind, cfg.raw, cfg.seed, sha256)
-    return (artifacts, results, line, *meta, work[0] if work else dict)
+    return (artifacts, results, line, *meta, work[0] if work else dict)  # dict() is {}
 
 
 def main(argv: list[str] | None = None) -> int:
