@@ -540,7 +540,18 @@ def _accepts(gap: np.ndarray, log_eps: float) -> bool:
     return not len(near) or all(-_fsum_nonneg(r) < log_eps for r in log_cosh(near).tolist())
 
 
-_GAP_NODES = 16    # Gauss-Legendre nodes per panel of length <= 1
+# The 16-node Gauss-Legendre rule on [-1, 1]: the positive nodes and their
+# weights, ascending, as numpy 2.4.6's leggauss(16) gives them bit for bit.
+# The rule is symmetric, x = -x[::-1] and w = w[::-1] exactly, so the
+# negative half is their mirror (see _expected_log_cosh_gap).
+_GL_X = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+         0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+         0.9445750230732326, 0.9894009349916499)
+_GL_W = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+         0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+         0.062253523938647456, 0.027152459411754176)
+_GAP_NODES = tuple(-x for x in reversed(_GL_X)) + _GL_X
+_GAP_WEIGHTS = _GL_W[::-1] + _GL_W
 _GAP_KNEE = 20.0   # past it ln cosh u = u - ln 2 to within e^-40
 
 
@@ -553,17 +564,23 @@ def _expected_log_cosh_gap(width: float) -> float:
     exact to round-off. Past u = 20, ln cosh u = u - ln 2 and that part is
     exact: (w - ln 2) b^2 - (2/3) w b^3 with b = 1 - a/w. No w^2 is formed,
     so every finite width works; the mean tends to w/3 - ln 2 + pi^2/(12 w).
-    """
-    # numpy.polynomial is imported here so other subcommands skip its import
-    from numpy.polynomial.legendre import leggauss
 
+    The rule is the table _GAP_NODES/_GAP_WEIGHTS, not computed. numpy's
+    leggauss(16) solves an eigenproblem through LAPACK: computing the rule
+    would import numpy.polynomial and start the BLAS library for one call,
+    and its last bits could follow the LAPACK build. The table holds the
+    bits leggauss gave on numpy 2.4.6, so the report keeps its bytes, on
+    every machine. Its nodes are correctly rounded; its weights are within
+    1e-13 relative of the exact ones (up to 63 ulps off), kept for those
+    bytes.
+    """
     w = float(width)
     if w == 0.0:
         return 0.0
     a = min(w, _GAP_KNEE)
     panels = math.ceil(a)
     h = a / panels
-    nodes, weights = leggauss(_GAP_NODES)
+    nodes, weights = np.array(_GAP_NODES), np.array(_GAP_WEIGHTS)
     u = (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) * h
     terms = weights * (1.0 - u / w) * log_cosh(u)
     head = h / w * math.fsum(terms.ravel())
@@ -605,7 +622,7 @@ def capacity_estimate(modes: Iterable[ModeParams], theta_range: tuple[float, flo
         seed=seed,
         accepted_count=len(accepted_idx),
         accepted_indices=accepted_idx,
-        accepted_codes=tuple(Code(tuple(samples[i])) for i in accepted_idx),
+        accepted_codes=tuple(map(Code, samples[list(accepted_idx)].tolist())),
         acceptance_curve=curve,
         expected_pair_log_overlap=mean_log,
         expected_pair_overlap=math.exp(mean_log),

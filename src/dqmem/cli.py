@@ -11,9 +11,10 @@ takes (every pair for a matrix, those the floor leaves for a graph); and
 ``fsum_rows``, those of them it re-sums with ``math.fsum``. Other runs
 write ``work: {}``. ``summary.json`` holds the one echo of the config.
 ``wall_time_s`` runs from parsing the config to the last artifact written
-before the manifest, and ``artifacts`` lists every file the run wrote. Each artifact goes to ``<name>.partial`` first, a CSV line by line
-as its rows are computed, so no CSV is held whole in memory. Only when all
-are complete are they renamed, ``manifest.json`` last; a failed run deletes
+before the manifest, and ``artifacts`` lists every file the run wrote.
+Each artifact goes to ``<name>.partial`` first, a CSV line by line as its
+rows are computed, so no CSV is held whole in memory. Only when all are
+complete are they renamed, ``manifest.json`` last; a failed run deletes
 its ``.partial`` files, so ``--out`` holds the files it held. Before the
 renames, the files that an earlier run's manifest in ``--out`` lists and
 this run does not write are deleted, so ``--out`` holds one run's files.
@@ -40,10 +41,14 @@ written and closed by a ``with`` block before that.
 A subcommand imports only the modules it uses: ``evolve`` and
 ``thermo-trace`` import `dqmem.thermo`, and only ``oracle-verify`` imports
 `dqmem.fock`, which holds the residual suite and imports `dqmem.thermo`
-itself. Every subcommand runs on numpy alone; the closed-form ones on one
-Theta array per experiment (a row per time point or registry entry) that
-matches the per-state functions of `dqmem.states` and
-`thermo.thermo_snapshot` bit for bit.
+itself. ``numpy.random`` (with `secrets` and OpenSSL, about 5 MB) is
+imported only for ``default_rng(seed)``: by ``capacity`` and by a sampled
+code. Past that, ``capacity`` imports what every subcommand does: its
+quadrature reads a fixed Gauss-Legendre table, so no subcommand imports
+``numpy.polynomial`` or calls LAPACK. Every subcommand runs on
+numpy alone; the closed-form ones on one Theta array per experiment (a
+row per time point or registry entry) that matches the per-state
+functions of `dqmem.states` and `thermo.thermo_snapshot` bit for bit.
 """
 
 from __future__ import annotations
@@ -350,7 +355,7 @@ def _run_capacity(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     results = {
         "accepted_count": report.accepted_count,
         "accepted_indices": list(report.accepted_indices),
-        "accepted_codes": [list(c.thetas) for c in report.accepted_codes],
+        "accepted_codes": [c.thetas for c in report.accepted_codes],
         "epsilon": report.epsilon,
         "theta_range": list(report.theta_range),
         "candidate_count": report.candidate_count,

@@ -821,6 +821,55 @@ def test_expected_pair_overlap_at_huge_width():
     assert rep.expected_pair_log_overlap == pytest.approx(-2e300 / 3.0, rel=1e-12)
 
 
+def gauss_legendre_60(x0):
+    """The node of the exact 16-point Gauss-Legendre rule next to x0, and its
+    weight, to 60 digits: Newton on P_16 from x0, then
+    w = 2 / ((1 - x^2) P'_16(x)^2)."""
+    def legendre(x):
+        p0, p1 = Decimal(1), x
+        for k in range(2, 17):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, 16 * (x * p1 - p0) / (x * x - 1)  # P_16, P'_16
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(x0)
+        for _ in range(6):  # quadratic from a correctly rounded start
+            p, dp = legendre(x)
+            x -= p / dp
+        p, dp = legendre(x)
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def test_gauss_legendre_table_against_a_60_digit_rule():
+    # the table holds the bits of numpy's leggauss(16). Its nodes are
+    # correctly rounded (the worst is 0.32 ulp off); its weights are not:
+    # they are up to 63 ulps (7e-15 relative) off the exact ones, and are
+    # kept as they are so that the capacity report keeps its bytes
+    nodes, weights = capacity._GAP_NODES, capacity._GAP_WEIGHTS
+    assert len(nodes) == len(weights) == 16
+    assert nodes == tuple(-x for x in reversed(nodes))
+    assert weights == weights[::-1]
+    assert math.fsum(weights) == 2.0
+    assert list(nodes) == sorted(nodes) and nodes[8] > 0.0
+    for x0, w0 in zip(nodes[8:], weights[8:]):
+        x, w = gauss_legendre_60(x0)
+        assert abs(Decimal(x0) - x) <= Decimal(math.ulp(x0)) / 2
+        assert abs(Decimal(w0) - w) <= Decimal("1e-13") * w
+
+
+@pytest.mark.parametrize("width, value", [
+    (0.1, 0.0008327785699327856),
+    (1.5, 0.16581729151948585),
+    (3.0, 0.5310604587671985),
+    (25.0, 7.672363599968457),
+    (1e300, 3.3333333333333335e+299),
+])
+def test_expected_log_cosh_gap_keeps_its_bits(width, value):
+    # the values of the rule computed by leggauss(16) on numpy 2.4.6
+    assert repr(_expected_log_cosh_gap(width)) == repr(value)
+
+
 def test_capacity_rejects_overflowing_expected_overlap():
     # K * w / 3 passes the largest float: -K E[ln cosh gap] is -inf, so the
     # sweep is refused before any packing (and its overflow warnings)

@@ -1299,6 +1299,45 @@ def test_no_subcommand_imports_numpy_ma_or_openssl(tmp_path):
     assert {argv[0] for argv in runs} == set(dqmem.cli._COMMANDS)
 
 
+def test_import_budget_of_each_cli_process(tmp_path):
+    # each run is a fresh `python -m dqmem.cli` process, whose sys.modules a
+    # sitecustomize prints at exit. None loads numpy.polynomial (the capacity
+    # quadrature reads a fixed table); numpy.random costs about 5.4 MB
+    # (secrets loads OpenSSL), and only the capacity sweep and a sampled code
+    # need it
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(*sorted(sys.modules)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(site), SRC, env.get("PYTHONPATH")]))
+    registry = str(tmp_path / "reg" / "registry.json")
+    runs = {"print": ["print", "--config",
+                      write_config(tmp_path, "print.json", VALID_CONFIGS["print"][1]),
+                      "--out", str(tmp_path / "reg")]}
+    for kind, (command, doc, _) in VALID_CONFIGS.items():
+        if kind == "print":
+            continue
+        doc = json.loads(json.dumps(doc).replace(REGISTRY, registry))
+        runs[kind] = [command, "--config", write_config(tmp_path, f"{kind}.json", doc),
+                      "--out", str(tmp_path / kind)]
+    runs["oracle-verify"] = ["oracle-verify", "--dim", "64", "--out", str(tmp_path / "oracle")]
+    assert {argv[0] for argv in runs.values()} == set(dqmem.cli._COMMANDS)
+    sampled = {kind for kind, (_, doc, _) in VALID_CONFIGS.items()
+               if "sample" in doc.get("code", {})}
+    assert sampled == {"thermo-trace"}
+    for kind, argv in runs.items():
+        proc = subprocess.run([sys.executable, "-m", "dqmem.cli", *argv, "--quiet"],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), kind
+        loaded = set(proc.stdout.split())
+        assert {"dqmem.capacity", "numpy"} <= loaded, kind
+        assert "numpy.polynomial" not in loaded, kind
+        random = kind == "capacity-sweep" or kind in sampled
+        assert ("numpy.random" in loaded) == random, kind
+
+
 def test_closed_form_commands_run_without_scipy(tmp_path):
     cli = NO_SCIPY + "from dqmem.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     printed = write_config(tmp_path, "print.json", VALID_CONFIGS["print"][1])
