@@ -540,10 +540,9 @@ def _accepts(gap: np.ndarray, log_eps: float) -> bool:
     return not len(near) or all(-_fsum_nonneg(r) < log_eps for r in log_cosh(near).tolist())
 
 
-# The 16-node Gauss-Legendre rule on [-1, 1]: the positive nodes and their
-# weights, ascending, as numpy 2.4.6's leggauss(16) gives them bit for bit.
-# The rule is symmetric, x = -x[::-1] and w = w[::-1] exactly, so the
-# negative half is their mirror (see _expected_log_cosh_gap).
+# The 16-node Gauss-Legendre rule on [-1, 1] (see _expected_log_cosh_gap):
+# its positive nodes and their weights, ascending. The rule is exactly
+# symmetric, x = -x[::-1] and w = w[::-1], so the other half is a mirror.
 _GL_X = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
          0.6178762444026438, 0.755404408355003, 0.8656312023878318,
          0.9445750230732326, 0.9894009349916499)

@@ -1312,16 +1312,12 @@ def test_import_budget_of_each_cli_process(tmp_path):
         "atexit.register(lambda: print(*sorted(sys.modules)))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(site), SRC, env.get("PYTHONPATH")]))
-    registry = str(tmp_path / "reg" / "registry.json")
-    runs = {"print": ["print", "--config",
-                      write_config(tmp_path, "print.json", VALID_CONFIGS["print"][1]),
-                      "--out", str(tmp_path / "reg")]}
+    registry = tmp_path / "reg" / "registry.json"
+    runs = {}  # print comes first and writes the registry the others read
     for kind, (command, doc, _) in VALID_CONFIGS.items():
-        if kind == "print":
-            continue
-        doc = json.loads(json.dumps(doc).replace(REGISTRY, registry))
+        doc = json.loads(json.dumps(doc).replace(REGISTRY, str(registry)))
         runs[kind] = [command, "--config", write_config(tmp_path, f"{kind}.json", doc),
-                      "--out", str(tmp_path / kind)]
+                      "--out", str(registry.parent if kind == "print" else tmp_path / kind)]
     runs["oracle-verify"] = ["oracle-verify", "--dim", "64", "--out", str(tmp_path / "oracle")]
     assert {argv[0] for argv in runs.values()} == set(dqmem.cli._COMMANDS)
     sampled = {kind for kind, (_, doc, _) in VALID_CONFIGS.items()
