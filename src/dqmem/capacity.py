@@ -591,9 +591,10 @@ def capacity_estimate(modes: Iterable[ModeParams], theta_range: tuple[float, flo
                       epsilon: float, candidate_count: int, seed: int) -> CapacityReport:
     """Greedy capacity estimate: how many mutually distinguishable codes fit.
 
-    Candidates are sampled uniformly in theta_range per mode with numpy's
-    default_rng(seed) and packed greedily; the whole report is a pure
-    function of (modes, range, epsilon, count, seed). The theoretical
+    Candidates are sampled uniformly in theta_range per mode, the draws of
+    numpy's default_rng(seed).uniform bit for bit (from `dqmem._rng`, which
+    does not import numpy.random), and packed greedily; the whole report is
+    a pure function of (modes, range, epsilon, count, seed). The theoretical
     summary is the expected pairwise overlap between two random candidates,
     exp(-K * E[ln cosh gap]), computed by quadrature, not sampling.
     """
@@ -610,8 +611,10 @@ def capacity_estimate(modes: Iterable[ModeParams], theta_range: tuple[float, flo
         raise ValueError(f"expected pair log-overlap overflows for {len(ms)} "
                          f"modes over theta range [{lo}, {hi}]")
 
-    rng = np.random.default_rng(seed)
-    samples = rng.uniform(lo, hi, size=(candidate_count, len(ms)))
+    from ._rng import uniform
+
+    samples = uniform(seed, lo, hi, candidate_count * len(ms))
+    samples = samples.reshape(candidate_count, len(ms))
     accepted_idx, curve = greedy_pack(samples, epsilon)
     return CapacityReport(
         modes=ms,
@@ -883,14 +886,18 @@ class CodeSpec(_Record):
     _defaults = dict.fromkeys(_fields)
 
     def realize(self, modes: tuple[ModeParams, ...]) -> Code:
+        """The code for these modes. A sample draws one theta per mode,
+        the first len(modes) draws of numpy's default_rng(seed).uniform(lo,
+        hi) bit for bit, from `dqmem._rng` (numpy.random is not imported)."""
         if self.thetas is not None:
             return Code(self.thetas)
         if self.beta is not None:
             return Code(tuple(theta_from_beta(self.beta, m.omega) for m in modes))
         assert self.sample is not None
+        from ._rng import uniform
+
         lo, hi, seed = self.sample
-        rng = np.random.default_rng(seed)
-        return Code(tuple(rng.uniform(lo, hi, size=len(modes))))
+        return Code(uniform(seed, lo, hi, len(modes)).tolist())
 
 
 class ExperimentConfig(_Record):

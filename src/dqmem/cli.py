@@ -41,11 +41,12 @@ written and closed by a ``with`` block before that.
 A subcommand imports only the modules it uses: ``evolve`` and
 ``thermo-trace`` import `dqmem.thermo`, and only ``oracle-verify`` imports
 `dqmem.fock`, which holds the residual suite and imports `dqmem.thermo`
-itself. ``numpy.random`` (with `secrets` and OpenSSL, about 5 MB) is
-imported only for ``default_rng(seed)``: by ``capacity`` and by a sampled
-code. Past that, ``capacity`` imports what every subcommand does: its
-quadrature reads a fixed Gauss-Legendre table, so no subcommand imports
-``numpy.polynomial`` or calls LAPACK. Every subcommand runs on
+itself. No subcommand imports ``numpy.random`` (with `secrets` and
+OpenSSL, about 5 MB): ``capacity`` and a sampled code draw numpy's
+``default_rng(seed)`` stream, bit for bit, from `dqmem._rng`, which only
+they import. Past that, ``capacity`` imports what every subcommand does:
+its quadrature reads a fixed Gauss-Legendre table, so no subcommand
+imports ``numpy.polynomial`` or calls LAPACK. Every subcommand runs on
 numpy alone; the closed-form ones on one Theta array per experiment (a
 row per time point or registry entry) that matches the per-state
 functions of `dqmem.states` and `thermo.thermo_snapshot` bit for bit.

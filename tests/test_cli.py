@@ -1234,8 +1234,8 @@ def python(code, *args, flags=()):
 
 
 # what `import dqmem`, `import dqmem.cli` and then one subcommand load: the
-# record modules never import dataclasses, and thermo and the oracle load
-# only for the subcommands that use them
+# record modules never import dataclasses, and thermo, the oracle and the
+# sampler (`dqmem._rng`) load only for the subcommands that use them
 FOOTPRINT = """
 import sys
 def loaded():
@@ -1268,7 +1268,8 @@ def test_cli_import_loads_no_scipy(tmp_path):
     for argv in runs:
         proc = python(FOOTPRINT, *argv)
         assert proc.stderr == "", argv[0]
-        after = base + {"evolve": ["dqmem.thermo"], "thermo-trace": ["dqmem.thermo"],
+        after = base + {"evolve": ["dqmem.thermo"], "capacity": ["dqmem._rng"],
+                        "thermo-trace": ["dqmem._rng", "dqmem.thermo"],  # a sampled code
                         "oracle-verify": ["dqmem.fock", "dqmem.thermo"]}.get(argv[0], [])
         assert proc.stdout.splitlines() == ["[]", str(base), f"0 {sorted(after)}"], argv[0]
 
@@ -1276,7 +1277,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
 def test_no_subcommand_imports_numpy_ma_or_openssl(tmp_path):
     # numpy.ma costs about 4 ms and 0.65 MB of import, and np.unique loads
     # it; hashlib's OpenSSL backend (_hashlib) costs 3.7 MB of memory, and
-    # only numpy.random (through secrets) may load it
+    # numpy.random loads it through secrets, so no run may load either
     printed = write_config(tmp_path, "print.json", VALID_CONFIGS["print"][1])
     registry = str(tmp_path / "reg" / "registry.json")
     runs = [["print", "--config", printed, "--out", str(tmp_path / "reg")]]
@@ -1289,10 +1290,7 @@ def test_no_subcommand_imports_numpy_ma_or_openssl(tmp_path):
                   "from dqmem.cli import main\n"
                   "for argv in json.loads(sys.argv[1]):\n"
                   "    code = main([*argv, '--quiet'])\n"
-                  "    loaded = set(sys.modules)\n"
-                  "    if 'numpy.random' in loaded:\n"
-                  "        loaded.discard('_hashlib')\n"
-                  "    print(argv[0], code, {'numpy.ma', '_hashlib'} & loaded)\n",
+                  "    print(argv[0], code, {'numpy.ma', '_hashlib'} & set(sys.modules))\n",
                   json.dumps(runs))
     assert proc.stderr == ""
     assert proc.stdout.splitlines() == [f"{argv[0]} 0 set()" for argv in runs]
@@ -1302,9 +1300,9 @@ def test_no_subcommand_imports_numpy_ma_or_openssl(tmp_path):
 def test_import_budget_of_each_cli_process(tmp_path):
     # each run is a fresh `python -m dqmem.cli` process, whose sys.modules a
     # sitecustomize prints at exit. None loads numpy.polynomial (the capacity
-    # quadrature reads a fixed table); numpy.random costs about 5.4 MB
-    # (secrets loads OpenSSL), and only the capacity sweep and a sampled code
-    # need it
+    # quadrature reads a fixed table) or numpy.random, which costs about
+    # 5.4 MB (secrets loads OpenSSL): the capacity sweep and a sampled code
+    # draw numpy's stream through dqmem._rng, and only they import that
     site = tmp_path / "site"
     site.mkdir()
     (site / "sitecustomize.py").write_text(
@@ -1329,9 +1327,9 @@ def test_import_budget_of_each_cli_process(tmp_path):
         assert (proc.returncode, proc.stderr) == (0, ""), kind
         loaded = set(proc.stdout.split())
         assert {"dqmem.capacity", "numpy"} <= loaded, kind
-        assert "numpy.polynomial" not in loaded, kind
-        random = kind == "capacity-sweep" or kind in sampled
-        assert ("numpy.random" in loaded) == random, kind
+        assert not {"numpy.polynomial", "numpy.random", "secrets", "_hashlib"} & loaded, kind
+        sampling = kind == "capacity-sweep" or kind in sampled
+        assert ("dqmem._rng" in loaded) == sampling, kind
 
 
 def test_closed_form_commands_run_without_scipy(tmp_path):
