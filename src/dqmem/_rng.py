@@ -35,6 +35,17 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
+def _hasher(const: int, mult: int):
+    """SeedSequence's uint32 hash, whose multiplier moves on at each call."""
+    def hash32(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hash32
+
+
 def _seeded(seed: int) -> tuple[int, int]:
     """PCG64's (state, inc) as ``default_rng(seed)`` leaves them.
 
@@ -46,14 +57,7 @@ def _seeded(seed: int) -> tuple[int, int]:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     words = [seed >> 32 * i & _M32 for i in range(max(1, -(-seed.bit_length() // 32)))]
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
+    hashmix = _hasher(_INIT_A, _MULT_A)
 
     def mix(dst, value):
         mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(value) & _M32
@@ -68,12 +72,7 @@ def _seeded(seed: int) -> tuple[int, int]:
         for dst in range(4):
             mix(dst, word)
     # generate_state(4, uint64): 8 uint32 words from the cycled pool, paired low first
-    const, drawn = _INIT_B, []
-    for value in pool * 2:
-        value ^= const
-        const = const * _MULT_B & _M32
-        value = value * const & _M32
-        drawn.append(value ^ value >> 16)
+    drawn = list(map(_hasher(_INIT_B, _MULT_B), pool * 2))
     w = [drawn[2 * j] | drawn[2 * j + 1] << 32 for j in range(4)]
     initstate, initseq = w[0] << 64 | w[1], w[2] << 64 | w[3]
     # PCG's srandom: state 0, step, add initstate, step
