@@ -7,7 +7,8 @@ the model promises. An id -> row index checks a new entry's id without a
 scan; the id tuple, the (n, K) code array and the printed_at array are
 built from the entries on first read, the arrays read-only. A print copies
 the entry tuple and the index: about 3.5 us at 1000 entries and 12 us at
-4000 (K = 16), so 4000 sequential prints take about 25 ms. On top of it
+4000 (K = 16), so 4000 sequential prints take about 25 ms; `dqmem print`
+copies them once for all of its entries. On top of it
 sit the experiments: pairwise fidelity matrices, greedy capacity packing,
 forgetting curves, association graphs, and a versioned JSON file format
 with canonical key order so saved registries diff cleanly.
@@ -33,8 +34,6 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from collections.abc import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .states import (
     Code,
     MemoryState,
@@ -54,6 +53,8 @@ from .states import (
     log_cosh,
     theta_from_beta,
 )
+
+import numpy as np  # after .states, so that module is compiled before numpy loads
 
 __all__ = [
     "Registry",
@@ -125,6 +126,17 @@ def _check_entry(row: Mapping[str, int], k: int, entry: RegistryEntry) -> None:
         raise ValueError(f"duplicate entry id '{entry.entry_id}'")
 
 
+def _indexed(row: dict[str, int], k: int, entries: Iterable[RegistryEntry]) -> tuple:
+    """`entries` as a tuple, each passing `_check_entry` against `row` as
+    it is read, then entered in `row` at the next row index."""
+    checked = []
+    for entry in entries:
+        _check_entry(row, k, entry)
+        row[entry.entry_id] = len(row)
+        checked.append(entry)
+    return tuple(checked)
+
+
 class Registry(_Record):
     """Immutable collection of printed memories over one shared mode list.
 
@@ -140,17 +152,17 @@ class Registry(_Record):
     schema_version = SCHEMA_VERSION  # the one version this build reads
 
     def __init__(self, modes: Iterable[ModeParams], entries: Iterable[RegistryEntry] = ()):
-        modes, entries, row = _checked_modes(modes), tuple(entries), {}
-        for entry in entries:
-            _check_entry(row, len(modes), entry)
-            row[entry.entry_id] = len(row)
-        vars(self).update(modes=modes, entries=entries, _row=row)
+        modes, row = _checked_modes(modes), {}
+        vars(self).update(modes=modes, entries=_indexed(row, len(modes), entries), _row=row)
 
-    def _appended(self, entry: RegistryEntry) -> Registry:
-        _check_entry(self._row, self.k, entry)
+    def _extended(self, entries: Iterable[RegistryEntry]) -> Registry:
+        """A new registry holding this one's entries and then `entries`,
+        each checked as it is read; one copy of the entry tuple and the id
+        index however many are added, and this registry is untouched."""
+        row = dict(self._row)
+        added = _indexed(row, self.k, entries)
         registry = object.__new__(Registry)
-        vars(registry).update(modes=self.modes, entries=self.entries + (entry,),
-                              _row={**self._row, entry.entry_id: len(self._row)})
+        vars(registry).update(modes=self.modes, entries=self.entries + added, _row=row)
         return registry
 
     @property
@@ -203,8 +215,8 @@ def print_memory(registry: Registry, entry_id: str, code: Code | None = None, *,
     if beta is not None:
         code = Code(tuple(theta_from_beta(beta, m.omega) for m in registry.modes))
     assert code is not None
-    return registry._appended(RegistryEntry(entry_id=entry_id, code=code,
-                                            printed_at=printed_at))
+    return registry._extended((RegistryEntry(entry_id=entry_id, code=code,
+                                             printed_at=printed_at),))
 
 
 class FidelityMatrix(_Record):

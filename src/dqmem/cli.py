@@ -50,6 +50,13 @@ imports ``numpy.polynomial`` or calls LAPACK. Every subcommand runs on
 numpy alone; the closed-form ones on one Theta array per experiment (a
 row per time point or registry entry) that matches the per-state
 functions of `dqmem.states` and `thermo.thermo_snapshot` bit for bit.
+
+`dqmem.capacity` and `dqmem.states` are imported before numpy, so where
+bytecode is not cached their compilation, a transient of up to 2.7 MB,
+ends before numpy is resident instead of adding to its peak. On Linux
+`main` pins glibc's mmap and trim thresholds at 1 MiB, so the blocks of
+about 128 KB that the pair rectangles and the packing scans free are
+reused, not unmapped and faulted back in, whatever was freed before.
 """
 
 from __future__ import annotations
@@ -64,8 +71,6 @@ import sys
 import time
 from collections.abc import Iterable
 
-import numpy as np
-
 try:  # CPython's own SHA-256: hashlib loads OpenSSL, 3.7 MB of resident memory
     if sys.version_info >= (3, 12):
         from _sha2 import sha256
@@ -79,6 +84,7 @@ from .capacity import (
     CONFIG_KINDS,
     ExperimentConfig,
     FidelityMatrix,
+    RegistryEntry,
     RegistryError,
     _entry_thetas,
     _json_parts,
@@ -93,10 +99,12 @@ from .capacity import (
     load_registry,
     new_registry,
     parse_experiment_config,
-    print_memory,
     registry_to_json,
 )
 from .states import _ROW_SUM_WORK, MemoryState, _row_sums_nonneg, effective_thetas
+
+# last, so dqmem's modules are compiled (a transient of up to 2.7 MB) before numpy loads
+import numpy as np
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -259,9 +267,12 @@ def _run_print(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
         registry = load_registry(cfg.registry)
     else:
         registry = new_registry(cfg.modes)
-    for entry_id, spec, printed_at in cfg.entries:
-        registry = print_memory(registry, entry_id, spec.realize(registry.modes),
-                                printed_at=printed_at)
+    # one new registry for all the entries, each realized and then checked in
+    # turn, as print_memory would, without a copy of the registry per entry
+    modes = registry.modes
+    registry = registry._extended(
+        RegistryEntry(entry_id=entry_id, code=spec.realize(modes), printed_at=printed_at)
+        for entry_id, spec, printed_at in cfg.entries)
 
     results = {
         "entry_count": len(registry.ids),
@@ -565,7 +576,34 @@ def _dispatch(args) -> tuple[dict, dict, str, str, object, object, object, objec
     return (artifacts, results, line, *meta, work[0] if work else dict)  # dict() is {}
 
 
+# glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, each pinned at 1 MiB
+_MALLOC_THRESHOLDS = ((-3, 1 << 20), (-1, 1 << 20))
+
+
+def _pin_malloc() -> list[int]:
+    """Pins glibc's mmap and trim thresholds for this process and returns
+    what mallopt gave for each, 1 on success: nothing off Linux, or where
+    the C library cannot be loaded or has no mallopt.
+
+    Otherwise glibc raises its mmap threshold only when a large block is
+    freed, so whether a block of about 128 KB is mapped, or trimmed off the
+    heap, and faulted back in each time depends on what was freed before.
+    """
+    if not sys.platform.startswith("linux"):
+        return []
+    import ctypes  # numpy imports it too
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return []
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return [mallopt(param, value) for param, value in _MALLOC_THRESHOLDS]
+
+
 def main(argv: list[str] | None = None) -> int:
+    _pin_malloc()
     # at exit, move every object out of the collector's reach, so the process
     # skips the final collection over numpy's and dqmem's module objects;
     # unregistering first keeps it one registration however often main runs.

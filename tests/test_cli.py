@@ -164,6 +164,48 @@ def test_print_at_a_beta_whose_energy_underflows_is_one_domain_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("first", ["domain", "duplicate"])
+def test_print_reports_its_first_bad_entry(tmp_path, capsys, first):
+    # each entry is realized and then checked before the next is read
+    bad = {"domain": {"id": "b", "beta": 5e-324}, "duplicate": {"id": "a", "thetas": [0.5]}}
+    later = "duplicate" if first == "domain" else "domain"
+    cfg = write_config(tmp_path, "print.json", {
+        "kind": "print",
+        "modes": {"omega": [0.1], "gamma": [1.0]},
+        "entries": [{"id": "a", "thetas": [0.3]}, bad[first], bad[later]],
+    })
+    assert run(["print", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == 1
+    message = {"domain": "code thetas must be finite", "duplicate": "duplicate entry id 'a'"}
+    assert capsys.readouterr().err.startswith("error: domain: " + message[first])
+
+
+def test_print_copies_the_registry_once(tmp_path, registry_path, monkeypatch):
+    # one new registry for all of a print's entries, with the bytes of
+    # print_memory applied entry by entry
+    from dqmem import capacity
+
+    extended = []
+    original = capacity.Registry._extended
+
+    def counted(self, entries):
+        extended.append(1)
+        return original(self, entries)
+
+    monkeypatch.setattr(capacity.Registry, "_extended", counted)
+    entries = [{"id": f"e{i}", "thetas": [0.1 * i, 0.05 * i], "printed_at": 0.5 * i}
+               for i in range(40)]
+    cfg = write_config(tmp_path, "extend.json", {
+        "kind": "print", "registry": str(registry_path), "entries": entries})
+    assert run(["print", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == 0
+    assert extended == [1]
+    monkeypatch.setattr(capacity.Registry, "_extended", original)
+    registry = capacity.load_registry(registry_path)
+    for e in entries:
+        registry = capacity.print_memory(registry, e["id"], Code(tuple(e["thetas"])),
+                                         printed_at=e["printed_at"])
+    assert (tmp_path / "o" / "registry.json").read_text() == capacity.registry_to_json(registry)
+
+
 @pytest.mark.parametrize("command", ["evolve", "forgetting", "thermo-trace"])
 def test_theta_800_code_is_inf_or_one_domain_error(tmp_path, command):
     # sinh^2 800 leaves the float range: evolve and forgetting write inf
@@ -1330,6 +1372,46 @@ def test_import_budget_of_each_cli_process(tmp_path):
         assert not {"numpy.polynomial", "numpy.random", "secrets", "_hashlib"} & loaded, kind
         sampling = kind == "capacity-sweep" or kind in sampled
         assert ("dqmem._rng" in loaded) == sampling, kind
+
+
+def test_dqmem_modules_start_importing_before_numpy():
+    # without cached bytecode each cold run compiles dqmem's sources, and
+    # compiling capacity.py peaks at about 2.7 MB: that transient must end
+    # before numpy loads, not stack on numpy's resident memory
+    proc = python("import sys\nstarted = []\n"
+                  "sys.addaudithook(lambda event, args: "
+                  "started.append(args[0]) if event == 'import' else None)\n"
+                  "import dqmem.cli\nprint(*started)\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    started = proc.stdout.split()
+    assert started.index("dqmem.capacity") < started.index("dqmem.states") < started.index("numpy")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt parameters")
+def test_malloc_thresholds_pin_on_glibc():
+    assert dqmem.cli._pin_malloc() == [1, 1]
+
+
+@pytest.mark.parametrize("fake", [
+    "def CDLL(*args, **kwargs):\n    raise OSError('no C library')\n",
+    "def CDLL(*args, **kwargs):\n    return object()\n",
+], ids=["cdll-fails", "no-mallopt"])
+def test_cli_runs_where_mallopt_cannot_be_called(tmp_path, fake):
+    # the malloc thresholds are a silent no-op there, and the bytes stay the same
+    _, doc, _ = VALID_CONFIGS["capacity-sweep"]
+    cfg = write_config(tmp_path, "capacity.json", doc)
+    patched = ("import ctypes\n" + fake + "ctypes.CDLL = CDLL\nimport dqmem.cli\n"
+               "assert dqmem.cli._pin_malloc() == []\n" + MAIN)
+    outs = {}
+    for name, code in (("plain", MAIN), ("patched", patched)):
+        outs[name] = tmp_path / name
+        proc = python(code, "capacity", "--config", cfg, "--out", outs[name], "--quiet")
+        assert (proc.returncode, proc.stderr) == (0, ""), name
+    files = sorted(p.name for p in outs["plain"].iterdir())
+    assert files == sorted(p.name for p in outs["patched"].iterdir())
+    for name in files:
+        if name != "manifest.json":
+            assert (outs["plain"] / name).read_bytes() == (outs["patched"] / name).read_bytes()
 
 
 def test_closed_form_commands_run_without_scipy(tmp_path):
