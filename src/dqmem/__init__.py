@@ -12,7 +12,8 @@ Every layer, the oracle included, needs numpy alone. Every name the
 package re-exports loads lazily: `import dqmem` runs this file only, and a
 submodule such as `dqmem.thermo`, or a name re-exported from one, is
 imported on first attribute access, so a caller pays only for the layers
-it uses.
+it uses. numpy itself loads at its first array use, not at import:
+`import dqmem.cli` imports no numpy, and `dqmem print` never loads it.
 """
 
 from time import perf_counter as _perf_counter

@@ -51,10 +51,9 @@ from .states import (
     effective_thetas,
     forgetting_time,
     log_cosh,
+    np,
     theta_from_beta,
 )
-
-import numpy as np  # after .states, so that module is compiled before numpy loads
 
 __all__ = [
     "Registry",
@@ -721,9 +720,15 @@ def _number_list(obj, where: str, error=_cfg_error) -> tuple[float, ...]:
     return tuple(map(float, obj))
 
 
+def _from_numpy(x) -> bool:
+    """Whether x's type is numpy's or derives from one of numpy's: only
+    then is x tested against np's types, so no other value loads numpy."""
+    return any(cls.__module__.partition(".")[0] == "numpy" for cls in type(x).__mro__)
+
+
 def _integer(x, where: str, error=_cfg_error) -> int:
     """An int or a numpy integer, as a Python int; a bool or a float is an error."""
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool) or _from_numpy(x) and isinstance(x, np.bool_):
         raise error(f"{where} must be an integer")
     try:
         return operator.index(x)
@@ -775,10 +780,10 @@ def _json_parts(obj, newline: str, write) -> None:
         write(encode_basestring_ascii(obj))
     elif obj is None or obj is True or obj is False:
         write({None: "null", True: "true", False: "false"}[obj])
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         x = float(obj)
         write(float.__repr__(x) if math.isfinite(x) else _NON_FINITE.get(x, '"nan"'))
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         write(int.__repr__(int(obj)))
     elif isinstance(obj, Mapping):
         items = {str(key): value for key, value in obj.items()}
@@ -789,22 +794,26 @@ def _json_parts(obj, newline: str, write) -> None:
             _json_parts(items[key], inner, write)
             sep = "," + inner
         write(newline + "}" if items else "{}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj.tolist()) if isinstance(obj, np.ndarray) else obj
+    elif isinstance(obj, (list, tuple)):
         inner = newline + "  "
         try:  # floats only, all finite: no repr holds an "n"
-            text = ("," + inner).join(map(float.__repr__, items))
-            if items and "n" not in text:
+            text = ("," + inner).join(map(float.__repr__, obj))
+            if obj and "n" not in text:
                 write("[" + inner + text + newline + "]")
                 return
         except TypeError:
             pass
         sep = "[" + inner
-        for item in items:
+        for item in obj:
             write(sep)
             _json_parts(item, inner, write)
             sep = "," + inner
-        write(newline + "]" if items else "[]")
+        write(newline + "]" if obj else "[]")
+    elif _from_numpy(obj) and isinstance(obj, (np.floating, np.integer, np.ndarray)):
+        # as its Python float, int or list; numpy's bool is refused below
+        _json_parts(float(obj) if isinstance(obj, np.floating) else
+                    int(obj) if isinstance(obj, np.integer) else list(obj.tolist()),
+                    newline, write)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -822,9 +831,8 @@ def registry_to_json(registry: Registry) -> str:
             for m in registry.modes
         ],
         "entries": [
-            {"id": entry_id, "printed_at": printed_at, "thetas": thetas}
-            for entry_id, printed_at, thetas in zip(
-                registry.ids, registry.printed_at.tolist(), registry.codes.tolist())
+            {"id": e.entry_id, "printed_at": e.printed_at, "thetas": e.code.thetas}
+            for e in registry.entries
         ],
     })
 

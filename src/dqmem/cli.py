@@ -3,7 +3,8 @@
 Every run writes its outputs into ``--out`` as a set of files plus a
 ``manifest.json`` recording the exact invocation (the config's path and
 ``config_sha256``, the sha256 of the bytes read from it; seed, library
-versions, import and wall time, and ``work``: the counters a run keeps).
+versions, numpy's null for a run that loaded none; import and wall time,
+and ``work``: the counters a run keeps).
 For ``oracle-verify`` these are the Taylor stages and terms of its
 exponentials, one matvec a term. For ``associate`` they are ``pairs``,
 n(n - 1)/2; ``exact_rows``, the pairs whose log-overlap the exact row sum
@@ -51,12 +52,15 @@ numpy alone; the closed-form ones on one Theta array per experiment (a
 row per time point or registry entry) that matches the per-state
 functions of `dqmem.states` and `thermo.thermo_snapshot` bit for bit.
 
-`dqmem.capacity` and `dqmem.states` are imported before numpy, so where
-bytecode is not cached their compilation, a transient of up to 2.7 MB,
-ends before numpy is resident instead of adding to its peak. On Linux
-`main` pins glibc's mmap and trim thresholds at 1 MiB, so the blocks of
-about 128 KB that the pair rectangles and the packing scans free are
-reused, not unmapped and faulted back in, whatever was freed before.
+numpy loads at its first array use: `dqmem.states` binds ``np`` to a
+module that imports numpy at its first attribute access, and `capacity`
+and this module take ``np`` from there. So ``import dqmem.cli`` imports no
+numpy, and ``print``, which checks records and writes JSON, never loads
+it; every other subcommand loads it inside `main`, after dqmem's modules
+are compiled. On Linux `main` first pins glibc's mmap and trim thresholds
+at 1 MiB, so the blocks of about 128 KB that the pair rectangles and the
+packing scans free are reused, not unmapped and faulted back in, whatever
+was freed before.
 """
 
 from __future__ import annotations
@@ -101,10 +105,7 @@ from .capacity import (
     parse_experiment_config,
     registry_to_json,
 )
-from .states import _ROW_SUM_WORK, MemoryState, _row_sums_nonneg, effective_thetas
-
-# last, so dqmem's modules are compiled (a transient of up to 2.7 MB) before numpy loads
-import numpy as np
+from .states import _ROW_SUM_WORK, MemoryState, _row_sums_nonneg, effective_thetas, np
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -518,7 +519,8 @@ def _manifest(args, argv: list[str], config_sha256, seed, work, names: list[str]
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "versions": {
             "python": sys.version.split()[0],  # platform.python_version() on CPython
-            "numpy": np.__version__,
+            # the numpy this run loaded, None if none: reading np would load it
+            "numpy": getattr(sys.modules.get("numpy.version"), "version", None),
             "dqmem": __version__,
         },
         "import_s": _IMPORT_S,
@@ -591,7 +593,7 @@ def _pin_malloc() -> list[int]:
     """
     if not sys.platform.startswith("linux"):
         return []
-    import ctypes  # numpy imports it too
+    import ctypes  # a run that computes pays nothing more: numpy's import loads it too
 
     try:
         mallopt = ctypes.CDLL(None).mallopt

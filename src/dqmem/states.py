@@ -20,10 +20,10 @@ through the time dependence.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from typing import Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "ModeParams",
@@ -46,6 +46,27 @@ __all__ = [
     "variances",
     "quantum_numbers",
 ]
+
+
+# Every module that annotates with np.ndarray keeps `from __future__ import
+# annotations`: evaluated annotations would load numpy at import.
+def _lazy_numpy():
+    """numpy as sys.modules holds it, or else a module that imports numpy
+    at its first attribute access (importlib's LazyLoader recipe), entered
+    in sys.modules so that every later import shares it. An `import numpy`
+    statement loads it at once, so `capacity` and `cli` take `np` from here."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        spec = importlib.util.find_spec("numpy")
+        if spec is None:
+            raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        np = sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(np)
+    return np
+
+
+np = _lazy_numpy()
 
 _LN2 = math.log(2.0)
 _LN_MAX = math.log(1.7976931348623157e308)  # ln of the largest float

@@ -1369,6 +1369,39 @@ def test_registry_to_json_keeps_the_json_dumps_bytes(n):
     assert registry_to_json(reg) == json_dumps_registry(reg)
 
 
+class _Untouchable:
+    """Stands in for numpy: any attribute read fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} was read")
+
+
+def test_json_and_integers_read_numpy_only_for_numpy_values(monkeypatch, tmp_path):
+    # dqmem binds np lazily, so reading np's types for a builtin value
+    # would load numpy in a run that never computes; a subclass of a numpy
+    # type still counts as numpy's
+    class Sub(np.ndarray):
+        pass
+
+    assert capacity._json_text(np.arange(3.0).view(Sub)) == capacity._json_text([0.0, 1.0, 2.0])
+    reg = registry_k(2, [[0.3, 0.5], [0.0, 1e300]], printed_at=[0.0, 2.5])
+    path = tmp_path / "registry.json"
+    save_registry(reg, path)
+    monkeypatch.setattr(capacity, "np", _Untouchable())
+    doc = {"a": [0.5, -0.0, math.inf], "b": (1, "x", None, True, {"c": ()}), 2: 3}
+    assert capacity._json_text(doc) == reference_json(doc)
+    assert json.loads(capacity._json_text(doc))["b"][4] == {"c": []}
+    assert registry_to_json(reg) == json_dumps_registry(reg)
+    assert registry_to_json(load_registry(path)) == registry_to_json(reg)
+    assert capacity._integer(2 ** 70, "n") == 2 ** 70
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            capacity._integer(bad, "n")
+    for bad in (object(), 1j):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            capacity._json_text(bad)
+
+
 # ---------------------------------------------------------------------------
 # code specs and experiment configs
 

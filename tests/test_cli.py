@@ -1374,17 +1374,71 @@ def test_import_budget_of_each_cli_process(tmp_path):
         assert ("dqmem._rng" in loaded) == sampling, kind
 
 
-def test_dqmem_modules_start_importing_before_numpy():
-    # without cached bytecode each cold run compiles dqmem's sources, and
-    # compiling capacity.py peaks at about 2.7 MB: that transient must end
-    # before numpy loads, not stack on numpy's resident memory
-    proc = python("import sys\nstarted = []\n"
-                  "sys.addaudithook(lambda event, args: "
-                  "started.append(args[0]) if event == 'import' else None)\n"
-                  "import dqmem.cli\nprint(*started)\n")
-    assert (proc.returncode, proc.stderr) == (0, "")
-    started = proc.stdout.split()
-    assert started.index("dqmem.capacity") < started.index("dqmem.states") < started.index("numpy")
+# a fresh process: the numpy modules that `import dqmem.cli` starts to
+# import, then main's exit code and which of numpy's modules it leaves loaded
+NUMPY_LOADS = """
+import sys
+started = []
+sys.addaudithook(lambda event, args: started.append(args[0]) if event == 'import' else None)
+import dqmem.cli
+print([m for m in started if m.split('.')[0] == 'numpy'])
+code = dqmem.cli.main([*sys.argv[1:], '--quiet'])
+print(code, sorted({'numpy._core', 'numpy.version'} & set(sys.modules)))
+"""
+
+
+def test_numpy_loads_at_its_first_array_use(tmp_path):
+    # `import dqmem.cli` starts no numpy import, `dqmem print` (records,
+    # config checks and JSON) never loads numpy, and every run that computes
+    # loads it, a sampled code's included
+    modes = {"omega": [1.0, 1.5], "gamma": [1.0, 0.0]}
+    reg = tmp_path / "reg"
+    registry = str(reg / "registry.json")
+    prints = {
+        "thetas": {"kind": "print", "modes": modes,
+                   "entries": [{"id": "a", "thetas": [0.3, 0.5]}]},
+        "beta": {"kind": "print", "modes": modes,
+                 "entries": [{"id": "b", "beta": 1.5, "printed_at": 0.5}]},
+        "extension": {"kind": "print", "registry": registry,
+                      "entries": [{"id": "c", "thetas": [0.9, 0.1]},
+                                  {"id": "d", "beta": 0.8, "printed_at": 1.0}]},
+    }
+    runs = {}
+    for name, doc in prints.items():
+        runs[name] = ["print", "--config", write_config(tmp_path, f"{name}.json", doc),
+                      "--out", reg if name == "thetas" else tmp_path / name]
+    for kind, (command, doc, _) in VALID_CONFIGS.items():
+        if kind != "print":
+            doc = json.loads(json.dumps(doc).replace(REGISTRY, registry))
+            runs[kind] = [command, "--config", write_config(tmp_path, f"{kind}.json", doc),
+                          "--out", tmp_path / kind]
+    runs["oracle-verify"] = ["oracle-verify", "--dim", "64", "--out", tmp_path / "oracle"]
+    assert {argv[0] for argv in runs.values()} == set(dqmem.cli._COMMANDS)
+    assert "sample" in VALID_CONFIGS["thermo-trace"][1]["code"]
+    for name, argv in runs.items():  # in order: the thetas print writes the registry
+        proc = python(NUMPY_LOADS, *argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), name
+        started, finished = proc.stdout.splitlines()
+        assert started == "[]", name
+        if argv[0] == "print":
+            assert finished == "0 []", name
+        else:
+            assert finished.startswith("0 [") and "'numpy.version'" in finished, name
+
+
+def test_manifest_names_the_numpy_the_run_loaded(tmp_path):
+    # null when the run loaded no numpy, as print does; the keys stay the same
+    loaded = {}
+    for kind in ("print", "forgetting-curve"):
+        command, doc, _ = VALID_CONFIGS[kind]
+        out = tmp_path / kind
+        proc = python(MAIN, command, "--config", write_config(tmp_path, f"{kind}.json", doc),
+                      "--out", out, "--quiet")
+        assert (proc.returncode, proc.stderr) == (0, ""), kind
+        versions = json.loads((out / "manifest.json").read_text())["versions"]
+        assert set(versions) == {"python", "numpy", "dqmem"}, kind
+        loaded[kind] = versions["numpy"]
+    assert loaded == {"print": None, "forgetting-curve": np.__version__}
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt parameters")
