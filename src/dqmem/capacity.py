@@ -15,14 +15,15 @@ with canonical key order so saved registries diff cleanly.
 
 Fidelity here is the state overlap; it is the only distinguishability
 metric the model defines, and artifacts record the metric name so others
-could coexist. In the common same-time mode every entry has been evolved by
-the same damping for the same duration, so per-mode parameter gaps reduce
-to code differences and the matrix is computed directly from those: that
-makes its time invariance exact in floating point, not approximate. The
-staggered mode (entries printed at different times) takes each entry's
-parameters at its own age. Both modes, recall and the forgetting curve go
-through one row kernel; `dqmem.states.log_overlap` is the per-state
-reference the tests hold it to, bit for bit.
+could coexist. Every pairwise read works in the printing frame: an entry
+printed at p has Theta = gamma (t - p) - theta, so two entries' gap is
+(theta_j - theta_i) + gamma (p_j - p_i) (`dqmem.states._gaps`), and no read
+forms gamma t: time invariance is exact in floating point. The same-time
+mode reads every entry as printed at 0, so its gaps are the code gaps; the
+staggered mode takes each printed_at, and t only has to follow them. Both
+modes, recall and the forgetting curve go through one row kernel;
+`dqmem.states.log_overlap`, which forms its gaps the same way, is the
+per-state reference the tests hold same-time reads to, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ from .states import (
     _checked_times,
     _fsum_nonneg,
     _gammas,
+    _gaps,
     _occupations,
     _row_sums_nonneg,
     _set,
     _trajectory,
-    effective_thetas,
     forgetting_time,
     log_cosh,
     np,
@@ -277,48 +278,41 @@ def _log_overlap_rows(gaps: np.ndarray) -> np.ndarray:
     return -_row_sums_nonneg(log_cosh(gaps))
 
 
-def _entry_thetas(registry: Registry, t: float, staggered: bool) -> np.ndarray:
-    """The entries' Theta block at time t: each entry at its own age
-    t - printed_at when staggered (a t before an entry's printing is a
-    ValueError naming the first such entry), else every entry at age t."""
-    printed = registry.printed_at
-    if staggered and np.any(printed > t):
-        i = int(np.argmax(printed > t))
-        raise ValueError(f"evaluation time {t} precedes printed_at {float(printed[i])} "
-                         f"of entry '{registry.ids[i]}'")
-    ages = t - printed if staggered else np.full(len(printed), t)
-    return _trajectory(_gammas(registry.modes), registry.codes, ages)
-
-
-def _pair_thetas(registry: Registry, t: float, staggered: bool) -> np.ndarray:
-    """The Theta block whose row pairs fidelity_matrix and association_graph
-    read: each entry at its own age when staggered, else the codes."""
+def _pair_frame(registry: Registry, t: float, staggered: bool, *,
+                mixed: bool = False) -> tuple:
+    """(codes, gammas, print times) of a pairwise read at time t: each
+    printed_at if staggered (a t before one is a ValueError naming the first
+    such entry), else 0.0, refusing differing printing times unless `mixed`."""
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError(f"evaluation time must be finite and >= 0, got {t}")
     if not registry.entries:
         raise ValueError("registry has no entries")
-    if staggered:
-        return _entry_thetas(registry, t, staggered=True)
-    if np.any(registry.printed_at != registry.printed_at[0]):
-        raise ValueError(
-            "entries have differing printing times; same-time fidelity "
-            "would misread them — pass staggered=True"
-        )
-    return registry.codes
+    printed = registry.printed_at
+    if staggered and np.any(printed > t):
+        i = int(np.argmax(printed > t))
+        raise ValueError(f"evaluation time {t} precedes printed_at {float(printed[i])} "
+                         f"of entry '{registry.ids[i]}'")
+    if not (staggered or mixed) and np.any(printed != printed[0]):
+        raise ValueError("entries have differing printing times; same-time fidelity "
+                         "would misread them — pass staggered=True")
+    return (registry.codes, _gammas(registry.modes),
+            printed if staggered else np.zeros(len(printed)))
 
 
-def _pair_rects(thetas: np.ndarray):
-    """The pairs i < j of a Theta block's n rows in K-major row rectangles:
-    for rows a..b-1 against the columns a+1..n-1, (a, gap) with gap the
-    fresh (K, b - a, n - 1 - a) array T[:, None, a+1:] - T[:, a:b, None] of
-    the transposed block T. Row a + r's gaps to the entries after it are
+def _pair_rects(frame: tuple):
+    """The pairs i < j of a `_pair_frame`'s n entries in K-major row
+    rectangles: for rows a..b-1 against the columns a+1..n-1, (a, gap) with
+    gap the fresh (K, b - a, n - 1 - a) `_gaps` array of the transposed
+    codes' T[:, None, a+1:] - T[:, a:b, None] and the print times' same
+    difference. Row a + r's gaps to the entries after it are
     gap[:, r, r:]; a cell left of those (column <= row) is no pair. The
     rows a..b-1 are the fewest whole rows holding _PAIR_CHUNK pairs, cut at
     b = n - 1, so no array spans the triangle. Each gap[k] is contiguous,
     so a block of pairs taken from it as a (K, m) array and read through
     its transpose runs `_row_sums`' column loop over contiguous memory."""
-    t = np.ascontiguousarray(thetas.T)
+    codes, gammas, printed = frame
+    t, gammas = np.ascontiguousarray(codes.T), gammas[:, None, None]
     n = t.shape[1]
     a = 0
     while a < n - 1:
@@ -326,19 +320,21 @@ def _pair_rects(thetas: np.ndarray):
         while b < n - 1 and size < _PAIR_CHUNK:
             size += n - 1 - b
             b += 1
-        yield a, t[:, None, a + 1:] - t[:, a:b, None]
+        # unbound: a local would hold the rectangle while the generator waits
+        yield a, _gaps(t[:, None, a + 1:] - t[:, a:b, None], gammas,
+                       printed[None, a + 1:] - printed[a:b, None])
         a = b
 
 
-def _upper_overlaps(thetas: np.ndarray):
+def _upper_overlaps(frame: tuple):
     """The one pairwise overlap kernel: for i = 0, ..., n - 1 in turn, the
-    list of row i's overlaps with the entries j > i of a Theta block (the
+    list of row i's overlaps with the entries j > i of a `_pair_frame` (the
     last list empty). Each is math.exp of the pair's log-overlap, as in
     states.overlap (np.exp differs from it in some last bits), taken over
     `_pair_rects`' rectangles: a rectangle's rows of pairs, joined into one
     (K, m) block, are one `_log_overlap_rows` call. Only one rectangle of
     pairs is held at a time, and none while its rows are read."""
-    for _, gap in _pair_rects(thetas):
+    for _, gap in _pair_rects(frame):
         rows, cols = gap.shape[1:]
         # gap and cells go before the rows are yielded: held while the text
         # that fidelity.csv's cursors keep grows, they widened the heap
@@ -351,7 +347,7 @@ def _upper_overlaps(thetas: np.ndarray):
             stop = start + cols - r
             yield exps[start:stop]
             start = stop
-    if len(thetas):
+    if len(frame[0]):
         yield []
 
 
@@ -359,21 +355,20 @@ def fidelity_matrix(registry: Registry, t: float, *,
                     staggered: bool = False) -> FidelityMatrix:
     """Pairwise overlaps of all entries evolved to common evaluation time t.
 
-    Same-time mode (default) treats every entry as printed at time 0 and
-    evolved for t: the per-mode gap (gamma t - theta_a) - (gamma t - theta_b)
-    collapses algebraically to theta_b - theta_a, and it is computed that
-    way, making the result exactly t-independent. Staggered mode gives each
-    entry its own elapsed time t - printed_at (requires t >= every
-    printed_at), so each row of parameters is gamma (t - printed_at) - theta.
+    Each pair is read in the printing frame, its gap (theta_j - theta_i) +
+    gamma (p_j - p_i), so gamma t is never formed and the matrix does not
+    depend on t, bit for bit. Same-time mode (default) reads every entry
+    as printed at time 0, so its gaps are the code gaps; staggered mode
+    takes each printed_at (and requires t >= every printed_at).
 
     The matrix is filled a row at a time from the upper-triangle row
     kernel: row i's overlaps go into values[i, i+1:] and are mirrored into
     values[i+1:, i], so the lower triangle equals the upper one bit for bit.
     """
-    thetas = _pair_thetas(registry, t, staggered)
-    n = len(thetas)
+    frame = _pair_frame(registry, t, staggered)
+    n = len(frame[0])
     values = np.ones((n, n), dtype=float)
-    for i, row in enumerate(_upper_overlaps(thetas)):
+    for i, row in enumerate(_upper_overlaps(frame)):
         values[i, i + 1:] = row
         values[i + 1:, i] = row
     return FidelityMatrix(ids=registry.ids, values=values, eval_time=float(t),
@@ -392,7 +387,8 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
     """Edges (i, j) wherever fidelity >= threshold, plus connected clusters.
 
     The fidelity of a pair is math.exp of its log-overlap, the negated fsum
-    of ln cosh over its gaps g, as in fidelity_matrix; the edge test is
+    of ln cosh over its printing-frame gaps g, as in fidelity_matrix; the
+    graph does not depend on t, and the edge test is
     math.exp(log) >= threshold. math.exp and math.log are each within an
     ulp, so a log whose exp reaches the threshold is at least
     ln(threshold) - 4 eps (1 + |ln threshold|), eps the float64 machine
@@ -413,7 +409,7 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
     threshold = float(threshold)
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    thetas = _pair_thetas(registry, t, staggered)
+    frame = _pair_frame(registry, t, staggered)
     log_threshold = math.log(threshold)
     # a pair whose fsum exceeds this has an overlap below the threshold
     far = -log_threshold + 4.0 * _EPS * (1.0 - log_threshold)
@@ -444,7 +440,7 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
                 root[max(a, b)] = min(a, b)
 
     near, count = [], 0
-    for a, gap in _pair_rects(thetas):
+    for a, gap in _pair_rects(frame):
         k, rows, cols = gap.shape
         g = np.abs(gap, out=gap)
         for r in range(1, rows):  # cells that are no pair: inf, which the floor clears
@@ -660,8 +656,9 @@ def forgetting_curve(code: Code, modes: Iterable[ModeParams], times) -> Forgetti
     ms = _checked_modes(modes)
     ts = _checked_times(times)
     written = MemoryState(ms, code, 0.0)
-    traj = _trajectory(_gammas(ms), code.thetas, ts)
-    self_log = _log_overlap_rows(traj - effective_thetas(written))
+    gammas = _gammas(ms)
+    traj = _trajectory(gammas, code.thetas, ts)
+    self_log = _log_overlap_rows(_gaps(np.zeros_like(traj), gammas, ts[:, None]))
     vacuum_log = _log_overlap_rows(traj)  # the empty register, Theta = 0
     # math.exp as in states.overlap: np.exp differs from it in some last bits
     return ForgettingCurve(

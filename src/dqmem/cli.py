@@ -90,11 +90,10 @@ from .capacity import (
     FidelityMatrix,
     RegistryEntry,
     RegistryError,
-    _entry_thetas,
     _json_parts,
     _json_text,
     _log_overlap_rows,
-    _pair_thetas,
+    _pair_frame,
     _read_json,
     _upper_overlaps,
     association_graph,
@@ -105,7 +104,7 @@ from .capacity import (
     parse_experiment_config,
     registry_to_json,
 )
-from .states import _ROW_SUM_WORK, MemoryState, _row_sums_nonneg, effective_thetas, np
+from .states import _ROW_SUM_WORK, MemoryState, _gaps, _row_sums_nonneg, np
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -287,6 +286,9 @@ def _run_print(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
 def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     t = cfg.time
     registry = load_registry(cfg.registry)
+    # every entry at age t, or at t - p_i if staggered, the probe at age t: the
+    # printing frame's gaps (theta_i - probe) + gamma p_i
+    codes, gammas, printed = _pair_frame(registry, t, cfg.staggered, mixed=True)
     if isinstance(cfg.probe, str):
         try:
             probe_code = registry.entry(cfg.probe).code
@@ -296,16 +298,9 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     else:
         probe_code = cfg.probe.realize(registry.modes)
 
-    probe = effective_thetas(MemoryState(registry.modes, probe_code, t))
-    block = _entry_thetas(registry, t, cfg.staggered)
-    rows = []
-    best_id, best_score = None, -1.0
-    for entry_id, log_score in zip(registry.ids, _log_overlap_rows(block - probe)):
-        score = math.exp(log_score)
-        rows.append([entry_id, score])
-        if score > best_score:
-            best_id, best_score = entry_id, score
-
+    gaps = _gaps(codes - probe_code.thetas, gammas, printed[:, None])
+    scores = list(map(math.exp, _log_overlap_rows(gaps).tolist()))
+    best_id, best_score = max(zip(registry.ids, scores), key=lambda row: row[1])
     results = {
         "metric": "overlap",
         "best_id": best_id,
@@ -313,7 +308,7 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
         "eval_time": t,
         "staggered": cfg.staggered,
     }
-    return ({"recall.csv": (["entry_id", "score"], rows)}, results,
+    return ({"recall.csv": (["entry_id", "score"], zip(registry.ids, scores))}, results,
             f"best match {best_id} (score {best_score:.6g})")
 
 
@@ -397,7 +392,7 @@ def _cells(text: str):
     yield cells
 
 
-def _matrix_rows(ids, thetas):
+def _matrix_rows(ids, frame):
     """fidelity.csv's lines, each finished as it is made, from capacity's
     upper-triangle row kernel, each value formatted once. After the header,
     line i is _csv_cell of its id, the cells that lines 0..i-1 made for
@@ -408,7 +403,7 @@ def _matrix_rows(ids, thetas):
     per cell."""
     yield from _csv_lines(["entry_id", *ids], ())
     cursors = []
-    for entry_id, upper in zip(ids, _upper_overlaps(thetas)):
+    for entry_id, upper in zip(ids, _upper_overlaps(frame)):
         head = ",".join([_csv_cell(entry_id), *map(next, cursors), "1.0"])
         upper = ",".join(map(repr, upper))
         yield f"{head},{upper}\r\n" if upper else head + "\r\n"
@@ -422,14 +417,14 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str, object]:
     work = _work_since(_ROW_SUM_WORK, pairs=n * (n - 1) // 2)
     if cfg.kind == "fidelity-matrix":
         # no file is opened before the time and printing times are checked
-        thetas = _pair_thetas(registry, cfg.time, cfg.staggered)
+        frame = _pair_frame(registry, cfg.time, cfg.staggered)
         results = {
             "ids": list(registry.ids),
             "eval_time": cfg.time,
             "staggered": cfg.staggered,
             "metric": FidelityMatrix.metric,
         }
-        return ({"fidelity.csv": _matrix_rows(registry.ids, thetas)},
+        return ({"fidelity.csv": _matrix_rows(registry.ids, frame)},
                 results, f"fidelity matrix over {n} entries", work)
 
     graph = association_graph(registry, cfg.time, cfg.threshold,

@@ -370,6 +370,16 @@ def _trajectory(gammas: np.ndarray, thetas, elapsed) -> np.ndarray:
     return np.asarray(elapsed, dtype=float)[:, None] * gammas - np.asarray(thetas)
 
 
+def _gaps(dthetas, gammas, dages):
+    """Theta_a - Theta_b as dthetas + gammas * dages (code gap theta_b -
+    theta_a, age gap t_a - t_b), no gamma t formed. All-zero age gaps return
+    dthetas itself; a product past the float range is inf, with no warning."""
+    if not np.any(dages):
+        return dthetas
+    with np.errstate(over="ignore"):
+        return dthetas + gammas * dages
+
+
 def effective_thetas(state: MemoryState) -> np.ndarray:
     """All effective parameters Theta_kappa(t) = gamma_kappa t - theta_kappa."""
     return _gammas(state.modes) * state.time - np.asarray(state.code.thetas)
@@ -444,21 +454,19 @@ def refresh(state: MemoryState, code: Code) -> MemoryState:
     return MemoryState(state.modes, code, 0.0)
 
 
-def _require_same_register(a: MemoryState, b: MemoryState) -> None:
-    if a.modes != b.modes:
-        raise ValueError("states do not share a mode register")
-
-
 def log_overlap(a: MemoryState, b: MemoryState) -> float:
     """ln |<a|b>| for two states of the same register.
 
     Per pair the overlap is 1/cosh(Theta_a - Theta_b) (geometric series over
     the paired diagonal), and pairs multiply, so the log is a compensated sum
-    of -ln cosh over the per-pair gaps. Always <= 0, and 0 only when every
-    gap vanishes; -inf when the terms sum past the float range.
+    of -ln cosh over the per-pair `_gaps`, so states of one age read their
+    code gaps at any t. Always <= 0, and 0 only when every gap vanishes;
+    -inf when the terms sum past the float range.
     """
-    _require_same_register(a, b)
-    gaps = effective_thetas(a) - effective_thetas(b)
+    if a.modes != b.modes:
+        raise ValueError("states do not share a mode register")
+    gaps = _gaps(np.subtract(b.code.thetas, a.code.thetas), _gammas(a.modes),
+                 a.time - b.time)
     return -_fsum_nonneg(log_cosh(gaps))
 
 

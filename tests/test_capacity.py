@@ -62,6 +62,16 @@ def modes_k(k, gamma=1.0, omega=1.0):
     return tuple(ModeParams(i, omega, gamma) for i in range(k))
 
 
+def frame_overlaps(reg):
+    """The printing-frame reference of a staggered read: per pair, math.exp
+    of -math.fsum of log_cosh((theta_j - theta_i) + gamma (p_j - p_i))."""
+    gammas = np.array([m.gamma for m in reg.modes])
+    codes, printed = reg.codes, reg.printed_at
+    return [[math.exp(-math.fsum(log_cosh(
+        (codes[j] - codes[i]) + gammas * (printed[j] - printed[i]))))
+        for j in range(len(codes))] for i in range(len(codes))]
+
+
 def registry_k(k, codes, ids=None, printed_at=None):
     reg = new_registry(modes_k(k))
     for i, thetas in enumerate(codes):
@@ -418,11 +428,13 @@ def test_staggered_fidelity_matrix_bit_identical_to_pairwise_log_overlap():
         reg = print_memory(reg, f"m{i}", Code(tuple(rng.uniform(0.0, 2.5, 4))),
                            printed_at=at)
     t = 2.6
+    fm = fidelity_matrix(reg, t, staggered=True)
+    # the printing frame: t cancels, and gamma t is never formed
+    assert np.array_equal(fm.values, frame_overlaps(reg))
+    # states at their ages t - p hold their age gaps to within rounding
     states = [MemoryState(modes, e.code, t - e.printed_at) for e in reg.entries]
     logs = np.array([[log_overlap(a, b) for b in states] for a in states])
-    fm = fidelity_matrix(reg, t, staggered=True)
-    # math.exp, the exp of states.overlap
-    assert np.array_equal(fm.values, [[math.exp(x) for x in row] for row in logs])
+    assert np.allclose(fm.values, np.exp(logs), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("staggered", [False, True])
@@ -441,26 +453,30 @@ def test_fidelity_matrix_is_state_overlap_bit_for_bit(staggered, monkeypatch):
                                printed_at=at)
         t = 1.3
         fm = fidelity_matrix(reg, t, staggered=staggered)
-        # same-time entries are compared at age 0: the matrix is t-invariant
-        ages = [t - e.printed_at if staggered else 0.0 for e in reg.entries]
-        states = [reg.state(e.entry_id, age) for e, age in zip(reg.entries, ages)]
+        if staggered:  # each pair in the printing frame
+            assert np.array_equal(fm.values, frame_overlaps(reg))
+            continue
+        # same-time entries read their code gaps: the states of one age t
+        states = [reg.state(e.entry_id, t) for e in reg.entries]
         expected = [[overlap(a, b) for b in states] for a in states]
         assert np.array_equal(fm.values, expected)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1024])
 def test_pair_rectangles_tile_the_upper_triangle(monkeypatch, chunk):
-    # every pair i < j exactly once, in row-major order, with the gap
-    # thetas[j] - thetas[i] bit for bit; each rectangle is whole rows holding
-    # at least `chunk` pairs, except a last one cut at row n - 1, and each
-    # mode's gaps are contiguous
+    # every pair i < j exactly once, in row-major order, with the frame's gap
+    # (thetas[j] - thetas[i]) + gammas (p[j] - p[i]) bit for bit; each
+    # rectangle is whole rows holding at least `chunk` pairs, except a last
+    # one cut at row n - 1, and each mode's gaps are contiguous
     monkeypatch.setattr(capacity, "_PAIR_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
     seen = set()
+    gammas = np.array([1.0, 0.35, 0.0])
     for n in range(0, 41):
         thetas = rng.uniform(0.0, 2.0, (n, 3))
+        printed = rng.uniform(0.0, 2.0, n) if n % 2 else np.zeros(n)
         pairs = []
-        for a, gap in capacity._pair_rects(thetas):
+        for a, gap in capacity._pair_rects((thetas, gammas, printed)):
             k, rows, cols = gap.shape
             assert k == 3 and rows >= 1 and cols == n - 1 - a and gap.flags.c_contiguous
             size = sum(cols - r for r in range(rows))
@@ -472,7 +488,8 @@ def test_pair_rectangles_tile_the_upper_triangle(monkeypatch, chunk):
                 for c in range(r, cols):
                     i, j = a + r, a + 1 + c
                     pairs.append((i, j))
-                    assert gap[:, r, c].tolist() == (thetas[j] - thetas[i]).tolist()
+                    want = (thetas[j] - thetas[i]) + gammas * (printed[j] - printed[i])
+                    assert gap[:, r, c].tolist() == want.tolist()
         assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
     assert "rows 1" in seen
     assert ("cut at row n - 1" in seen) == (chunk > 1)
@@ -1062,7 +1079,9 @@ def test_pair_summing_past_the_float_range_has_overlap_zero_and_no_edge():
     assert fm.values.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
     assert g.edges == (("m0", "m2", 1.0),)
     assert g.clusters == (("m0", "m2"), ("m1",))
-    assert curve.vacuum_overlap == (0.0, 0.0) and curve.self_overlap == (1.0, 1.0)
+    # the self-overlap gap is gamma t: sech^2(1) at t = 1, however large the code
+    assert curve.vacuum_overlap == (0.0, 0.0)
+    assert curve.self_overlap == (1.0, 0.4199743416140261)
 
 
 def test_log_cosh_past_the_float_range_of_2x_is_silent_and_exact():

@@ -24,7 +24,7 @@ from hypothesis import event, example, given, settings, strategies as st
 import dqmem
 from dqmem import thermo
 from dqmem.cli import main
-from dqmem.states import Code, MemoryState, ModeParams, overlap
+from dqmem.states import Code, MemoryState, ModeParams, log_cosh, overlap
 
 
 def write_config(tmp_path, name, doc):
@@ -501,6 +501,11 @@ def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, split, stagger
         tmp = pathlib.Path(tmp)
         save_registry(registry, tmp / "registry.json")
         fm = fidelity_matrix(load_registry(tmp / "registry.json"), t, staggered=staggered)
+        gammas = np.array([m.gamma for m in modes])
+        # the printing frame: gaps (theta_j - theta_i) + gamma (p_j - p_i)
+        assert fm.values.tolist() == [[math.exp(-math.fsum(log_cosh(
+            (codes[j] - codes[i]) + gammas * (printed[j] - printed[i]))))
+            for j in range(n)] for i in range(n)]
         upper = sorted(set(fm.values[np.triu_indices(n, 1)].tolist()) - {0.0, 1.0})
         near = upper[pick % len(upper)] if upper else 0.5
         thresholds = {0.5, near, math.nextafter(near, 0.0), math.nextafter(near, 1.0)}
@@ -508,7 +513,7 @@ def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, split, stagger
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(capacity, "_PAIR_CHUNK", chunk)
             mp.setattr(cli, "_SPLIT", split)
-            for a, gap in capacity._pair_rects(capacity._pair_thetas(registry, t, staggered)):
+            for a, gap in capacity._pair_rects(capacity._pair_frame(registry, t, staggered)):
                 rows, cols = gap.shape[1:]
                 event(f"rows {'1' if rows == 1 else '> 1'}")
                 if a + rows == n - 1 and sum(range(cols - rows + 1, cols + 1)) < chunk:
@@ -529,6 +534,44 @@ def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, split, stagger
                     ["entry_a", "entry_b", "fidelity"], edges)).encode("utf-8")
                 assert json.loads((out / "summary.json").read_text())["results"]["clusters"] \
                     == clusters
+
+
+@given(n=st.integers(1, 8), k=st.integers(1, 4), staggered=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), t1=st.floats(0.0, 1e16), t2=st.floats(0.0, 1e16))
+@settings(max_examples=50, deadline=None)
+@example(n=2, k=1, staggered=False, seed=1, t1=0.0, t2=1e16)
+@example(n=5, k=3, staggered=True, seed=2, t1=0.0, t2=1e16)
+def test_pair_reads_do_not_depend_on_the_evaluation_time(n, k, staggered, seed, t1, t2):
+    # every pairwise read forms its gaps in the printing frame, where t
+    # cancels: recall.csv, fidelity.csv and edges.csv keep their bytes at
+    # any two evaluation times after the last printing, same-time or staggered
+    import tempfile
+
+    from dqmem.capacity import new_registry, print_memory, save_registry
+
+    rng = np.random.default_rng(seed)
+    gammas = rng.choice([0.0, 0.35, 1.0, 1.7, 1e300], k)
+    registry = new_registry([ModeParams(i, 1.0, g) for i, g in enumerate(gammas.tolist())])
+    printed = rng.uniform(0.0, 2.0, n) if staggered else np.full(n, rng.uniform(0.0, 2.0))
+    for i in range(n):
+        registry = print_memory(registry, f"m{i}", Code(rng.uniform(0.0, 1.2, k).tolist()),
+                                printed_at=printed[i])
+    probe = rng.uniform(0.0, 1.2, k).tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        save_registry(registry, tmp / "registry.json")
+        for command, name, doc in (
+                ("recall", "recall.csv", {"kind": "recall", "probe": {"thetas": probe}}),
+                ("associate", "fidelity.csv", {"kind": "fidelity-matrix"}),
+                ("associate", "edges.csv", {"kind": "association-graph", "threshold": 0.5})):
+            texts = set()
+            for t in (t1, t2):
+                doc = dict(doc, registry=str(tmp / "registry.json"), staggered=staggered,
+                           time=float(printed.max()) + t)
+                assert run([command, "--config", write_config(tmp, "c.json", doc),
+                            "--out", tmp / "out", "--quiet"]) == 0
+                texts.add((tmp / "out" / name).read_bytes())
+            assert len(texts) == 1, name
 
 
 def test_associate_manifest_counts_the_pair_work(tmp_path):
@@ -668,11 +711,14 @@ def test_recall_scores_match_state_overlap(tmp_path, staggered):
     })
     out = tmp_path / "recall_out"
     assert run(["recall", "--config", cfg, "--out", out, "--quiet"]) == 0
-    modes = tuple(ModeParams(i, w, g) for i, (w, g) in enumerate(zip(omega, gamma)))
-    probe_state = MemoryState(modes, Code(tuple(probe)), t)
-    want = [overlap(probe_state,
-                    MemoryState(modes, Code(tuple(th)), t - at if staggered else t))
-            for th, at in entries]
+    if staggered:  # the printing frame, the probe printed at 0
+        want = [math.exp(-math.fsum(log_cosh(
+            (np.array(th) - probe) + np.array(gamma) * at))) for th, at in entries]
+    else:  # states of one age read their code gaps
+        modes = tuple(ModeParams(i, w, g) for i, (w, g) in enumerate(zip(omega, gamma)))
+        probe_state = MemoryState(modes, Code(tuple(probe)), t)
+        want = [overlap(probe_state, MemoryState(modes, Code(tuple(th)), t))
+                for th, _ in entries]
     assert read_csv(out / "recall.csv")[1:] == [
         [f"e{i}", repr(w)] for i, w in enumerate(want)]
     summary = json.loads((out / "summary.json").read_text())
@@ -993,6 +1039,50 @@ def test_exit_1_on_domain_error(tmp_path, registry_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: domain:")
     assert "printed_at 2.0 of entry 'late'" in err
+
+
+def test_recall_on_an_empty_registry_is_one_domain_error(tmp_path, capsys):
+    # no entry has a score: recall refuses the registry as associate does,
+    # with either kind of probe, and writes nothing
+    from dqmem.capacity import new_registry, save_registry
+
+    save_registry(new_registry([ModeParams(0, 1.0, 1.0)]), tmp_path / "registry.json")
+    for command, doc in (("recall", {"kind": "recall", "probe": {"thetas": [0.3]}}),
+                         ("recall", {"kind": "recall", "probe": {"entry": "a"}}),
+                         ("associate", {"kind": "fidelity-matrix"})):
+        doc = dict(doc, registry=str(tmp_path / "registry.json"), time=0.5)
+        out = tmp_path / "out"
+        assert run([command, "--config", write_config(tmp_path, "c.json", doc),
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == "error: domain: registry has no entries\n"
+        assert not out.exists()
+
+
+def test_overflowing_staggered_reads_are_zero_and_silent(tmp_path):
+    # gamma (t - p) passes the float range, and the frame's gap gamma (p_b - p_a)
+    # = 1e300 does not: the pair's overlap is 0.0, with no warning and no nan
+    cfg = write_config(tmp_path, "print.json", {
+        "kind": "print", "modes": {"omega": [1.0], "gamma": [1e300]},
+        "entries": [{"id": "a", "thetas": [0.3]},
+                    {"id": "b", "thetas": [0.5], "printed_at": 1.0}]})
+    assert run(["print", "--config", cfg, "--out", tmp_path / "reg", "--quiet"]) == 0
+    doc = {"registry": str(tmp_path / "reg" / "registry.json"), "time": 1e10,
+           "staggered": True}
+    for command, name, extra in (
+            ("associate", "fidelity.csv", {"kind": "fidelity-matrix"}),
+            ("associate", "edges.csv", {"kind": "association-graph", "threshold": 0.5}),
+            ("recall", "recall.csv", {"kind": "recall", "probe": {"thetas": [0.5]}})):
+        out = tmp_path / name
+        proc = python(MAIN, command, "--config", write_config(tmp_path, "c.json", dict(
+            doc, **extra)), "--out", out, "--quiet", flags=("-W", "error"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        for artifact in out.iterdir():
+            assert "nan" not in artifact.read_text(encoding="utf-8").lower(), artifact.name
+    assert read_csv(tmp_path / "fidelity.csv" / "fidelity.csv")[1:] == [
+        ["a", "1.0", "0.0"], ["b", "0.0", "1.0"]]
+    assert read_csv(tmp_path / "edges.csv" / "edges.csv")[1:] == []
+    assert read_csv(tmp_path / "recall.csv" / "recall.csv")[1:] == [
+        ["a", "0.9803279976447252"], ["b", "0.0"]]
 
 
 def test_exit_1_on_small_dim(tmp_path, capsys):
