@@ -49,7 +49,6 @@ from .states import (
     _occupations,
     _row_sums_nonneg,
     _set,
-    _trajectory,
     forgetting_time,
     log_cosh,
     np,
@@ -222,10 +221,9 @@ def print_memory(registry: Registry, entry_id: str, code: Code | None = None, *,
 class FidelityMatrix(_Record):
     """Symmetric pairwise-overlap matrix of registry entries at one time.
 
-    values is read-only; diagonal exactly 1, entries in (0, 1]. In same-time
-    mode the values depend only on code gaps, so matrices taken at different
-    evaluation times are equal array-for-array. Matrices compare by
-    identity.
+    values is read-only; diagonal exactly 1, entries in [0, 1]. The values
+    depend only on printing-frame gaps, so matrices taken at different
+    evaluation times are equal array-for-array. Matrices compare by identity.
     """
 
     __slots__ = _fields = ("ids", "values", "eval_time", "staggered")
@@ -278,11 +276,10 @@ def _log_overlap_rows(gaps: np.ndarray) -> np.ndarray:
     return -_row_sums_nonneg(log_cosh(gaps))
 
 
-def _pair_frame(registry: Registry, t: float, staggered: bool, *,
-                mixed: bool = False) -> tuple:
+def _pair_frame(registry: Registry, t: float, staggered: bool) -> tuple:
     """(codes, gammas, print times) of a pairwise read at time t: each
     printed_at if staggered (a t before one is a ValueError naming the first
-    such entry), else 0.0, refusing differing printing times unless `mixed`."""
+    such entry), else 0.0."""
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError(f"evaluation time must be finite and >= 0, got {t}")
@@ -293,11 +290,15 @@ def _pair_frame(registry: Registry, t: float, staggered: bool, *,
         i = int(np.argmax(printed > t))
         raise ValueError(f"evaluation time {t} precedes printed_at {float(printed[i])} "
                          f"of entry '{registry.ids[i]}'")
-    if not (staggered or mixed) and np.any(printed != printed[0]):
-        raise ValueError("entries have differing printing times; same-time fidelity "
-                         "would misread them — pass staggered=True")
     return (registry.codes, _gammas(registry.modes),
             printed if staggered else np.zeros(len(printed)))
+
+
+def _same_time(registry: Registry, staggered: bool) -> None:
+    """Refuse a same-time fidelity read of entries printed at differing times."""
+    if not staggered and np.any(registry.printed_at != registry.printed_at[:1]):
+        raise ValueError("entries have differing printing times; same-time fidelity "
+                         "would misread them — pass staggered=True")
 
 
 def _pair_rects(frame: tuple):
@@ -347,8 +348,7 @@ def _upper_overlaps(frame: tuple):
             stop = start + cols - r
             yield exps[start:stop]
             start = stop
-    if len(frame[0]):
-        yield []
+    yield []  # the last entry's; `_pair_frame` refuses an empty registry
 
 
 def fidelity_matrix(registry: Registry, t: float, *,
@@ -366,6 +366,7 @@ def fidelity_matrix(registry: Registry, t: float, *,
     values[i+1:, i], so the lower triangle equals the upper one bit for bit.
     """
     frame = _pair_frame(registry, t, staggered)
+    _same_time(registry, staggered)
     n = len(frame[0])
     values = np.ones((n, n), dtype=float)
     for i, row in enumerate(_upper_overlaps(frame)):
@@ -410,6 +411,7 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     frame = _pair_frame(registry, t, staggered)
+    _same_time(registry, staggered)
     log_threshold = math.log(threshold)
     # a pair whose fsum exceeds this has an overlap below the threshold
     far = -log_threshold + 4.0 * _EPS * (1.0 - log_threshold)
@@ -656,9 +658,9 @@ def forgetting_curve(code: Code, modes: Iterable[ModeParams], times) -> Forgetti
     ms = _checked_modes(modes)
     ts = _checked_times(times)
     written = MemoryState(ms, code, 0.0)
-    gammas = _gammas(ms)
-    traj = _trajectory(gammas, code.thetas, ts)
-    self_log = _log_overlap_rows(_gaps(np.zeros_like(traj), gammas, ts[:, None]))
+    gamma_t = ts[:, None] * _gammas(ms)  # the written state's gap to itself at age t
+    traj = gamma_t - np.asarray(code.thetas)  # `_trajectory`, bit for bit
+    self_log = _log_overlap_rows(gamma_t)
     vacuum_log = _log_overlap_rows(traj)  # the empty register, Theta = 0
     # math.exp as in states.overlap: np.exp differs from it in some last bits
     return ForgettingCurve(

@@ -95,6 +95,7 @@ from .capacity import (
     _log_overlap_rows,
     _pair_frame,
     _read_json,
+    _same_time,
     _upper_overlaps,
     association_graph,
     capacity_estimate,
@@ -286,9 +287,8 @@ def _run_print(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
 def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     t = cfg.time
     registry = load_registry(cfg.registry)
-    # every entry at age t, or at t - p_i if staggered, the probe at age t: the
-    # printing frame's gaps (theta_i - probe) + gamma p_i
-    codes, gammas, printed = _pair_frame(registry, t, cfg.staggered, mixed=True)
+    # printing-frame gaps (theta_i - probe) + gamma p_i, the probe printed at 0
+    codes, gammas, printed = _pair_frame(registry, t, cfg.staggered)
     if isinstance(cfg.probe, str):
         try:
             probe_code = registry.entry(cfg.probe).code
@@ -297,7 +297,8 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
                            f"recall.probe.entry {cfg.probe!r} not in registry") from None
     else:
         probe_code = cfg.probe.realize(registry.modes)
-
+    if len(probe_code) != registry.k:
+        raise ValueError(f"code length {len(probe_code)} != mode count {registry.k}")
     gaps = _gaps(codes - probe_code.thetas, gammas, printed[:, None])
     scores = list(map(math.exp, _log_overlap_rows(gaps).tolist()))
     best_id, best_score = max(zip(registry.ids, scores), key=lambda row: row[1])
@@ -418,6 +419,7 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str, object]:
     if cfg.kind == "fidelity-matrix":
         # no file is opened before the time and printing times are checked
         frame = _pair_frame(registry, cfg.time, cfg.staggered)
+        _same_time(registry, cfg.staggered)
         results = {
             "ids": list(registry.ids),
             "eval_time": cfg.time,

@@ -1058,6 +1058,23 @@ def test_recall_on_an_empty_registry_is_one_domain_error(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("staggered", [False, True])
+def test_recall_refuses_a_probe_of_another_length(tmp_path, registry_path, capsys,
+                                                  staggered):
+    # a probe is one theta per mode: one that numpy would stretch to fit (1 of
+    # 2) is refused like one it could not (3 of 2), and nothing is written
+    for thetas in ([0.3], [0.3, 0.5, 0.7]):
+        cfg = write_config(tmp_path, "recall.json", {
+            "kind": "recall", "registry": str(registry_path),
+            "probe": {"thetas": thetas}, "time": 1.0, "staggered": staggered,
+        })
+        out = tmp_path / "out"
+        assert run(["recall", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: domain: code length {len(thetas)} != mode count 2\n")
+        assert not out.exists()
+
+
 def test_overflowing_staggered_reads_are_zero_and_silent(tmp_path):
     # gamma (t - p) passes the float range, and the frame's gap gamma (p_b - p_a)
     # = 1e300 does not: the pair's overlap is 0.0, with no warning and no nan
