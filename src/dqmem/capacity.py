@@ -18,12 +18,12 @@ metric the model defines, and artifacts record the metric name so others
 could coexist. Every pairwise read works in the printing frame: an entry
 printed at p has Theta = gamma (t - p) - theta, so two entries' gap is
 (theta_j - theta_i) + gamma (p_j - p_i) (`dqmem.states._gaps`), and no read
-forms gamma t: time invariance is exact in floating point. The same-time
-mode reads every entry as printed at 0, so its gaps are the code gaps; the
-staggered mode takes each printed_at, and t only has to follow them. Both
-modes, recall and the forgetting curve go through one row kernel;
-`dqmem.states.log_overlap`, which forms its gaps the same way, is the
-per-state reference the tests hold same-time reads to, bit for bit.
+forms gamma t: time invariance is exact in floating point. This is the
+one read mode: t only has to follow every printing, and entries that share
+a printing time have the code gaps as their gaps. Pair reads, recall and
+the forgetting curve go through one row kernel; `dqmem.states.log_overlap`,
+which forms its gaps the same way, is the per-state reference the tests
+hold reads of entries that share a printing time to, bit for bit.
 """
 
 from __future__ import annotations
@@ -223,7 +223,9 @@ class FidelityMatrix(_Record):
 
     values is read-only; diagonal exactly 1, entries in [0, 1]. The values
     depend only on printing-frame gaps, so matrices taken at different
-    evaluation times are equal array-for-array. Matrices compare by identity.
+    evaluation times are equal array-for-array. staggered is derived, not
+    chosen: whether the entries' printing times differ. Matrices compare
+    by identity.
     """
 
     __slots__ = _fields = ("ids", "values", "eval_time", "staggered")
@@ -276,29 +278,20 @@ def _log_overlap_rows(gaps: np.ndarray) -> np.ndarray:
     return -_row_sums_nonneg(log_cosh(gaps))
 
 
-def _pair_frame(registry: Registry, t: float, staggered: bool) -> tuple:
-    """(codes, gammas, print times) of a pairwise read at time t: each
-    printed_at if staggered (a t before one is a ValueError naming the first
-    such entry), else 0.0."""
+def _pair_frame(registry: Registry, t: float) -> tuple:
+    """(codes, gammas, printed_at) of a pairwise read at time t; a t before
+    a printing is a ValueError naming the first such entry."""
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError(f"evaluation time must be finite and >= 0, got {t}")
     if not registry.entries:
         raise ValueError("registry has no entries")
     printed = registry.printed_at
-    if staggered and np.any(printed > t):
+    if np.any(printed > t):
         i = int(np.argmax(printed > t))
         raise ValueError(f"evaluation time {t} precedes printed_at {float(printed[i])} "
                          f"of entry '{registry.ids[i]}'")
-    return (registry.codes, _gammas(registry.modes),
-            printed if staggered else np.zeros(len(printed)))
-
-
-def _same_time(registry: Registry, staggered: bool) -> None:
-    """Refuse a same-time fidelity read of entries printed at differing times."""
-    if not staggered and np.any(registry.printed_at != registry.printed_at[:1]):
-        raise ValueError("entries have differing printing times; same-time fidelity "
-                         "would misread them — pass staggered=True")
+    return registry.codes, _gammas(registry.modes), printed
 
 
 def _pair_rects(frame: tuple):
@@ -351,29 +344,27 @@ def _upper_overlaps(frame: tuple):
     yield []  # the last entry's; `_pair_frame` refuses an empty registry
 
 
-def fidelity_matrix(registry: Registry, t: float, *,
-                    staggered: bool = False) -> FidelityMatrix:
+def fidelity_matrix(registry: Registry, t: float) -> FidelityMatrix:
     """Pairwise overlaps of all entries evolved to common evaluation time t.
 
     Each pair is read in the printing frame, its gap (theta_j - theta_i) +
     gamma (p_j - p_i), so gamma t is never formed and the matrix does not
-    depend on t, bit for bit. Same-time mode (default) reads every entry
-    as printed at time 0, so its gaps are the code gaps; staggered mode
-    takes each printed_at (and requires t >= every printed_at).
+    depend on t, bit for bit; t must be at or after every printed_at.
+    `staggered` says whether the printing times differ: where they do not,
+    the gaps are the code gaps.
 
     The matrix is filled a row at a time from the upper-triangle row
     kernel: row i's overlaps go into values[i, i+1:] and are mirrored into
     values[i+1:, i], so the lower triangle equals the upper one bit for bit.
     """
-    frame = _pair_frame(registry, t, staggered)
-    _same_time(registry, staggered)
+    frame = _pair_frame(registry, t)
     n = len(frame[0])
     values = np.ones((n, n), dtype=float)
     for i, row in enumerate(_upper_overlaps(frame)):
         values[i, i + 1:] = row
         values[i + 1:, i] = row
     return FidelityMatrix(ids=registry.ids, values=values, eval_time=float(t),
-                          staggered=staggered)
+                          staggered=bool(np.ptp(frame[2]) > 0))
 
 
 class AssociationGraph(_Record):
@@ -383,15 +374,14 @@ class AssociationGraph(_Record):
     __slots__ = _fields = ("ids", "threshold", "eval_time", "edges", "clusters")
 
 
-def association_graph(registry: Registry, t: float, threshold: float, *,
-                      staggered: bool = False) -> AssociationGraph:
+def association_graph(registry: Registry, t: float, threshold: float) -> AssociationGraph:
     """Edges (i, j) wherever fidelity >= threshold, plus connected clusters.
 
     The fidelity of a pair is math.exp of its log-overlap, the negated fsum
     of ln cosh over its printing-frame gaps g, as in fidelity_matrix; the
-    graph does not depend on t, and the edge test is
-    math.exp(log) >= threshold. math.exp and math.log are each within an
-    ulp, so a log whose exp reaches the threshold is at least
+    graph does not depend on t, which must follow every printing, and the
+    edge test is math.exp(log) >= threshold. math.exp and math.log are each
+    within an ulp, so a log whose exp reaches the threshold is at least
     ln(threshold) - 4 eps (1 + |ln threshold|), eps the float64 machine
     epsilon. Most pairs of a spread-out registry are ruled out first,
     without a log_cosh call, by `_floor_clears`: a pair whose floor
@@ -410,8 +400,7 @@ def association_graph(registry: Registry, t: float, threshold: float, *,
     threshold = float(threshold)
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    frame = _pair_frame(registry, t, staggered)
-    _same_time(registry, staggered)
+    frame = _pair_frame(registry, t)
     log_threshold = math.log(threshold)
     # a pair whose fsum exceeds this has an overlap below the threshold
     far = -log_threshold + 4.0 * _EPS * (1.0 - log_threshold)
@@ -923,37 +912,36 @@ class ExperimentConfig(_Record):
     """Parsed, validated experiment description; `raw` echoes the source.
 
     Only the fields named by the kind's row of CONFIG_KINDS are set; the
-    others are None, and `staggered` False. `probe` is a registry entry id
-    or a CodeSpec; `entries` holds one (id, CodeSpec, printed_at) triple per
-    memory to print.
+    others are None. `probe` is a registry entry id or a CodeSpec;
+    `entries` holds one (id, CodeSpec, printed_at) triple per memory to
+    print.
     """
 
     __slots__ = _fields = (
         "kind", "raw", "modes", "code", "registry", "time", "times", "threshold",
-        "staggered", "theta_range", "epsilon", "candidates", "seed", "entries", "probe")
-    _defaults = {**dict.fromkeys(_fields[2:]), "staggered": False}
+        "theta_range", "epsilon", "candidates", "seed", "entries", "probe")
+    _defaults = dict.fromkeys(_fields[2:])
 
 
 class ConfigKind(_Record):
     """Schema row of one config kind: the CLI subcommand that runs it, and
-    its required, optional and exactly-one-of keys."""
+    its required and exactly-one-of keys."""
 
-    __slots__ = _fields = ("command", "required", "optional", "one_of")
-    _defaults = {"optional": (), "one_of": ()}
+    __slots__ = _fields = ("command", "required", "one_of")
+    _defaults = {"one_of": ()}
 
 
 _TRAJECTORY = ("modes", "code", "times")
 
 CONFIG_KINDS = {
     "print": ConfigKind("print", ("entries",), one_of=("modes", "registry")),
-    "recall": ConfigKind("recall", ("registry", "probe", "time"), ("staggered",)),
+    "recall": ConfigKind("recall", ("registry", "probe", "time")),
     "evolve": ConfigKind("evolve", _TRAJECTORY),
     "forgetting-curve": ConfigKind("forgetting", _TRAJECTORY),
     "capacity-sweep": ConfigKind(
         "capacity", ("modes", "theta_range", "epsilon", "candidates", "seed")),
-    "association-graph": ConfigKind(
-        "associate", ("registry", "time", "threshold"), ("staggered",)),
-    "fidelity-matrix": ConfigKind("associate", ("registry", "time"), ("staggered",)),
+    "association-graph": ConfigKind("associate", ("registry", "time", "threshold")),
+    "fidelity-matrix": ConfigKind("associate", ("registry", "time")),
     "thermo-trace": ConfigKind("thermo-trace", _TRAJECTORY),
 }
 
@@ -992,12 +980,6 @@ def _parse_time(obj, where: str) -> float:
 def _parse_string(obj, where: str) -> str:
     if not isinstance(obj, str):
         raise _cfg_error(f"{where} must be a string")
-    return obj
-
-
-def _parse_bool(obj, where: str) -> bool:
-    if not isinstance(obj, bool):
-        raise _cfg_error(f"{where} must be a boolean")
     return obj
 
 
@@ -1079,7 +1061,6 @@ _FIELDS = {
     "times": _parse_times,
     "time": _parse_time,
     "registry": _parse_string,
-    "staggered": _parse_bool,
     "threshold": _in_unit_interval,
     "theta_range": _parse_theta_range,
     "epsilon": _in_unit_interval,
@@ -1102,6 +1083,6 @@ def parse_experiment_config(doc: Mapping) -> ExperimentConfig:
     if not isinstance(kind, str) or kind not in CONFIG_KINDS:
         raise _cfg_error(f"unknown kind {kind!r}; expected one of {list(CONFIG_KINDS)}")
     spec = CONFIG_KINDS[kind]
-    _check_keys(doc, kind, ("kind",) + spec.required, spec.optional, spec.one_of)
+    _check_keys(doc, kind, ("kind",) + spec.required, one_of=spec.one_of)
     fields = {key: _FIELDS[key](value, key) for key, value in doc.items() if key != "kind"}
     return ExperimentConfig(kind=kind, raw=dict(doc), **fields)

@@ -3,8 +3,8 @@
 Every run writes its outputs into ``--out`` as a set of files plus a
 ``manifest.json`` recording the exact invocation (the config's path and
 ``config_sha256``, the sha256 of the bytes read from it; seed, library
-versions, numpy's null for a run that loaded none; import and wall time,
-and ``work``: the counters a run keeps).
+versions and numpy's SIMD targets, null for a run that loaded no numpy;
+import and wall time, and ``work``: the counters a run keeps).
 For ``oracle-verify`` these are the Taylor stages and terms of its
 exponentials, one matvec a term. For ``associate`` they are ``pairs``,
 n(n - 1)/2; ``exact_rows``, the pairs whose log-overlap the exact row sum
@@ -95,7 +95,6 @@ from .capacity import (
     _log_overlap_rows,
     _pair_frame,
     _read_json,
-    _same_time,
     _upper_overlaps,
     association_graph,
     capacity_estimate,
@@ -285,10 +284,12 @@ def _run_print(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
 
 
 def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
+    """Scores the probe against each entry in the printing frame, with gaps
+    (theta_i - probe) + gamma (p_i - p_min): the probe is read as printed at
+    the registry's earliest printing time, and t must follow every printing."""
     t = cfg.time
     registry = load_registry(cfg.registry)
-    # printing-frame gaps (theta_i - probe) + gamma p_i, the probe printed at 0
-    codes, gammas, printed = _pair_frame(registry, t, cfg.staggered)
+    codes, gammas, printed = _pair_frame(registry, t)
     if isinstance(cfg.probe, str):
         try:
             probe_code = registry.entry(cfg.probe).code
@@ -299,7 +300,7 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
         probe_code = cfg.probe.realize(registry.modes)
     if len(probe_code) != registry.k:
         raise ValueError(f"code length {len(probe_code)} != mode count {registry.k}")
-    gaps = _gaps(codes - probe_code.thetas, gammas, printed[:, None])
+    gaps = _gaps(codes - probe_code.thetas, gammas, (printed - printed.min())[:, None])
     scores = list(map(math.exp, _log_overlap_rows(gaps).tolist()))
     best_id, best_score = max(zip(registry.ids, scores), key=lambda row: row[1])
     results = {
@@ -307,7 +308,7 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
         "best_id": best_id,
         "best_score": best_score,
         "eval_time": t,
-        "staggered": cfg.staggered,
+        "staggered": bool(np.ptp(printed) > 0),
     }
     return ({"recall.csv": (["entry_id", "score"], zip(registry.ids, scores))}, results,
             f"best match {best_id} (score {best_score:.6g})")
@@ -418,19 +419,17 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str, object]:
     work = _work_since(_ROW_SUM_WORK, pairs=n * (n - 1) // 2)
     if cfg.kind == "fidelity-matrix":
         # no file is opened before the time and printing times are checked
-        frame = _pair_frame(registry, cfg.time, cfg.staggered)
-        _same_time(registry, cfg.staggered)
+        frame = _pair_frame(registry, cfg.time)
         results = {
             "ids": list(registry.ids),
             "eval_time": cfg.time,
-            "staggered": cfg.staggered,
+            "staggered": bool(np.ptp(frame[2]) > 0),
             "metric": FidelityMatrix.metric,
         }
         return ({"fidelity.csv": _matrix_rows(registry.ids, frame)},
                 results, f"fidelity matrix over {n} entries", work)
 
-    graph = association_graph(registry, cfg.time, cfg.threshold,
-                              staggered=cfg.staggered)
+    graph = association_graph(registry, cfg.time, cfg.threshold)
     results = {
         "ids": list(graph.ids),
         "threshold": graph.threshold,
@@ -505,6 +504,8 @@ def _run_oracle_verify(dim: int) -> tuple[dict, dict, str, object]:
 
 def _manifest(args, argv: list[str], config_sha256, seed, work, names: list[str],
               wall: float) -> str:
+    umath = (sys.modules.get("numpy._core._multiarray_umath")
+             or sys.modules.get("numpy.core._multiarray_umath"))  # numpy 1.x
     return _json_text({
         "command": args.command,
         "argv": argv,
@@ -518,6 +519,9 @@ def _manifest(args, argv: list[str], config_sha256, seed, work, names: list[str]
             "python": sys.version.split()[0],  # platform.python_version() on CPython
             # the numpy this run loaded, None if none: reading np would load it
             "numpy": getattr(sys.modules.get("numpy.version"), "version", None),
+            # the SIMD targets it dispatches to, which some artifacts' last bits follow
+            "numpy_simd": umath and [
+                t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]],
             "dqmem": __version__,
         },
         "import_s": _IMPORT_S,
@@ -633,7 +637,7 @@ def main(argv: list[str] | None = None) -> int:
                 args, argv, sha256, seed, work, names, time.perf_counter() - start))
         except RegistryError as exc:
             raise CliError("registry", str(exc)) from exc
-        except (ValueError, OverflowError) as exc:  # OverflowError: math.fsum
+        except (ValueError, OverflowError, MemoryError) as exc:  # fsum; an array numpy refuses
             raise CliError("domain", str(exc)) from exc
 
         if results.get("failed"):  # oracle-verify's checks over tolerance

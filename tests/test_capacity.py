@@ -408,11 +408,13 @@ def test_fidelity_matrix_agrees_with_state_overlap():
     assert fm.values[0, 1] == pytest.approx(overlap(a, b), rel=1e-14)
 
 
-def test_fidelity_matrix_rejects_mixed_print_times_unless_staggered():
+def test_fidelity_matrix_reads_mixed_print_times_at_their_ages():
+    # staggered is derived from the printing times, never chosen
+    assert fidelity_matrix(registry_k(1, [[0.3], [0.5]], printed_at=[1.0, 1.0]),
+                           2.0).staggered is False
     reg = registry_k(1, [[0.3], [0.5]], printed_at=[0.0, 1.0])
-    with pytest.raises(ValueError, match="staggered"):
-        fidelity_matrix(reg, 2.0)
-    fm = fidelity_matrix(reg, 2.0, staggered=True)
+    fm = fidelity_matrix(reg, 2.0)
+    assert fm.staggered is True
     # entry ages differ: 2.0 and 1.0
     a = MemoryState(reg.modes, reg.entries[0].code, 2.0)
     b = MemoryState(reg.modes, reg.entries[1].code, 1.0)
@@ -428,7 +430,7 @@ def test_staggered_fidelity_matrix_bit_identical_to_pairwise_log_overlap():
         reg = print_memory(reg, f"m{i}", Code(tuple(rng.uniform(0.0, 2.5, 4))),
                            printed_at=at)
     t = 2.6
-    fm = fidelity_matrix(reg, t, staggered=True)
+    fm = fidelity_matrix(reg, t)
     # the printing frame: t cancels, and gamma t is never formed
     assert np.array_equal(fm.values, frame_overlaps(reg))
     # states at their ages t - p hold their age gaps to within rounding
@@ -452,7 +454,8 @@ def test_fidelity_matrix_is_state_overlap_bit_for_bit(staggered, monkeypatch):
             reg = print_memory(reg, f"m{i}", Code(tuple(rng.uniform(0.0, 1.2, 5))),
                                printed_at=at)
         t = 1.3
-        fm = fidelity_matrix(reg, t, staggered=staggered)
+        fm = fidelity_matrix(reg, t)
+        assert fm.staggered is (staggered and n > 1)
         if staggered:  # each pair in the printing frame
             assert np.array_equal(fm.values, frame_overlaps(reg))
             continue
@@ -500,7 +503,7 @@ def test_staggered_needs_time_after_last_print():
     reg = registry_k(1, [[0.3], [0.5]], printed_at=[0.0, 1.0])
     # the message names the first entry printed after the evaluation time
     with pytest.raises(ValueError, match="printed_at 1.0 of entry 'm1'"):
-        fidelity_matrix(reg, 0.5, staggered=True)
+        fidelity_matrix(reg, 0.5)
 
 
 def test_fidelity_matrix_entry_order_invariant():

@@ -75,7 +75,7 @@ def test_print_writes_registry_and_manifest(registry_path):
     assert [e["id"] for e in reg["entries"]] == ["alpha", "beta", "gamma"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "print"
-    assert set(manifest["versions"]) == {"python", "numpy", "dqmem"}
+    assert set(manifest["versions"]) == {"python", "numpy", "numpy_simd", "dqmem"}
     assert manifest["versions"]["python"] == platform.python_version()
     assert manifest["wall_time_s"] >= 0.0
     summary = json.loads((out / "summary.json").read_text())
@@ -258,7 +258,7 @@ def test_manifest_records_import_time_and_missing_scipy(tmp_path):
         proc = python(MAIN, *args, "--out", out, "--quiet")
         assert (proc.returncode, proc.stderr) == (0, ""), args[0]
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest["versions"]) == {"python", "numpy", "dqmem"}
+        assert set(manifest["versions"]) == {"python", "numpy", "numpy_simd", "dqmem"}
         assert 0.0 < manifest["import_s"] < 60.0
 
 
@@ -424,8 +424,9 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, monkeypatch, sta
     assert run(["print", "--config", cfg, "--out", tmp_path / "reg", "--quiet"]) == 0
     registry = str(tmp_path / "reg" / "registry.json")
     t = 2.5
-    fm = fidelity_matrix(load_registry(registry), t, staggered=staggered)
-    doc = {"registry": registry, "time": t, "staggered": staggered}
+    fm = fidelity_matrix(load_registry(registry), t)
+    assert fm.staggered is (staggered and n > 1)
+    doc = {"registry": registry, "time": t}
 
     full_rows = ([e, *row.tolist()] for e, row in zip(fm.ids, fm.values))
     matrix_bytes = "".join(_csv_lines(["entry_id", *fm.ids], full_rows)).encode("utf-8")
@@ -445,6 +446,8 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, monkeypatch, sta
             tmp_path, "m.json", dict(doc, kind="fidelity-matrix")), "--out", out,
             "--quiet"]) == 0
         assert (out / "fidelity.csv").read_bytes() == matrix_bytes
+        assert json.loads((out / "summary.json").read_text())["results"]["staggered"] \
+            is fm.staggered
         for threshold in thresholds:
             out = tmp_path / f"graph-{chunk}-{threshold!r}"
             assert run(["associate", "--config", write_config(
@@ -500,7 +503,7 @@ def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, split, stagger
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         save_registry(registry, tmp / "registry.json")
-        fm = fidelity_matrix(load_registry(tmp / "registry.json"), t, staggered=staggered)
+        fm = fidelity_matrix(load_registry(tmp / "registry.json"), t)
         gammas = np.array([m.gamma for m in modes])
         # the printing frame: gaps (theta_j - theta_i) + gamma (p_j - p_i)
         assert fm.values.tolist() == [[math.exp(-math.fsum(log_cosh(
@@ -509,11 +512,11 @@ def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, split, stagger
         upper = sorted(set(fm.values[np.triu_indices(n, 1)].tolist()) - {0.0, 1.0})
         near = upper[pick % len(upper)] if upper else 0.5
         thresholds = {0.5, near, math.nextafter(near, 0.0), math.nextafter(near, 1.0)}
-        doc = {"registry": str(tmp / "registry.json"), "time": t, "staggered": staggered}
+        doc = {"registry": str(tmp / "registry.json"), "time": t}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(capacity, "_PAIR_CHUNK", chunk)
             mp.setattr(cli, "_SPLIT", split)
-            for a, gap in capacity._pair_rects(capacity._pair_frame(registry, t, staggered)):
+            for a, gap in capacity._pair_rects(capacity._pair_frame(registry, t)):
                 rows, cols = gap.shape[1:]
                 event(f"rows {'1' if rows == 1 else '> 1'}")
                 if a + rows == n - 1 and sum(range(cols - rows + 1, cols + 1)) < chunk:
@@ -544,7 +547,8 @@ def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, split, stagger
 def test_pair_reads_do_not_depend_on_the_evaluation_time(n, k, staggered, seed, t1, t2):
     # every pairwise read forms its gaps in the printing frame, where t
     # cancels: recall.csv, fidelity.csv and edges.csv keep their bytes at
-    # any two evaluation times after the last printing, same-time or staggered
+    # any two evaluation times after the last printing, whether the entries
+    # share one printing time or not
     import tempfile
 
     from dqmem.capacity import new_registry, print_memory, save_registry
@@ -566,7 +570,7 @@ def test_pair_reads_do_not_depend_on_the_evaluation_time(n, k, staggered, seed, 
                 ("associate", "edges.csv", {"kind": "association-graph", "threshold": 0.5})):
             texts = set()
             for t in (t1, t2):
-                doc = dict(doc, registry=str(tmp / "registry.json"), staggered=staggered,
+                doc = dict(doc, registry=str(tmp / "registry.json"),
                            time=float(printed.max()) + t)
                 assert run([command, "--config", write_config(tmp, "c.json", doc),
                             "--out", tmp / "out", "--quiet"]) == 0
@@ -696,6 +700,8 @@ def test_recall_scores_match_state_overlap(tmp_path, staggered):
     omega, gamma = [1.0, 1.5, 0.5], [1.0, 0.3, 0.0]
     entries = [([0.3, 0.5, 0.9], 0.0), ([1.1, 0.2, 0.4], 0.7),
                ([0.6, 0.6, 0.1], 1.3), ([0.0, 1.4, 0.8], 0.2)]
+    if not staggered:  # one shared printing time
+        entries = [(th, 0.7) for th, _ in entries]
     printed = write_config(tmp_path, "print.json", {
         "kind": "print",
         "modes": {"omega": omega, "gamma": gamma},
@@ -707,11 +713,11 @@ def test_recall_scores_match_state_overlap(tmp_path, staggered):
     probe, t = [0.5, 0.45, 0.7], 1.9
     cfg = write_config(tmp_path, "recall.json", {
         "kind": "recall", "registry": str(tmp_path / "reg" / "registry.json"),
-        "probe": {"thetas": probe}, "time": t, "staggered": staggered,
+        "probe": {"thetas": probe}, "time": t,
     })
     out = tmp_path / "recall_out"
     assert run(["recall", "--config", cfg, "--out", out, "--quiet"]) == 0
-    if staggered:  # the printing frame, the probe printed at 0
+    if staggered:  # the printing frame, the probe printed at the earliest time, 0
         want = [math.exp(-math.fsum(log_cosh(
             (np.array(th) - probe) + np.array(gamma) * at))) for th, at in entries]
     else:  # states of one age read their code gaps
@@ -723,6 +729,36 @@ def test_recall_scores_match_state_overlap(tmp_path, staggered):
         [f"e{i}", repr(w)] for i, w in enumerate(want)]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["results"]["best_score"] == max(want)
+    assert summary["results"]["staggered"] is staggered
+
+
+@pytest.mark.parametrize("printed, shift", [([0.0] * 4, 0.7),
+                                            ([0.0, 0.5, 1.25, 0.25], 2.0)])
+def test_reads_keep_their_bytes_when_every_printing_moves_alike(tmp_path, printed, shift):
+    # reads take printing-time differences, and recall reads its probe as
+    # printed at the earliest printing: the same codes printed at p and at
+    # p + shift (each difference exact) write the same recall.csv,
+    # fidelity.csv and edges.csv, read at a t after every printing
+    codes = [[0.3, 0.5], [0.9, 0.1], [0.35, 0.45], [0.6, 0.6]]
+    texts = {}
+    for moved in (0.0, shift):
+        reg = tmp_path / f"reg{moved}"
+        assert run(["print", "--config", write_config(tmp_path, "print.json", {
+            "kind": "print", "modes": {"omega": [1.0, 2.0], "gamma": [1.0, 0.35]},
+            "entries": [{"id": f"e{i}", "thetas": th, "printed_at": at + moved}
+                        for i, (th, at) in enumerate(zip(codes, printed))],
+        }), "--out", reg, "--quiet"]) == 0
+        for kind, name in (("recall", "recall.csv"), ("fidelity-matrix", "fidelity.csv"),
+                           ("association-graph", "edges.csv")):
+            command, doc, _ = VALID_CONFIGS[kind]
+            out = tmp_path / f"{kind}{moved}"
+            assert run([command, "--config", write_config(tmp_path, "c.json", dict(
+                doc, registry=str(reg / "registry.json"), time=3.5)),
+                "--out", out, "--quiet"]) == 0
+            texts.setdefault(name, set()).add((out / name).read_bytes())
+    assert {name: len(t) for name, t in texts.items()} == {
+        "recall.csv": 1, "fidelity.csv": 1, "edges.csv": 1}
+    assert len(read_csv(tmp_path / "association-graph0.0" / "edges.csv")) > 1
 
 
 def test_evolve_total_occupation_matches_forgetting(tmp_path):
@@ -888,6 +924,9 @@ def test_exit_1_on_unknown_config_keys(tmp_path, registry_path, capsys):
                               _replaced(doc, path, bad), 1))
         if kind == "fidelity-matrix":  # only association-graph reads a threshold
             cases.append((f"{kind} threshold", command, dict(doc, threshold=0.5), 1))
+        # whether a registry's printing times differ is read from it, never set
+        if kind in ("recall", "fidelity-matrix", "association-graph"):
+            cases.append((f"{kind} staggered", command, dict(doc, staggered=False), 1))
 
     wrong = []
     for name, command, doc, want in cases:
@@ -1013,14 +1052,9 @@ def test_exit_1_on_registry_error(tmp_path, capsys):
 
 
 def test_exit_1_on_domain_error(tmp_path, registry_path, capsys):
-    cfg = write_config(tmp_path, "stag.json", {
-        "kind": "recall",
-        "registry": str(registry_path.parent / "registry.json"),
-        "probe": {"thetas": [0.3, 0.5]},
-        "time": 0.5,
-        "staggered": True,
-    })
-    # extend with a later print so staggered evaluation at 0.5 is impossible
+    # every read needs t at or after each printing: a read at 0.5 of a
+    # registry extended with a print at 2.0 is refused, naming that entry,
+    # whatever the kind, and nothing is written
     ext_cfg = write_config(tmp_path, "ext.json", {
         "kind": "print",
         "registry": str(registry_path),
@@ -1028,17 +1062,29 @@ def test_exit_1_on_domain_error(tmp_path, registry_path, capsys):
     })
     out2 = tmp_path / "ext_out"
     assert run(["print", "--config", ext_cfg, "--out", out2, "--quiet"]) == 0
-    cfg2 = write_config(tmp_path, "stag2.json", {
-        "kind": "recall",
-        "registry": str(out2 / "registry.json"),
-        "probe": {"thetas": [0.3, 0.5]},
-        "time": 0.5,
-        "staggered": True,
-    })
-    assert run(["recall", "--config", cfg2, "--out", tmp_path / "o"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: domain:")
-    assert "printed_at 2.0 of entry 'late'" in err
+    for kind in ("recall", "fidelity-matrix", "association-graph"):
+        command, doc, _ = VALID_CONFIGS[kind]
+        doc = dict(doc, registry=str(out2 / "registry.json"), time=0.5)
+        assert run([command, "--config", write_config(tmp_path, "early.json", doc),
+                    "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == (
+            "error: domain: evaluation time 0.5 precedes printed_at 2.0 of entry 'late'\n")
+        assert not (tmp_path / "o").exists()
+
+
+def test_an_array_numpy_cannot_allocate_is_one_domain_error(tmp_path, capsys):
+    # 10**15 time points or candidates ask numpy for petabytes at once, which
+    # it refuses before allocating anything: one error line, nothing written
+    for kind, key, value in (
+            ("evolve", "times", {"start": 0.0, "stop": 1.0, "num": 10 ** 15}),
+            ("capacity-sweep", "candidates", 10 ** 15)):
+        command, doc, _ = VALID_CONFIGS[kind]
+        out = tmp_path / command
+        assert run([command, "--config", write_config(tmp_path, "c.json", dict(
+            doc, **{key: value})), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: domain: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_recall_on_an_empty_registry_is_one_domain_error(tmp_path, capsys):
@@ -1062,11 +1108,18 @@ def test_recall_on_an_empty_registry_is_one_domain_error(tmp_path, capsys):
 def test_recall_refuses_a_probe_of_another_length(tmp_path, registry_path, capsys,
                                                   staggered):
     # a probe is one theta per mode: one that numpy would stretch to fit (1 of
-    # 2) is refused like one it could not (3 of 2), and nothing is written
+    # 2) is refused like one it could not (3 of 2), and nothing is written,
+    # whether the entries share one printing time or not
+    if staggered:
+        assert run(["print", "--config", write_config(tmp_path, "ext.json", {
+            "kind": "print", "registry": str(registry_path),
+            "entries": [{"id": "late", "thetas": [0.1, 0.1], "printed_at": 0.5}],
+        }), "--out", tmp_path / "ext", "--quiet"]) == 0
+        registry_path = tmp_path / "ext" / "registry.json"
     for thetas in ([0.3], [0.3, 0.5, 0.7]):
         cfg = write_config(tmp_path, "recall.json", {
             "kind": "recall", "registry": str(registry_path),
-            "probe": {"thetas": thetas}, "time": 1.0, "staggered": staggered,
+            "probe": {"thetas": thetas}, "time": 1.0,
         })
         out = tmp_path / "out"
         assert run(["recall", "--config", cfg, "--out", out]) == 1
@@ -1083,8 +1136,7 @@ def test_overflowing_staggered_reads_are_zero_and_silent(tmp_path):
         "entries": [{"id": "a", "thetas": [0.3]},
                     {"id": "b", "thetas": [0.5], "printed_at": 1.0}]})
     assert run(["print", "--config", cfg, "--out", tmp_path / "reg", "--quiet"]) == 0
-    doc = {"registry": str(tmp_path / "reg" / "registry.json"), "time": 1e10,
-           "staggered": True}
+    doc = {"registry": str(tmp_path / "reg" / "registry.json"), "time": 1e10}
     for command, name, extra in (
             ("associate", "fidelity.csv", {"kind": "fidelity-matrix"}),
             ("associate", "edges.csv", {"kind": "association-graph", "threshold": 0.5}),
@@ -1534,7 +1586,11 @@ def test_numpy_loads_at_its_first_array_use(tmp_path):
 
 
 def test_manifest_names_the_numpy_the_run_loaded(tmp_path):
-    # null when the run loaded no numpy, as print does; the keys stay the same
+    # null when the run loaded no numpy, as print does; the keys stay the same.
+    # numpy_simd is the SIMD targets numpy dispatches to on this CPU, which
+    # the child process inherits with NPY_DISABLE_CPU_FEATURES
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
     loaded = {}
     for kind in ("print", "forgetting-curve"):
         command, doc, _ = VALID_CONFIGS[kind]
@@ -1543,9 +1599,9 @@ def test_manifest_names_the_numpy_the_run_loaded(tmp_path):
                       "--out", out, "--quiet")
         assert (proc.returncode, proc.stderr) == (0, ""), kind
         versions = json.loads((out / "manifest.json").read_text())["versions"]
-        assert set(versions) == {"python", "numpy", "dqmem"}, kind
-        loaded[kind] = versions["numpy"]
-    assert loaded == {"print": None, "forgetting-curve": np.__version__}
+        assert set(versions) == {"python", "numpy", "numpy_simd", "dqmem"}, kind
+        loaded[kind] = versions["numpy"], versions["numpy_simd"]
+    assert loaded == {"print": (None, None), "forgetting-curve": (np.__version__, simd)}
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt parameters")

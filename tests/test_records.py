@@ -74,18 +74,18 @@ CASES = [
     (CodeSpec, "thetas beta sample", (None, 2.0, None),
      "CodeSpec(thetas=None, beta=2.0, sample=None)"),
     (ExperimentConfig,
-     "kind raw modes code registry time times threshold staggered theta_range "
+     "kind raw modes code registry time times threshold theta_range "
      "epsilon candidates seed entries probe",
-     ("recall", {"kind": "recall"}, None, None, "r.json", 0.5, None, None, True,
+     ("recall", {"kind": "recall"}, None, None, "r.json", 0.5, None, None,
       None, None, None, None, None, "a"),
      "ExperimentConfig(kind='recall', raw={'kind': 'recall'}, modes=None, code=None, "
-     "registry='r.json', time=0.5, times=None, threshold=None, staggered=True, "
+     "registry='r.json', time=0.5, times=None, threshold=None, "
      "theta_range=None, epsilon=None, candidates=None, seed=None, entries=None, "
      "probe='a')"),
-    (ConfigKind, "command required optional one_of",
-     ("associate", ("registry", "time"), ("staggered",), ()),
-     "ConfigKind(command='associate', required=('registry', 'time'), "
-     "optional=('staggered',), one_of=())"),
+    (ConfigKind, "command required one_of",
+     ("print", ("entries",), ("modes", "registry")),
+     "ConfigKind(command='print', required=('entries',), "
+     "one_of=('modes', 'registry'))"),
     (FockWorkspace,
      "dim omega gamma a adag atil atildag j_plus j_minus h_int number number_flipped "
      "interior", tuple(range(13)),
@@ -112,10 +112,10 @@ DEFAULTS = {
     RegistryEntry: {"printed_at": 0.0},
     Registry: {"entries": ()},
     CodeSpec: {"thetas": None, "beta": None, "sample": None},
-    ExperimentConfig: {**dict.fromkeys(
+    ExperimentConfig: dict.fromkeys(
         "modes code registry time times threshold theta_range epsilon candidates "
-        "seed entries probe".split()), "staggered": False},
-    ConfigKind: {"optional": (), "one_of": ()},
+        "seed entries probe".split()),
+    ConfigKind: {"one_of": ()},
 }
 
 IDS = [case[0].__name__ for case in CASES]
