@@ -273,8 +273,10 @@ def _log_overlap_rows(gaps: np.ndarray) -> np.ndarray:
     `states.log_overlap` gives for two rows whose difference is g, bit for
     bit, -inf for a row whose terms sum past the float range. The sums are
     `states._row_sums_nonneg`, math.fsum's value with no Python call per
-    row; every caller takes overlaps as math.exp of them, as
-    `states.overlap` does."""
+    row: one TwoSum cascade across the K columns, exact for every row that
+    its certificate admits (every pair of a clustered registry's block).
+    Every caller takes overlaps as math.exp of them, as `states.overlap`
+    does."""
     return -_row_sums_nonneg(log_cosh(gaps))
 
 
@@ -304,7 +306,8 @@ def _pair_rects(frame: tuple):
     rows a..b-1 are the fewest whole rows holding _PAIR_CHUNK pairs, cut at
     b = n - 1, so no array spans the triangle. Each gap[k] is contiguous,
     so a block of pairs taken from it as a (K, m) array and read through
-    its transpose runs `_row_sums`' column loop over contiguous memory."""
+    its transpose runs `_row_sums_nonneg`'s TwoSum cascade, one column at
+    a time, over contiguous memory."""
     codes, gammas, printed = frame
     t, gammas = np.ascontiguousarray(codes.T), gammas[:, None, None]
     n = t.shape[1]
@@ -534,7 +537,7 @@ def _accepts(gap: np.ndarray, log_eps: float) -> bool:
     if 0.5 * q + rate * (q + k) <= -log_eps:
         return False
     near = gap[~_floor_clears(gap, -log_eps)]
-    # a handful of rows at most: math.fsum beats _row_sums' column loop
+    # a handful of rows at most: math.fsum beats _row_sums_nonneg's column loop
     return not len(near) or all(-_fsum_nonneg(r) < log_eps for r in log_cosh(near).tolist())
 
 
@@ -699,12 +702,14 @@ def _number(x, where: str, error=_cfg_error) -> float:
 
 def _number_list(obj, where: str, error=_cfg_error) -> tuple[float, ...]:
     """A JSON array of numbers as floats; `where` is formatted only to name
-    the failing value."""
+    the failing value. A list of plain ints and floats, as JSON parses,
+    passes on one set of its types; the loop runs only for other lists."""
     if not isinstance(obj, list):
         raise error(f"{where} must be an array")
-    for i, x in enumerate(obj):
-        if not _is_number(x):
-            raise error(f"{where}[{i}] must be a number")
+    if not set(map(type, obj)) <= {int, float}:
+        for i, x in enumerate(obj):
+            if not _is_number(x):
+                raise error(f"{where}[{i}] must be a number")
     return tuple(map(float, obj))
 
 

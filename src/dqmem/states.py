@@ -144,8 +144,9 @@ def log_cosh(x):
 
 # rows whose K * max|x| stays below this cannot overflow any partial sum
 _ROW_SUM_LIMIT = 2.0 ** 1020
-# rows that `_row_sums` has summed in this process, and those of them it
-# re-summed with math.fsum; the associate manifest records its run's share
+# rows that `_row_sums` and `_row_sums_nonneg` have summed in this process,
+# and those of them re-summed with math.fsum; the associate manifest records
+# its run's share
 _ROW_SUM_WORK = {"exact_rows": 0, "fsum_rows": 0}
 
 
@@ -218,11 +219,51 @@ def _fsum_nonneg(terms) -> float:
 
 def _row_sums_nonneg(block) -> np.ndarray:
     """`_row_sums` of a block whose terms are each >= 0, with the inf of
-    `_fsum_nonneg` for a row that sums past the float range."""
+    `_fsum_nonneg` for a row that sums past the float range.
+
+    One TwoSum cascade runs across the columns, (s, e) = TwoSum(s, x_c) and
+    q += e, so a row's exact sum is s plus the exact sum of its K - 1
+    errors e. A row takes fl(s + q) under the certificate
+    m >= fl(K 2^-53 s) and 0 < s < 2^1020, m its smallest term (so every
+    term is >= 0 and finite, and no partial sum overflows). Proof, with u
+    the spacing of the floats at m (2^-1074 where K 2^-53 s < 2^-1022):
+    1. The partial sums only grow, so |e| <= 2^-53 s each and the errors
+       total at most B = (K - 1) 2^-53 s <= m < 2^53 u (K, not K - 1, in the
+       test covers its rounding; below 2^-1022, B < 2^-1021 = 2^53 u).
+    2. Every term and partial sum is a float >= m, so a multiple of u, and
+       so is every e: each partial q is a multiple of u below 2^53 u, exact.
+    3. So q is the errors' exact sum, and fl(s + q) the correctly rounded
+       row sum, ties to even included: math.fsum's value.
+    Every other row (a zero or tiny term, a zero sum whose sign fsum picks,
+    a term that is not finite, a sum near the float range, K < 2) goes
+    through `_row_sums`. Both paths add their rows to `_ROW_SUM_WORK`.
+    """
+    x = np.asarray(block, dtype=float)
+    n, k = x.shape
+    if k < 2:
+        return _resum_nonneg(x)
+    # inf and nan only arise in rows left to `_row_sums`, so they warn nowhere
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, q = x[:, 0], np.zeros(n)
+        for c in range(1, k):
+            s, e = _two_sum(s, x[:, c])
+            q += e
+        res = s + q
+        sure = (x.min(axis=1) >= s * (k * 2.0 ** -53)) & (s > 0.0) & (s < _ROW_SUM_LIMIT)
+    rest = np.flatnonzero(~sure)
+    _ROW_SUM_WORK["exact_rows"] += n - rest.size
+    if rest.size:
+        res[rest] = _resum_nonneg(x[rest])
+    return res
+
+
+def _resum_nonneg(x: np.ndarray) -> np.ndarray:
+    """`_row_sums` of rows of terms >= 0, a row summing past the float
+    range giving inf."""
     try:
-        return _row_sums(block)
+        return _row_sums(x)
     except OverflowError:  # some row's fsum: sum every row on its own
-        return np.array([_fsum_nonneg(r) for r in np.asarray(block, float).tolist()])
+        return np.array([_fsum_nonneg(r) for r in x.tolist()])
 
 
 class ModeParams(_Record):

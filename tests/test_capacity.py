@@ -1275,6 +1275,29 @@ def test_load_reports_the_first_bad_entry_value(tmp_path, bad, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("obj, expected", [
+    ([], ()),
+    ([1, 2.5, -0.0], (1.0, 2.5, -0.0)),
+    # a float subclass is a number, though its type is not float itself
+    ([np.float64(0.5), 1], (0.5, 1.0)),
+    ([1.0, True], "x[1] must be a number"),
+    (["0.5"], "x[0] must be a number"),
+    ([0.5, 1, None, "a"], "x[2] must be a number"),
+    ([np.int64(1)], "x[0] must be a number"),
+    ([[1.0]], "x[0] must be a number"),
+    ((1.0, 2.0), "x must be an array"),
+])
+def test_number_list_names_the_first_value_that_is_no_number(obj, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            capacity._number_list(obj, "x")
+        assert str(info.value) == f"invalid experiment config: {expected}"
+    else:
+        got = capacity._number_list(obj, "x")
+        assert got == expected and all(type(v) is float for v in got)
+        assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in expected]
+
+
 def test_load_takes_integer_thetas_and_times(tmp_path):
     reg = registry_k(2, [[0.0, 1.0], [2.0, 0.5]], printed_at=[0.0, 3.0])
     doc = json.loads(registry_to_json(reg))

@@ -21,6 +21,7 @@ from dqmem.states import (
     ModeParams,
     QuantumNumbers,
     _row_sums,
+    _row_sums_nonneg,
     effective_theta,
     effective_thetas,
     evolve,
@@ -328,11 +329,18 @@ def test_log_overlap_slope_saturates():
 
 
 # ---------------------------------------------------------------------------
-# _row_sums: math.fsum of every row, bit for bit
+# _row_sums and _row_sums_nonneg: math.fsum of every row, bit for bit
 
 
 def fsum_rows(block):
     return np.array([math.fsum(r) for r in block], dtype=float).reshape(len(block))
+
+
+def fsum_or_inf(row):
+    try:
+        return math.fsum(row)
+    except OverflowError:  # terms >= 0 summing past the float range
+        return math.inf
 
 
 def same_bits(a, b):
@@ -365,12 +373,34 @@ def row_blocks(draw):
     return np.array(cells, dtype=float).reshape(n, k)
 
 
-@given(block=row_blocks())
+# rows of terms >= 0 outside `_row_sums_nonneg`'s certificate, as patterns
+# repeated to a block's width: a 0.0 term, a 2^-160 term beside 1.0, an
+# all-zero row, sums that overflow (fsum raises, the row is inf) and a sum
+# at the certificate's 2^1020 limit
+_NONNEG_EDGE_ROWS = {
+    "zero_term": [0.0] + [0.75] * 63,
+    "tiny_term": [1.0, 2.0 ** -160] + [1.0] * 62,
+    "all_zero": [0.0],
+    "overflow": [sys.float_info.max],
+    "overflow_late": [1.0, 1.7e308, 1.7e308],
+    "at_limit": [2.0 ** 1019],
+}
+
+
+@given(block=row_blocks(),
+       edges=st.lists(st.sampled_from(sorted(_NONNEG_EDGE_ROWS)), max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_row_sums_equal_fsum_bit_for_bit(block):
+def test_row_sums_equal_fsum_bit_for_bit(block, edges):
     got = _row_sums(block)
     assert got.shape == (block.shape[0],)
     assert same_bits(got, fsum_rows(block))
+    if np.all(block >= 0.0):  # every unsigned draw
+        k = block.shape[1]
+        rows = [np.resize(np.array(_NONNEG_EDGE_ROWS[e]), k) for e in edges]
+        block = np.vstack([block, *rows]) if rows else block
+        got = _row_sums_nonneg(block)
+        assert got.shape == (block.shape[0],)
+        assert same_bits(got, [fsum_or_inf(r) for r in block.tolist()])
 
 
 def count_fsum_calls(monkeypatch):
@@ -425,8 +455,15 @@ def test_row_sums_clustered_registry_block_takes_no_fallback(monkeypatch):
     expected = fsum_rows(block)
     calls = count_fsum_calls(monkeypatch)
     got = _row_sums(block)
-    monkeypatch.undo()
     assert calls == [] and same_bits(got, expected)
+    # the one-cascade path certifies every row: no `_row_sums`, no fsum
+    row_sums_calls = []
+    row_sums = states._row_sums
+    monkeypatch.setattr(states, "_row_sums",
+                        lambda x: row_sums_calls.append(1) or row_sums(x))
+    got = _row_sums_nonneg(block)
+    monkeypatch.undo()
+    assert row_sums_calls == [] and calls == [] and same_bits(got, expected)
 
 
 @pytest.mark.parametrize("row", [
