@@ -47,7 +47,7 @@ from .states import (
     _gammas,
     _gaps,
     _occupations,
-    _row_sums_nonneg,
+    _row_sums,
     _set,
     forgetting_time,
     log_cosh,
@@ -272,12 +272,12 @@ def _log_overlap_rows(gaps: np.ndarray) -> np.ndarray:
     """-fsum_k ln cosh g_k for each row g of a block of Theta gaps: the value
     `states.log_overlap` gives for two rows whose difference is g, bit for
     bit, -inf for a row whose terms sum past the float range. The sums are
-    `states._row_sums_nonneg`, math.fsum's value with no Python call per
-    row: one TwoSum cascade across the K columns, exact for every row that
-    its certificate admits (every pair of a clustered registry's block).
-    Every caller takes overlaps as math.exp of them, as `states.overlap`
-    does."""
-    return -_row_sums_nonneg(log_cosh(gaps))
+    `states._row_sums`, math.fsum's value with no Python call per row: its
+    first tier, one TwoSum cascade across the K columns, is exact for every
+    row of positive terms that its certificate admits (every pair of a
+    clustered registry's block). Every caller takes overlaps as math.exp of
+    them, as `states.overlap` does."""
+    return -_row_sums(log_cosh(gaps))
 
 
 def _pair_frame(registry: Registry, t: float) -> tuple:
@@ -306,8 +306,8 @@ def _pair_rects(frame: tuple):
     rows a..b-1 are the fewest whole rows holding _PAIR_CHUNK pairs, cut at
     b = n - 1, so no array spans the triangle. Each gap[k] is contiguous,
     so a block of pairs taken from it as a (K, m) array and read through
-    its transpose runs `_row_sums_nonneg`'s TwoSum cascade, one column at
-    a time, over contiguous memory."""
+    its transpose runs `_row_sums`'s TwoSum cascades, one column at a time,
+    over contiguous memory."""
     codes, gammas, printed = frame
     t, gammas = np.ascontiguousarray(codes.T), gammas[:, None, None]
     n = t.shape[1]
@@ -537,7 +537,7 @@ def _accepts(gap: np.ndarray, log_eps: float) -> bool:
     if 0.5 * q + rate * (q + k) <= -log_eps:
         return False
     near = gap[~_floor_clears(gap, -log_eps)]
-    # a handful of rows at most: math.fsum beats _row_sums_nonneg's column loop
+    # a handful of rows at most: math.fsum beats _row_sums's column loop
     return not len(near) or all(-_fsum_nonneg(r) < log_eps for r in log_cosh(near).tolist())
 
 
@@ -659,7 +659,7 @@ def forgetting_curve(code: Code, modes: Iterable[ModeParams], times) -> Forgetti
         times=tuple(ts.tolist()),
         self_overlap=tuple(math.exp(x) for x in self_log),
         vacuum_overlap=tuple(math.exp(x) for x in vacuum_log),
-        total_occupation=tuple(_row_sums_nonneg(_occupations(traj)).tolist()),
+        total_occupation=tuple(_row_sums(_occupations(traj)).tolist()),
         tau=forgetting_time(written),
     )
 

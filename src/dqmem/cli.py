@@ -104,7 +104,7 @@ from .capacity import (
     parse_experiment_config,
     registry_to_json,
 )
-from .states import _ROW_SUM_WORK, MemoryState, _gaps, _row_sums_nonneg, np
+from .states import _ROW_SUM_WORK, MemoryState, _gaps, _row_sums, np
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -325,7 +325,7 @@ def _run_evolve(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     traj, occ, _, entropy, energy = thermo._trace(state, times)
     rows = [[t, *thetas, *occupations, total, s, e]
             for t, thetas, occupations, total, s, e
-            in zip(times, traj.tolist(), occ.tolist(), _row_sums_nonneg(occ).tolist(),
+            in zip(times, traj.tolist(), occ.tolist(), _row_sums(occ).tolist(),
                    entropy.tolist(), energy.tolist())]
 
     results = {

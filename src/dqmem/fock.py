@@ -294,9 +294,9 @@ class FockWorkspace(_Record):
         theta_eff = float(theta_eff)
         if theta_eff == 0.0:
             raise ValueError("entropy operator is singular at Theta = 0")
-        ln_sinh2 = 2.0 * math.log(abs(math.sinh(theta_eff)))
-        ln_cosh2 = 2.0 * math.log(math.cosh(theta_eff))
-        return -(ln_sinh2 * self.number - ln_cosh2 * self.number_flipped)
+        ln_sinh_sq = 2.0 * math.log(abs(math.sinh(theta_eff)))
+        ln_cosh_sq = 2.0 * math.log(math.cosh(theta_eff))
+        return -(ln_sinh_sq * self.number - ln_cosh_sq * self.number_flipped)
 
     def entropy_rate_operator(self, theta_eff: float, gamma: float) -> ShiftOperator:
         """Time derivative of entropy_operator along Theta(t) = gamma t - theta."""

@@ -16,6 +16,12 @@ truncated-matrix oracle these closed forms are tested against.
 Conventions: hbar = k_B = 1, pair energy is the mode frequency omega_kappa,
 codes are componentwise >= 0, and negative effective parameters arise only
 through the time dependence.
+
+Sums over the pairs (ln cosh gaps, occupations, entropies, energies) are
+math.fsum's correctly rounded value, and inf where terms >= 0 sum past the
+float range. `_row_sums` is the one exact sum of a block's rows: the terms
+of each row, not its caller, pick how it is summed. The scalar `occupation`
+indexes the array kernel `_occupations`, so it has the bits of the tables.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 __all__ = [
     "ModeParams",
@@ -144,9 +150,8 @@ def log_cosh(x):
 
 # rows whose K * max|x| stays below this cannot overflow any partial sum
 _ROW_SUM_LIMIT = 2.0 ** 1020
-# rows that `_row_sums` and `_row_sums_nonneg` have summed in this process,
-# and those of them re-summed with math.fsum; the associate manifest records
-# its run's share
+# rows that `_row_sums` has summed in this process, and those of them
+# re-summed with math.fsum; the associate manifest records its run's share
 _ROW_SUM_WORK = {"exact_rows": 0, "fsum_rows": 0}
 
 
@@ -158,29 +163,70 @@ def _two_sum(a, b):
 
 
 def _row_sums(block) -> np.ndarray:
-    """math.fsum of each row of an (n, K) block, bit for bit.
+    """math.fsum of each row of an (n, K) block, bit for bit, and inf for a
+    row of terms >= 0 that sums past the float range, as its exact sum does.
 
-    One vectorised pass across the columns runs two TwoSum cascades (Ogita,
-    Rump & Oishi, "Accurate sum and dot product", 2005): s collects the
-    float sum, q the first-level errors, and the second-level errors e2 are
-    kept, so every row's exact sum is s + q + sum(e2). With res = fl(s + q)
-    and e3 its TwoSum error, a row is decided without fsum when
-    - every e2 is 0: res is then the correctly rounded exact sum, ties to
-      even included, which is what math.fsum returns; or
-    - |e3| + a float upper bound of sum |e2| stays below half the ulp of
-      res, taking the smaller ulp below a power of two: the exact sum then
-      lies strictly inside res's rounding interval.
-    Every other row is re-summed by math.fsum itself: rows that are not
-    finite or whose K * max|x| reaches 2**1020 (so fsum raises or returns
-    exactly what it always did), rows summing to zero (the sign of a zero
-    sum is fsum's to choose), and the undecided near-ties. Each call adds
-    its rows, and the rows it re-sums, to `_ROW_SUM_WORK`.
+    The terms pick one of three tiers for each row (after Ogita, Rump &
+    Oishi, "Accurate sum and dot product", 2005):
+    1. One TwoSum cascade across the columns, (s, e) = TwoSum(s, x_c) and
+       q += e, so a row's exact sum is s plus the exact sum of its K - 1
+       errors e. A row takes fl(s + q) under the certificate
+       m >= fl(K 2^-53 s) and 0 < s < 2^1020, m its smallest term, which
+       only rows of positive, finite terms meet (no partial sum then
+       overflows). Proof, with u the spacing of the floats at m (2^-1074
+       where K 2^-53 s < 2^-1022):
+       - the partial sums only grow, so |e| <= 2^-53 s each and the errors
+         total at most B = (K - 1) 2^-53 s <= m < 2^53 u (K, not K - 1, in
+         the test covers its rounding; below 2^-1022, B < 2^-1021 = 2^53 u);
+       - every term and partial sum is a float >= m, so a multiple of u, and
+         so is every e: each partial q is a multiple of u below 2^53 u, exact;
+       - so q is the errors' exact sum, and fl(s + q) the correctly rounded
+         row sum, ties to even included: math.fsum's value.
+    2. Every other row goes to `_second_cascade`, which decides the rows it
+       can bound and leaves the rest undecided.
+    3. An undecided row is re-summed by math.fsum: a row of terms >= 0 whose
+       fsum overflows is inf, and any other row gets fsum's value or raises
+       fsum's exception.
+    Each call adds its rows, and the rows it re-sums, to `_ROW_SUM_WORK`.
     """
     x = np.asarray(block, dtype=float)
     n, k = x.shape
     _ROW_SUM_WORK["exact_rows"] += n
     if n == 0 or k == 0:
         return np.zeros(n)
+    # inf and nan only arise in rows left to the later tiers, so they warn nowhere
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, q = x[:, 0], np.zeros(n)
+        for c in range(1, k):
+            s, e = _two_sum(s, x[:, c])
+            q += e
+        res = s + q
+        sure = (x.min(axis=1) >= s * (k * 2.0 ** -53)) & (s > 0.0) & (s < _ROW_SUM_LIMIT)
+    rest = np.flatnonzero(~sure)
+    if rest.size:
+        res[rest] = _second_cascade(x[rest])
+    return res
+
+
+def _second_cascade(x: np.ndarray) -> np.ndarray:
+    """`_row_sums`'s tiers 2 and 3 for the rows of an (n, K) block, K >= 1.
+
+    One vectorised pass across the columns runs two TwoSum cascades: s
+    collects the float sum, q the first-level errors, and the second-level
+    errors e2 are kept, so every row's exact sum is s + q + sum(e2). With
+    res = fl(s + q) and e3 its TwoSum error, a row is decided without fsum
+    when
+    - every e2 is 0: res is then the correctly rounded exact sum, ties to
+      even included, which is what math.fsum returns; or
+    - |e3| + a float upper bound of sum |e2| stays below half the ulp of
+      res, taking the smaller ulp below a power of two: the exact sum then
+      lies strictly inside res's rounding interval.
+    Every other row is left to math.fsum: rows that are not finite or whose
+    K * max|x| reaches 2**1020 (so fsum raises or returns exactly what it
+    always did), rows summing to zero (the sign of a zero sum is fsum's to
+    choose), and the undecided near-ties.
+    """
+    n, k = x.shape
     s, q = x[:, 0], np.zeros(n)
     e2 = np.zeros((k, n))
     # inf and nan only arise in rows that fsum re-sums, so they warn nowhere
@@ -203,7 +249,8 @@ def _row_sums(block) -> np.ndarray:
     undecided = np.flatnonzero(~decided).tolist()
     _ROW_SUM_WORK["fsum_rows"] += len(undecided)
     for i in undecided:
-        res[i] = math.fsum(x[i])
+        row = x[i]
+        res[i] = _fsum_nonneg(row) if row.min() >= 0.0 else math.fsum(row)
     return res
 
 
@@ -215,55 +262,6 @@ def _fsum_nonneg(terms) -> float:
         return math.fsum(terms)
     except OverflowError:  # "intermediate overflow": finite terms, sum past range
         return math.inf
-
-
-def _row_sums_nonneg(block) -> np.ndarray:
-    """`_row_sums` of a block whose terms are each >= 0, with the inf of
-    `_fsum_nonneg` for a row that sums past the float range.
-
-    One TwoSum cascade runs across the columns, (s, e) = TwoSum(s, x_c) and
-    q += e, so a row's exact sum is s plus the exact sum of its K - 1
-    errors e. A row takes fl(s + q) under the certificate
-    m >= fl(K 2^-53 s) and 0 < s < 2^1020, m its smallest term (so every
-    term is >= 0 and finite, and no partial sum overflows). Proof, with u
-    the spacing of the floats at m (2^-1074 where K 2^-53 s < 2^-1022):
-    1. The partial sums only grow, so |e| <= 2^-53 s each and the errors
-       total at most B = (K - 1) 2^-53 s <= m < 2^53 u (K, not K - 1, in the
-       test covers its rounding; below 2^-1022, B < 2^-1021 = 2^53 u).
-    2. Every term and partial sum is a float >= m, so a multiple of u, and
-       so is every e: each partial q is a multiple of u below 2^53 u, exact.
-    3. So q is the errors' exact sum, and fl(s + q) the correctly rounded
-       row sum, ties to even included: math.fsum's value.
-    Every other row (a zero or tiny term, a zero sum whose sign fsum picks,
-    a term that is not finite, a sum near the float range, K < 2) goes
-    through `_row_sums`. Both paths add their rows to `_ROW_SUM_WORK`.
-    """
-    x = np.asarray(block, dtype=float)
-    n, k = x.shape
-    if k < 2:
-        return _resum_nonneg(x)
-    # inf and nan only arise in rows left to `_row_sums`, so they warn nowhere
-    with np.errstate(over="ignore", invalid="ignore"):
-        s, q = x[:, 0], np.zeros(n)
-        for c in range(1, k):
-            s, e = _two_sum(s, x[:, c])
-            q += e
-        res = s + q
-        sure = (x.min(axis=1) >= s * (k * 2.0 ** -53)) & (s > 0.0) & (s < _ROW_SUM_LIMIT)
-    rest = np.flatnonzero(~sure)
-    _ROW_SUM_WORK["exact_rows"] += n - rest.size
-    if rest.size:
-        res[rest] = _resum_nonneg(x[rest])
-    return res
-
-
-def _resum_nonneg(x: np.ndarray) -> np.ndarray:
-    """`_row_sums` of rows of terms >= 0, a row summing past the float
-    range giving inf."""
-    try:
-        return _row_sums(x)
-    except OverflowError:  # some row's fsum: sum every row on its own
-        return np.array([_fsum_nonneg(r) for r in x.tolist()])
 
 
 class ModeParams(_Record):
@@ -340,7 +338,7 @@ class Code(_Record):
 
     def occupations(self) -> tuple[float, ...]:
         """Per-pair condensate count sinh^2(theta), inf past the float range."""
-        return tuple(map(_sinh2, self.thetas))
+        return tuple(_occupations(self.thetas).tolist())
 
 
 class MemoryState(_Record):
@@ -445,14 +443,6 @@ def effective_theta(state: MemoryState, kappa: int) -> float:
     return float(effective_thetas(state)[_check_index(state, kappa)])
 
 
-def _sinh2(t: float) -> float:
-    """sinh^2 t, inf past |t| ~ 355.7, where it leaves the float range."""
-    try:
-        return math.sinh(t) ** 2
-    except OverflowError:
-        return math.inf
-
-
 def _quarter_exp(x: float) -> float:
     """e^x / 4, inf past the float range: 0.25 * math.exp(x), or where
     math.exp(x) alone overflows, exp(x - ln 4)."""
@@ -464,8 +454,9 @@ def _quarter_exp(x: float) -> float:
 
 def occupation(state: MemoryState, kappa: int) -> float:
     """Occupation sinh^2(Theta) of either member of pair kappa; inf past
-    the float range, as in total_occupation."""
-    return _sinh2(effective_theta(state, kappa))
+    the float range, as in total_occupation. The bits are those of the
+    array kernel `_occupations`, which evolve.csv's occupations come from."""
+    return float(_occupations(effective_thetas(state))[_check_index(state, kappa)])
 
 
 def total_occupation(state: MemoryState) -> float:

@@ -40,7 +40,6 @@ from .states import (
     _gammas,
     _occupations,
     _row_sums,
-    _row_sums_nonneg,
     _trajectory,
     effective_theta,
     effective_thetas,
@@ -208,15 +207,15 @@ def stationarity_residual(state: MemoryState, beta: float) -> np.ndarray:
 def _trace(state: MemoryState, times) -> tuple[np.ndarray, ...]:
     """Theta (T, K) on the grid, occupations, per-mode entropies, and each
     row's total entropy and energy (T,): the sum thermo_snapshot takes at
-    that time, bit for bit, summed by `states._row_sums_nonneg`, so a total
-    past the float range is inf."""
+    that time, bit for bit, summed by `states._row_sums`, so a total of
+    terms >= 0 past the float range is inf."""
     traj = _trajectory(_gammas(state.modes), state.code.thetas, times)
     occ = _occupations(traj)
     s_per = _entropy_per_mode(traj)
     # a mode energy past the float range is inf, as the Python product is
     with np.errstate(over="ignore"):
         energy_per = _energies(state.modes) * occ
-    return traj, occ, s_per, _row_sums_nonneg(s_per), _row_sums_nonneg(energy_per)
+    return traj, occ, s_per, _row_sums(s_per), _row_sums(energy_per)
 
 
 def entropy_trace(state: MemoryState, times) -> np.ndarray:
@@ -226,7 +225,7 @@ def entropy_trace(state: MemoryState, times) -> np.ndarray:
     hits exactly 0 at the forgetting time, and rises strictly after it.
     """
     traj = _trajectory(_gammas(state.modes), state.code.thetas, _checked_times(times))
-    return _row_sums_nonneg(_entropy_per_mode(traj))
+    return _row_sums(_entropy_per_mode(traj))
 
 
 def first_law_ledger(state: MemoryState, times) -> FirstLawLedger:

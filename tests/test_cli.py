@@ -24,7 +24,7 @@ from hypothesis import event, example, given, settings, strategies as st
 import dqmem
 from dqmem import thermo
 from dqmem.cli import main
-from dqmem.states import Code, MemoryState, ModeParams, log_cosh, overlap
+from dqmem.states import Code, MemoryState, ModeParams, log_cosh, occupation, overlap
 
 
 def write_config(tmp_path, name, doc):
@@ -675,6 +675,28 @@ def test_thermo_trace_rows_match_snapshots(tmp_path):
     assert snaps[2].time == 0.5 and snaps[2].beta_per_mode[:2] == (math.inf,) * 2
     assert rows == [[repr(x) for x in (s.time, s.entropy, s.energy, s.beta_fit,
                                        s.beta_fit_residual)] for s in snaps]
+
+
+def test_evolve_occupations_are_the_state_occupations(tmp_path):
+    # one occupation kernel: every cell is `occupation` of the state at its
+    # time, bit for bit, on modes that empty and refill at different times
+    omega = [0.5 + 0.1 * i for i in range(16)]
+    gamma = [0.5 + 0.0625 * i for i in range(16)]
+    thetas = [0.5 + 0.15625 * ((5 * i) % 16) for i in range(16)]
+    cfg = write_config(tmp_path, "evolve.json", {
+        "kind": "evolve",
+        "modes": {"omega": omega, "gamma": gamma},
+        "code": {"thetas": thetas},
+        "times": {"start": 0.0, "stop": 20.0, "num": 400},
+    })
+    out = tmp_path / "evolve_out"
+    assert run(["evolve", "--config", cfg, "--out", out, "--quiet"]) == 0
+    rows = read_csv(out / "evolve.csv")
+    assert rows[0][17:33] == [f"occupation_{i}" for i in range(16)]
+    modes = tuple(ModeParams(i, w, g) for i, (w, g) in enumerate(zip(omega, gamma)))
+    for r in rows[1:]:
+        state = MemoryState(modes, Code(thetas), float(r[0]))
+        assert r[17:33] == [repr(occupation(state, i)) for i in range(16)], r[0]
 
 
 def test_first_law_delta_energy_is_the_thermo_energy_difference(tmp_path):
@@ -1544,6 +1566,17 @@ print([m for m in started if m.split('.')[0] == 'numpy'])
 code = dqmem.cli.main([*sys.argv[1:], '--quiet'])
 print(code, sorted({'numpy._core', 'numpy.version'} & set(sys.modules)))
 """
+
+
+def test_cli_import_starts_no_typing_import():
+    # typing costs a few ms of a clean interpreter's import; numpy imports it
+    # itself, so numpy's directory goes on the path, but no .pth file runs
+    numpy_dir = os.path.dirname(os.path.dirname(np.__file__))
+    proc = python("import sys\n"
+                  "sys.path.append(sys.argv[1])\n"
+                  "import dqmem.cli\n"
+                  "print('typing' in sys.modules)\n", numpy_dir, flags=("-S",))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False\n")
 
 
 def test_numpy_loads_at_its_first_array_use(tmp_path):

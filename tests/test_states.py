@@ -21,7 +21,6 @@ from dqmem.states import (
     ModeParams,
     QuantumNumbers,
     _row_sums,
-    _row_sums_nonneg,
     effective_theta,
     effective_thetas,
     evolve,
@@ -144,6 +143,15 @@ def test_total_occupation_sums_modes():
     modes = (ModeParams(0, 1.0, 1.0), ModeParams(1, 1.0, 0.5))
     s = MemoryState(modes, Code((1.0, 1.0)))
     assert total_occupation(s) == pytest.approx(2.0 * SINH1_SQ, rel=1e-13)
+
+
+def test_total_occupation_is_the_fsum_of_the_occupations():
+    # one occupation kernel: the scalar occupations sum to the total, bit for bit
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        modes = tuple(ModeParams(i, 1.0, g) for i, g in enumerate(rng.uniform(0.5, 1.5, 4)))
+        s = MemoryState(modes, Code(rng.uniform(0.0, 3.0, 4)), float(rng.uniform(0.0, 6.0)))
+        assert math.fsum(occupation(s, i) for i in range(4)) == total_occupation(s)
 
 
 def test_lossless_mode_keeps_its_theta():
@@ -329,7 +337,7 @@ def test_log_overlap_slope_saturates():
 
 
 # ---------------------------------------------------------------------------
-# _row_sums and _row_sums_nonneg: math.fsum of every row, bit for bit
+# _row_sums: math.fsum of every row, bit for bit, inf for terms >= 0 past the range
 
 
 def fsum_rows(block):
@@ -340,6 +348,8 @@ def fsum_or_inf(row):
     try:
         return math.fsum(row)
     except OverflowError:  # terms >= 0 summing past the float range
+        if min(row) < 0.0:
+            raise
         return math.inf
 
 
@@ -373,7 +383,7 @@ def row_blocks(draw):
     return np.array(cells, dtype=float).reshape(n, k)
 
 
-# rows of terms >= 0 outside `_row_sums_nonneg`'s certificate, as patterns
+# rows of terms >= 0 outside the first tier's certificate, as patterns
 # repeated to a block's width: a 0.0 term, a 2^-160 term beside 1.0, an
 # all-zero row, sums that overflow (fsum raises, the row is inf) and a sum
 # at the certificate's 2^1020 limit
@@ -391,16 +401,13 @@ _NONNEG_EDGE_ROWS = {
        edges=st.lists(st.sampled_from(sorted(_NONNEG_EDGE_ROWS)), max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_row_sums_equal_fsum_bit_for_bit(block, edges):
-    got = _row_sums(block)
-    assert got.shape == (block.shape[0],)
-    assert same_bits(got, fsum_rows(block))
     if np.all(block >= 0.0):  # every unsigned draw
         k = block.shape[1]
         rows = [np.resize(np.array(_NONNEG_EDGE_ROWS[e]), k) for e in edges]
         block = np.vstack([block, *rows]) if rows else block
-        got = _row_sums_nonneg(block)
-        assert got.shape == (block.shape[0],)
-        assert same_bits(got, [fsum_or_inf(r) for r in block.tolist()])
+    got = _row_sums(block)
+    assert got.shape == (block.shape[0],)
+    assert same_bits(got, [fsum_or_inf(r) for r in block.tolist()])
 
 
 def count_fsum_calls(monkeypatch):
@@ -454,16 +461,41 @@ def test_row_sums_clustered_registry_block_takes_no_fallback(monkeypatch):
     block = log_cosh(codes[cols] - codes[rows])
     expected = fsum_rows(block)
     calls = count_fsum_calls(monkeypatch)
+    # the first tier certifies every row: no second cascade, no fsum
+    cascade_calls = []
+    second = states._second_cascade
+    monkeypatch.setattr(states, "_second_cascade",
+                        lambda x: cascade_calls.append(1) or second(x))
     got = _row_sums(block)
-    assert calls == [] and same_bits(got, expected)
-    # the one-cascade path certifies every row: no `_row_sums`, no fsum
-    row_sums_calls = []
-    row_sums = states._row_sums
-    monkeypatch.setattr(states, "_row_sums",
-                        lambda x: row_sums_calls.append(1) or row_sums(x))
-    got = _row_sums_nonneg(block)
     monkeypatch.undo()
-    assert row_sums_calls == [] and calls == [] and same_bits(got, expected)
+    assert cascade_calls == [] and calls == [] and same_bits(got, expected)
+
+
+def test_row_sums_of_the_first_law_ledger_take_the_first_tier(monkeypatch):
+    # the ledger's rows are signed, but every row of positive terms within
+    # 2^53 / (2K) of its sum passes the first tier's certificate: on a
+    # K = 16 trajectory grid like perfbench's, none reaches the second cascade
+    rng = np.random.default_rng(1101)
+    k = 16
+    modes = tuple(ModeParams(i, w, g) for i, (w, g) in
+                  enumerate(zip(rng.uniform(0.5, 2.0, k), rng.uniform(0.5, 1.5, k))))
+    state = MemoryState(modes, Code(rng.uniform(0.5, 3.0, k)))
+    ts = np.linspace(0.0, 20.0, 5000)
+    trace = thermo._trace(state, ts)
+    blocks, cascaded = [], []
+    row_sums, second = thermo._row_sums, states._second_cascade
+    monkeypatch.setattr(thermo, "_row_sums", lambda x: blocks.append(x) or row_sums(x))
+    monkeypatch.setattr(states, "_second_cascade",
+                        lambda x: cascaded.extend(x.tolist()) or second(x))
+    thermo._ledger(state, ts, trace)
+    monkeypatch.undo()
+
+    def well_conditioned(row):
+        return min(row) > 0.0 and min(row) >= 2 * k * 2.0 ** -53 * math.fsum(row)
+
+    (block,) = blocks
+    assert sum(map(well_conditioned, block.tolist())) > len(block) // 2
+    assert cascaded and not any(map(well_conditioned, cascaded))
 
 
 @pytest.mark.parametrize("row", [
@@ -474,8 +506,12 @@ def test_row_sums_clustered_registry_block_takes_no_fallback(monkeypatch):
 def test_row_sums_raise_what_fsum_raises(row):
     with pytest.raises((OverflowError, ValueError)) as want:
         math.fsum(row)
+    block = np.array([[0.5] * len(row), row])
+    if min(row) >= 0.0:  # terms >= 0 past the float range: the exact sum, inf
+        assert _row_sums(block).tolist() == [0.5 * len(row), math.inf]
+        return
     with pytest.raises(want.type, match=re.escape(str(want.value))):
-        _row_sums(np.array([[0.5] * len(row), row]))
+        _row_sums(block)
 
 
 def test_row_sums_pass_infinities_and_nan_through_fsum():

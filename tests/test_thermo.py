@@ -390,7 +390,7 @@ def test_scalar_observables_in_range_keep_their_bits(theta):
     # inside the float range the sentinel handling leaves every bit as it was
     state = make_state(-theta if theta < 0.0 else 0.0, t=max(theta, 0.0))
     t = states.effective_theta(state, 0)
-    assert states.occupation(state, 0) == math.sinh(t) ** 2
+    assert states.occupation(state, 0) == states._occupations(np.array([t]))[0]
     assert states.variances(state, 0) == states.Variances(
         0.25 * math.exp(-2.0 * t), 0.25 * math.exp(2.0 * t),
         0.25 * math.exp(2.0 * t), 0.25 * math.exp(-2.0 * t))
