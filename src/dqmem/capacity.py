@@ -40,6 +40,7 @@ from .states import (
     MemoryState,
     ModeParams,
     _LN2,
+    _WORK,
     _Record,
     _checked_modes,
     _checked_times,
@@ -212,8 +213,7 @@ def print_memory(registry: Registry, entry_id: str, code: Code | None = None, *,
     if (code is None) == (beta is None):
         raise ValueError("provide exactly one of code or beta")
     if beta is not None:
-        code = Code(tuple(theta_from_beta(beta, m.omega) for m in registry.modes))
-    assert code is not None
+        code = CodeSpec(beta=beta).realize(registry.modes)
     return registry._extended((RegistryEntry(entry_id=entry_id, code=code,
                                              printed_at=printed_at),))
 
@@ -307,7 +307,7 @@ def _pair_rects(frame: tuple):
     b = n - 1, so no array spans the triangle. Each gap[k] is contiguous,
     so a block of pairs taken from it as a (K, m) array and read through
     its transpose runs `_row_sums`'s TwoSum cascades, one column at a time,
-    over contiguous memory."""
+    over contiguous memory. Each rectangle adds its pairs to `states._WORK`."""
     codes, gammas, printed = frame
     t, gammas = np.ascontiguousarray(codes.T), gammas[:, None, None]
     n = t.shape[1]
@@ -317,6 +317,7 @@ def _pair_rects(frame: tuple):
         while b < n - 1 and size < _PAIR_CHUNK:
             size += n - 1 - b
             b += 1
+        _WORK["pairs"] += size
         # unbound: a local would hold the rectangle while the generator waits
         yield a, _gaps(t[:, None, a + 1:] - t[:, a:b, None], gammas,
                        printed[None, a + 1:] - printed[a:b, None])

@@ -4,13 +4,15 @@ Every run writes its outputs into ``--out`` as a set of files plus a
 ``manifest.json`` recording the exact invocation (the config's path and
 ``config_sha256``, the sha256 of the bytes read from it; seed, library
 versions and numpy's SIMD targets, null for a run that loaded no numpy;
-import and wall time, and ``work``: the counters a run keeps).
-For ``oracle-verify`` these are the Taylor stages and terms of its
-exponentials, one matvec a term. For ``associate`` they are ``pairs``,
-n(n - 1)/2; ``exact_rows``, the pairs whose log-overlap the exact row sum
-takes (every pair for a matrix, those the floor leaves for a graph); and
-``fsum_rows``, those of them it re-sums with ``math.fsum``. Other runs
-write ``work: {}``. ``summary.json`` holds the one echo of the config.
+import and wall time, and ``work``: what the run added to each key of the
+one process-wide counter table, `states._WORK`). Every run has the same
+five keys: ``pairs``, the entry pairs it read (n(n - 1)/2 for
+``associate``); ``exact_rows``, the rows the exact row sum took (a
+pair's log-overlap, a recall score, a total at one time point);
+``fsum_rows``, those of them it re-summed with ``math.fsum``; and
+``taylor_stages`` and ``taylor_terms``, those of the oracle's matrix
+exponentials, one matvec a term. ``summary.json`` holds the one echo of
+the config.
 ``wall_time_s`` runs from parsing the config to the last artifact written
 before the manifest, and ``artifacts`` lists every file the run wrote.
 Each artifact goes to ``<name>.partial`` first, a CSV line by line as its
@@ -104,7 +106,7 @@ from .capacity import (
     parse_experiment_config,
     registry_to_json,
 )
-from .states import _ROW_SUM_WORK, MemoryState, _gaps, _row_sums, np
+from .states import _WORK, MemoryState, _gaps, _row_sums, np
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -248,18 +250,9 @@ def _parse_config(args) -> tuple[ExperimentConfig, str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (artifacts, results, stdout line), and one
-# that counts its work a fourth item, `_work_since`'s function. An artifact is
-# finished text, a CSV (header, rows) or an iterable of finished lines; main
-# renders the CSVs and puts the results into summary.json.
-
-
-def _work_since(counters: dict, prefix: str = "", **fixed):
-    """A function giving `fixed` and what each of `counters` gained since
-    this call, named prefix + its key. The manifest calls it once every
-    other artifact is written, so work done while a CSV streams counts."""
-    before = dict(counters)
-    return lambda: {**fixed, **{prefix + k: n - before[k] for k, n in counters.items()}}
+# subcommand handlers; each returns (artifacts, results, stdout line). An
+# artifact is finished text, a CSV (header, rows) or an iterable of finished
+# lines; main renders the CSVs and puts the results into summary.json.
 
 
 def _run_print(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
@@ -412,11 +405,9 @@ def _matrix_rows(ids, frame):
         cursors.append(itertools.chain.from_iterable(_cells(upper)))
 
 
-def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str, object]:
+def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     registry = load_registry(cfg.registry)
     n = len(registry.ids)
-    # the pairs, the rows the exact sum reads and those it re-sums with fsum
-    work = _work_since(_ROW_SUM_WORK, pairs=n * (n - 1) // 2)
     if cfg.kind == "fidelity-matrix":
         # no file is opened before the time and printing times are checked
         frame = _pair_frame(registry, cfg.time)
@@ -427,7 +418,7 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str, object]:
             "metric": FidelityMatrix.metric,
         }
         return ({"fidelity.csv": _matrix_rows(registry.ids, frame)},
-                results, f"fidelity matrix over {n} entries", work)
+                results, f"fidelity matrix over {n} entries")
 
     graph = association_graph(registry, cfg.time, cfg.threshold)
     results = {
@@ -439,8 +430,7 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str, object]:
     }
     line = (f"{len(graph.edges)} association edges, "
             f"{len(graph.clusters)} clusters at threshold {graph.threshold:g}")
-    return ({"edges.csv": (["entry_a", "entry_b", "fidelity"], graph.edges)}, results, line,
-            work)
+    return {"edges.csv": (["entry_a", "entry_b", "fidelity"], graph.edges)}, results, line
 
 
 def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
@@ -477,13 +467,11 @@ def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
 # oracle-verify
 
 
-def _run_oracle_verify(dim: int) -> tuple[dict, dict, str, object]:
+def _run_oracle_verify(dim: int) -> tuple[dict, dict, str]:
     if dim < 64:
         raise CliError("usage",
                        f"--dim must be >= 64 for oracle-verify, got {dim}")
     from . import fock
-    # the Taylor stages and terms (one matvec each) of the suite's exponentials
-    work = _work_since(fock._TAYLOR_WORK, "taylor_")
     rows = fock._verify_rows(dim)
     failed = [f"{r[0]}[{r[1]}]" for r in rows if r[5] == "fail"]
     results = {
@@ -495,15 +483,18 @@ def _run_oracle_verify(dim: int) -> tuple[dict, dict, str, object]:
     line = (f"{len(failed)} of {len(rows)} checks failed" if failed
             else f"all {len(rows)} checks within tolerance")
     return ({"residuals.csv": (["check", "detail", "value", "lo", "hi", "status"], rows)},
-            results, line, work)
+            results, line)
 
 
 # ---------------------------------------------------------------------------
 # driver
 
 
-def _manifest(args, argv: list[str], config_sha256, seed, work, names: list[str],
+def _manifest(args, argv: list[str], config_sha256, seed, before: dict, names: list[str],
               wall: float) -> str:
+    """The manifest's text. before is `_WORK` as it stood before the run;
+    the manifest is written after every other artifact, so the work done
+    while a CSV streams counts."""
     umath = (sys.modules.get("numpy._core._multiarray_umath")
              or sys.modules.get("numpy.core._multiarray_umath"))  # numpy 1.x
     return _json_text({
@@ -526,7 +517,7 @@ def _manifest(args, argv: list[str], config_sha256, seed, work, names: list[str]
         },
         "import_s": _IMPORT_S,
         "wall_time_s": wall,
-        "work": work(),
+        "work": {key: count - before[key] for key, count in _WORK.items()},
     })
 
 
@@ -565,18 +556,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args) -> tuple[dict, dict, str, str, object, object, object, object]:
+def _dispatch(args) -> tuple[dict, dict, str, str, object, object, object, dict]:
     """Returns (artifacts, results, stdout line, kind, config echo, seed,
-    config sha256, a function giving the work counters)."""
+    config sha256, a copy of `_WORK` taken before the handler ran)."""
     handler = _COMMANDS[args.command][1]
+    before = dict(_WORK)
     if "config" not in args:
-        artifacts, results, line, *work = handler(args.dim)
+        artifacts, results, line = handler(args.dim)
         meta = (args.command, {"dim": args.dim}, None, None)
     else:
         cfg, sha256 = _parse_config(args)
-        artifacts, results, line, *work = handler(cfg)
+        artifacts, results, line = handler(cfg)
         meta = (cfg.kind, cfg.raw, cfg.seed, sha256)
-    return (artifacts, results, line, *meta, work[0] if work else dict)  # dict() is {}
+    return (artifacts, results, line, *meta, before)
 
 
 # glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, each pinned at 1 MiB
@@ -624,7 +616,7 @@ def main(argv: list[str] | None = None) -> int:
 
         start = time.perf_counter()
         try:
-            artifacts, results, line, kind, echo, seed, sha256, work = _dispatch(args)
+            artifacts, results, line, kind, echo, seed, sha256, before = _dispatch(args)
             artifacts["summary.json"] = {
                 "command": args.command,
                 "kind": kind,
@@ -634,7 +626,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             # a CSV's rows are computed as its file is written
             _write_artifacts(args.out, artifacts, lambda names: _manifest(
-                args, argv, sha256, seed, work, names, time.perf_counter() - start))
+                args, argv, sha256, seed, before, names, time.perf_counter() - start))
         except RegistryError as exc:
             raise CliError("registry", str(exc)) from exc
         except (ValueError, OverflowError, MemoryError) as exc:  # fsum; an array numpy refuses

@@ -102,7 +102,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import Variances, _Record
+from .states import _WORK, Variances, _Record
 from . import thermo
 
 __all__ = [
@@ -144,10 +144,6 @@ _EVOLVE_MAX_TAIL = (_EVOLVE_BOUND / 2.0) ** 2
 _GUARD_TAIL = 1e-12
 _MAX_PAD_FACTOR = 4
 _MIN_ABS_THETA = 0.05
-
-# stages and terms (one matvec each) of every expm_action call in this
-# process; oracle-verify's manifest records its run's share
-_TAYLOR_WORK = {"stages": 0, "terms": 0}
 
 
 class ShiftOperator:
@@ -465,7 +461,7 @@ def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
     byte-identical. Every vector norm and inner product in this module, the
     term test included, is `_re_inner`, which never enters BLAS, so no
     result depends on the BLAS thread count either. Each call adds its
-    stages and terms (one matvec each) to `_TAYLOR_WORK`.
+    stages and terms (one matvec each) to `states._WORK`.
 
     Raises ValueError, with no warning, if vec has a non-finite entry or
     the matrix a non-finite 1-norm, or one whose plan m* s passes
@@ -508,8 +504,8 @@ def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
                 break
         terms += k
         w = acc
-    _TAYLOR_WORK["stages"] += stages
-    _TAYLOR_WORK["terms"] += terms
+    _WORK["taylor_stages"] += stages
+    _WORK["taylor_terms"] += terms
     return w.astype(np.complex128)
 
 

@@ -150,9 +150,13 @@ def log_cosh(x):
 
 # rows whose K * max|x| stays below this cannot overflow any partial sum
 _ROW_SUM_LIMIT = 2.0 ** 1020
-# rows that `_row_sums` has summed in this process, and those of them
-# re-summed with math.fsum; the associate manifest records its run's share
-_ROW_SUM_WORK = {"exact_rows": 0, "fsum_rows": 0}
+# the work of this process, each key counted where its work happens:
+# `pairs`, the entry pairs of `capacity._pair_rects`' rectangles;
+# `exact_rows`, the rows `_row_sums` sums, and `fsum_rows`, those of them it
+# re-sums with math.fsum; `taylor_stages` and `taylor_terms`, those of
+# `fock.expm_action` (a term is one matvec). Every manifest records its
+# run's share of each
+_WORK = dict.fromkeys(("pairs", "exact_rows", "fsum_rows", "taylor_stages", "taylor_terms"), 0)
 
 
 def _two_sum(a, b):
@@ -187,11 +191,11 @@ def _row_sums(block) -> np.ndarray:
     3. An undecided row is re-summed by math.fsum: a row of terms >= 0 whose
        fsum overflows is inf, and any other row gets fsum's value or raises
        fsum's exception.
-    Each call adds its rows, and the rows it re-sums, to `_ROW_SUM_WORK`.
+    Each call adds its rows, and the rows it re-sums, to `_WORK`.
     """
     x = np.asarray(block, dtype=float)
     n, k = x.shape
-    _ROW_SUM_WORK["exact_rows"] += n
+    _WORK["exact_rows"] += n
     if n == 0 or k == 0:
         return np.zeros(n)
     # inf and nan only arise in rows left to the later tiers, so they warn nowhere
@@ -247,7 +251,7 @@ def _second_cascade(x: np.ndarray) -> np.ndarray:
         half_ulp = 0.5 * (ares - np.nextafter(ares, 0.0))
         decided[inexact] = np.abs(e3[inexact]) + bound < half_ulp
     undecided = np.flatnonzero(~decided).tolist()
-    _ROW_SUM_WORK["fsum_rows"] += len(undecided)
+    _WORK["fsum_rows"] += len(undecided)
     for i in undecided:
         row = x[i]
         res[i] = _fsum_nonneg(row) if row.min() >= 0.0 else math.fsum(row)

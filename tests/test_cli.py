@@ -578,6 +578,55 @@ def test_pair_reads_do_not_depend_on_the_evaluation_time(n, k, staggered, seed, 
             assert len(texts) == 1, name
 
 
+WORK_KEYS = {"pairs", "exact_rows", "fsum_rows", "taylor_stages", "taylor_terms"}
+
+
+def test_every_manifest_counts_its_work(tmp_path, registry_path):
+    # every subcommand's manifest has the same five work keys, each the
+    # run's share of the one process-wide table: recall sums one row per
+    # entry; evolve and forgetting three per time point (the occupations and
+    # the entropy and energy, or two overlaps); thermo-trace two per time
+    # point and one per interval (its heat); only associate reads pairs and
+    # only the oracle Taylor terms, and print, capacity and the oracle sum
+    # no row
+    grid = {"modes": {"omega": [1.0, 2.0], "gamma": [1.0, 0.5]},
+            "code": {"thetas": [0.8, 0.3]},
+            "times": {"start": 0.0, "stop": 2.0, "num": 7}}
+    runs = {
+        "print": ("print", {"kind": "print", "registry": str(registry_path),
+                            "entries": [{"id": "delta", "thetas": [0.2, 0.4]}]}),
+        "recall": ("recall", {"kind": "recall", "registry": str(registry_path),
+                              "time": 0.5, "probe": {"thetas": [0.35, 0.45]}}),
+        "evolve": ("evolve", dict(grid, kind="evolve")),
+        "forgetting": ("forgetting", dict(grid, kind="forgetting-curve")),
+        "thermo-trace": ("thermo-trace", dict(grid, kind="thermo-trace")),
+        "capacity": ("capacity", {
+            "kind": "capacity-sweep", "modes": {"omega": [1.0], "gamma": [1.0]},
+            "theta_range": [0.0, 1.5], "epsilon": 0.05, "candidates": 20, "seed": 1}),
+        "associate": ("associate", {"kind": "fidelity-matrix",
+                                    "registry": str(registry_path), "time": 0.5}),
+    }
+    work = {}
+    for name, (command, doc) in runs.items():
+        config = write_config(tmp_path, f"{name}.json", doc)
+        out = tmp_path / name
+        assert run([command, "--config", config, "--out", out, "--quiet"]) == 0
+        work[name] = json.loads((out / "manifest.json").read_text())["work"]
+    out = tmp_path / "oracle"
+    assert run(["oracle-verify", "--out", out, "--quiet"]) == 0
+    work["oracle-verify"] = json.loads((out / "manifest.json").read_text())["work"]
+    assert all(set(counts) == WORK_KEYS for counts in work.values())
+    rows = {name: counts["exact_rows"] for name, counts in work.items()}
+    assert rows == {"print": 0, "recall": 3, "evolve": 21, "forgetting": 21,
+                    "thermo-trace": 20, "capacity": 0, "associate": 3,
+                    "oracle-verify": 0}
+    assert {name for name, counts in work.items() if counts["pairs"]} == {"associate"}
+    assert work["associate"]["pairs"] == 3
+    assert {name for name, counts in work.items()
+            if counts["taylor_stages"] or counts["taylor_terms"]} == {"oracle-verify"}
+    assert 0 < work["oracle-verify"]["taylor_stages"] < work["oracle-verify"]["taylor_terms"]
+
+
 def test_associate_manifest_counts_the_pair_work(tmp_path):
     # pairs n(n - 1)/2; the rows the exact sum reads (every pair for the
     # matrix, at least every edge for the graph) and the rows it re-sums
@@ -599,8 +648,9 @@ def test_associate_manifest_counts_the_pair_work(tmp_path):
             assert run(["associate", "--config", config, "--out", out, "--quiet"]) == 0
             work.append(json.loads((out / "manifest.json").read_text())["work"])
         assert work[0] == work[1]
-        assert set(work[0]) == {"pairs", "exact_rows", "fsum_rows"}
+        assert set(work[0]) == WORK_KEYS
         assert work[0]["pairs"] == 30 * 29 // 2
+        assert work[0]["taylor_stages"] == work[0]["taylor_terms"] == 0
         if kind == "fidelity-matrix":
             assert work[0]["exact_rows"] == work[0]["pairs"]
         else:
@@ -647,7 +697,8 @@ def test_oracle_manifest_counts_the_taylor_work(tmp_path):
         assert run(["oracle-verify", "--dim", dim, "--out", out, "--quiet"]) == 0
         work.append(json.loads((out / "manifest.json").read_text())["work"])
     assert work[0] == work[1] == work[2]
-    assert set(work[0]) == {"taylor_stages", "taylor_terms"}
+    assert set(work[0]) == WORK_KEYS
+    assert work[0]["pairs"] == work[0]["exact_rows"] == work[0]["fsum_rows"] == 0
     # a stage count of ceil(||A||_1 / 4) took 3 060 terms here (3 258
     # matvecs with the 1-norms and the observables)
     assert 0 < work[0]["taylor_stages"] < work[0]["taylor_terms"] < 3060

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqmem import fock
-from dqmem.states import Variances
+from dqmem.states import _WORK, Variances
 
 SRC = os.path.dirname(os.path.dirname(fock.__file__))
 
@@ -449,9 +449,9 @@ def test_expm_action_picks_al_mohy_higham_stages():
     # s = ceil(||A||_1 / theta_m*), m* minimizing m * ceil(||A||_1 / theta_m),
     # the smallest m on a tie; each stage sums at most m* terms
     def counts(op, v):
-        before = dict(fock._TAYLOR_WORK)
+        before = dict(_WORK)
         fock.expm_action(op, v)
-        return tuple(fock._TAYLOR_WORK[k] - before[k] for k in ("stages", "terms"))
+        return tuple(_WORK[k] - before[k] for k in ("taylor_stages", "taylor_terms"))
 
     # (1-norm, m*, s): m = 10 costs 10 at 0.14, m = 5 costs 5 * 59; 9.9 is
     # theta_55; past it m = 40 takes 2 stages (80 terms against 55's 110);

@@ -9,6 +9,7 @@ arithmetic, not against itself.
 import math
 import re
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -334,6 +335,62 @@ def test_log_overlap_slope_saturates():
     logs = [log_overlap(MemoryState(modes, s0.code, float(t)), s0) for t in ts]
     slope = np.polyfit(ts, logs, 1)[0]
     assert slope == pytest.approx(-4.0, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# accuracy against 70-digit decimal references: within 4 ulps, relatively
+
+ULP4 = 4 * 2.0 ** -52
+
+
+def decimal_ln_cosh(x: float) -> float:
+    """ln cosh x of the float x, correctly rounded from 70 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 70
+        d = Decimal(x)
+        return float(((d.exp() + (-d).exp()) / 2).ln())
+
+
+def decimal_beta_energy(theta: float) -> float:
+    """-ln tanh^2(theta) of the float theta, from 70 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 70
+        e = (2 * abs(Decimal(theta))).exp()
+        return float(-(((e - 1) / (e + 1)) ** 2).ln())
+
+
+@given(u=st.floats(min_value=0.0, max_value=5.0), sign=st.sampled_from([1.0, -1.0]))
+@settings(max_examples=200, deadline=None)
+def test_log_cosh_matches_a_decimal_reference(u, sign):
+    # log-uniform |x| in [1, 1e5]; at most 3.7e-16 relative on 20 000 such points
+    x = sign * 10.0 ** u
+    want = decimal_ln_cosh(x)
+    assert abs(float(log_cosh(x)) - want) <= ULP4 * want
+
+
+# each kernel with its reference
+NEAR_ZERO = {
+    "log_cosh": (lambda x: float(log_cosh(x)), decimal_ln_cosh),
+    "beta_energy": (lambda t: float(thermo._beta_energy(np.array([t]))[0]),
+                    decimal_beta_energy),
+    "effective_beta": (lambda t: thermo.effective_beta(make_state(t), 0),  # omega = 1
+                       decimal_beta_energy),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="cancellation near 0: ROADMAP item 4's fixes are open")
+@pytest.mark.parametrize("name, x", [
+    ("log_cosh", 1e-8),  # 1.22 relative off: about x, not x^2 / 2
+    ("log_cosh", 1e-12),  # 0.0
+    ("beta_energy", 1e-12),  # 8.0e-7 relative off
+    ("beta_energy", 1e-16),  # 2.8e-3 relative off
+    ("effective_beta", 2.2e-17),  # inf, the empty-pair sentinel, for a pair not empty
+])
+def test_kernels_near_zero_miss_their_decimal_reference(name, x):
+    kernel, reference = NEAR_ZERO[name]
+    want = reference(x)
+    assert abs(kernel(x) - want) <= ULP4 * want
 
 
 # ---------------------------------------------------------------------------
