@@ -102,7 +102,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import _WORK, Variances, _Record
+from .states import _WORK, ModeParams, Variances, _Record
 from . import thermo
 
 __all__ = [
@@ -315,12 +315,8 @@ def build_workspace(dim: int, omega: float = 1.0, gamma: float = 1.0) -> FockWor
     dim = int(dim)
     if dim < _MIN_DIM:
         raise ValueError(f"dim must be >= {_MIN_DIM}, got {dim}")
-    omega = float(omega)
-    gamma = float(gamma)
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
-    if not (gamma >= 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
+    mode = ModeParams(0, omega, gamma)
+    omega, gamma = mode.omega, mode.gamma
 
     # a |k,k> = sqrt(k) |k-1,k> and atil |k,k> = sqrt(k) |k,k-1> are one
     # matrix in the sectors' state order; adag and atildag, with sqrt(k+1),

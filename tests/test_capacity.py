@@ -10,6 +10,7 @@ import json
 import math
 import pathlib
 import pickle
+import re
 import sys
 import threading
 import time
@@ -24,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from dqmem import capacity
 from dqmem.capacity import (
     _expected_log_cosh_gap,
+    CONFIG_KINDS,
     SCHEMA_VERSION,
     CodeSpec,
     Registry,
@@ -1487,23 +1489,74 @@ def test_parse_config_rejects_unknown_kind():
         parse_experiment_config({"kind": "telepathy"})
 
 
+CAPACITY_DOC = {
+    "kind": "capacity-sweep",
+    "modes": {"omega": [1.0], "gamma": [1.0]},
+    "theta_range": [0.0, 1.5], "epsilon": 0.05, "candidates": 10, "seed": 1,
+}
+FORGETTING_DOC = {
+    "kind": "forgetting-curve",
+    "modes": {"omega": [1.0], "gamma": [1.0]},
+    "code": {"thetas": [0.5]},
+    "times": {"start": 0.0, "stop": 1.0, "num": 5},
+}
+
+
 def test_parse_config_capacity_validation():
-    base = {
-        "kind": "capacity-sweep",
-        "modes": {"omega": [1.0], "gamma": [1.0]},
-        "theta_range": [0.0, 1.5],
-        "epsilon": 0.05,
-        "candidates": 10,
-        "seed": 1,
-    }
+    base = CAPACITY_DOC
     cfg = parse_experiment_config(base)
     assert cfg.kind == "capacity-sweep"
     assert cfg.theta_range == (0.0, 1.5)
-    bad = dict(base, epsilon=1.5)
-    with pytest.raises(ValueError, match="epsilon"):
-        parse_experiment_config(bad)
+    # the range of epsilon is greedy_pack's to check, not the parser's
+    bad = parse_experiment_config(dict(base, epsilon=1.5))
+    assert bad.epsilon == 1.5
+    with pytest.raises(ValueError, match=re.escape("epsilon must be in (0, 1), got 1.5")):
+        capacity_estimate(bad.modes, bad.theta_range, bad.epsilon, bad.candidates, bad.seed)
     with pytest.raises(ValueError, match="missing keys"):
         parse_experiment_config({k: v for k, v in base.items() if k != "seed"})
+
+
+# one bad document per raise of the config parsers -> its exact message
+BAD_CONFIGS = [
+    ([CAPACITY_DOC], "top level must be an object"),
+    ({"kind": "telepathy"},
+     f"unknown kind 'telepathy'; expected one of {list(CONFIG_KINDS)}"),
+    (dict(CAPACITY_DOC, modes=[1.0]), "modes must be an object"),
+    (dict(CAPACITY_DOC, typo=1), "capacity-sweep: unknown keys ['typo']"),
+    ({k: v for k, v in CAPACITY_DOC.items() if k != "seed"},
+     "capacity-sweep: missing keys ['seed']"),
+    (dict(FORGETTING_DOC, code={"thetas": [0.5], "beta": 1.0}),
+     "code: give exactly one of ['thetas', 'beta', 'sample']"),
+    (dict(CAPACITY_DOC, epsilon="0.05"), "epsilon must be a number"),
+    (dict(CAPACITY_DOC, theta_range=1.5), "theta_range must be an array"),
+    (dict(CAPACITY_DOC, theta_range=[0.0, "1.5"]), "theta_range[1] must be a number"),
+    (dict(CAPACITY_DOC, candidates=True), "candidates must be an integer"),
+    (dict(CAPACITY_DOC, candidates=10.0), "candidates must be an integer"),
+    (dict(CAPACITY_DOC, seed=2 ** 64), "seed must be in [0, 2**64)"),
+    ({"kind": "fidelity-matrix", "registry": 5, "time": 0.0},
+     "registry must be a string"),
+    (dict(CAPACITY_DOC, modes={"omega": [1.0, 1.0], "gamma": [1.0]}),
+     "modes: omega and gamma must be equally sized and non-empty"),
+    (dict(CAPACITY_DOC, modes={"omega": [0.0], "gamma": [1.0]}),
+     "modes: mode omega must be positive and finite, got 0.0"),
+    (dict(FORGETTING_DOC, code={"sample": {"lo": 1.0, "hi": 0.5, "seed": 0}}),
+     "code.sample needs 0 <= lo < hi, both finite"),
+    (dict(FORGETTING_DOC, times={"start": 1.0, "stop": 0.5, "num": 5}),
+     "times: time grid must be strictly increasing"),
+    (dict(FORGETTING_DOC, times={"start": 0.0, "stop": 1.0, "num": 1}),
+     "times: time grid needs at least 2 points"),
+    (dict(CAPACITY_DOC, theta_range=[0.0, 0.5, 1.0]),
+     "theta_range must be a pair [lo, hi]"),
+    ({"kind": "print", "modes": CAPACITY_DOC["modes"], "entries": []},
+     "entries must be a non-empty array"),
+]
+
+
+@pytest.mark.parametrize("doc, message", BAD_CONFIGS)
+def test_each_config_parser_raise_names_its_value(doc, message):
+    with pytest.raises(ValueError) as info:
+        parse_experiment_config(doc)
+    assert str(info.value) == "invalid experiment config: " + message
 
 
 def test_parse_config_times_grid():

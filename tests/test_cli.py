@@ -1145,6 +1145,58 @@ def test_exit_1_on_domain_error(tmp_path, registry_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
+# (kind, path in VALID_CONFIGS' doc, value) -> the one stderr line: each
+# value's range is checked by the model function that reads it
+OUT_OF_RANGE = [
+    ("capacity-sweep", ("epsilon",), 1.5,
+     "error: domain: epsilon must be in (0, 1), got 1.5"),
+    ("capacity-sweep", ("candidates",), 0,
+     "error: domain: candidate_count must be >= 1, got 0"),
+    ("capacity-sweep", ("theta_range",), [1.0, 0.5],
+     "error: domain: empty or invalid theta range [1.0, 0.5)"),
+    ("association-graph", ("threshold",), 0.0,
+     "error: domain: threshold must be in (0, 1), got 0.0"),
+    ("recall", ("time",), -1.0,
+     "error: domain: evaluation time must be finite and >= 0, got -1.0"),
+    ("fidelity-matrix", ("time",), math.inf,
+     "error: domain: evaluation time must be finite and >= 0, got inf"),
+    ("evolve", ("code",), {"beta": -1.0},
+     "error: domain: beta must be positive and finite, got -1.0"),
+    ("print", ("entries",), [{"id": "a", "beta": 0.0}],
+     "error: domain: beta must be positive and finite, got 0.0"),
+    ("capacity-sweep", ("theta_range",), [0.0, math.inf],
+     "error: domain: empty or invalid theta range [0.0, inf)"),
+    ("evolve", ("code",), {"beta": math.inf},
+     "error: domain: beta must be positive and finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("kind, path, value, line", OUT_OF_RANGE, ids=[
+    f"{kind}:{path[0]}={json.dumps(value)}" for kind, path, value, _ in OUT_OF_RANGE])
+def test_a_value_out_of_range_is_one_domain_error(tmp_path, registry_path, capsys,
+                                                  kind, path, value, line):
+    command, doc, _ = VALID_CONFIGS[kind]
+    doc = json.loads(json.dumps(doc).replace(REGISTRY, str(registry_path)))
+    cfg = write_config(tmp_path, "c.json", _replaced(doc, path, value))
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_config_array_or_an_unknown_probe_entry_is_one_config_error(
+        tmp_path, registry_path, capsys):
+    array = write_config(tmp_path, "array.json", [{"kind": "recall"}])
+    probe = write_config(tmp_path, "probe.json", {
+        "kind": "recall", "registry": str(registry_path),
+        "probe": {"entry": "zz"}, "time": 0.5})
+    for cfg, line in (
+            (array, f"error: config: config {array} must hold a JSON object\n"),
+            (probe, "error: config: recall.probe.entry 'zz' not in registry\n")):
+        assert run(["recall", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "o").exists()
+
+
 def test_an_array_numpy_cannot_allocate_is_one_domain_error(tmp_path, capsys):
     # 10**15 time points or candidates ask numpy for petabytes at once, which
     # it refuses before allocating anything: one error line, nothing written
