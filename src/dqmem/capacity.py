@@ -483,6 +483,14 @@ def _candidate_block(thetas) -> np.ndarray:
     return cands
 
 
+def _checked_epsilon(epsilon: float) -> float:
+    """The packing threshold as a float in (0, 1), the one rule for it."""
+    epsilon = float(epsilon)
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    return epsilon
+
+
 def greedy_pack(thetas: Sequence[Sequence[float]], epsilon: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Greedy mutual-distinguishability packing over candidate codes.
 
@@ -509,10 +517,7 @@ def greedy_pack(thetas: Sequence[Sequence[float]], epsilon: float) -> tuple[tupl
     means overlap 0.0, as in `_log_overlap_rows`. Candidates must form a
     finite (n, K) array; an empty sequence packs to ((), ()).
     """
-    epsilon = float(epsilon)
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    log_eps = math.log(epsilon)
+    log_eps = math.log(_checked_epsilon(epsilon))
     cands = _candidate_block(thetas)
     acc = np.empty_like(cands)
     accepted: list[int] = []
@@ -604,6 +609,7 @@ def capacity_estimate(modes: Iterable[ModeParams], theta_range: tuple[float, flo
     lo, hi = (float(theta_range[0]), float(theta_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
         raise ValueError(f"empty or invalid theta range [{lo}, {hi})")
+    epsilon = _checked_epsilon(epsilon)  # before the draw, which it would waste
     candidate_count = _integer(candidate_count, "candidate_count", ValueError)
     if candidate_count < 1:
         raise ValueError(f"candidate_count must be >= 1, got {candidate_count}")
@@ -621,7 +627,7 @@ def capacity_estimate(modes: Iterable[ModeParams], theta_range: tuple[float, flo
     return CapacityReport(
         modes=ms,
         theta_range=(lo, hi),
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         candidate_count=candidate_count,
         seed=seed,
         accepted_count=len(accepted_idx),

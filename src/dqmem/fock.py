@@ -35,12 +35,13 @@ it restricts, so every block entry equals that operator's entry bit for bit.
 An observable that leaves sector 0 (a ladder, a quadrature) is measured by
 its image in sectors -1 and +1. The full pair space (flat index
 n * dim + ntil, `_PairSpace`, which builds each operator on first use)
-remains in two places only: `algebra_residuals` checks the operator
-identities on it at the workspace dim (the CLI uses dim 32), and
-`check_squeeze_factorization` runs its squeezers on its n + ntil even half
-at their own guard dim, because a single-mode squeezer spreads the vacuum
-over every even sector; that check builds only the ladder operators and
-the rotated mode it squeezes.
+holds only the operator identities, which `algebra_residuals` checks on it
+at the workspace dim (the CLI uses dim 32), and the final residual vector
+of `check_squeeze_factorization`. That check runs its squeezers at their
+own guard dim on the n + ntil even half of the pair space, because a
+single-mode squeezer spreads the vacuum over every even sector; each
+squeezer generator is built there directly (`_even_squeezer`), with no
+full-space operator.
 
 The rotated quadrature pair that factorizes the write operation is
 
@@ -192,6 +193,15 @@ class ShiftOperator:
         for d, c in other.coef.items():
             coef[d] = coef[d] + c if d in coef else c
         return ShiftOperator(self.shape, coef)
+
+    def norm1(self) -> float:
+        """The largest column sum of the magnitudes, each column summed as the
+        adjoint's matvec sums its row; past the float range inf, no warning."""
+        col = np.zeros(self.shape[1])
+        with np.errstate(over="ignore"):
+            for _, _, c, cols in reversed(self._spans):
+                col[cols] += abs(c)
+        return float(np.max(col))
 
     def map(self, f) -> ShiftOperator:
         """The operator with f applied to every coefficient vector."""
@@ -353,15 +363,14 @@ def build_workspace(dim: int, omega: float = 1.0, gamma: float = 1.0) -> FockWor
 class _PairSpace:
     """Operators on the whole dim^2 pair space, flat index n * dim + ntil.
 
-    Only the operator identities (`algebra_residuals`) and the squeeze
-    factorization need it. A ladder operator is one offset, dim for a and 1
-    for atil, with zero coefficients where the shift would wrap into the
-    next n. `h0`, `j3` and `casimir` are exact integer diagonals, so [H0,
-    H_int] = 0 and the weight-raising commutators hold float-exactly, not
-    just to round-off; `interior` projects onto {n < dim-1, ntil < dim-1}.
-    Each operator is built on first use and then kept, so the squeeze check
-    builds only a, atil and the rotated mode it squeezes; H0 and H_int are
-    verified Hermitian entrywise when they are built.
+    Only the operator identities (`algebra_residuals`) need it. A ladder
+    operator is one offset, dim for a and 1 for atil, with zero coefficients
+    where the shift would wrap into the next n. `h0`, `j3` and `casimir` are
+    exact integer diagonals, so [H0, H_int] = 0 and the weight-raising
+    commutators hold float-exactly, not just to round-off; `interior`
+    projects onto {n < dim-1, ntil < dim-1}. Each operator is built on
+    first use and then kept; H0 and H_int are verified Hermitian entrywise
+    when they are built.
     """
 
     def __init__(self, dim: int, omega: float = 1.0, gamma: float = 1.0):
@@ -397,32 +406,43 @@ class _PairSpace:
     interior = cached_property(lambda self: self._diag(
         (self.n_index < self.dim - 1) & (self.ntil_index < self.dim - 1)))
 
-    def squeezer_generator(self, r: float, mirror: bool = False) -> ShiftOperator:
-        """Generator of the squeezer S(r) = exp(-r/2 (m^2 - mdag^2)) on m = b
-        (btil with `mirror`): real antisymmetric, so the exponential is
-        orthogonal and the Taylor stages cannot blow up."""
-        mode = self.btil if mirror else self.b
-        mm = mode @ mode
-        return (mm - mm.H) * (-0.5 * r)
+
+def _even_states(dim: int) -> np.ndarray:
+    """Flat pair-space indices n * dim + ntil of the n + ntil even states, in
+    order. The state at position p is 2p, plus one on an odd row n when dim
+    is even, so a state's position is its flat index // 2."""
+    flat = np.arange(0, dim * dim, 2)
+    if dim % 2 == 0:
+        flat += flat // dim % 2
+    return flat
 
 
-def _restrict(op: ShiftOperator, keep: np.ndarray) -> ShiftOperator:
-    """The block of `op` on the sorted states `keep`, indexed by position in
-    keep: entry (i, i + d) lands at offset pos(i + d) - pos(i), which keeps
-    every row's column order. On the n + ntil even half of the pair space
-    the squeezers' six offsets become eight."""
-    pos = np.full(op.shape[1], -1)
-    pos[keep] = np.arange(keep.size)
-    coef: dict[int, np.ndarray] = {}
-    for d, c in op.coef.items():
-        cols = keep + d
-        rows = np.flatnonzero((cols >= 0) & (cols < op.shape[1]))
-        rows = rows[(c[keep[rows]] != 0) & (pos[cols[rows]] >= 0)]
-        shift = pos[cols[rows]] - rows
-        for e in sorted(set(shift.tolist())):  # np.unique would import numpy.ma
-            at = rows[shift == e]
-            coef.setdefault(e, np.zeros(keep.size, c.dtype))[at] = c[keep[at]]
-    return ShiftOperator((keep.size, keep.size), coef)
+def _even_squeezer(dim: int, r: float, mirror: bool) -> ShiftOperator:
+    """Generator of the squeezer S(r) = exp(-r/2 (m^2 - mdag^2)) on m = b
+    (btil with `mirror`) of the dim^2 pair space, on its n + ntil even half:
+    real antisymmetric, so the Taylor stages cannot blow up. Its entries are
+    the pair space's literal products m = (a -+ atil) * (1/sqrt2) and (m @ m
+    - (m @ m).H) * (-r/2) at the even states. m @ m moves a state 2, dim + 1
+    and 2 dim flat places on; at position flat // 2 that is 1, (dim + 1) //
+    2 from an even flat index or dim // 2 + 1 from an odd one, and dim.
+    """
+    flat = _even_states(dim)
+    n, ntil = np.divmod(flat, dim)
+    k = np.arange(dim + 1)
+    # a's and atil's coefficient sqrt(k + 1) at level k, zero at the top
+    # level, where the shift would wrap into the next row, and past it
+    root = np.where(k < dim - 1, np.sqrt(k + 1.0), 0.0)
+    c1 = (root if mirror else -root) * _RSQRT2  # m's at flat offset 1
+    cd = root * _RSQRT2  # m's at flat offset dim
+    # (n + 1, ntil + 1) is reached through (n, ntil + 1) and through (n + 1,
+    # ntil), summed in that order
+    cross = c1[ntil] * cd[n] + cd[n] * c1[ntil]
+    step = (dim + 1 + flat % 2) // 2
+    coef = {1: c1[ntil] * c1[ntil + 1], dim: cd[n] * cd[n + 1]}
+    for e in {(dim + 1) // 2, dim // 2 + 1}:
+        coef[e] = np.where(step == e, cross, 0.0)
+    mm = ShiftOperator((flat.size, flat.size), coef)
+    return (mm - mm.H) * (-0.5 * r)
 
 
 def _re_inner(u: np.ndarray, v: np.ndarray) -> float:
@@ -443,21 +463,23 @@ def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
     """Apply exp(matrix) to vec by staged Taylor series, deterministically.
 
     The series runs on the matrix and vector as given: a caller that wants
-    a subspace passes the block of the matrix on it (`_restrict`) and the
-    vector's entries there, as `check_squeeze_factorization` does. The
-    stages and terms are Al-Mohy and Higham's (SIAM J. Sci. Comput. 33
-    (2011) 488): with the exact 1-norm ||A||_1 and their double-precision
-    Taylor bounds theta_m (`_THETA`), the degree m* minimizes the cost
-    m * ceil(||A||_1 / theta_m), and the series runs s = ceil(||A||_1 /
-    theta_m*) stages of at most m* terms. Each stage ends early once a term
-    is below _EXPM_TOL relative to the partial sum. When matrix and vec
-    are both real, as every exponent the oracle takes is, the series runs in
-    float64; the result is complex128 either way. Deterministic by
-    construction (no norm estimation, no randomness), so rerun artifacts are
-    byte-identical. Every vector norm and inner product in this module, the
-    term test included, is `_re_inner`, which never enters BLAS, so no
-    result depends on the BLAS thread count either. Each call adds its
-    stages and terms (one matvec each) to `states._WORK`.
+    a subspace builds the block of the matrix on it and passes the vector's
+    entries there, as `check_squeeze_factorization` does (`_even_squeezer`).
+    The stages and terms are Al-Mohy and Higham's (SIAM J. Sci. Comput. 33
+    (2011) 488): with the exact 1-norm ||A||_1 (the largest column sum of
+    the entries' magnitudes) and their double-precision Taylor bounds
+    theta_m (`_THETA`), the degree m* minimizes the cost m * ceil(||A||_1 /
+    theta_m), and the series runs s = ceil(||A||_1 / theta_m*) stages of at
+    most m* terms. Each stage ends early once a term is below _EXPM_TOL
+    relative to the partial sum. When matrix and vec are both real, as
+    every exponent the oracle takes is, the series runs in float64, on the
+    matrix itself when it is float64 already; the result is complex128
+    either way. Deterministic by construction (no norm estimation, no
+    randomness), so rerun artifacts are byte-identical. Every vector norm
+    and inner product in this module, the term test included, is
+    `_re_inner`, which never enters BLAS, so no result depends on the BLAS
+    thread count either. Each call adds its stages and terms (one matvec
+    each) to `states._WORK`.
 
     Raises ValueError, with no warning, if vec has a non-finite entry or
     the matrix a non-finite 1-norm, or one whose plan m* s passes
@@ -467,12 +489,12 @@ def expm_action(matrix: ShiftOperator, vec: np.ndarray) -> np.ndarray:
     w = np.asarray(vec, dtype=np.complex128)
     if not np.isfinite(w).all():
         raise ValueError("expm_action: the vector has a non-finite entry")
-    if not (any(np.any(c.imag) for c in matrix.coef.values()) or np.any(w.imag)):
-        matrix = matrix.map(lambda c: c.real.copy())  # contiguous, for the matvecs
+    if not (np.any(w.imag) or matrix.dtype.kind == "c"
+            and any(np.any(c.imag) for c in matrix.coef.values())):
+        if matrix.dtype != np.float64:
+            matrix = matrix.map(lambda c: c.real.copy())  # contiguous, for the matvecs
         w = w.real.copy()
-    # the largest column sum, as the row sums of the adjoint's magnitudes
-    with np.errstate(over="ignore"):
-        norm1 = float(np.max(matrix.map(abs).H.dot(np.ones(w.size))))
+    norm1 = matrix.norm1()
     if not math.isfinite(norm1):
         raise ValueError(f"expm_action: the matrix is not finite (1-norm {norm1})")
     # at most m* s matvecs, the fewest the table allows; the smallest m on a
@@ -748,12 +770,13 @@ def check_squeeze_factorization(ws: FockWorkspace, theta: float) -> float:
     tanh(|theta|)^d_pad <= _GUARD_TAIL (1e-12). It is refused when d_pad exceeds
     _MAX_PAD_FACTOR (4) times ws.dim. Both routes have their support in
     closed form: the squeezers run on the n + ntil even half of the pair
-    space, which holds the vacuum and is closed under both, and the write
-    operation is `memory_vector_via_generator` at d_pad, on the paired
-    diagonal (sector 0). The residual depends on
-    theta alone (ws sets only the refusal bound) and reflects the operator
-    identity itself (below 1e-9), while a wrong sign convention still fails
-    at O(1).
+    space, which holds the vacuum and is closed under both, with generators
+    built on that half (`_even_squeezer`), and the write operation is
+    `memory_vector_via_generator` at d_pad, on the paired diagonal (sector
+    0). Only the difference of the two routes is formed on the whole d_pad^2
+    pair space, as one vector. The residual depends on theta alone (ws sets
+    only the refusal bound) and reflects the operator identity itself
+    (below 1e-9), while a wrong sign convention still fails at O(1).
     """
     theta = float(theta)
     d_pad = _guard_dim(theta)
@@ -762,21 +785,18 @@ def check_squeeze_factorization(ws: FockWorkspace, theta: float) -> float:
             f"squeeze factorization budget exceeded at theta={theta}: "
             f"needs dim {d_pad} > {_MAX_PAD_FACTOR} * {ws.dim}"
         )
-    full = _PairSpace(d_pad)
     # the squeezers keep the vacuum on the n + ntil even half, whose first
     # state is |0,0>; the write operation keeps it on the paired diagonal
-    even = np.flatnonzero((full.n_index + full.ntil_index) % 2 == 0)
-    w = np.zeros(even.size)
+    w = np.zeros((d_pad * d_pad + 1) // 2)
     w[0] = 1.0
     for r, mirror in ((-theta, True), (theta, False)):
-        w = expm_action(_restrict(full.squeezer_generator(r, mirror=mirror), even), w)
-    u = np.zeros(full.size, dtype=np.complex128)
+        w = expm_action(_even_squeezer(d_pad, r, mirror), w)
+    u = np.zeros(d_pad * d_pad, dtype=np.complex128)
     u[::d_pad + 1] = memory_vector_via_generator(build_workspace(d_pad), theta)
     # the difference is taken on the whole pair space: the einsum's partial
     # sums, and so the last bits of the residual, depend on where zeros sit
-    v = np.zeros(full.size, dtype=np.complex128)
-    v[even] = w
-    return _norm(u - v)
+    u[_even_states(d_pad)] -= w
+    return _norm(u)
 
 
 def check_entropy_flow(ws: FockWorkspace, theta: float, gamma: float, t: float,

@@ -1507,7 +1507,7 @@ def test_parse_config_capacity_validation():
     cfg = parse_experiment_config(base)
     assert cfg.kind == "capacity-sweep"
     assert cfg.theta_range == (0.0, 1.5)
-    # the range of epsilon is greedy_pack's to check, not the parser's
+    # the range of epsilon is the model's to check, not the parser's
     bad = parse_experiment_config(dict(base, epsilon=1.5))
     assert bad.epsilon == 1.5
     with pytest.raises(ValueError, match=re.escape("epsilon must be in (0, 1), got 1.5")):

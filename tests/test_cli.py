@@ -1183,6 +1183,16 @@ def test_a_value_out_of_range_is_one_domain_error(tmp_path, registry_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+def test_epsilon_is_refused_before_the_candidates_are_drawn(tmp_path, capsys):
+    # 10**15 candidates would ask numpy for petabytes: the epsilon error
+    # comes first, as the one stderr line
+    _, doc, _ = VALID_CONFIGS["capacity-sweep"]
+    cfg = write_config(tmp_path, "c.json", dict(doc, epsilon=1.5, candidates=10 ** 15))
+    assert run(["capacity", "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == "error: domain: epsilon must be in (0, 1), got 1.5\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_a_config_array_or_an_unknown_probe_entry_is_one_config_error(
         tmp_path, registry_path, capsys):
     array = write_config(tmp_path, "array.json", [{"kind": "recall"}])

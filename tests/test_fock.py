@@ -88,6 +88,33 @@ def embed(pair, v):
     return out
 
 
+def squeezer_generator(pair, r, mirror=False):
+    """The reference squeezer generator on the whole pair space: the literal
+    products mode @ mode and (mm - mm.H) * (-r/2) on m = b (btil with
+    `mirror`)."""
+    mode = pair.btil if mirror else pair.b
+    mm = mode @ mode
+    return (mm - mm.H) * (-0.5 * r)
+
+
+def restrict(op, keep):
+    """The block of `op` on the sorted states `keep`, indexed by position in
+    keep: entry (i, i + d) lands at offset pos(i + d) - pos(i), which keeps
+    every row's column order."""
+    pos = np.full(op.shape[1], -1)
+    pos[keep] = np.arange(keep.size)
+    coef = {}
+    for d, c in op.coef.items():
+        cols = keep + d
+        rows = np.flatnonzero((cols >= 0) & (cols < op.shape[1]))
+        rows = rows[(c[keep[rows]] != 0) & (pos[cols[rows]] >= 0)]
+        shift = pos[cols[rows]] - rows
+        for e in sorted(set(shift.tolist())):
+            at = rows[shift == e]
+            coef.setdefault(e, np.zeros(keep.size, c.dtype))[at] = c[keep[at]]
+    return fock.ShiftOperator((keep.size, keep.size), coef)
+
+
 def full_quadratures(pair):
     """(x1, y1, x2, y2) of the rotated pair on the whole pair space."""
     out = []
@@ -255,7 +282,7 @@ def test_shift_operator_arithmetic_matches_dense(dtype):
     assert np.array_equal(dense((edge @ edge).H), dense(edge @ edge).conj().T)
     square = random_shifts(rng, 12, 12, (-5, -2, 0, 3, 7), dtype)
     keep = np.array([0, 2, 3, 7, 8, 11])
-    block = fock._restrict(square, keep)
+    block = restrict(square, keep)
     assert np.array_equal(dense(block), dense(square)[np.ix_(keep, keep)])
 
 
@@ -268,8 +295,7 @@ def test_shift_operator_rounds_as_csr():
     hint = (-0.4j) * ws.h_int
     real = fock.ShiftOperator(hint.shape, {d: c.real for d, c in hint.coef.items()})
     pair = fock._PairSpace(20)
-    gen = pair.squeezer_generator(0.5)
-    for op in (real, fock._restrict(gen, even_half(pair))):
+    for op in (real, fock._even_squeezer(20, 0.5, False)):
         x = rng.normal(size=op.shape[1])
         assert np.array_equal(op.dot(x), sparse.csr_matrix(dense(op).real).dot(x))
     want = sparse.csr_matrix(dense(pair.b)) @ sparse.csr_matrix(dense(pair.b))
@@ -423,11 +449,10 @@ def sector0_write(theta):
 def restricted_squeezer(d_pad, r):
     """The squeezer S_b(r)'s generator on the n + ntil even half at d_pad,
     and the vacuum it acts on."""
-    pair = fock._PairSpace(d_pad)
-    even = even_half(pair)
-    v = np.zeros(even.size)
+    op = fock._even_squeezer(d_pad, r, False)
+    v = np.zeros(op.shape[0])
     v[0] = 1.0
-    return fock._restrict(pair.squeezer_generator(r), even), v
+    return op, v
 
 
 # the write generator's 1-norm is 9.25 at dim 20, one stage near theta_55 =
@@ -491,6 +516,39 @@ def test_expm_action_refuses_non_finite_input():
         fock.expm_action(ws.h_int, bad)
 
 
+def oracle_exponents():
+    """Every kind of exponent oracle-verify takes, as expm_action reads it:
+    -i G(theta) and -i t H_int on sector 0, real, and both squeezer
+    generators on the even half, at the guard dims of the squeeze grid."""
+    out = []
+    for theta in (0.25, 0.5, 1.0):
+        d = fock._guard_dim(theta)
+        ws = fock.build_workspace(d)
+        for op in ((-1j) * ws.generator(theta), (-1j * theta) * ws.h_int):
+            out.append(op.map(lambda c: c.real.copy()))
+        out += [fock._even_squeezer(d, r, mirror) for r, mirror in ((-theta, True), (theta, False))]
+    return out
+
+
+def test_the_1_norm_is_the_adjoints_row_sum_of_magnitudes():
+    # bit for bit the row sums of the adjoint's magnitudes, which sum each
+    # column of the operator in descending offset order
+    def adjoint_row_sums(op):
+        with np.errstate(over="ignore"):
+            return float(np.max(op.map(abs).H.dot(np.ones(op.shape[0]))))
+
+    rng = np.random.default_rng(23)
+    ops = oracle_exponents()
+    for dtype in (float, complex):
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            offsets = set(rng.integers(1 - n, n, size=int(rng.integers(1, 7))).tolist())
+            op = random_shifts(rng, n, n, offsets, dtype)
+            ops.append(op * float(10.0 ** rng.integers(-3, 4)))
+    for op in ops:
+        assert op.norm1() == adjoint_row_sums(op)
+
+
 def test_expm_action_refuses_a_plan_past_the_matvec_budget():
     # a finite 1-norm near 1e300 once planned about 1e298 stages and never
     # returned; now it is one ValueError, at once and with no warning. In a
@@ -533,7 +591,7 @@ def test_closed_form_supports_of_the_oracle_exponents(ws32):
         even[even_half(pair)] = True
         assert even[0]
         for mirror in (False, True):
-            sq = pair.squeezer_generator(0.5, mirror=mirror)
+            sq = squeezer_generator(pair, 0.5, mirror=mirror)
             for d, c in sq.coef.items():
                 rows = np.flatnonzero(c)
                 assert rows.size and np.array_equal(even[rows], even[rows + d])
@@ -543,6 +601,24 @@ def test_closed_form_supports_of_the_oracle_exponents(ws32):
     for op in (ws32.h_int, ws32.generator(0.5)):
         assert set(op.coef) <= {-1, 0, 1}
         assert np.all(op.coef[1][:-1] != 0) and np.all(op.coef[-1][1:] != 0)
+
+
+@pytest.mark.parametrize("d_pad", [12, 13, 20, 21, 36, 102])
+def test_even_squeezer_is_the_restricted_pair_space_generator(d_pad):
+    # built on the even half alone, each generator has the offsets and the
+    # coefficients of the full-space generator's block there, entry for entry
+    pair = fock._PairSpace(d_pad)
+    even = even_half(pair)
+    assert np.array_equal(fock._even_states(d_pad), even)
+    assert even.size == (d_pad * d_pad + 1) // 2
+    for mirror in (False, True):
+        for r in (0.5, -0.5, 1.0, -3.0):
+            want = restrict(squeezer_generator(pair, r, mirror), even)
+            got = fock._even_squeezer(d_pad, r, mirror)
+            assert got.shape == want.shape and list(got.coef) == list(want.coef)
+            assert len(got.coef) == (6 if d_pad % 2 else 8)
+            for d, c in want.coef.items():
+                assert np.array_equal(got.coef[d], c), (mirror, r, d)
 
 
 def test_squeeze_check_write_route_matches_the_pair_space_exponential():
@@ -789,16 +865,19 @@ def test_verify_rows_do_not_depend_on_dim_past_every_guard_dim():
         fock._verify_rows(32)
 
 
-def test_squeeze_check_builds_only_what_it_squeezes(ws64):
-    # the pair space builds each operator on first use: at theta = 1 the
-    # check holds the ladder operators and b or btil of a 102^2-state space
+def test_squeeze_check_builds_only_what_it_squeezes():
+    # at theta = 1 the check builds its generators on the 5 202-state even
+    # half of a 102^2-state space, and only its residual on the whole space
+    ws = fock.build_workspace(128)
+    fock.check_squeeze_factorization(ws, 1.0)  # the first call adds one-time allocations
     tracemalloc.start()
     try:
-        fock.check_squeeze_factorization(ws64, 1.0)
+        resid = fock.check_squeeze_factorization(ws, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5e6
+    assert resid < 1e-8
+    assert peak <= 1.25e6
 
 
 def test_single_mode_squeezer_variances():
@@ -806,7 +885,7 @@ def test_single_mode_squeezer_variances():
     # spreads over every even sector, so it is measured on the pair space
     theta = 0.4
     pair = fock._PairSpace(64)
-    gen = pair.squeezer_generator(theta, mirror=False)
+    gen = squeezer_generator(pair, theta)
     v = fock.expm_action(gen, pair_vacuum(pair))
     dx2, dy2, dx2_mirror, dy2_mirror = full_variances(pair, v)
     assert dx2 == pytest.approx(0.25 * math.exp(2.0 * theta), abs=1e-10)
