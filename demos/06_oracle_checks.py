@@ -25,8 +25,8 @@ v0 = fock.memory_vector(ws, theta)
 print(f"\ncoded vacuum at theta = {theta}:")
 print(f"  occupation   {fock.occupation_expectation(ws, v0):.10f}"
       f"  (closed form {math.sinh(theta) ** 2:.10f})")
-print(f"  casimir      {abs(fock.casimir_expectation(ws, v0)):.2e}"
-      "   (paired sector: exactly 0)")
+print(f"  weight       {fock.weight_expectation(ws, v0):.10f}"
+      "  (<J3> - 1/2, with <ntil> taken as <atil atildag> - 1)")
 
 print("\ndissipative evolution along the drain line:")
 for t in (0.2, 0.4, 0.8, 1.2):

@@ -27,18 +27,23 @@ pair space:
     sector -1:  |k, k+1>,   k = 0 .. dim-2
     sector +1:  |k+1, k>,   k = 0 .. dim-2
 
-A memory state is a length-dim sector-0 vector. `build_workspace` holds the
-ladder blocks from sector 0 into sectors -1 (a, atildag) and +1 (atil,
-adag), and the sector-0 blocks of J+, J-, H_int and the number operators,
-each the same literal product of ladder matrices as the full-space operator
-it restricts, so every block entry equals that operator's entry bit for bit.
-An observable that leaves sector 0 (a ladder, a quadrature) is measured by
-its image in sectors -1 and +1. The full pair space (flat index
-n * dim + ntil, `_PairSpace`, which builds each operator on first use)
-holds only the operator identities, which `algebra_residuals` checks on it
-at the workspace dim (the CLI uses dim 32), and the final residual vector
-of `check_squeeze_factorization`. That check runs its squeezers at their
-own guard dim on the n + ntil even half of the pair space, because a
+A memory state is a length-dim sector-0 vector. Swapping n and ntil fixes
+sector 0 and exchanges sectors -1 and +1, and in the sectors' state order
+atil and atildag have the entries of a and adag. So `build_workspace` holds
+two ladder blocks, a (into sector -1; atil into +1) and adag (into +1;
+atildag into -1), and the sector-0 blocks of J+, J-, H_int and the number
+operators, each the same literal product of ladder matrices as the
+full-space operator it restricts, so every block entry equals that
+operator's entry bit for bit. Each mirror quantity of a memory state is a
+copy (<ntil> = <n>, btil's variances are b's swapped, the two hole
+relations are one), which the oracle computes once. An observable that
+leaves sector 0 (a ladder, a quadrature) is measured by its image in
+sectors -1 and +1. The full pair space (flat index n * dim + ntil,
+`_PairSpace`, which builds each operator on first use) holds only the
+operator identities, which `algebra_residuals` checks on it at the
+workspace dim (the CLI uses dim 32), and the final residual vector of
+`check_squeeze_factorization`. That check runs its squeezers at their own
+guard dim on the n + ntil even half of the pair space, because a
 single-mode squeezer spreads the vacuum over every even sector; each
 squeezer generator is built there directly (`_even_squeezer`), with no
 full-space operator.
@@ -74,18 +79,11 @@ runs each state there with the caller's dim as a cap: its cost follows the
 states, not the cap, and each budget is still enforced at the capped dim.
 
 Fixed tolerances are module constants, not keyword arguments, so every
-check runs at one setting: `expm_action` takes its term limit m* and stage
-count s = ceil(||A||_1 / theta_m*) from the exact 1-norm and Al-Mohy and
-Higham's double-precision bounds _THETA, m* minimizing m * ceil(||A||_1 /
-theta_m), and a stage ends after m* terms or once a term is below
-_EXPM_TOL = 1e-15 of the partial sum; `evolve_vector` allows a tail of
-_EVOLVE_MAX_TAIL = (_EVOLVE_BOUND / 2)^2 = 2.5e-21 along its path, so its
-error stays within _EVOLVE_BOUND = 1e-10; a guard dim is where the tail
-tanh(|Theta|)^d falls to _GUARD_TAIL = 1e-12, and
-`check_squeeze_factorization` runs at its uncapped guard dim d_pad, refusing
-a d_pad above _MAX_PAD_FACTOR = 4 times dim; the hole-relation and
-entropy-flow checks refuse |Theta| below _MIN_ABS_THETA = 0.05. Only
-memory_vector's budget (1e-10) is a parameter.
+check runs at one setting, and each is described where it is used:
+`expm_action`'s Taylor bounds, `evolve_vector`'s tail budget, the guard
+tail of `_guard_dim`, the padding bound of `check_squeeze_factorization`
+and the smallest |Theta| of the hole-relation and entropy-flow checks.
+Only memory_vector's budget (1e-10) is a parameter.
 
 Every operator is a `ShiftOperator`: a few shifted diagonals (a flat
 index offset and one coefficient per row each), the exact form of every
@@ -115,9 +113,7 @@ __all__ = [
     "evolve_vector",
     "oracle_overlap",
     "occupation_expectation",
-    "mirror_occupation_expectation",
     "weight_expectation",
-    "casimir_expectation",
     "quadrature_variances",
     "entropy_expectation",
     "algebra_residuals",
@@ -131,7 +127,7 @@ __all__ = [
 _RSQRT2 = 1.0 / math.sqrt(2.0)
 _MIN_DIM = 4
 
-# fixed tolerances, described in the module docstring
+# fixed tolerances, each described where it is used
 _EXPM_TOL = 1e-15
 # Al-Mohy and Higham's Table 3.1 for u = 2^-53: m Taylor terms of a stage
 # of 1-norm at most theta_m meet the unit roundoff in backward error
@@ -245,40 +241,38 @@ class FockWorkspace(_Record):
     Every operator is a ShiftOperator with float64 coefficients, except the
     complex H_int and generator. The ladder blocks map sector 0 (dim states)
     into one neighbouring sector (dim - 1 states) with offsets 0 and +1: a
-    and atildag into sector -1, atil and adag into sector +1; the adjoint of
-    a block (`.H`) carries its sector back to 0 (a.H is adag there).
-    `j_plus`, `j_minus`, `h_int`, `number` (adag a) and `number_flipped` (a
-    adag) are dim x dim sector-0 blocks on offsets -1, 0 and +1, literal
-    products of ladder blocks (not rebuilt from integer arrays, so
-    expectation checks exercise the same floating arithmetic the identities
-    do). `interior[s]` is the boolean mask of sector s's states inside
-    {n < dim-1, ntil < dim-1}, for s in (-1, 0, 1). The four rotated
-    quadratures are built on first use and then kept in the `__dict__`.
+    into sector -1 (atil into +1), adag into +1 (atildag into -1); the
+    adjoint of a block (`.H`) carries its sector back to 0 (a.H is adag
+    there). `j_plus`, `j_minus`, `h_int`, `number` (adag a) and
+    `number_flipped` (a adag) are dim x dim sector-0 blocks on offsets -1, 0
+    and +1, literal products of ladder blocks (not rebuilt from integer
+    arrays, so expectation checks exercise the same floating arithmetic the
+    identities do). `interior[0]` and `interior[1]` mask the states of
+    sector 0 and of sector +1 (and so -1) inside {n < dim-1, ntil < dim-1}.
+    b's quadratures are built on first use and then kept in the `__dict__`.
     Workspaces compare by identity.
     """
 
-    _fields = ("dim", "omega", "gamma", "a", "adag", "atil", "atildag", "j_plus",
-               "j_minus", "h_int", "number", "number_flipped", "interior")
+    _fields = ("dim", "omega", "gamma", "a", "adag", "j_plus", "j_minus", "h_int",
+               "number", "number_flipped", "interior")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     @cached_property
-    def quadratures(self) -> tuple[ShiftOperator, ...]:
-        """Position and momentum of b, then of btil: (x1, y1, x2, y2).
+    def quadratures(self) -> tuple[ShiftOperator, ShiftOperator]:
+        """Position and momentum of b = (a - atil)/sqrt2: (x1, y1).
 
         Each maps sector 0 onto sectors -1 and +1, stacked in that order: a
         quadrature moves n - ntil by one, so these rows hold all of its image
-        of a memory state. The two position quadratures are real.
+        of a memory state. x1 is real. btil's are not built: on sector 0
+        their images have the magnitudes of y1's and x1's.
         """
         top = np.arange(2 * self.dim - 2) < self.dim - 1
         # sectors -1 and +1 embedded as the top and bottom rows of the stack
         up = ShiftOperator((top.size, self.dim - 1), {0: top})
         down = ShiftOperator((top.size, self.dim - 1), {1 - self.dim: ~top})
-        out = []
-        for sign in (-1.0, 1.0):  # b = (a - atil)/sqrt2, btil = (a + atil)/sqrt2
-            mode = (up @ self.a + down @ (sign * self.atil)) * _RSQRT2
-            dag = (up @ (sign * self.atildag) + down @ self.adag) * _RSQRT2
-            out += [0.5 * (mode + dag), (-0.5j) * (mode - dag)]
-        return tuple(out)
+        mode = (up @ self.a + down @ -self.a) * _RSQRT2
+        dag = (up @ -self.adag + down @ self.adag) * _RSQRT2
+        return 0.5 * (mode + dag), (-0.5j) * (mode - dag)
 
     def vacuum(self) -> np.ndarray:
         """|0,0> as a sector-0 vector."""
@@ -334,10 +328,10 @@ def build_workspace(dim: int, omega: float = 1.0, gamma: float = 1.0) -> FockWor
     root = np.sqrt(np.arange(1, dim, dtype=float))
     a = ShiftOperator((dim - 1, dim), {1: root})
     adag = ShiftOperator((dim - 1, dim), {0: root})
-    atil, atildag = a, adag
-    # each product passes through the one sector its right factor reaches
-    j_plus = a.H @ atildag
-    j_minus = adag.H @ atil
+    # J+ = adag atildag and J- = a atil, each through the one sector its
+    # right factor reaches
+    j_plus = a.H @ adag
+    j_minus = adag.H @ a
     h_int = _hermitian("h_int", (1j * gamma) * (j_plus - j_minus))
 
     k = np.arange(dim)
@@ -349,28 +343,27 @@ def build_workspace(dim: int, omega: float = 1.0, gamma: float = 1.0) -> FockWor
         gamma=gamma,
         a=a,
         adag=adag,
-        atil=atil,
-        atildag=atildag,
         j_plus=j_plus,
         j_minus=j_minus,
         h_int=h_int,
         number=a.H @ a,
         number_flipped=adag.H @ adag,
-        interior={-1: side, 0: k < dim - 1, 1: side},
+        interior={0: k < dim - 1, 1: side},
     )
 
 
 class _PairSpace:
     """Operators on the whole dim^2 pair space, flat index n * dim + ntil.
 
-    Only the operator identities (`algebra_residuals`) need it. A ladder
-    operator is one offset, dim for a and 1 for atil, with zero coefficients
-    where the shift would wrap into the next n. `h0`, `j3` and `casimir` are
-    exact integer diagonals, so [H0, H_int] = 0 and the weight-raising
-    commutators hold float-exactly, not just to round-off; `interior`
-    projects onto {n < dim-1, ntil < dim-1}. Each operator is built on
-    first use and then kept; H0 and H_int are verified Hermitian entrywise
-    when they are built.
+    Only the operator identities (`algebra_residuals`) need it, and the
+    tests, which hold each mirror quantity sector 0 copies against its own
+    atil. A ladder operator is one offset, dim for a and 1 for atil, with
+    zero coefficients where the shift would wrap into the next n. `h0`,
+    `j3` and `casimir` are exact integer diagonals, so [H0, H_int] = 0 and
+    the weight-raising commutators hold float-exactly, not just to
+    round-off; `interior` projects onto {n < dim-1, ntil < dim-1}. Each
+    operator is built on first use and then kept; H0 and H_int are verified
+    Hermitian entrywise when they are built.
     """
 
     def __init__(self, dim: int, omega: float = 1.0, gamma: float = 1.0):
@@ -441,8 +434,14 @@ def _even_squeezer(dim: int, r: float, mirror: bool) -> ShiftOperator:
     coef = {1: c1[ntil] * c1[ntil + 1], dim: cd[n] * cd[n + 1]}
     for e in {(dim + 1) // 2, dim // 2 + 1}:
         coef[e] = np.where(step == e, cross, 0.0)
+    # m m and its adjoint share no offset: scale and negate each in place
+    for c in coef.values():
+        c *= -0.5 * r
     mm = ShiftOperator((flat.size, flat.size), coef)
-    return (mm - mm.H) * (-0.5 * r)
+    adj = mm.H
+    for c in adj.coef.values():
+        np.negative(c, out=c)
+    return mm + adj
 
 
 def _re_inner(u: np.ndarray, v: np.ndarray) -> float:
@@ -542,9 +541,9 @@ def _guard_dim(theta: float, dim: float = math.inf) -> float:
 
 
 def _require_budget(theta: float, dim: int, max_tail: float, what: str) -> None:
-    """Refuse a state whose discarded norm^2, tanh(|theta|)^(2 dim), exceeds max_tail."""
+    """Refuse a state whose discarded norm^2 tanh(|theta|)^(2 dim) is not <= max_tail."""
     tail = math.tanh(abs(theta)) ** (2 * dim)
-    if tail > max_tail:
+    if not tail <= max_tail:
         raise ValueError(
             f"truncation budget exceeded for {what}: discarded tail {tail:.3e} "
             f"> budget {max_tail:.3e}; increase dim"
@@ -623,29 +622,22 @@ def occupation_expectation(ws: FockWorkspace, v: np.ndarray) -> float:
     return _norm(ws.a.dot(v)) ** 2
 
 
-def mirror_occupation_expectation(ws: FockWorkspace, v: np.ndarray) -> float:
-    return _norm(ws.atil.dot(v)) ** 2
-
-
 def weight_expectation(ws: FockWorkspace, v: np.ndarray) -> float:
-    """SU(1,1) weight above the Casimir floor: (<n> + <ntil>)/2."""
-    return 0.5 * (occupation_expectation(ws, v) + mirror_occupation_expectation(ws, v))
-
-
-def casimir_expectation(ws: FockWorkspace, v: np.ndarray) -> float:
-    """(<n> - <ntil>)/2; identically 0 on the paired diagonal sector."""
-    return 0.5 * (occupation_expectation(ws, v) - mirror_occupation_expectation(ws, v))
+    """SU(1,1) weight <J3> - 1/2 = (<n> + <ntil>)/2, with <ntil> taken as
+    <atil atildag> - 1, whose sector-0 block is a adag's: unlike <n>, which
+    <ntil> copies on sector 0, it carries the top level's broken commutator."""
+    return 0.5 * (occupation_expectation(ws, v) + _norm(ws.adag.dot(v)) ** 2 - 1.0)
 
 
 def quadrature_variances(ws: FockWorkspace, v: np.ndarray) -> Variances:
     """Position/momentum variances of the rotated pair (b, btil) in the
-    sector-0 state v.
+    sector-0 state v; btil's are b's swapped (`FockWorkspace.quadratures`).
 
     A quadrature x maps v into sectors -1 and +1, orthogonal to v, so <x> is
     0 and the variance <x^2> - <x>^2 is ||x v||^2.
     """
-    dx2, dy2, dx2_mirror, dy2_mirror = (_norm(q.dot(v)) ** 2 for q in ws.quadratures)
-    return Variances(dx2=dx2, dy2=dy2, dx2_mirror=dx2_mirror, dy2_mirror=dy2_mirror)
+    dx2, dy2 = (_norm(q.dot(v)) ** 2 for q in ws.quadratures)
+    return Variances(dx2=dx2, dy2=dy2, dx2_mirror=dy2, dy2_mirror=dx2)
 
 
 def entropy_expectation(ws: FockWorkspace, v: np.ndarray, theta_eff: float) -> float:
@@ -736,15 +728,15 @@ def algebra_residuals(ws: FockWorkspace) -> dict[str, float]:
     return out
 
 
-def check_hole_relations(ws: FockWorkspace, v: np.ndarray,
-                         theta_eff: float) -> tuple[float, float]:
-    """Interior norms of the two hole relations on a memory state at Theta.
+def check_hole_relations(ws: FockWorkspace, v: np.ndarray, theta_eff: float) -> float:
+    """Interior norm of the hole relations on a memory state at Theta.
 
     Creating a quantum of the damped mode is the same as destroying one of
     its mirror, weighted by cosh/sinh of the effective parameter:
     (adag/cosh - atil/sinh) v, in sector +1, and (atildag/cosh - a/sinh) v,
-    in sector -1, both vanish on exact memory states. Rejects
-    |Theta| < _MIN_ABS_THETA (0.05), where the sinh division degenerates.
+    in sector -1, both vanish on exact memory states; on sector 0 they have
+    the same entries. Rejects |Theta| < _MIN_ABS_THETA (0.05), where the
+    sinh division degenerates.
     """
     theta_eff = float(theta_eff)
     if abs(theta_eff) < _MIN_ABS_THETA:
@@ -754,9 +746,7 @@ def check_hole_relations(ws: FockWorkspace, v: np.ndarray,
         )
     ch = math.cosh(theta_eff)
     sh = math.sinh(theta_eff)
-    r1 = (ws.adag.dot(v) / ch - ws.atil.dot(v) / sh)[ws.interior[1]]
-    r2 = (ws.atildag.dot(v) / ch - ws.a.dot(v) / sh)[ws.interior[-1]]
-    return _norm(r1), _norm(r2)
+    return _norm((ws.adag.dot(v) / ch - ws.a.dot(v) / sh)[ws.interior[1]])
 
 
 def check_squeeze_factorization(ws: FockWorkspace, theta: float) -> float:
@@ -934,7 +924,7 @@ def _verify_rows(dim: int) -> list[list]:
         for sign in (1.0, -1.0):
             big_t = sign * mag
             v = memory_vector(ws, -big_t)
-            r1, r2 = check_hole_relations(ws, v, big_t)
-            add("hole-relations", f"Theta={big_t}", max(r1, r2), 0.0, 1e-8)
+            add("hole-relations", f"Theta={big_t}", check_hole_relations(ws, v, big_t),
+                0.0, 1e-8)
 
     return rows

@@ -87,10 +87,10 @@ CASES = [
      "ConfigKind(command='print', required=('entries',), "
      "one_of=('modes', 'registry'))"),
     (FockWorkspace,
-     "dim omega gamma a adag atil atildag j_plus j_minus h_int number number_flipped "
-     "interior", tuple(range(13)),
-     "FockWorkspace(dim=0, omega=1, gamma=2, a=3, adag=4, atil=5, atildag=6, j_plus=7, "
-     "j_minus=8, h_int=9, number=10, number_flipped=11, interior=12)"),
+     "dim omega gamma a adag j_plus j_minus h_int number number_flipped interior",
+     tuple(range(11)),
+     "FockWorkspace(dim=0, omega=1, gamma=2, a=3, adag=4, j_plus=5, j_minus=6, h_int=7, "
+     "number=8, number_flipped=9, interior=10)"),
 ]
 
 # records compared by identity; every other record compares by its fields
@@ -196,9 +196,9 @@ def test_identity_records_compare_by_identity():
     assert not fm.values.flags.writeable and fm.metric == "overlap"
     with pytest.raises(ValueError):
         fm.values[0, 0] = 1.0
-    ws = FockWorkspace(*range(13))
-    assert ws != FockWorkspace(*range(13)) and ws == ws
-    assert len({ws, FockWorkspace(*range(13))}) == 2
+    ws = FockWorkspace(*range(11))
+    assert ws != FockWorkspace(*range(11)) and ws == ws
+    assert len({ws, FockWorkspace(*range(11))}) == 2
 
 
 def test_records_of_two_classes_differ():
