@@ -334,8 +334,8 @@ def _upper_overlaps(frame: tuple):
     pairs is held at a time, and none while its rows are read."""
     for _, gap in _pair_rects(frame):
         rows, cols = gap.shape[1:]
-        # gap and cells go before the rows are yielded: held while the text
-        # that fidelity.csv's cursors keep grows, they widened the heap
+        # gap and cells go before the rows are yielded, not held while lines are
+        # written; fidelity.csv's cursors hold one short read each, not their row
         cells = np.concatenate([gap[:, r, r:] for r in range(rows)], axis=1)
         del gap
         exps = list(map(math.exp, _log_overlap_rows(cells.T).tolist()))

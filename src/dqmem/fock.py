@@ -289,11 +289,11 @@ class FockWorkspace(_Record):
 
         S(Theta) = -(ndag n ln sinh^2 - n ndag ln cosh^2); its expectation on
         the memory state at Theta is the closed-form pair entropy. Diverges
-        logarithmically at Theta = 0.
+        logarithmically at Theta = 0; a Theta that is 0 or not finite is refused.
         """
         theta_eff = float(theta_eff)
-        if theta_eff == 0.0:
-            raise ValueError("entropy operator is singular at Theta = 0")
+        if not 0.0 < abs(theta_eff) < math.inf:
+            raise ValueError(f"entropy operator needs a finite Theta != 0, got {theta_eff}")
         ln_sinh_sq = 2.0 * math.log(abs(math.sinh(theta_eff)))
         ln_cosh_sq = 2.0 * math.log(math.cosh(theta_eff))
         return -(ln_sinh_sq * self.number - ln_cosh_sq * self.number_flipped)
@@ -301,8 +301,8 @@ class FockWorkspace(_Record):
     def entropy_rate_operator(self, theta_eff: float, gamma: float) -> ShiftOperator:
         """Time derivative of entropy_operator along Theta(t) = gamma t - theta."""
         theta_eff = float(theta_eff)
-        if theta_eff == 0.0:
-            raise ValueError("entropy rate operator is singular at Theta = 0")
+        if not 0.0 < abs(theta_eff) < math.inf:
+            raise ValueError(f"entropy rate operator needs a finite Theta != 0, got {theta_eff}")
         coth = math.cosh(theta_eff) / math.sinh(theta_eff)
         tanh = math.tanh(theta_eff)
         return -(2.0 * gamma * coth * self.number
@@ -736,13 +736,13 @@ def check_hole_relations(ws: FockWorkspace, v: np.ndarray, theta_eff: float) -> 
     (adag/cosh - atil/sinh) v, in sector +1, and (atildag/cosh - a/sinh) v,
     in sector -1, both vanish on exact memory states; on sector 0 they have
     the same entries. Rejects |Theta| < _MIN_ABS_THETA (0.05), where the
-    sinh division degenerates.
+    sinh division degenerates, and a Theta that is not finite.
     """
     theta_eff = float(theta_eff)
-    if abs(theta_eff) < _MIN_ABS_THETA:
+    if not _MIN_ABS_THETA <= abs(theta_eff) < math.inf:
         raise ValueError(
-            f"hole relations are degenerate near Theta = 0 "
-            f"(|{theta_eff}| < {_MIN_ABS_THETA}): sinh division blows up"
+            f"hole relations need a finite |Theta| >= {_MIN_ABS_THETA}, got "
+            f"{theta_eff}: the sinh division degenerates near Theta = 0"
         )
     ch = math.cosh(theta_eff)
     sh = math.sinh(theta_eff)
@@ -799,7 +799,7 @@ def check_entropy_flow(ws: FockWorkspace, theta: float, gamma: float, t: float,
     evolving, so the central difference isolates the operator identity) and
     returns the interior norm of the sector-0 defect. Second order in dt:
     halving dt quarters it. Rejects |Theta| < _MIN_ABS_THETA (0.05), where
-    coth diverges.
+    coth diverges, and a Theta that is not finite.
 
     `gamma` parameterizes the flow being tested and need not equal ws.gamma,
     which only enters H_int.
@@ -811,10 +811,10 @@ def check_entropy_flow(ws: FockWorkspace, theta: float, gamma: float, t: float,
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     theta_t = gamma * t - theta
-    if abs(theta_t) < _MIN_ABS_THETA:
+    if not _MIN_ABS_THETA <= abs(theta_t) < math.inf:
         raise ValueError(
-            f"entropy flow is singular near Theta = 0 "
-            f"(|{theta_t}| < {_MIN_ABS_THETA})"
+            f"entropy flow needs a finite |Theta| >= {_MIN_ABS_THETA}, got "
+            f"{theta_t}: coth diverges near Theta = 0"
         )
     # state at time s is memory_vector(theta - gamma s): effective parameter
     # gamma s - theta with the write convention's sign

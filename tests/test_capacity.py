@@ -1277,6 +1277,20 @@ def test_load_reports_the_first_bad_entry_value(tmp_path, bad, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("modes, message", [
+    ({}, "modes and entries must be arrays"),
+    ([], "invalid registry contents: mode list is empty"),
+])
+def test_load_reports_a_bad_mode_list(tmp_path, modes, message):
+    # with no entries, whose code lengths are checked against the modes first
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema_version": 1, "modes": modes, "entries": []}),
+                    encoding="utf-8")
+    with pytest.raises(RegistryFormatError) as info:
+        load_registry(path)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("obj, expected", [
     ([], ()),
     ([1, 2.5, -0.0], (1.0, 2.5, -0.0)),

@@ -23,7 +23,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import dqmem
 from dqmem import thermo
-from dqmem.cli import main
+from dqmem.cli import _READ, main
 from dqmem.states import Code, MemoryState, ModeParams, log_cosh, occupation, overlap
 
 
@@ -406,7 +406,8 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, monkeypatch, sta
     # thresholds the log-overlaps: both must match the full matrix, at
     # thresholds within an ulp of an overlap and at an overlap of exactly 1;
     # also in blocks of 3 pairs, where the 7 entries span one-row blocks and
-    # a two-row one, with fidelity.csv's cursors splitting 2 cells at a time
+    # a two-row one, with fidelity.csv's cursors reading 1, 2 or 7 bytes back
+    # at a time, so that reads cut cells
     from dqmem import capacity, cli
     from dqmem.capacity import fidelity_matrix, load_registry
     from dqmem.cli import _csv_lines
@@ -438,10 +439,10 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, monkeypatch, sta
     if n == 7:
         assert fm.values[4, 5] == 1.0
         thresholds.append(math.nextafter(1.0, 0.0))
-    for chunk, split in ((capacity._PAIR_CHUNK, cli._SPLIT), (3, 2)):
+    for chunk, read in ((capacity._PAIR_CHUNK, cli._READ), (3, 1), (3, 2), (3, 7)):
         monkeypatch.setattr(capacity, "_PAIR_CHUNK", chunk)
-        monkeypatch.setattr(cli, "_SPLIT", split)
-        out = tmp_path / f"matrix-{chunk}"
+        monkeypatch.setattr(cli, "_READ", read)
+        out = tmp_path / f"matrix-{chunk}-{read}"
         assert run(["associate", "--config", write_config(
             tmp_path, "m.json", dict(doc, kind="fidelity-matrix")), "--out", out,
             "--quiet"]) == 0
@@ -449,7 +450,7 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, monkeypatch, sta
         assert json.loads((out / "summary.json").read_text())["results"]["staggered"] \
             is fm.staggered
         for threshold in thresholds:
-            out = tmp_path / f"graph-{chunk}-{threshold!r}"
+            out = tmp_path / f"graph-{chunk}-{read}-{threshold!r}"
             assert run(["associate", "--config", write_config(
                 tmp_path, "g.json", dict(doc, kind="association-graph", threshold=threshold)),
                 "--out", out, "--quiet"]) == 0
@@ -470,19 +471,21 @@ QUOTED_IDS = ("plain{}", "a,b{}", 'say "hi" {}', "cr\r\nlf{}", "{},", '"{}"', "l
 
 
 @given(n=st.integers(1, 40), k=st.integers(1, 6), chunk=st.sampled_from([1, 2, 3, 7, 1024]),
-       split=st.sampled_from([1, 2, 16]), staggered=st.booleans(), twins=st.booleans(),
+       read=st.sampled_from([1, 2, 7, _READ]), staggered=st.booleans(), twins=st.booleans(),
        seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 2**16))
 @settings(max_examples=100, deadline=None)
-@example(n=40, k=2, chunk=1, split=1, staggered=False, twins=True, seed=1, pick=0)
-@example(n=40, k=3, chunk=7, split=2, staggered=True, twins=False, seed=2, pick=5)
-@example(n=40, k=6, chunk=1024, split=16, staggered=False, twins=True, seed=3, pick=9)
-@example(n=1, k=1, chunk=3, split=2, staggered=True, twins=False, seed=4, pick=0)
-def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, split, staggered, twins,
+@example(n=40, k=2, chunk=1, read=1, staggered=False, twins=True, seed=1, pick=0)
+@example(n=40, k=3, chunk=7, read=2, staggered=True, twins=False, seed=2, pick=5)
+@example(n=40, k=6, chunk=1024, read=_READ, staggered=False, twins=True, seed=3, pick=9)
+@example(n=40, k=4, chunk=3, read=7, staggered=True, twins=True, seed=5, pick=3)
+@example(n=1, k=1, chunk=3, read=2, staggered=True, twins=False, seed=4, pick=0)
+def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, read, staggered, twins,
                                                      seed, pick):
     # fidelity.csv and edges.csv from K-major rectangles of every width, the
     # last rows and a last rectangle cut at row n - 1 included, against the
-    # full matrix: fidelity.csv byte for byte, and the edges and clusters at
-    # a pair's overlap and one ulp either side of it
+    # full matrix: fidelity.csv byte for byte, its cursors reading back 1, 2,
+    # 7 or _READ bytes at a time, and the edges and clusters at a pair's
+    # overlap and one ulp either side of it
     import tempfile
 
     from dqmem import capacity, cli
@@ -515,7 +518,7 @@ def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, split, stagger
         doc = {"registry": str(tmp / "registry.json"), "time": t}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(capacity, "_PAIR_CHUNK", chunk)
-            mp.setattr(cli, "_SPLIT", split)
+            mp.setattr(cli, "_READ", read)
             for a, gap in capacity._pair_rects(capacity._pair_frame(registry, t)):
                 rows, cols = gap.shape[1:]
                 event(f"rows {'1' if rows == 1 else '> 1'}")
@@ -1124,6 +1127,27 @@ def test_exit_1_on_registry_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: registry:")
 
 
+@pytest.mark.parametrize("modes, message", [
+    ({}, "modes and entries must be arrays"),
+    ([], "invalid registry contents: mode list is empty"),
+])
+def test_a_bad_mode_list_is_one_registry_error(tmp_path, registry_path, capsys, modes,
+                                               message):
+    # a registry file whose modes are no array, or an empty one (with no
+    # entries, whose code lengths are checked first): exit 1, one registry
+    # line, and --out keeps the files an earlier run wrote
+    config = write_config(tmp_path, "f.json", {
+        "kind": "fidelity-matrix", "registry": str(registry_path), "time": 0.5})
+    out = tmp_path / "o"
+    assert run(["associate", "--config", config, "--out", out, "--quiet"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    doc = json.loads(registry_path.read_text(encoding="utf-8"))
+    registry_path.write_text(json.dumps(dict(doc, modes=modes, entries=[])), encoding="utf-8")
+    assert run(["associate", "--config", config, "--out", out, "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: registry: {message}\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_exit_1_on_domain_error(tmp_path, registry_path, capsys):
     # every read needs t at or after each printing: a read at 0.5 of a
     # registry extended with a print at 2.0 is refused, naming that entry,
@@ -1400,11 +1424,11 @@ def test_unencodable_cell_is_one_error_and_leaves_no_partial(tmp_path, capsys):
 
 def test_fidelity_run_holds_no_whole_csv_or_triangle_list(tmp_path):
     # a fidelity-matrix run holds no n x n matrix: beside one block of pairs
-    # it keeps, of each written row, its unread cells after the diagonal as
-    # one string, under half the CSV's size (0.75 times the CSV in all); the
-    # whole CSV text, as a string or through a buffer, a list of every pair,
-    # or one string object per unwritten lower cell (1.35 times the CSV,
-    # 1.57 with the matrix) go past it
+    # it keeps, of each written row, a cursor with one short read of its
+    # cells after the diagonal, which wait in a scratch file (0.47 times the
+    # CSV in all); the whole CSV text, as a string or through a buffer, a
+    # list of every pair, or one string object per unwritten lower cell
+    # (1.35 times the CSV, 1.57 with the matrix) go past it
     import tracemalloc
 
     n = 300
@@ -1427,6 +1451,103 @@ def test_fidelity_run_holds_no_whole_csv_or_triangle_list(tmp_path):
     size = (tmp_path / "o" / "fidelity.csv").stat().st_size
     assert size > 1.5e6
     assert peak < size
+
+
+def test_fidelity_rows_hold_memory_linear_in_n():
+    # the cells below the diagonal are read back from the scratch file, so
+    # what fidelity.csv's lines hold grows linearly in n: the tracemalloc
+    # peak of _matrix_rows grows from n = 200 to 400 by about twice (2.07)
+    # what it grows from 100 to 200. Cells held in memory, a term in n^2,
+    # make it 2.9 (each row's unread cells kept as one string, read forward
+    # 16 cells at a time). The ratio of the peaks at 400 and 200 themselves
+    # tells the two apart less well: 1.89 here, 2.48 with held cells
+    import tracemalloc
+
+    from dqmem import cli
+    from dqmem.capacity import Registry, RegistryEntry, _pair_frame
+
+    codes = np.random.default_rng(5).uniform(0.0, 2.0, (400, 2)).tolist()
+    modes = (ModeParams(0, 1.0, 0.5), ModeParams(1, 2.0, 0.25))
+    peaks = []
+    for n in (3, 100, 200, 400):  # the first runs once what a first run sets up
+        registry = Registry(modes, tuple(
+            RegistryEntry(entry_id=f"m{i:04d}", code=Code(tuple(c)), printed_at=0.0)
+            for i, c in enumerate(codes[:n])))
+        frame = _pair_frame(registry, 0.5)
+        tracemalloc.start()
+        try:
+            for _ in cli._matrix_rows(registry.ids, frame):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[3] - peaks[2] < 2.5 * (peaks[2] - peaks[1]), peaks
+
+
+def test_fidelity_scratch_file_that_cannot_open_is_one_io_error(tmp_path, registry_path,
+                                                                monkeypatch, capsys):
+    # the scratch file goes in the platform's temp directory: where it
+    # cannot be made, the run is one io line and --out keeps its files
+    import tempfile
+
+    config = write_config(tmp_path, "f.json", {
+        "kind": "fidelity-matrix", "registry": str(registry_path), "time": 0.5})
+    out = tmp_path / "o"
+    assert run(["associate", "--config", config, "--out", out, "--quiet"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    assert run(["associate", "--config", config, "--out", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: io: ") and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_fidelity_scratch_file_closes_on_every_path(tmp_path, monkeypatch, capsys):
+    # a complete run, a writer that fails on the header (an id with no UTF-8
+    # form) and a kernel that fails after two rows each close the scratch
+    # file before main returns
+    import tempfile
+
+    from dqmem import cli
+
+    opened = []
+    make = tempfile.TemporaryFile
+
+    def spy(**kwargs):
+        opened.append(make(**kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+    cfg = write_config(tmp_path, "print.json", {
+        "kind": "print", "modes": {"omega": [1.0], "gamma": [1.0]},
+        "entries": [{"id": i, "thetas": [0.1 * k]} for k, i in enumerate(["a", "b", "c"])],
+    })
+    assert run(["print", "--config", cfg, "--out", tmp_path / "r", "--quiet"]) == 0
+    config = write_config(tmp_path, "f.json", {
+        "kind": "fidelity-matrix", "registry": str(tmp_path / "r" / "registry.json"),
+        "time": 0.5})
+    assert run(["associate", "--config", config, "--out", tmp_path / "o", "--quiet"]) == 0
+    assert len(opened) == 1 and opened[0].closed
+
+    registry = tmp_path / "r" / "registry.json"
+    good = registry.read_text(encoding="utf-8")
+    doc = json.loads(good)
+    doc["entries"][1]["id"] = "b\ud800"
+    registry.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["associate", "--config", config, "--out", tmp_path / "u", "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: domain: 'utf-8' codec can't encode")
+    assert len(opened) == 2 and opened[1].closed
+    registry.write_text(good, encoding="utf-8")
+
+    def two_rows_then_fail(frame):
+        yield from [[0.5, 0.25], [0.5]]
+        raise ValueError("kernel failed")
+
+    monkeypatch.setattr(cli, "_upper_overlaps", two_rows_then_fail)
+    assert run(["associate", "--config", config, "--out", tmp_path / "k", "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: domain: kernel failed\n"
+    assert len(opened) == 3 and opened[2].closed
+    assert list((tmp_path / "u").glob("*")) == list((tmp_path / "k").glob("*")) == []
 
 
 # ---------------------------------------------------------------------------

@@ -368,13 +368,14 @@ def test_memory_vector_budget_refusal(ws64):
 
 def test_state_builders_refuse_a_nan_theta(ws64):
     # a NaN theta has a NaN tail, which no budget admits: each builder
-    # refuses it before any arithmetic on the state (which would warn)
+    # refuses it before any arithmetic on the state (which would warn);
+    # check_entropy_flow refuses it earlier, at its singular-Theta guard
     nan = float("nan")
     with pytest.raises(ValueError, match="truncation budget"):
         fock.memory_vector(ws64, nan)
     with pytest.raises(ValueError, match="truncation budget"):
         fock.evolve_vector(ws64, ws64.vacuum(), 0.5, theta=nan)
-    with pytest.raises(ValueError, match="truncation budget"):
+    with pytest.raises(ValueError, match="entropy flow needs a finite"):
         fock.check_entropy_flow(ws64, nan, 1.0, 0.3, 1e-4)
 
 
@@ -828,6 +829,34 @@ def test_entropy_expectation_closed_form(ws64):
 def test_entropy_operator_rejects_zero(ws64):
     with pytest.raises(ValueError):
         ws64.entropy_operator(0.0)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_checks_refuse_a_non_finite_theta(ws64, theta):
+    # each is refused with a ValueError naming the value, before any
+    # arithmetic on it: a NaN passed `abs(x) < bound` guards, and an inf
+    # gave a hole residual of 0.0, NaN entropies or warnings (any
+    # RuntimeWarning fails the test)
+    v = fock.memory_vector(ws64, -0.5)
+    got = f"got {theta}$"
+    with pytest.raises(ValueError, match=f"hole relations need a finite .* got {theta}:"):
+        fock.check_hole_relations(ws64, v, theta)
+    with pytest.raises(ValueError, match="entropy operator needs a finite Theta != 0, " + got):
+        fock.entropy_expectation(ws64, v, theta)
+    with pytest.raises(ValueError, match="entropy operator needs a finite Theta != 0, " + got):
+        ws64.entropy_operator(theta)
+    with pytest.raises(ValueError, match="entropy rate operator needs a finite Theta != 0, "
+                       + got):
+        ws64.entropy_rate_operator(theta, 1.0)
+    # Theta(t) = gamma t - theta
+    with pytest.raises(ValueError, match=f"entropy flow needs a finite .* got {-theta}:"):
+        fock.check_entropy_flow(ws64, theta, 1.0, 0.3, 1e-4)
+
+
+def test_entropy_flow_refuses_a_theta_that_overflows(ws64):
+    # gamma t = 1e308 * 10 is inf: the guard refuses it, not the budget
+    with pytest.raises(ValueError, match="entropy flow needs a finite .* got inf:"):
+        fock.check_entropy_flow(ws64, 0.3, 1e308, 10.0, 1e-4)
 
 
 # ---------------------------------------------------------------------------
