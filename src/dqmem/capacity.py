@@ -594,17 +594,11 @@ def _expected_log_cosh_gap(width: float) -> float:
     return head + (w - _LN2) * b * b - (2.0 / 3.0) * w * b ** 3
 
 
-def capacity_estimate(modes: Iterable[ModeParams], theta_range: tuple[float, float],
-                      epsilon: float, candidate_count: int, seed: int) -> CapacityReport:
-    """Greedy capacity estimate: how many mutually distinguishable codes fit.
-
-    Candidates are sampled uniformly in theta_range per mode, the draws of
-    numpy's default_rng(seed).uniform bit for bit (from `dqmem._rng`, which
-    does not import numpy.random), and packed greedily; the whole report is
-    a pure function of (modes, range, epsilon, count, seed). The theoretical
-    summary is the expected pairwise overlap between two random candidates,
-    exp(-K * E[ln cosh gap]), computed by quadrature, not sampling.
-    """
+def _capacity_sweep(modes, theta_range, epsilon, candidate_count, seed) -> tuple:
+    """`capacity_estimate`'s sweep: its five inputs checked, the (n, K) draw,
+    the accepted indices and curve, and the expected pair log-overlap. The
+    draws, lo + (hi - lo) u with u in [0, 1), are finite and >= lo >= 0, so
+    the CLI writes the accepted ones with no `Code` check."""
     ms = _checked_modes(modes)
     lo, hi = (float(theta_range[0]), float(theta_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
@@ -623,20 +617,27 @@ def capacity_estimate(modes: Iterable[ModeParams], theta_range: tuple[float, flo
 
     samples = uniform(seed, lo, hi, candidate_count * len(ms))
     samples = samples.reshape(candidate_count, len(ms))
-    accepted_idx, curve = greedy_pack(samples, epsilon)
-    return CapacityReport(
-        modes=ms,
-        theta_range=(lo, hi),
-        epsilon=epsilon,
-        candidate_count=candidate_count,
-        seed=seed,
-        accepted_count=len(accepted_idx),
-        accepted_indices=accepted_idx,
-        accepted_codes=tuple(map(Code, samples[list(accepted_idx)].tolist())),
-        acceptance_curve=curve,
-        expected_pair_log_overlap=mean_log,
-        expected_pair_overlap=math.exp(mean_log),
-    )
+    return (ms, (lo, hi), epsilon, candidate_count, seed, samples,
+            *greedy_pack(samples, epsilon), mean_log)
+
+
+def capacity_estimate(modes: Iterable[ModeParams], theta_range: tuple[float, float],
+                      epsilon: float, candidate_count: int, seed: int) -> CapacityReport:
+    """Greedy capacity estimate: how many mutually distinguishable codes fit.
+
+    Candidates are sampled uniformly in theta_range per mode, the draws of
+    numpy's default_rng(seed).uniform bit for bit (from `dqmem._rng`, which
+    does not import numpy.random), and packed greedily; the whole report is
+    a pure function of (modes, range, epsilon, count, seed). The theoretical
+    summary is the expected pairwise overlap between two random candidates,
+    exp(-K * E[ln cosh gap]), by quadrature, not sampling. Only this library
+    call builds the accepted codes as `Code` tuples; the CLI writes array rows.
+    """
+    *inputs, samples, accepted, curve, mean_log = _capacity_sweep(
+        modes, theta_range, epsilon, candidate_count, seed)
+    codes = tuple(map(Code, samples[list(accepted)].tolist()))
+    return CapacityReport(*inputs, len(accepted), accepted, codes, curve, mean_log,
+                          math.exp(mean_log))
 
 
 class ForgettingCurve(_Record):
@@ -803,12 +804,10 @@ def _json_parts(obj, newline: str, write) -> None:
                 return
         except TypeError:
             pass
-        sep = "[" + inner
-        for item in obj:
-            write(sep)
-            _json_parts(item, inner, write)
-            sep = "," + inner
-        write(newline + "]" if obj else "[]")
+        _json_items(obj, newline, write)
+    elif _from_numpy(obj) and type(obj) is np.ndarray and obj.ndim > 1:
+        # a row at a time (a subclass goes whole): no float object outlives its row
+        _json_items((row.tolist() for row in obj), newline, write)
     elif _from_numpy(obj) and isinstance(obj, (np.floating, np.integer, np.ndarray)):
         # as its Python float, int or list; numpy's bool is refused below
         _json_parts(float(obj) if isinstance(obj, np.floating) else
@@ -816,6 +815,16 @@ def _json_parts(obj, newline: str, write) -> None:
                     newline, write)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_items(items, newline: str, write) -> None:
+    """Passes the JSON text of a list of items to write, one item at a time."""
+    inner, sep = newline + "  ", "["
+    for item in items:
+        write(sep + inner)
+        _json_parts(item, inner, write)
+        sep = ","
+    write("[]" if sep == "[" else newline + "]")
 
 
 # ---------------------------------------------------------------------------

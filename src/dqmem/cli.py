@@ -16,7 +16,9 @@ the config.
 ``wall_time_s`` runs from parsing the config to the last artifact written
 before the manifest, and ``artifacts`` lists every file the run wrote.
 Each artifact goes to ``<name>.partial`` first, a CSV line by line as its
-rows are computed, so no CSV is held whole in memory. Only when all are
+rows are computed, so no CSV is held whole in memory (``capacity`` writes
+its accepted codes from the candidate array a row at a time, and only the
+library's `capacity_estimate` builds `Code` tuples). Only when all are
 complete are they renamed, ``manifest.json`` last; a failed run deletes
 its ``.partial`` files, so ``--out`` holds the files it held. Before the
 renames, the files that an earlier run's manifest in ``--out`` lists and
@@ -94,6 +96,7 @@ from .capacity import (
     FidelityMatrix,
     RegistryEntry,
     RegistryError,
+    _capacity_sweep,
     _json_parts,
     _json_text,
     _log_overlap_rows,
@@ -101,7 +104,6 @@ from .capacity import (
     _read_json,
     _upper_overlaps,
     association_graph,
-    capacity_estimate,
     forgetting_curve,
     load_registry,
     new_registry,
@@ -352,25 +354,23 @@ def _run_forgetting(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
 
 
 def _run_capacity(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
-    report = capacity_estimate(cfg.modes, cfg.theta_range, cfg.epsilon,
-                               cfg.candidates, cfg.seed)
-    accepted = set(report.accepted_indices)
-    rows = [[i, int(i in accepted), c]
-            for i, c in enumerate(report.acceptance_curve)]
+    modes, theta_range, epsilon, count, seed, candidates, accepted, curve, mean_log = (
+        _capacity_sweep(cfg.modes, cfg.theta_range, cfg.epsilon, cfg.candidates, cfg.seed))
+    # candidate i is accepted iff the running count steps up at i
+    rows = zip(itertools.count(), (b - a for a, b in itertools.pairwise((0, *curve))), curve)
     results = {
-        "accepted_count": report.accepted_count,
-        "accepted_indices": list(report.accepted_indices),
-        "accepted_codes": [c.thetas for c in report.accepted_codes],
-        "epsilon": report.epsilon,
-        "theta_range": list(report.theta_range),
-        "candidate_count": report.candidate_count,
-        "seed": report.seed,
-        "mode_count": len(report.modes),
-        "expected_pair_overlap": report.expected_pair_overlap,
-        "expected_pair_log_overlap": report.expected_pair_log_overlap,
+        "accepted_count": len(accepted),
+        "accepted_indices": list(accepted),
+        "accepted_codes": candidates[list(accepted)],
+        "epsilon": epsilon,
+        "theta_range": list(theta_range),
+        "candidate_count": count,
+        "seed": seed,
+        "mode_count": len(modes),
+        "expected_pair_overlap": math.exp(mean_log),
+        "expected_pair_log_overlap": mean_log,
     }
-    line = (f"accepted {report.accepted_count} of {report.candidate_count} "
-            f"candidates at epsilon {report.epsilon:g}")
+    line = f"accepted {len(accepted)} of {count} candidates at epsilon {epsilon:g}"
     return ({"capacity.csv": (["candidate_index", "accepted", "accepted_count"], rows)},
             results, line)
 

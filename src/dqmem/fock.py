@@ -141,6 +141,7 @@ _EVOLVE_MAX_TAIL = (_EVOLVE_BOUND / 2.0) ** 2
 _GUARD_TAIL = 1e-12
 _MAX_PAD_FACTOR = 4
 _MIN_ABS_THETA = 0.05
+_MAX_ABS_THETA = 350.0  # cosh^2 overflows past 355.2, cosh itself past 710.5
 
 
 class ShiftOperator:
@@ -294,6 +295,8 @@ class FockWorkspace(_Record):
         theta_eff = float(theta_eff)
         if not 0.0 < abs(theta_eff) < math.inf:
             raise ValueError(f"entropy operator needs a finite Theta != 0, got {theta_eff}")
+        if abs(theta_eff) > _MAX_ABS_THETA:
+            raise ValueError(f"entropy operator needs |Theta| <= {_MAX_ABS_THETA}, got {theta_eff}")
         ln_sinh_sq = 2.0 * math.log(abs(math.sinh(theta_eff)))
         ln_cosh_sq = 2.0 * math.log(math.cosh(theta_eff))
         return -(ln_sinh_sq * self.number - ln_cosh_sq * self.number_flipped)
@@ -303,6 +306,9 @@ class FockWorkspace(_Record):
         theta_eff = float(theta_eff)
         if not 0.0 < abs(theta_eff) < math.inf:
             raise ValueError(f"entropy rate operator needs a finite Theta != 0, got {theta_eff}")
+        if abs(theta_eff) > _MAX_ABS_THETA:
+            raise ValueError(f"entropy rate operator needs |Theta| <= {_MAX_ABS_THETA}, "
+                             f"got {theta_eff}")
         coth = math.cosh(theta_eff) / math.sinh(theta_eff)
         tanh = math.tanh(theta_eff)
         return -(2.0 * gamma * coth * self.number
@@ -735,14 +741,14 @@ def check_hole_relations(ws: FockWorkspace, v: np.ndarray, theta_eff: float) -> 
     its mirror, weighted by cosh/sinh of the effective parameter:
     (adag/cosh - atil/sinh) v, in sector +1, and (atildag/cosh - a/sinh) v,
     in sector -1, both vanish on exact memory states; on sector 0 they have
-    the same entries. Rejects |Theta| < _MIN_ABS_THETA (0.05), where the
-    sinh division degenerates, and a Theta that is not finite.
+    the same entries. Rejects a Theta that is not finite, and |Theta| outside
+    [_MIN_ABS_THETA, _MAX_ABS_THETA] = [0.05, 350], where a division degenerates.
     """
     theta_eff = float(theta_eff)
-    if not _MIN_ABS_THETA <= abs(theta_eff) < math.inf:
+    if not _MIN_ABS_THETA <= abs(theta_eff) <= _MAX_ABS_THETA:
         raise ValueError(
-            f"hole relations need a finite |Theta| >= {_MIN_ABS_THETA}, got "
-            f"{theta_eff}: the sinh division degenerates near Theta = 0"
+            f"hole relations need a finite |Theta| in [{_MIN_ABS_THETA}, {_MAX_ABS_THETA}], "
+            f"got {theta_eff}: the sinh division degenerates near 0, the cosh one past it"
         )
     ch = math.cosh(theta_eff)
     sh = math.sinh(theta_eff)

@@ -832,6 +832,16 @@ def test_expected_log_cosh_gap_matches_li3_closed_form(width):
         expected_log_cosh_gap_li3(width), rel=1e-12, abs=0.0)
 
 
+def test_expected_log_cosh_gap_at_zero_and_small_width():
+    # width 0 is exactly 0.0; small widths meet the series
+    # E[D^2] / 2 - E[D^4] / 12 = w^2 / 12 - w^4 / 180, whose next term,
+    # E[D^6] / 45 = w^6 / 1260, is 1e-10 of it at w = 1e-2
+    assert _expected_log_cosh_gap(0.0) == 0.0
+    w = 1e-2
+    assert _expected_log_cosh_gap(w) == pytest.approx(w ** 2 / 12 - w ** 4 / 180,
+                                                      rel=1e-9, abs=0.0)
+
+
 def test_expected_pair_overlap_at_huge_width():
     # w/3 - ln 2 + pi^2/(12 w) + O(e^{-2w}); the old quadrature formed w * w,
     # which overflowed and reported an overlap of 1.0 at w = 1e300
@@ -1393,6 +1403,22 @@ json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_json_text_is_the_json_dumps_text(obj):
     assert capacity._json_text(obj) == reference_json(obj)
+
+
+@pytest.mark.parametrize("shape, values", [
+    ((0, 3), []),
+    ((1, 1), [-0.0]),
+    ((3, 2), [math.inf, -0.0, 0.5, -math.inf, 1e-300, 2.0]),
+])
+def test_json_text_writes_a_2d_array_as_its_nested_lists(shape, values):
+    # an array of two or more dimensions is written row by row, one tolist()
+    # a row: the text is that of its nested lists, empty or not
+    arr = np.array(values, dtype=float).reshape(shape)
+    nested = arr.tolist()
+    assert capacity._json_text(arr) == capacity._json_text(nested) == reference_json(nested)
+    doc = {"codes": arr, "pair": [arr.T, arr]}
+    assert capacity._json_text(doc) == reference_json(
+        {"codes": nested, "pair": [arr.T.tolist(), nested]})
 
 
 def test_json_text_colliding_keys_and_empty_containers():

@@ -731,6 +731,37 @@ def test_thermo_trace_rows_match_snapshots(tmp_path):
                                        s.beta_fit_residual)] for s in snaps]
 
 
+@pytest.mark.parametrize("k, lo, hi, count, seed", [
+    (64, 0.0, 3.0, 400, 11),   # perfbench's pack configs: dense, every candidate accepted,
+    (32, 0.0, 1.5, 900, 12),   # and mixed, about a third accepted
+    (1, 0.0, 1.5, 40, 13),
+    (3, 0.25, 1.5, 1, 14),
+])
+def test_capacity_run_writes_what_capacity_estimate_reports(tmp_path, k, lo, hi, count, seed):
+    # the CLI writes the accepted codes from the candidate array, and the
+    # library builds them as Code tuples: the same values either way
+    from dqmem.capacity import capacity_estimate
+
+    omega, gamma = [1.0 + 0.01 * i for i in range(k)], [0.5] * k
+    cfg = write_config(tmp_path, "cap.json", {
+        "kind": "capacity-sweep", "modes": {"omega": omega, "gamma": gamma},
+        "theta_range": [lo, hi], "epsilon": 0.05, "candidates": count, "seed": seed})
+    out = tmp_path / "o"
+    assert run(["capacity", "--config", cfg, "--out", out, "--quiet"]) == 0
+    modes = tuple(ModeParams(i, w, g) for i, (w, g) in enumerate(zip(omega, gamma)))
+    report = capacity_estimate(modes, (lo, hi), 0.05, count, seed)
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert results["accepted_codes"] == [list(c.thetas) for c in report.accepted_codes]
+    assert results["accepted_indices"] == list(report.accepted_indices)
+    assert results["accepted_count"] == report.accepted_count == len(report.accepted_codes)
+    assert results["expected_pair_log_overlap"] == report.expected_pair_log_overlap
+    accepted = set(report.accepted_indices)
+    assert read_csv(out / "capacity.csv") == [["candidate_index", "accepted", "accepted_count"]] + [
+        [str(i), str(int(i in accepted)), str(c)] for i, c in enumerate(report.acceptance_curve)]
+    if count == 400:
+        assert report.accepted_count == 400
+
+
 def test_evolve_occupations_are_the_state_occupations(tmp_path):
     # one occupation kernel: every cell is `occupation` of the state at its
     # time, bit for bit, on modes that empty and refill at different times
@@ -1451,6 +1482,29 @@ def test_fidelity_run_holds_no_whole_csv_or_triangle_list(tmp_path):
     size = (tmp_path / "o" / "fidelity.csv").stat().st_size
     assert size > 1.5e6
     assert peak < size
+
+
+def test_capacity_run_holds_no_float_object_per_accepted_theta(tmp_path):
+    # summary.json's accepted codes are written from the candidate array a
+    # row at a time, and capacity.csv's rows as they are made: on the dense
+    # pack config (400 candidates, K = 64, all accepted) the tracemalloc
+    # peak of a warm run is about 0.90 MB; one Python float per accepted
+    # theta (25 600 of them) and a list of every CSV row made it 1.32 MB
+    import tracemalloc
+
+    cfg = write_config(tmp_path, "cap.json", {
+        "kind": "capacity-sweep", "modes": {"omega": [1.0] * 64, "gamma": [1.0] * 64},
+        "theta_range": [0.0, 3.0], "epsilon": 0.05, "candidates": 400, "seed": 11})
+    assert run(["capacity", "--config", cfg, "--out", tmp_path / "warm", "--quiet"]) == 0
+    tracemalloc.start()
+    try:
+        assert run(["capacity", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["results"]["accepted_count"] == 400
+    assert peak < 1.1e6
 
 
 def test_fidelity_rows_hold_memory_linear_in_n():

@@ -9,6 +9,7 @@ truncated space.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -851,6 +852,49 @@ def test_checks_refuse_a_non_finite_theta(ws64, theta):
     # Theta(t) = gamma t - theta
     with pytest.raises(ValueError, match=f"entropy flow needs a finite .* got {-theta}:"):
         fock.check_entropy_flow(ws64, theta, 1.0, 0.3, 1e-4)
+
+
+@pytest.mark.parametrize("theta", [710.0, 800.0, -800.0])
+def test_checks_refuse_a_theta_past_the_float_range_of_cosh_squared(ws64, theta):
+    # cosh and sinh overflow past |Theta| = 710.48 (OverflowError at 800),
+    # and at 710 a hole residual divided by both underflowed to 0.0: each
+    # check refuses such a Theta with a ValueError naming it, and warns of
+    # nothing (any RuntimeWarning fails the test)
+    v = fock.memory_vector(ws64, 0.5)
+    with pytest.raises(ValueError, match=re.escape(
+            f"hole relations need a finite |Theta| in [0.05, 350.0], got {theta}:")):
+        fock.check_hole_relations(ws64, v, theta)
+    got = re.escape(f"needs |Theta| <= 350.0, got {theta}") + "$"
+    with pytest.raises(ValueError, match="entropy operator " + got):
+        ws64.entropy_operator(theta)
+    with pytest.raises(ValueError, match="entropy operator " + got):
+        fock.entropy_expectation(ws64, v, theta)
+    with pytest.raises(ValueError, match="entropy rate operator " + got):
+        ws64.entropy_rate_operator(theta, 1.0)
+
+
+def test_checks_take_a_theta_at_the_bound(ws64):
+    # the bound itself is admitted, and its values are finite
+    big = fock._MAX_ABS_THETA
+    v = fock.memory_vector(ws64, 0.5)
+    assert 0.0 < fock.check_hole_relations(ws64, v, big) < math.inf
+    for op in (ws64.entropy_operator(-big), ws64.entropy_rate_operator(big, 1.0)):
+        assert all(np.isfinite(c).all() for c in op.coef.values())
+
+
+def test_argument_refusals_name_the_value(ws64):
+    v = ws64.vacuum()
+    for t in (-1.0, math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"t must be finite and >= 0, got {t}")
+                           + "$"):
+            fock.evolve_vector(ws64, v, t)
+    with pytest.raises(ValueError, match=re.escape(
+            "vector dimensions differ: (64,) vs (32,)") + "$"):
+        fock.oracle_overlap(v, v[:32])
+    for dt in (0.0, math.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                f"dt must be positive and finite, got {dt}") + "$"):
+            fock.check_entropy_flow(ws64, 0.3, 1.0, 0.3, dt)
 
 
 def test_entropy_flow_refuses_a_theta_that_overflows(ws64):

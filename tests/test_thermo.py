@@ -8,6 +8,7 @@ is exactly 2 ln 2 - 0 = 2 ln 2.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -134,6 +135,15 @@ def test_bose_occupation_inverts_beta():
         with pytest.raises(ValueError, match="beta must be >= 0"):
             thermo.bose_occupation(beta, 1.0)
     assert thermo.bose_occupation(0.0, 1.0) == thermo.bose_occupation(-0.0, 1.0) == math.inf
+
+
+def test_argument_refusals_name_the_value():
+    for energy in (0.0, math.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                f"energy must be positive and finite, got {energy}") + "$"):
+            thermo.bose_occupation(1.0, energy)
+    with pytest.raises(ValueError, match=re.escape("beta must be positive, got 0.0") + "$"):
+        thermo.stationarity_residual(make_state(0.5), 0.0)
 
 
 @given(beta=st.floats(min_value=0.05, max_value=5.0, allow_nan=False),
