@@ -15,14 +15,15 @@ exponentials, one matvec a term. ``summary.json`` holds the one echo of
 the config.
 ``wall_time_s`` runs from parsing the config to the last artifact written
 before the manifest, and ``artifacts`` lists every file the run wrote.
-Each artifact goes to ``<name>.partial`` first, a CSV line by line as its
-rows are computed, so no CSV is held whole in memory (``capacity`` writes
-its accepted codes from the candidate array a row at a time, and only the
-library's `capacity_estimate` builds `Code` tuples). Only when all are
-complete are they renamed, ``manifest.json`` last; a failed run deletes
-its ``.partial`` files, so ``--out`` holds the files it held. Before the
-renames, the files that an earlier run's manifest in ``--out`` lists and
-this run does not write are deleted, so ``--out`` holds one run's files.
+Each artifact, a JSON object, a CSV (header, rows) or finished lines, goes
+to ``<name>.partial`` first, a CSV line by line (from arrays, 512 rows at
+a time), so no CSV is held whole in memory (only the library's
+`capacity_estimate` and `first_law_ledger` build records). Only when all
+are complete are they renamed, ``manifest.json`` last; a failed run
+deletes its ``.partial`` files, so ``--out`` holds the files it held.
+Before the renames, the files that an earlier run's manifest in ``--out``
+lists and this run does not write are deleted, so ``--out`` holds one
+run's files.
 
 Exit codes: 0 success, 1 usage/config/domain/registry/io errors (one
 machine parsable line on stderr, ``error: <category>: <message>``), 2 when
@@ -98,7 +99,6 @@ from .capacity import (
     RegistryError,
     _capacity_sweep,
     _json_parts,
-    _json_text,
     _log_overlap_rows,
     _pair_frame,
     _read_json,
@@ -156,6 +156,17 @@ def _csv_lines(header: list[str], rows: Iterable):
         yield line + "\r\n"
 
 
+_ROWS = 512  # rows a CSV takes from its column arrays at a time
+
+
+def _rows(*columns):
+    """The rows of equal-length 1-D array columns (a 2-D block passes as
+    *block.T), _ROWS at a time with one tolist() per column block, so no
+    table is held as Python objects whole."""
+    for start in range(0, len(columns[0]), _ROWS):
+        yield from zip(*(column[start:start + _ROWS].tolist() for column in columns))
+
+
 def _listed_artifacts(out_dir: str) -> list[str]:
     """The artifact names in the manifest an earlier run left in out_dir:
     none when there is no such file or it is not a dqmem manifest, and only
@@ -174,11 +185,11 @@ def _listed_artifacts(out_dir: str) -> list[str]:
 def _write_artifacts(out_dir: str, files: dict, manifest) -> None:
     """Writes one run's artifacts into out_dir, the manifest last.
 
-    Each artifact goes to `<name>.partial` first: text as is, a
-    (header, rows) CSV line by line and a dict as canonical JSON part by
-    part (`_json_parts`, the bytes of `_json_text`), so neither is held
-    whole. Then manifest(names), names being every file of the run sorted,
-    manifest.json included, gives the manifest's text, written likewise.
+    Each artifact goes to `<name>.partial` first: a dict as canonical JSON
+    part by part (`_json_parts`, the bytes of `_json_text`), a (header,
+    rows) CSV line by line and any other iterable as its finished lines.
+    Then manifest(names), names being every file of the run sorted,
+    manifest.json included, gives the manifest's dict, written likewise.
     Files that the manifest already in out_dir lists and this run does not
     write are deleted, and every `.partial` is renamed, manifest.json last.
     On any error the `.partial` files written so far are deleted.
@@ -190,9 +201,7 @@ def _write_artifacts(out_dir: str, files: dict, manifest) -> None:
     def write(name: str, artifact) -> None:
         partials.append(os.path.join(out_dir, name + ".partial"))
         with open(partials[-1], "w", encoding="utf-8", newline="") as fh:
-            if isinstance(artifact, str):
-                fh.write(artifact)
-            elif isinstance(artifact, dict):
+            if isinstance(artifact, dict):
                 _json_parts(artifact, "\n", fh.write)
                 fh.write("\n")
             elif isinstance(artifact, tuple):
@@ -255,8 +264,8 @@ def _parse_config(args) -> tuple[ExperimentConfig, str]:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (artifacts, results, stdout line). An
-# artifact is finished text, a CSV (header, rows) or an iterable of finished
-# lines; main renders the CSVs and puts the results into summary.json.
+# artifact is a dict, a CSV (header, rows), its rows from _rows where they
+# are arrays, or finished lines; main puts the results into summary.json.
 
 
 def _run_print(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
@@ -276,7 +285,7 @@ def _run_print(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
         "ids": list(registry.ids),
         "mode_count": registry.k,
     }
-    return ({"registry.json": registry_to_json(registry)}, results,
+    return ({"registry.json": [registry_to_json(registry)]}, results,
             f"printed {len(cfg.entries)} entries ({len(registry.ids)} total)")
 
 
@@ -313,23 +322,20 @@ def _run_recall(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
 
 def _run_evolve(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     from . import thermo
-    modes, times = cfg.modes, cfg.times
+    modes, times = cfg.modes, np.asarray(cfg.times)  # checked by the config parser
     state = MemoryState(modes, cfg.code.realize(modes))
     k = len(modes)
     header = ["time", *(f"theta_{i}" for i in range(k)),
               *(f"occupation_{i}" for i in range(k)),
               "total_occupation", "entropy", "energy"]
     traj, occ, _, entropy, energy = thermo._trace(state, times)
-    rows = [[t, *thetas, *occupations, total, s, e]
-            for t, thetas, occupations, total, s, e
-            in zip(times, traj.tolist(), occ.tolist(), _row_sums(occ).tolist(),
-                   entropy.tolist(), energy.tolist())]
+    rows = _rows(times, *traj.T, *occ.T, _row_sums(occ), entropy, energy)
 
     results = {
         "mode_count": k,
         "time_points": len(times),
-        "final_entropy": rows[-1][-2],
-        "final_energy": rows[-1][-1],
+        "final_entropy": float(entropy[-1]),
+        "final_energy": float(energy[-1]),
     }
     return ({"evolve.csv": (header, rows)}, results,
             f"tabulated {len(times)} points for {k} modes")
@@ -357,7 +363,7 @@ def _run_capacity(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     modes, theta_range, epsilon, count, seed, candidates, accepted, curve, mean_log = (
         _capacity_sweep(cfg.modes, cfg.theta_range, cfg.epsilon, cfg.candidates, cfg.seed))
     # candidate i is accepted iff the running count steps up at i
-    rows = zip(itertools.count(), (b - a for a, b in itertools.pairwise((0, *curve))), curve)
+    rows = _rows(np.arange(count), np.diff(curve, prepend=0), np.array(curve))
     results = {
         "accepted_count": len(accepted),
         "accepted_indices": list(accepted),
@@ -449,26 +455,23 @@ def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
     ts = np.asarray(cfg.times)  # checked by the config parser
     trace = thermo._trace(state, ts)
     traj, _, _, entropy, energy = trace
-    fit, residual = thermo._beta_fit(thermo._beta_energy(traj),
-                                     thermo._energies(cfg.modes))
-    rows = list(zip(cfg.times, entropy.tolist(), energy.tolist(), fit.tolist(),
-                    residual.tolist()))
-    ledger = thermo._ledger(state, ts, trace)
-    max_resid = max((abs(r) for r in ledger.residual), default=0.0)
+    fit, fit_residual = thermo._beta_fit(thermo._beta_energy(traj),
+                                         thermo._energies(cfg.modes))
+    delta_energy, heat, residual, flagged = thermo._ledger(state, ts, trace)
+    max_resid = float(np.abs(residual).max(initial=0.0))
     artifacts = {
         "thermo.csv": (["time", "entropy", "energy", "beta_fit", "beta_fit_residual"],
-                       rows),
+                       _rows(ts, entropy, energy, fit, fit_residual)),
         "first_law.csv": (
             ["t_left", "t_right", "delta_energy", "heat", "residual", "flagged"],
-            zip(ledger.times, ledger.times[1:], ledger.delta_energy,
-                ledger.entropy_term, ledger.residual, map(int, ledger.flagged))),
+            _rows(ts[:-1], ts[1:], delta_energy, heat, residual, flagged.view(np.int8))),
     }
     results = {
-        "time_points": len(cfg.times),
+        "time_points": len(ts),
         "max_first_law_residual": max_resid,
-        "flagged_intervals": int(sum(ledger.flagged)),
-        "final_entropy": rows[-1][1],
-        "final_energy": rows[-1][2],
+        "flagged_intervals": int(flagged.sum()),
+        "final_entropy": float(entropy[-1]),
+        "final_energy": float(energy[-1]),
     }
     return artifacts, results, f"max first-law residual {max_resid:.3e}"
 
@@ -501,13 +504,13 @@ def _run_oracle_verify(dim: int) -> tuple[dict, dict, str]:
 
 
 def _manifest(args, argv: list[str], config_sha256, seed, before: dict, names: list[str],
-              wall: float) -> str:
-    """The manifest's text. before is `_WORK` as it stood before the run;
-    the manifest is written after every other artifact, so the work done
-    while a CSV streams counts."""
+              wall: float) -> dict:
+    """The manifest's JSON object. before is `_WORK` as it stood before
+    the run; the manifest is written after every other artifact, so the
+    work done while a CSV streams counts."""
     umath = (sys.modules.get("numpy._core._multiarray_umath")
              or sys.modules.get("numpy.core._multiarray_umath"))  # numpy 1.x
-    return _json_text({
+    return {
         "command": args.command,
         "argv": argv,
         "artifacts": names,
@@ -528,7 +531,7 @@ def _manifest(args, argv: list[str], config_sha256, seed, before: dict, names: l
         "import_s": _IMPORT_S,
         "wall_time_s": wall,
         "work": {key: count - before[key] for key, count in _WORK.items()},
-    })
+    }
 
 
 # subcommand -> (help, handler); a handler takes the parsed config, or the

@@ -240,12 +240,14 @@ def first_law_ledger(state: MemoryState, times) -> FirstLawLedger:
     the float range) is a ValueError naming the first such time.
     """
     ts = _checked_times(times, minimum_points=2)
-    return _ledger(state, ts, _trace(state, ts))
+    columns = _ledger(state, ts, _trace(state, ts))
+    return FirstLawLedger(tuple(ts.tolist()), *(tuple(c.tolist()) for c in columns))
 
 
-def _ledger(state: MemoryState, ts: np.ndarray, trace) -> FirstLawLedger:
-    """first_law_ledger on a checked grid from its `_trace`: delta_energy is
-    the difference of consecutive trace energies, so of thermo.csv's."""
+def _ledger(state: MemoryState, ts: np.ndarray, trace) -> tuple[np.ndarray, ...]:
+    """first_law_ledger's arrays (delta_energy, entropy_term, residual,
+    flagged) on a checked grid from its `_trace`: delta_energy is the
+    difference of consecutive trace energies, so of thermo.csv's."""
     traj, _, s_per, _, total_energy = trace
     overflow = ~np.isfinite(total_energy)
     if overflow.any():
@@ -263,15 +265,7 @@ def _ledger(state: MemoryState, ts: np.ndarray, trace) -> FirstLawLedger:
     delta_energy = np.diff(total_energy)
     residual = delta_energy - entropy_term
     crossings = (traj[:-1] * traj[1:] <= 0.0) & (gammas[None, :] > 0.0)
-    flagged = crossings.any(axis=1)
-
-    return FirstLawLedger(
-        times=tuple(float(x) for x in ts),
-        delta_energy=tuple(float(x) for x in delta_energy),
-        entropy_term=tuple(float(x) for x in entropy_term),
-        residual=tuple(float(x) for x in residual),
-        flagged=tuple(bool(x) for x in flagged),
-    )
+    return delta_energy, entropy_term, residual, crossings.any(axis=1)
 
 
 def _beta_fit(y: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ is wired.
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -762,9 +763,11 @@ def test_capacity_run_writes_what_capacity_estimate_reports(tmp_path, k, lo, hi,
         assert report.accepted_count == 400
 
 
-def test_evolve_occupations_are_the_state_occupations(tmp_path):
+@pytest.mark.parametrize("num", [400, 1025])
+def test_evolve_occupations_are_the_state_occupations(tmp_path, num):
     # one occupation kernel: every cell is `occupation` of the state at its
-    # time, bit for bit, on modes that empty and refill at different times
+    # time, bit for bit, on modes that empty and refill at different times;
+    # 1025 points cross two edges of the CSV's row blocks
     omega = [0.5 + 0.1 * i for i in range(16)]
     gamma = [0.5 + 0.0625 * i for i in range(16)]
     thetas = [0.5 + 0.15625 * ((5 * i) % 16) for i in range(16)]
@@ -772,11 +775,12 @@ def test_evolve_occupations_are_the_state_occupations(tmp_path):
         "kind": "evolve",
         "modes": {"omega": omega, "gamma": gamma},
         "code": {"thetas": thetas},
-        "times": {"start": 0.0, "stop": 20.0, "num": 400},
+        "times": {"start": 0.0, "stop": 20.0, "num": num},
     })
     out = tmp_path / "evolve_out"
     assert run(["evolve", "--config", cfg, "--out", out, "--quiet"]) == 0
     rows = read_csv(out / "evolve.csv")
+    assert len(rows) == num + 1
     assert rows[0][17:33] == [f"occupation_{i}" for i in range(16)]
     modes = tuple(ModeParams(i, w, g) for i, (w, g) in enumerate(zip(omega, gamma)))
     for r in rows[1:]:
@@ -784,21 +788,22 @@ def test_evolve_occupations_are_the_state_occupations(tmp_path):
         assert r[17:33] == [repr(occupation(state, i)) for i in range(16)], r[0]
 
 
-def test_first_law_delta_energy_is_the_thermo_energy_difference(tmp_path):
+@pytest.mark.parametrize("num", [400, 1025])
+def test_first_law_delta_energy_is_the_thermo_energy_difference(tmp_path, num):
     # one energy sum: each ledger step is the difference of thermo.csv's
-    # energies at its two ends, bit for bit
+    # energies at its two ends, bit for bit, across the row blocks' edges
     cfg = write_config(tmp_path, "thermo.json", {
         "kind": "thermo-trace",
         "modes": {"omega": [0.7, 1.3, 1.9, 0.55, 1.1, 1.6],
                   "gamma": [0.5, 1.4, 0.8, 1.1, 0.0, 0.6]},
         "code": {"thetas": [2.9, 0.6, 1.7, 2.2, 1.05, 2.5]},
-        "times": {"start": 0.0, "stop": 12.0, "num": 400},
+        "times": {"start": 0.0, "stop": 12.0, "num": num},
     })
     out = tmp_path / "thermo_out"
     assert run(["thermo-trace", "--config", cfg, "--out", out, "--quiet"]) == 0
     energy = [float(r[2]) for r in read_csv(out / "thermo.csv")[1:]]
     ledger = read_csv(out / "first_law.csv")[1:]
-    assert len(ledger) == len(energy) - 1
+    assert len(ledger) == len(energy) - 1 == num - 1
     assert [r[2] for r in ledger] == [repr(b - a) for a, b in zip(energy, energy[1:])]
 
 
@@ -1423,7 +1428,7 @@ def test_rows_failing_mid_stream_leave_the_last_run_intact(tmp_path, monkeypatch
         header, rows = artifacts["evolve.csv"]
 
         def stream():
-            yield from rows[:1500]  # past the first buffer flush
+            yield from itertools.islice(rows, 1500)  # past the first buffer flush
             raise ValueError("row 1500 is not finite")
         return {"evolve.csv": (header, stream())}, results, line
 
@@ -1434,6 +1439,27 @@ def test_rows_failing_mid_stream_leave_the_last_run_intact(tmp_path, monkeypatch
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert run(["evolve", "--config", config, "--out", tmp_path / "new", "--quiet"]) == 1
     assert list((tmp_path / "new").glob("*")) == []
+
+
+def test_artifact_that_cannot_be_opened_is_one_error_and_leaves_no_partial(
+        tmp_path, monkeypatch, capsys):
+    # the .partial written before it is deleted; the one whose open failed
+    # never existed, and deleting it is no second error
+    from dqmem import cli
+
+    help_text, handler = cli._COMMANDS["evolve"]
+
+    def unopenable(cfg):
+        artifacts, results, line = handler(cfg)
+        return {**artifacts, "missing/x.csv": (["x"], ())}, results, line
+
+    monkeypatch.setitem(cli._COMMANDS, "evolve", (help_text, unopenable))
+    out = tmp_path / "o"
+    assert run(["evolve", "--config", trajectory_config(tmp_path, "evolve"),
+                "--out", out, "--quiet"]) == 1
+    missing = str(out / "missing" / "x.csv.partial")
+    assert capsys.readouterr().err == f"error: io: [Errno 2] No such file or directory: {missing!r}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_unencodable_cell_is_one_error_and_leaves_no_partial(tmp_path, capsys):
@@ -1928,6 +1954,11 @@ def test_manifest_names_the_numpy_the_run_loaded(tmp_path):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt parameters")
 def test_malloc_thresholds_pin_on_glibc():
     assert dqmem.cli._pin_malloc() == [1, 1]
+
+
+def test_malloc_thresholds_are_left_alone_off_linux(monkeypatch):
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert dqmem.cli._pin_malloc() == []
 
 
 @pytest.mark.parametrize("fake", [

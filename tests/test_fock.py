@@ -311,6 +311,15 @@ def test_shift_operator_rounds_as_csr():
     assert np.array_equal(dense(pair.b @ pair.b), want.toarray())
 
 
+def test_hermitian_self_check_refuses_an_operator_that_is_not_its_adjoint():
+    upper = fock.ShiftOperator((2, 2), {1: np.array([1.0, 0.0])})
+    with pytest.raises(RuntimeError) as exc:
+        fock._hermitian("upper", upper)
+    assert str(exc.value) == "upper failed its Hermiticity self-check"
+    symmetric = upper + upper.H
+    assert fock._hermitian("symmetric", symmetric) is symmetric
+
+
 # ---------------------------------------------------------------------------
 # algebra residuals
 

@@ -178,6 +178,9 @@ def test_refresh_resets_clock_and_code():
     assert fresh.time == 0.0
     assert fresh.code.thetas == (0.3,)
     assert fresh.modes == aged.modes
+    with pytest.raises(ValueError) as exc:
+        refresh(aged, Code((0.3, 0.4)))
+    assert str(exc.value) == "replacement code length 2 != mode count 1"
 
 
 @given(theta=pos_theta, t1=small_time, t2=small_time)
