@@ -47,6 +47,7 @@ from .states import (
     _fsum_nonneg,
     _gammas,
     _gaps,
+    _log_cosh_into,
     _occupations,
     _row_sums,
     _set,
@@ -271,13 +272,15 @@ def _floor_clears(g: np.ndarray, c: float) -> np.ndarray:
 def _log_overlap_rows(gaps: np.ndarray) -> np.ndarray:
     """-fsum_k ln cosh g_k for each row g of a block of Theta gaps: the value
     `states.log_overlap` gives for two rows whose difference is g, bit for
-    bit, -inf for a row whose terms sum past the float range. The sums are
-    `states._row_sums`, math.fsum's value with no Python call per row: its
-    first tier, one TwoSum cascade across the K columns, is exact for every
-    row of positive terms that its certificate admits (every pair of a
-    clustered registry's block). Every caller takes overlaps as math.exp of
-    them, as `states.overlap` does."""
-    return -_row_sums(log_cosh(gaps))
+    bit, -inf for a row whose terms sum past the float range. The block is
+    the caller's to give up: it is overwritten with its ln cosh
+    (`states._log_cosh_into`), so the call makes one temporary of its size.
+    The sums are `states._row_sums`, math.fsum's value with no Python call
+    per row: its first tier, one TwoSum cascade across the K columns, is
+    exact for every row of positive terms that its certificate admits (every
+    pair of a clustered registry's block). Every caller takes overlaps as
+    math.exp of them, as `states.overlap` does."""
+    return -_row_sums(_log_cosh_into(gaps))
 
 
 def _pair_frame(registry: Registry, t: float) -> tuple:
@@ -330,12 +333,13 @@ def _upper_overlaps(frame: tuple):
     last list empty). Each is math.exp of the pair's log-overlap, as in
     states.overlap (np.exp differs from it in some last bits), taken over
     `_pair_rects`' rectangles: a rectangle's rows of pairs, joined into one
-    (K, m) block, are one `_log_overlap_rows` call. Only one rectangle of
-    pairs is held at a time, and none while its rows are read."""
+    (K, m) block, are one `_log_overlap_rows` call, which overwrites that
+    block. Only one rectangle of pairs is held at a time, and none while its
+    rows are read."""
     for _, gap in _pair_rects(frame):
         rows, cols = gap.shape[1:]
-        # gap and cells go before the rows are yielded, not held while lines are
-        # written; fidelity.csv's cursors hold one short read each, not their row
+        # gap and cells go before the rows are yielded, not held while
+        # fidelity.csv's lines are written
         cells = np.concatenate([gap[:, r, r:] for r in range(rows)], axis=1)
         del gap
         exps = list(map(math.exp, _log_overlap_rows(cells.T).tolist()))
@@ -384,23 +388,39 @@ def association_graph(registry: Registry, t: float, threshold: float) -> Associa
     The fidelity of a pair is math.exp of its log-overlap, the negated fsum
     of ln cosh over its printing-frame gaps g, as in fidelity_matrix; the
     graph does not depend on t, which must follow every printing, and the
-    edge test is math.exp(log) >= threshold. math.exp and math.log are each
-    within an ulp, so a log whose exp reaches the threshold is at least
-    ln(threshold) - 4 eps (1 + |ln threshold|), eps the float64 machine
-    epsilon. Most pairs of a spread-out registry are ruled out first,
-    without a log_cosh call, by `_floor_clears`: a pair whose floor
-    C sum_k g_k min(g_k, 1), C = ln cosh 1, puts its fsum past the negation
-    of that has no edge (one whose gaps sum past the float range included:
-    its overlap is 0.0). The floor runs on each of `_pair_rects`'
-    rectangles; the pairs it leaves are gathered across rectangles and go
-    through the row kernel, one `_log_overlap_rows` call per _PAIR_CHUNK / 2
-    of them or more (a batch of a whole rectangle's 128 KB at K = 16 raised
-    the step's peak resident memory by 0.4 MB). So the edges, their order
-    and the clusters are those of testing every pair.
-
-    Clusters are ordered by first member; members keep registry order, so
-    the output is deterministic.
+    edge test is math.exp(log) >= threshold. Clusters are ordered by first
+    member; members keep registry order, so the output is deterministic.
+    The read is `_association_edges`'; this builds the record's edge tuples
+    from its arrays.
     """
+    threshold, clusters, firsts, seconds, values = _association_edges(registry, t, threshold)
+    ids = registry.ids
+    edges = tuple(zip(map(ids.__getitem__, firsts), map(ids.__getitem__, seconds), values))
+    return AssociationGraph(ids=ids, threshold=threshold, eval_time=float(t), edges=edges,
+                            clusters=clusters)
+
+
+def _association_edges(registry: Registry, t: float, threshold: float) -> tuple:
+    """`association_graph`'s read: (threshold, clusters, firsts, seconds,
+    values), the edges as columns, array('l') of the entries' row indices
+    and array('d') of the fidelities, so no edge is a Python object.
+
+    math.exp and math.log are each within an ulp, so a log whose exp
+    reaches the threshold is at least ln(threshold) - 4 eps (1 +
+    |ln threshold|), eps the float64 machine epsilon. Most pairs of a
+    spread-out registry are ruled out first, without a log_cosh call, by
+    `_floor_clears`: a pair whose floor C sum_k g_k min(g_k, 1),
+    C = ln cosh 1, puts its fsum past the negation of that has no edge (one
+    whose gaps sum past the float range included: its overlap is 0.0). The
+    floor runs on each of `_pair_rects`' rectangles; the pairs it leaves are
+    gathered across rectangles and go through the row kernel, one
+    `_log_overlap_rows` call per _PAIR_CHUNK / 2 of them or more (a batch of
+    a whole rectangle's 128 KB at K = 16 raised the step's peak resident
+    memory by 0.4 MB). So the edges, their order and the clusters are those
+    of testing every pair.
+    """
+    from array import array  # here, not at the top: its module maps 72 kB
+
     threshold = float(threshold)
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
@@ -418,19 +438,20 @@ def association_graph(registry: Registry, t: float, threshold: float) -> Associa
             i = root[i]
         return i
 
-    edges = []
+    firsts, seconds, values = array("l"), array("l"), array("d")
 
     def decide(near: list) -> None:
         """The exact step for the pairs (i, j, gaps) that the floor left."""
-        firsts, seconds, gaps = zip(*near)
+        i_parts, j_parts, gaps = zip(*near)
         near.clear()
-        gaps = np.concatenate(gaps, axis=1)
-        logs = _log_overlap_rows(gaps.T)
-        for i, j, log in zip(np.concatenate(firsts).tolist(),
-                             np.concatenate(seconds).tolist(), logs.tolist()):
+        logs = _log_overlap_rows(np.concatenate(gaps, axis=1).T)
+        for i, j, log in zip(np.concatenate(i_parts).tolist(),
+                             np.concatenate(j_parts).tolist(), logs.tolist()):
             value = math.exp(log)
             if value >= threshold:
-                edges.append((ids[i], ids[j], value))
+                firsts.append(i)
+                seconds.append(j)
+                values.append(value)
                 a, b = find(i), find(j)
                 root[max(a, b)] = min(a, b)
 
@@ -452,9 +473,7 @@ def association_graph(registry: Registry, t: float, threshold: float) -> Associa
     members: dict[int, list[str]] = {}
     for i, entry_id in enumerate(ids):
         members.setdefault(find(i), []).append(entry_id)
-    return AssociationGraph(ids=ids, threshold=threshold, eval_time=float(t),
-                            edges=tuple(edges),
-                            clusters=tuple(tuple(m) for m in members.values()))
+    return threshold, tuple(map(tuple, members.values())), firsts, seconds, values
 
 
 class CapacityReport(_Record):
@@ -660,6 +679,8 @@ def forgetting_curve(code: Code, modes: Iterable[ModeParams], times) -> Forgetti
     written = MemoryState(ms, code, 0.0)
     gamma_t = ts[:, None] * _gammas(ms)  # the written state's gap to itself at age t
     traj = gamma_t - np.asarray(code.thetas)  # `_trajectory`, bit for bit
+    total_occupation = tuple(_row_sums(_occupations(traj)).tolist())
+    # each block goes to the row kernel, which overwrites it, after its last other use
     self_log = _log_overlap_rows(gamma_t)
     vacuum_log = _log_overlap_rows(traj)  # the empty register, Theta = 0
     # math.exp as in states.overlap: np.exp differs from it in some last bits
@@ -667,7 +688,7 @@ def forgetting_curve(code: Code, modes: Iterable[ModeParams], times) -> Forgetti
         times=tuple(ts.tolist()),
         self_overlap=tuple(math.exp(x) for x in self_log),
         vacuum_overlap=tuple(math.exp(x) for x in vacuum_log),
-        total_occupation=tuple(_row_sums(_occupations(traj)).tolist()),
+        total_occupation=total_occupation,
         tau=forgetting_time(written),
     )
 

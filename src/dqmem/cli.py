@@ -18,7 +18,8 @@ before the manifest, and ``artifacts`` lists every file the run wrote.
 Each artifact, a JSON object, a CSV (header, rows) or finished lines, goes
 to ``<name>.partial`` first, a CSV line by line (from arrays, 512 rows at
 a time), so no CSV is held whole in memory (only the library's
-`capacity_estimate` and `first_law_ledger` build records). Only when all
+`capacity_estimate`, `association_graph` and `first_law_ledger` build
+records). Only when all
 are complete are they renamed, ``manifest.json`` last; a failed run
 deletes its ``.partial`` files, so ``--out`` holds the files it held.
 Before the renames, the files that an earlier run's manifest in ``--out``
@@ -35,11 +36,12 @@ byte-stable across reruns; ``manifest.json`` differs only in its
 ``import_s`` and ``wall_time_s`` fields. ``fidelity.csv`` is streamed from
 `capacity`'s upper-triangle row kernel, which reads the pairs in K-major
 row rectangles, with no n x n matrix. Each line is written finished and
-each value formatted once: a line's cells after the diagonal are one
-string, also written to an anonymous file in the platform's temp directory
-(deleted on close) and read back a few bytes at a time for the cells below
-the diagonal of later lines. So memory is linear in n, about 1.5 KB an
-entry: cold, on x86-64 Linux, 30.9 MB at 500 entries (K = 16), 33.6 at 1500.
+each value formatted once, 16 lines at a time: a line's cells after its
+block also go to an anonymous file in the platform's temp directory
+(deleted on close), and each block reads back, in one read per earlier
+row, the cells below its diagonal. So memory is linear in n, about 0.4 KB
+an entry (an offset, and its cells for one block of lines): cold, on
+x86-64 Linux, 30.0 MB at 500 entries (K = 16), 32.3 at 1500.
 
 Cyclic garbage is not freed at exit: `main` has the process freeze the
 collector's objects instead of collecting them one last time (except under
@@ -97,13 +99,13 @@ from .capacity import (
     FidelityMatrix,
     RegistryEntry,
     RegistryError,
+    _association_edges,
     _capacity_sweep,
     _json_parts,
     _log_overlap_rows,
     _pair_frame,
     _read_json,
     _upper_overlaps,
-    association_graph,
     forgetting_curve,
     load_registry,
     new_registry,
@@ -381,42 +383,58 @@ def _run_capacity(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
             results, line)
 
 
-_READ = 192  # bytes a fidelity.csv cursor reads back from the scratch file at a time
+_BLOCK = 16  # fidelity.csv lines made at a time; the cells a row reads back for them
+_CELL = 24  # bytes of the longest cell, a float in [0, 1] (23 characters), and its comma
 
 
-def _read_back(scratch, pos: int, end: int):
-    """The comma-ended cells of scratch[pos:end], in lists, from positioned
-    reads of at most _READ bytes; a cell cut by one read ends in the next."""
-    rest = ""
-    while pos < end:
-        scratch.seek(pos)
-        chunk = scratch.read(min(_READ, end - pos))
-        pos += len(chunk)
-        cells = (rest + chunk.decode("ascii")).split(",")
-        rest = cells.pop()
-        yield cells
+def _read_cells(scratch, offsets: list, j: int, m: int) -> list:
+    """The next m cells of row j in the scratch file, from one positioned
+    read of at most m * _CELL bytes at offsets[j], which moves past them."""
+    scratch.seek(offsets[j])
+    text = ""
+    while text.count(",") < m:  # a raw read may return less than it was asked for
+        text += scratch.read(m * _CELL).decode("ascii")
+    cells = text.split(",", m)
+    offsets[j] += len(text) - len(cells.pop())
+    return cells
 
 
 def _matrix_rows(ids, frame):
     """fidelity.csv's lines, each finished as it is made, from capacity's
     upper-triangle row kernel, each value formatted once. After the header,
     line i is _csv_cell of its id, the cells that lines 0..i-1 made for
-    column i (the overlaps are symmetric bit for bit), 1.0, then one joined
-    string of the repr of its overlaps with the entries after it. That
-    string also goes to an anonymous scratch file, closed on every path,
-    from which its cursor reads the cells back as later lines are made."""
+    column i (the overlaps are symmetric bit for bit), 1.0, then the repr of
+    its overlaps with the entries after it. Lines are made _BLOCK at a time.
+    A line keeps its cells for the later columns of its block in memory and
+    writes the rest, comma-ended, to an anonymous scratch file, closed on
+    every path. At each block's start, each earlier row's next cells, one for
+    each line of the block, come back in one read from its one offset; they
+    are split at the first commas and transposed _BLOCK rows at a time with
+    zip, so no Python step runs per cell."""
     import tempfile  # here, not at the top: print never loads it
 
     with tempfile.TemporaryFile(buffering=0) as scratch:
         yield from _csv_lines(["entry_id", *ids], ())
-        cursors = []
-        for entry_id, upper in zip(ids, _upper_overlaps(frame)):
-            head = ",".join([_csv_cell(entry_id), *map(next, cursors), "1.0"])
-            upper = ",".join(map(repr, upper))
-            yield f"{head},{upper}\r\n" if upper else head + "\r\n"
-            pos, data = scratch.seek(0, os.SEEK_END), f"{upper},".encode("ascii")
-            cursors.append(itertools.chain.from_iterable(
-                _read_back(scratch, pos, pos + len(data))))
+        offsets = []  # the file position of each earlier row's next unread cell
+        for i, upper in enumerate(_upper_overlaps(frame)):
+            b = i % _BLOCK
+            if not b:  # a block starts: read back its cells below the diagonal
+                m = min(_BLOCK, len(ids) - i)
+                # each line's cells from earlier blocks, a string per _BLOCK rows
+                lower = [[] for _ in range(m)]
+                for group in range(0, i, _BLOCK):
+                    for parts, column in zip(lower, zip(*(
+                            _read_cells(scratch, offsets, j, m)
+                            for j in range(group, min(group + _BLOCK, i))))):
+                        parts.append(",".join(column))
+                held = [[] for _ in range(m)]  # each line's cells from rows of its block
+            cells = list(map(repr, upper))
+            for column, cell in zip(held[b + 1:], cells):
+                column.append(cell)
+            yield ",".join([_csv_cell(ids[i]), *lower[b], *held[b], "1.0", *cells]) + "\r\n"
+            offsets.append(scratch.seek(0, os.SEEK_END))
+            # the cells past the block, comma-ended: none is an empty join
+            data = ",".join([*cells[m - 1 - b:], ""]).encode("ascii")
             while data:  # a raw write may take only part of it
                 data = data[scratch.write(data):]
 
@@ -436,17 +454,20 @@ def _run_associate(cfg: ExperimentConfig) -> tuple[dict, dict, str]:
         return ({"fidelity.csv": _matrix_rows(registry.ids, frame)},
                 results, f"fidelity matrix over {n} entries")
 
-    graph = association_graph(registry, cfg.time, cfg.threshold)
+    threshold, clusters, firsts, seconds, values = _association_edges(
+        registry, cfg.time, cfg.threshold)
     results = {
-        "ids": list(graph.ids),
-        "threshold": graph.threshold,
-        "eval_time": graph.eval_time,
-        "edge_count": len(graph.edges),
-        "clusters": [list(c) for c in graph.clusters],
+        "ids": list(registry.ids),
+        "threshold": threshold,
+        "eval_time": cfg.time,
+        "edge_count": len(values),
+        "clusters": [list(c) for c in clusters],
     }
-    line = (f"{len(graph.edges)} association edges, "
-            f"{len(graph.clusters)} clusters at threshold {graph.threshold:g}")
-    return {"edges.csv": (["entry_a", "entry_b", "fidelity"], graph.edges)}, results, line
+    line = (f"{len(values)} association edges, "
+            f"{len(clusters)} clusters at threshold {threshold:g}")
+    entry = registry.ids.__getitem__
+    rows = zip(map(entry, firsts), map(entry, seconds), values)
+    return {"edges.csv": (["entry_a", "entry_b", "fidelity"], rows)}, results, line
 
 
 def _run_thermo_trace(cfg: ExperimentConfig) -> tuple[dict, dict, str]:

@@ -143,9 +143,20 @@ def log_cosh(x):
     thousands where cosh itself overflows. Past |x| = 2^1023, -2|x| overflows
     to -inf, whose exp is the 0 it stands for, so that overflow is ignored.
     """
-    ax = np.abs(x)
+    return _log_cosh_into(np.array(x, dtype=float))[()]
+
+
+def _log_cosh_into(g: np.ndarray) -> np.ndarray:
+    """ln cosh of a float array, written over it and returned: |g| in place,
+    then |g| + ln(1 + e^{-2|g|}) - ln 2 with one temporary. `log_cosh` runs
+    it on a copy; a caller that passes its own block gives it up."""
+    np.abs(g, out=g)
+    tail = np.empty_like(g)  # an array even where g is 0-d
     with np.errstate(over="ignore"):
-        return ax + np.log1p(np.exp(-2.0 * ax)) - _LN2
+        np.exp(np.multiply(g, -2.0, out=tail), out=tail)
+    g += np.log1p(tail, out=tail)
+    g -= _LN2
+    return g
 
 
 # rows whose K * max|x| stays below this cannot overflow any partial sum

@@ -1153,15 +1153,15 @@ def test_association_graph_sends_only_unscreened_pairs_to_log_cosh(monkeypatch):
     # no pair so near the cut that the screen's slack could decide it
     assert min(abs(f + math.log(threshold)) for f in floors) > 1e-6
     seen = []
-    real = capacity.log_cosh
-    monkeypatch.setattr(capacity, "log_cosh", lambda x: seen.append(x) or real(x))
+    real = capacity._log_cosh_into  # the row kernel's ln cosh, which overwrites its block
+    monkeypatch.setattr(capacity, "_log_cosh_into", lambda x: seen.append(x.copy()) or real(x))
     g = association_graph(reg, 0.0, threshold)
     reaching = np.concatenate(seen)
     assert len(reaching) == sum(f <= -math.log(threshold) for f in floors)
     assert len(g.edges) <= len(reaching) < len(floors) / 4
     for gaps in np.abs(reaching).tolist():
         assert c * math.fsum(min(x * x, x) for x in gaps) <= -math.log(threshold)
-    monkeypatch.setattr(capacity, "log_cosh", real)
+    monkeypatch.setattr(capacity, "_log_cosh_into", real)
     assert (g.edges, g.clusters) == loop_association_graph(reg, 0.0, threshold)
 
 

@@ -24,7 +24,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import dqmem
 from dqmem import thermo
-from dqmem.cli import _READ, main
+from dqmem.cli import _BLOCK, main
 from dqmem.states import Code, MemoryState, ModeParams, log_cosh, occupation, overlap
 
 
@@ -407,8 +407,8 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, monkeypatch, sta
     # thresholds the log-overlaps: both must match the full matrix, at
     # thresholds within an ulp of an overlap and at an overlap of exactly 1;
     # also in blocks of 3 pairs, where the 7 entries span one-row blocks and
-    # a two-row one, with fidelity.csv's cursors reading 1, 2 or 7 bytes back
-    # at a time, so that reads cut cells
+    # a two-row one, with fidelity.csv's lines made 1, 2 or 7 at a time, so
+    # that blocks and groups of read-back rows end at every row
     from dqmem import capacity, cli
     from dqmem.capacity import fidelity_matrix, load_registry
     from dqmem.cli import _csv_lines
@@ -440,10 +440,10 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, monkeypatch, sta
     if n == 7:
         assert fm.values[4, 5] == 1.0
         thresholds.append(math.nextafter(1.0, 0.0))
-    for chunk, read in ((capacity._PAIR_CHUNK, cli._READ), (3, 1), (3, 2), (3, 7)):
+    for chunk, block in ((capacity._PAIR_CHUNK, cli._BLOCK), (3, 1), (3, 2), (3, 7)):
         monkeypatch.setattr(capacity, "_PAIR_CHUNK", chunk)
-        monkeypatch.setattr(cli, "_READ", read)
-        out = tmp_path / f"matrix-{chunk}-{read}"
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        out = tmp_path / f"matrix-{chunk}-{block}"
         assert run(["associate", "--config", write_config(
             tmp_path, "m.json", dict(doc, kind="fidelity-matrix")), "--out", out,
             "--quiet"]) == 0
@@ -451,7 +451,7 @@ def test_registry_artifacts_are_the_full_matrix_bytes(tmp_path, monkeypatch, sta
         assert json.loads((out / "summary.json").read_text())["results"]["staggered"] \
             is fm.staggered
         for threshold in thresholds:
-            out = tmp_path / f"graph-{chunk}-{read}-{threshold!r}"
+            out = tmp_path / f"graph-{chunk}-{block}-{threshold!r}"
             assert run(["associate", "--config", write_config(
                 tmp_path, "g.json", dict(doc, kind="association-graph", threshold=threshold)),
                 "--out", out, "--quiet"]) == 0
@@ -472,21 +472,21 @@ QUOTED_IDS = ("plain{}", "a,b{}", 'say "hi" {}', "cr\r\nlf{}", "{},", '"{}"', "l
 
 
 @given(n=st.integers(1, 40), k=st.integers(1, 6), chunk=st.sampled_from([1, 2, 3, 7, 1024]),
-       read=st.sampled_from([1, 2, 7, _READ]), staggered=st.booleans(), twins=st.booleans(),
+       block=st.sampled_from([1, 2, 7, _BLOCK]), staggered=st.booleans(), twins=st.booleans(),
        seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 2**16))
 @settings(max_examples=100, deadline=None)
-@example(n=40, k=2, chunk=1, read=1, staggered=False, twins=True, seed=1, pick=0)
-@example(n=40, k=3, chunk=7, read=2, staggered=True, twins=False, seed=2, pick=5)
-@example(n=40, k=6, chunk=1024, read=_READ, staggered=False, twins=True, seed=3, pick=9)
-@example(n=40, k=4, chunk=3, read=7, staggered=True, twins=True, seed=5, pick=3)
-@example(n=1, k=1, chunk=3, read=2, staggered=True, twins=False, seed=4, pick=0)
-def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, read, staggered, twins,
+@example(n=40, k=2, chunk=1, block=1, staggered=False, twins=True, seed=1, pick=0)
+@example(n=40, k=3, chunk=7, block=2, staggered=True, twins=False, seed=2, pick=5)
+@example(n=40, k=6, chunk=1024, block=_BLOCK, staggered=False, twins=True, seed=3, pick=9)
+@example(n=40, k=4, chunk=3, block=7, staggered=True, twins=True, seed=5, pick=3)
+@example(n=1, k=1, chunk=3, block=2, staggered=True, twins=False, seed=4, pick=0)
+def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, block, staggered, twins,
                                                      seed, pick):
     # fidelity.csv and edges.csv from K-major rectangles of every width, the
     # last rows and a last rectangle cut at row n - 1 included, against the
-    # full matrix: fidelity.csv byte for byte, its cursors reading back 1, 2,
-    # 7 or _READ bytes at a time, and the edges and clusters at a pair's
-    # overlap and one ulp either side of it
+    # full matrix: fidelity.csv byte for byte, its lines made 1, 2, 7 or
+    # _BLOCK at a time, and the edges and clusters at a pair's overlap and
+    # one ulp either side of it
     import tempfile
 
     from dqmem import capacity, cli
@@ -519,7 +519,7 @@ def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, read, staggere
         doc = {"registry": str(tmp / "registry.json"), "time": t}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(capacity, "_PAIR_CHUNK", chunk)
-            mp.setattr(cli, "_READ", read)
+            mp.setattr(cli, "_BLOCK", block)
             for a, gap in capacity._pair_rects(capacity._pair_frame(registry, t)):
                 rows, cols = gap.shape[1:]
                 event(f"rows {'1' if rows == 1 else '> 1'}")
@@ -541,6 +541,104 @@ def test_rectangle_reads_write_the_full_matrix_bytes(n, k, chunk, read, staggere
                     ["entry_a", "entry_b", "fidelity"], edges)).encode("utf-8")
                 assert json.loads((out / "summary.json").read_text())["results"]["clusters"] \
                     == clusters
+
+
+def csv_module_matrix(fm) -> bytes:
+    """fidelity.csv as the csv module writes the library's matrix."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\r\n")
+    writer.writerow(["entry_id", *fm.ids])
+    writer.writerows([e, *row] for e, row in zip(fm.ids, fm.values.tolist()))
+    return text.getvalue().encode("utf-8")
+
+
+def fidelity_bytes(tmp_path, registry, out) -> bytes:
+    config = write_config(tmp_path, "f.json", {
+        "kind": "fidelity-matrix", "registry": str(registry), "time": 0.5})
+    assert run(["associate", "--config", config, "--out", tmp_path / out, "--quiet"]) == 0
+    return (tmp_path / out / "fidelity.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 33])
+def test_fidelity_lines_made_in_blocks_are_the_csv_module_bytes(tmp_path, monkeypatch, n):
+    # fidelity.csv's lines are made _BLOCK at a time, each earlier row's
+    # cells for a block read back in one read: with blocks of 1, 2, 7 and
+    # _BLOCK lines, and n either side of one and two default blocks, the
+    # bytes are those of the csv module given the library's matrix
+    from dqmem import cli
+    from dqmem.capacity import fidelity_matrix, load_registry
+
+    rng = np.random.default_rng(n)
+    cfg = write_config(tmp_path, "print.json", {
+        "kind": "print", "modes": {"omega": [1.0, 2.0, 0.5], "gamma": [1.0, 0.35, 0.0]},
+        "entries": [{"id": QUOTED_IDS[i % 7].format(i), "thetas": c}
+                    for i, c in enumerate(rng.uniform(0.0, 1.5, (n, 3)).tolist())]})
+    assert run(["print", "--config", cfg, "--out", tmp_path / "r", "--quiet"]) == 0
+    registry = tmp_path / "r" / "registry.json"
+    expected = csv_module_matrix(fidelity_matrix(load_registry(registry), 0.5))
+    for block in (1, 2, 7, _BLOCK):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        assert fidelity_bytes(tmp_path, registry, f"o{block}") == expected
+
+
+@pytest.mark.parametrize("trickle", [False, True])
+def test_fidelity_read_back_at_its_longest_cells(tmp_path, monkeypatch, trickle):
+    # a cell is at most 23 characters, the longest repr of a float in [0, 1],
+    # plus its comma, so a block's read of a row asks for _BLOCK * 24 bytes:
+    # here row 0's cells for the second block are all that long, and the
+    # matrix holds 0.0 and 5e-324 too. Each of those reads takes every cell
+    # it needs at once; with a scratch file whose reads and writes take at
+    # most 5 bytes each, the lines are still the same bytes
+    import tempfile
+
+    from dqmem import cli
+    from dqmem.capacity import fidelity_matrix, load_registry
+
+    def overlap_repr(gap):  # the overlap of a one-mode pair, as the kernel takes it
+        return repr(math.exp(-float(log_cosh(gap))))
+
+    longest = [g for g in np.arange(300.0, 700.0, 0.37).tolist()
+               if len(overlap_repr(g)) == 23][:2 * _BLOCK]
+    # row 0 (theta 0): 5e-324 with row 1, 23 characters with rows 2..32, 0.0 with row 33
+    thetas = [0.0, 745.5, *longest[:2 * _BLOCK - 1], 800.0]
+    assert overlap_repr(745.5) == "5e-324" and overlap_repr(800.0) == "0.0"
+    assert len(thetas) == 2 * _BLOCK + 2
+    cfg = write_config(tmp_path, "print.json", {
+        "kind": "print", "modes": {"omega": [1.0], "gamma": [0.0]},
+        "entries": [{"id": f"m{i}", "thetas": [t]} for i, t in enumerate(thetas)]})
+    assert run(["print", "--config", cfg, "--out", tmp_path / "r", "--quiet"]) == 0
+    registry = tmp_path / "r" / "registry.json"
+    expected = csv_module_matrix(fidelity_matrix(load_registry(registry), 0.5))
+    row0 = expected.split(b"\r\n")[1].split(b",")
+    assert row0[1:3] == [b"1.0", b"5e-324"] and row0[-1] == b"0.0"
+    assert {len(cell) for cell in row0[1 + _BLOCK:1 + 2 * _BLOCK]} == {23}
+    make, opened = tempfile.TemporaryFile, []
+
+    class Scratch:  # counts the reads; a trickle reads and writes 5 bytes at most
+        def __init__(self, fh):
+            self.fh, self.reads = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def seek(self, *args):
+            return self.fh.seek(*args)
+
+        def read(self, size):
+            self.reads += 1
+            return self.fh.read(min(size, 5) if trickle else size)
+
+        def write(self, data):
+            return self.fh.write(data[:5] if trickle else data)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda **kw: opened.append(Scratch(make(**kw))) or opened[-1])
+    assert fidelity_bytes(tmp_path, registry, "o") == expected
+    if not trickle:  # one read per earlier row and block: none of them came short
+        assert opened[0].reads == _BLOCK + 2 * _BLOCK
 
 
 @given(n=st.integers(1, 8), k=st.integers(1, 4), staggered=st.booleans(),
@@ -1481,11 +1579,12 @@ def test_unencodable_cell_is_one_error_and_leaves_no_partial(tmp_path, capsys):
 
 def test_fidelity_run_holds_no_whole_csv_or_triangle_list(tmp_path):
     # a fidelity-matrix run holds no n x n matrix: beside one block of pairs
-    # it keeps, of each written row, a cursor with one short read of its
-    # cells after the diagonal, which wait in a scratch file (0.47 times the
-    # CSV in all); the whole CSV text, as a string or through a buffer, a
-    # list of every pair, or one string object per unwritten lower cell
-    # (1.35 times the CSV, 1.57 with the matrix) go past it
+    # it keeps an offset for each written row, whose cells after the
+    # diagonal wait in a scratch file, and the cells below the diagonal of
+    # one block of lines (0.30 times the CSV in all; 0.47 with a cursor per
+    # row); the whole CSV text, as a string or through a buffer, a list of
+    # every pair, or one string object per unwritten lower cell (1.35 times
+    # the CSV, 1.57 with the matrix) go past it
     import tracemalloc
 
     n = 300
@@ -1562,6 +1661,36 @@ def test_fidelity_rows_hold_memory_linear_in_n():
         finally:
             tracemalloc.stop()
     assert peaks[3] - peaks[2] < 2.5 * (peaks[2] - peaks[1]), peaks
+
+
+def test_association_graph_run_holds_no_tuple_per_edge(tmp_path):
+    # the graph's edges are array columns of row indices and fidelities,
+    # and edges.csv's rows are made from them as it is written: on 150
+    # entries in one tight cluster (11 175 edges) the tracemalloc peak of a
+    # run is about 0.51 MB, and 1.15 MB with an (id, id, fidelity) tuple
+    # per edge
+    import tracemalloc
+
+    rng = np.random.default_rng(1)
+    registry = write_config(tmp_path, "registry.json", {
+        "schema_version": 1,
+        "modes": [{"index": i, "omega": 1.0, "gamma": 0.5} for i in range(4)],
+        "entries": [{"id": f"m{i:04d}", "printed_at": 0.0,
+                     "thetas": (0.5 + rng.normal(0.0, 0.02, 4)).tolist()} for i in range(150)],
+    })
+    config = write_config(tmp_path, "g.json", {"kind": "association-graph", "registry": registry,
+                                               "time": 0.5, "threshold": 0.5})
+    assert run(["associate", "--config", config, "--out", tmp_path / "warm", "--quiet"]) == 0
+    tracemalloc.start()
+    try:
+        assert run(["associate", "--config", config, "--out", tmp_path / "o", "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads((tmp_path / "o" / "summary.json").read_text())["results"]["edge_count"] \
+        == 150 * 149 // 2
+    assert len(read_csv(tmp_path / "o" / "edges.csv")) == 1 + 150 * 149 // 2
+    assert peak < 0.8e6
 
 
 def test_fidelity_scratch_file_that_cannot_open_is_one_io_error(tmp_path, registry_path,
@@ -1768,6 +1897,35 @@ def python(code, *args, flags=()):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *flags, "-c", code, *map(str, args)],
                           capture_output=True, text=True, env=env)
+
+
+def test_config_sha256_through_hashlib_without_the_builtin_hash(tmp_path):
+    # a Python built without its own SHA-256 module (_sha256, _sha2 from
+    # 3.12) hashes the config through hashlib, to the same config_sha256
+    cfg = write_config(tmp_path, "forget.json", VALID_CONFIGS["forgetting-curve"][1])
+    proc = python("import sys\n"
+                  "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+                  "import hashlib\n"
+                  "from dqmem import cli\n"
+                  "assert cli.sha256 is hashlib.sha256\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n",
+                  "forgetting", "--config", cfg, "--out", tmp_path / "o", "--quiet")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(
+        pathlib.Path(cfg).read_bytes()).hexdigest()
+
+
+def test_states_without_numpy_is_one_module_not_found_error():
+    # numpy loads at its first array use, but an interpreter without it
+    # fails at the import of dqmem.states, naming numpy
+    proc = python("import sys\n"
+                  "sys.modules['numpy'] = None\n"
+                  "try:\n"
+                  "    import dqmem.states\n"
+                  "except ModuleNotFoundError as exc:\n"
+                  "    print(str(exc), exc.name, sep='|')\n")
+    assert (proc.stdout, proc.stderr) == ("No module named 'numpy'|numpy\n", "")
 
 
 # what `import dqmem`, `import dqmem.cli` and then one subcommand load: the
